@@ -178,10 +178,7 @@ def cmd_report(args) -> int:
     g = _load_graph(args.file)
     name = Path(args.file).stem
     report = reporting.analysis_report(g, name=name, cap=args.cap)
-    if args.json:
-        sys.stdout.write(reporting.render_json(report))
-    else:
-        sys.stdout.write(reporting.render_json(report))
+    sys.stdout.write(reporting.render_json(report))  # JSON with or without --json
     return 0 if reporting.report_conditions_ok(report) else 1
 
 

@@ -10,15 +10,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import config
 from .conditions import SearchBudget, iter_nonnegative_solutions
-from .discriminant import pairing_matrix
 from .errors import NotABranch
-from .graph import (
-    ResolutionGraph,
-    component_of,
-    graph_determinant,
-    leaves_of,
-    path_between,
-)
+from .graph import ResolutionGraph, bfs_tree, component_of, graph_determinant, leaves_of
 from .splice import linking_matrix
 
 
@@ -68,17 +61,13 @@ def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
 def dual_cycles(g: ResolutionGraph) -> dict[str, QCycle]:
     """All cycles dual to the curves: the i-th pairs to -1 with curve i and
     to 0 with every other curve (rows of the negated inverse pairing)."""
-    pm = pairing_matrix(g)
-    out = {}
-    for i, v in enumerate(g.ids):
-        out[v] = QCycle(
-            {u: -pm[i][j] for j, u in enumerate(g.ids) if pm[i][j]}
-        )
-    return out
+    return {v: dual_cycle(g, v) for v in g.ids}
 
 
 def dual_cycle(g: ResolutionGraph, v: str) -> QCycle:
-    return dual_cycles(g)[v]
+    """Row v of the negated pairing matrix, L[v] / det."""
+    row = g.linking_rows[g.index[v]]  # raises NotNegativeDefinite
+    return QCycle({u: Fraction(x, g.det) for u, x in zip(g.ids, row) if x})
 
 
 def branches(g: ResolutionGraph, v: str) -> tuple[tuple[str, ...], ...]:
@@ -194,7 +183,10 @@ def construct_monomial_cycle(
     leaf_set = set(leaves_of(g))
     interior = [j for j in branch if j not in leaf_set]
     cap = graph_determinant(g) * len(g.ids) * max(-w for w in g.weights)
-    distance = {u: len(path_between(g, v, u)) for u in branch}
+    order, parent = bfs_tree(g, v)
+    distance = {v: 1}  # vertices on the path from the node, both ends counted
+    for x in order[1:]:
+        distance[x] = distance[parent[x]] + 1
 
     d_cycle = cycle_add(dual_cycle(g, v), fundamental_cycle(g, branch))
 

@@ -13,15 +13,8 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from . import config
-from .errors import CapExceeded, NotNegativeDefinite
-from .graph import (
-    ResolutionGraph,
-    graph_determinant,
-    intersection_matrix,
-    is_negative_definite,
-    leaves_of,
-)
-from .linalg import invert_rational
+from .errors import CapExceeded
+from .graph import ResolutionGraph, graph_determinant, leaves_of
 
 QTuple = tuple[Fraction, ...]
 
@@ -31,10 +24,10 @@ def qmod1(x: Fraction) -> Fraction:
 
 
 def pairing_matrix(g: ResolutionGraph) -> list[list[Fraction]]:
-    """Exact inverse of the intersection matrix (dual-basis pairings)."""
-    if not is_negative_definite(g):
-        raise NotNegativeDefinite("graph is not negative definite")
-    return invert_rational(intersection_matrix(g))
+    """Exact inverse of the intersection matrix (dual-basis pairings): -L/det
+    with L the linking matrix, since A * L = -det * I."""
+    rows = g.linking_rows  # raises NotNegativeDefinite
+    return [[Fraction(-x, g.det) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)

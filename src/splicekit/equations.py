@@ -9,14 +9,12 @@ invariants.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from . import linalg
 from .conditions import AdmissibleExponents, check_congruence, check_semigroup
 from .discriminant import DiscriminantGroup, leaf_character, leaf_generators
 from .errors import (
@@ -96,31 +94,12 @@ class SpliceEquationSystem:
         return sum(b.equation_count for b in self.blocks)
 
 
-def _maximal_minors_nonzero(rows: Sequence[Sequence[int]]) -> bool:
-    k = len(rows)
-    if k == 0:
-        return True
-    cols = len(rows[0])
-    for combo in itertools.combinations(range(cols), k):
-        sub = [[row[c] for c in combo] for row in rows]
-        if linalg.determinant(sub) == 0:
-            return False
-    return True
-
-
-def _vandermonde_rows(count: int, width: int, offset: int = 0) -> tuple[tuple[int, ...], ...]:
-    nodes = [offset + c for c in range(1, width + 1)]
-    return tuple(tuple(c ** i for c in nodes) for i in range(count))
-
-
 def generic_coefficients(count: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Deterministic small-integer rows with all maximal minors nonzero."""
-    offset = 0
-    while True:
-        rows = _vandermonde_rows(count, width, offset)
-        if _maximal_minors_nonzero(rows):
-            return rows
-        offset += width  # unreachable for distinct nodes, kept as a guard
+    """Deterministic small-integer rows with all maximal minors nonzero: the
+    first `count` rows of the Vandermonde matrix on the distinct nodes
+    1..width, whose maximal minors are generalized Vandermonde determinants
+    on distinct positive nodes, hence nonzero."""
+    return tuple(tuple(c ** i for c in range(1, width + 1)) for i in range(count))
 
 
 def _validate_higher_terms(

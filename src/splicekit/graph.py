@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
 
 VertexKind = str  # "leaf" | "string" | "node"
+DirectedEdge = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -19,7 +22,9 @@ class ResolutionGraph:
     Vertex order is the insertion order of the input and fixes the row
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
-    pure functions.
+    pure functions. The subtree-determinant table and the invariants read
+    from it (definiteness, determinant, linking numbers) are computed once
+    per instance and cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -69,6 +74,49 @@ class ResolutionGraph:
         order = self.index
         return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
 
+    @cached_property
+    def subtree_dets(self) -> Mapping[DirectedEdge, int]:
+        """Read-only ``subtree_determinants`` table."""
+        return MappingProxyType(subtree_determinants(self))
+
+    @cached_property
+    def det(self) -> int:
+        """det of the negated intersection matrix, by the subtree step at
+        ids[0]; no definiteness gate."""
+        return _subtree_step(self, self.subtree_dets, self.ids[0], None) if self.ids else 1
+
+    @cached_property
+    def negative_definite(self) -> bool:
+        """Rooted at ids[0] and read leaves first, each leading principal
+        minor of the negated form is a product of entries D(child, parent),
+        each itself a principal minor; so the form is negative definite
+        exactly when all of them and the root value are positive."""
+        order, parent = bfs_tree(self, self.ids[0]) if self.ids else ([], {})
+        table = self.subtree_dets
+        return self.det > 0 and all(table[(x, parent[x])] > 0 for x in order[1:])
+
+    @cached_property
+    def linking_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Linking numbers of the maximal splice diagram, by one walk from
+        each vertex v. The diagonal entry is wp(v), the product of all
+        weights at v; a step from u to x divides out the weight at u toward
+        x, D(x, u), and multiplies in wp(x) / D(u, x). Both divisions are
+        exact. Raises NotNegativeDefinite, where some weight may be zero.
+        """
+        if not self.negative_definite:
+            raise NotNegativeDefinite("graph is not negative definite")
+        table = self.subtree_dets
+        wp = {v: prod(table[(u, v)] for u in self.adjacency[v]) for v in self.ids}
+        rows = []
+        for v in self.ids:
+            order, parent = bfs_tree(self, v)
+            row = {v: wp[v]}
+            for x in order[1:]:
+                u = parent[x]
+                row[x] = row[u] // table[(x, u)] * (wp[x] // table[(u, x)])
+            rows.append(tuple(row[x] for x in self.ids))
+        return tuple(rows)
+
     def weight_of(self, v: str) -> int:
         try:
             return self.weights[self.index[v]]
@@ -82,18 +130,20 @@ class ResolutionGraph:
         return b in self.adjacency.get(a, ())
 
 
+def bfs_tree(g: ResolutionGraph, root: str) -> tuple[list[str], dict[str, str | None]]:
+    """Vertices reachable from root in breadth-first order, with parents."""
+    order, parent = [root], {root: None}
+    for u in order:
+        for x in g.adjacency[u]:
+            if x not in parent:
+                parent[x] = u
+                order.append(x)
+    return order, parent
+
+
 def is_tree(g: ResolutionGraph) -> bool:
     n = len(g.ids)
-    if n == 0 or len(g.edges) != n - 1:
-        return False
-    seen = {g.ids[0]}
-    stack = [g.ids[0]]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    return n > 0 and len(g.edges) == n - 1 and len(bfs_tree(g, g.ids[0])[0]) == n
 
 
 def validate_graph(g: ResolutionGraph) -> None:
@@ -170,8 +220,52 @@ def negated_intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
     return [[-x for x in row] for row in intersection_matrix(g)]
 
 
+def _subtree_step(
+    g: ResolutionGraph, table: Mapping[DirectedEdge, int], u: str, p: str | None
+) -> int:
+    """det of the subtree at u away from p (the whole tree when p is None),
+    by expanding along u's row: b_u times the product of the child values,
+    minus, for each child w, the other child values times the product of
+    w's own child values."""
+    adj = g.adjacency
+    kids = [w for w in adj[u] if w != p]
+    down = [table[(w, u)] for w in kids]
+    total = -g.weight_of(u) * prod(down)
+    for idx, w in enumerate(kids):
+        skip = prod(down[:idx]) * prod(down[idx + 1:])
+        grand = prod(table[(x, w)] for x in adj[w] if x != u)
+        total -= skip * grand
+    return total
+
+
+def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
+    """det of the component of g minus `parent` containing `child`.
+
+    Keyed by (child, parent) for every directed edge. Each entry is one
+    ``_subtree_step`` over entries already in the table: first toward
+    ids[0], leaves up, then away from it, root down. The whole table costs
+    O(V * deg^2) big-int products. Splice weights, the determinant,
+    definiteness and the linking and pairing matrices are all read from
+    it; ``ResolutionGraph.subtree_dets`` caches it. Raises ValidationError
+    when g is not a tree.
+    """
+    if not g.ids:
+        return {}
+    if not is_tree(g):
+        raise ValidationError("graph is not a tree")
+    order, parent = bfs_tree(g, g.ids[0])
+    table: dict[DirectedEdge, int] = {}
+    for u in reversed(order[1:]):
+        table[(u, parent[u])] = _subtree_step(g, table, u, parent[u])
+    for u in order:
+        for x in g.adjacency[u]:
+            if x != parent[u]:
+                table[(u, x)] = _subtree_step(g, table, u, x)
+    return table
+
+
 def is_negative_definite(g: ResolutionGraph) -> bool:
-    return linalg.is_negative_definite_matrix(intersection_matrix(g))
+    return g.negative_definite
 
 
 def graph_determinant(g: ResolutionGraph) -> int:
@@ -180,9 +274,9 @@ def graph_determinant(g: ResolutionGraph) -> int:
     Raises NotNegativeDefinite when the intersection form is not
     negative definite.
     """
-    if not is_negative_definite(g):
+    if not g.negative_definite:
         raise NotNegativeDefinite("intersection form is not negative definite")
-    return linalg.determinant(negated_intersection_matrix(g))
+    return g.det
 
 
 def fresh_id(base: str, taken: Iterable[str]) -> str:
@@ -234,24 +328,3 @@ def induced_subgraph(g: ResolutionGraph, keep: Iterable[str]) -> ResolutionGraph
         weights=tuple(w for v, w in zip(g.ids, g.weights) if v in keep_set),
         edges=tuple((a, b) for a, b in g.edges if a in keep_set and b in keep_set),
     )
-
-
-def path_between(g: ResolutionGraph, v: str, w: str) -> tuple[str, ...]:
-    """Vertices of the unique path from v to w, inclusive."""
-    if v not in g.index or w not in g.index:
-        raise UnknownVertex(f"{v!r} or {w!r}")
-    parent: dict[str, str | None] = {v: None}
-    stack = [v]
-    while stack and w not in parent:
-        u = stack.pop()
-        for x in g.adjacency[u]:
-            if x not in parent:
-                parent[x] = u
-                stack.append(x)
-    if w not in parent:
-        raise ValidationError(f"no path from {v} to {w}")
-    path = [w]
-    while path[-1] != v:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return tuple(path)

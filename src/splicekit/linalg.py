@@ -1,7 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over arbitrary-precision ints or Fractions; there is
-no floating point anywhere in the package.
+no floating point anywhere in the package. The Smith normal form serves the
+discriminant group. ``determinant`` (Bareiss) and ``invert_rational``
+(Gauss-Jordan) are general-matrix reference oracles with no caller in the
+package: definiteness, determinants, linking and pairing matrices are all
+read from the subtree-determinant table in ``graph``, and the tests check
+that table against these two.
 """
 
 from __future__ import annotations
@@ -56,22 +61,6 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Determinants of the k-by-k top-left blocks, k = 1..n."""
-    n = len(matrix)
-    return [determinant([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
-
-
-def is_negative_definite_matrix(matrix: Sequence[Sequence[int]]) -> bool:
-    """Sign test: the k-th leading principal minor must have sign (-1)^k."""
-    for k, minor in enumerate(leading_principal_minors(matrix), start=1):
-        if k % 2 == 1 and minor >= 0:
-            return False
-        if k % 2 == 0 and minor <= 0:
-            return False
-    return True
 
 
 def invert_rational(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:

@@ -24,6 +24,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import (
+    DirectedEdge,
     ResolutionGraph,
     blow_up_edge,
     classify_vertices,
@@ -32,10 +33,8 @@ from .graph import (
     graph_determinant,
     induced_subgraph,
     is_negative_definite,
-    negated_intersection_matrix,
+    subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
 )
-
-DirectedEdge = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -121,68 +120,14 @@ class MaximalSpliceDiagram(SpliceDiagram):
     """Splice diagram on all resolution vertices, weighted at both ends."""
 
 
-def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
-    """det of the component of g minus `parent` containing `child`.
-
-    Keyed by (child, parent) for every directed edge; computed by the
-    classic tree recursion over rooted subtrees, memoized so the whole
-    table costs O(V * deg^2) big-int products instead of one elimination
-    per subgraph.
-    """
-    adj = g.adjacency
-    b = {v: -g.weight_of(v) for v in g.ids}
-    memo: dict[DirectedEdge, int] = {}
-
-    def children(u: str, p: str | None) -> list[str]:
-        return [w for w in adj[u] if w != p]
-
-    def value(u: str, p: str | None) -> int:
-        kids = children(u, p)
-        down = [memo[(w, u)] for w in kids]
-        total = b[u] * prod(down)
-        for idx, w in enumerate(kids):
-            skip = prod(down[:idx]) * prod(down[idx + 1:])
-            grand = prod(memo[(x, w)] for x in adj[w] if x != u)
-            total -= skip * grand
-        return total
-
-    def demand(u0: str, p0: str) -> None:
-        stack: list[DirectedEdge] = [(u0, p0)]
-        while stack:
-            u, p = stack[-1]
-            if (u, p) in memo:
-                stack.pop()
-                continue
-            missing = [(w, u) for w in children(u, p) if (w, u) not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[(u, p)] = value(u, p)
-            stack.pop()
-
-    for a, c in g.edges:
-        demand(a, c)
-        demand(c, a)
-    return memo
-
-
 def tree_determinant(g: ResolutionGraph) -> int:
-    """det of the negated intersection matrix via the subtree recursion.
+    """det of the negated intersection matrix, read from the subtree table
+    at ids[0] without a definiteness gate (``graph_determinant`` adds it).
 
-    Independent of the Bareiss route; the two are cross-checked in tests.
+    ``linalg.determinant`` (Bareiss) is the independent oracle; the tests
+    cross-check the two.
     """
-    if not g.ids:
-        return 1
-    memo = subtree_determinants(g)
-    root = g.ids[0]
-    kids = list(g.adjacency[root])
-    down = [memo[(w, root)] for w in kids]
-    total = -g.weight_of(root) * prod(down)
-    for idx, w in enumerate(kids):
-        skip = prod(down[:idx]) * prod(down[idx + 1:])
-        grand = prod(memo[(x, w)] for x in g.adjacency[w] if x != root)
-        total -= skip * grand
-    return total
+    return g.det
 
 
 def _walk_string(
@@ -205,7 +150,7 @@ def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
         raise NotNegativeDefinite("graph is not negative definite")
     kinds = classify_vertices(g)
     keep = tuple(v for v in g.ids if kinds[v] != "string")
-    dets = subtree_determinants(g)
+    dets = g.subtree_dets
     edges: list[tuple[str, str]] = []
     seen: set[frozenset[str]] = set()
     weights: dict[DirectedEdge, int] = {}
@@ -229,7 +174,7 @@ def maximal_splice(g: ResolutionGraph) -> MaximalSpliceDiagram:
     """Splice diagram keeping every vertex, with weights at both edge ends."""
     if not is_negative_definite(g):
         raise NotNegativeDefinite("graph is not negative definite")
-    dets = subtree_determinants(g)
+    dets = g.subtree_dets
     weights = {(v, u): dets[(u, v)] for (u, v) in dets}
     return MaximalSpliceDiagram(
         ids=g.ids, edges=g.edges, weights=weights, strings=None
@@ -269,21 +214,12 @@ def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
 def linking_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
     """Matrix of pairwise linking numbers over all resolution vertices.
 
-    Entries come from path products in the maximal splice diagram; the
-    diagonal entry is the product of all weights at the vertex. Satisfies
-    A * L = -det * I, which the test suite checks exactly.
+    Entries are the path products of the maximal splice diagram (see
+    ``ResolutionGraph.linking_rows``); the diagonal entry is the product of
+    all weights at the vertex. Satisfies A * L = -det * I, which the test
+    suite checks exactly. Returns a fresh list; raises NotNegativeDefinite.
     """
-    dmax = maximal_splice(g)
-    n = len(g.ids)
-    out = [[0] * n for _ in range(n)]
-    for i, v in enumerate(g.ids):
-        out[i][i] = dmax.weight_product(v)
-        for j in range(i + 1, n):
-            w = g.ids[j]
-            full, _ = linking_numbers(dmax, v, w)
-            out[i][j] = full
-            out[j][i] = full
-    return out
+    return [list(row) for row in g.linking_rows]
 
 
 def edge_determinant(d: SpliceDiagram, edge: tuple[str, str]) -> int:
@@ -340,9 +276,7 @@ def verify_edge_det_theorem(g: ResolutionGraph) -> EdgeDetReport:
         if not (d.is_node(v) and d.is_node(w)):
             continue
         interior = d.strings[(v, w)] if d.strings else ()
-        string_det = linalg.determinant(
-            negated_intersection_matrix(induced_subgraph(g, interior))
-        ) if interior else 1
+        string_det = tree_determinant(induced_subgraph(g, interior))
         entries.append(
             EdgeDetEntry(
                 edge=(v, w),

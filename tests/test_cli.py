@@ -66,6 +66,16 @@ def test_cli_validate_exit_codes(tmp_path, g1):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_invalid_env_cap_is_input_error(tmp_path, g90, monkeypatch, capsys):
+    path = write_graph(tmp_path, g90)
+    monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "lots")
+    assert main(["group", path]) == 2
+    assert "input error" in capsys.readouterr().err
+    monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "0")
+    assert main(["report", path]) == 2
+    assert "SPLICEKIT_ENUM_CAP" in capsys.readouterr().err
+
+
 def test_cli_det_g17(tmp_path, g17, capsys):
     path = write_graph(tmp_path, g17)
     assert main(["det", path]) == 0

@@ -1,4 +1,7 @@
+import pytest
+
 from splicekit import config
+from splicekit.errors import ValidationError
 
 
 def test_defaults():
@@ -12,15 +15,17 @@ def test_env_override(monkeypatch):
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "123")
     assert config.solution_limit() == 123
     assert config.group_cap() == 123
-    monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "not-a-number")
-    assert config.solution_limit() == config.DEFAULT_SOLUTION_LIMIT
-    monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "-5")
-    assert config.group_cap() == config.DEFAULT_GROUP_CAP
+    for bad in ("not-a-number", "-5", "0"):
+        monkeypatch.setenv("SPLICEKIT_ENUM_CAP", bad)
+        with pytest.raises(ValidationError):
+            config.solution_limit()
+        with pytest.raises(ValidationError):
+            config.group_cap()
+    # an explicit override never reads the variable
+    assert config.group_cap(9) == 9
 
 
 def test_env_cap_limits_group_enumeration(monkeypatch, g90):
-    import pytest
-
     from splicekit.discriminant import group_order_check
     from splicekit.errors import CapExceeded
 

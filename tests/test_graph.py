@@ -14,8 +14,9 @@ from splicekit.graph import (
     maximal_strings,
     validate_graph,
 )
-from splicekit.linalg import is_negative_definite_matrix
 from splicekit.splice import splice_from_resolution
+
+from oracles import is_negative_definite_matrix
 
 
 def chain(*weights):

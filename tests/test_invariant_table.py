@@ -1,0 +1,110 @@
+"""Invariants read from the subtree-determinant table, against the
+general-matrix oracles: Sylvester's criterion, Bareiss determinants and
+Gauss-Jordan inversion."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splicekit.corpus import dominant_tree
+from splicekit.cycles import dual_cycle
+from splicekit.discriminant import pairing_matrix
+from splicekit.errors import NotNegativeDefinite, ValidationError
+from splicekit.graph import (
+    ResolutionGraph,
+    graph_determinant,
+    intersection_matrix,
+    is_negative_definite,
+    negated_intersection_matrix,
+)
+from splicekit.linalg import determinant, invert_rational
+from splicekit.splice import linking_matrix, tree_determinant
+
+from oracles import is_negative_definite_matrix
+
+
+@st.composite
+def weighted_trees(draw):
+    """Random trees with weights in [-5, 1], so that many are indefinite."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    parents = [draw(st.integers(min_value=0, max_value=j - 1)) for j in range(1, n)]
+    weights = [draw(st.integers(min_value=-5, max_value=1)) for _ in range(n)]
+    return ResolutionGraph.build(
+        vertices=[(f"v{i}", w) for i, w in enumerate(weights)],
+        edges=[(f"v{p}", f"v{j}") for j, p in enumerate(parents, start=1)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_trees())
+def test_table_invariants_match_matrix_oracles(g):
+    a = intersection_matrix(g)
+    definite = is_negative_definite(g)
+    assert definite == is_negative_definite_matrix(a)
+    assert tree_determinant(g) == determinant(negated_intersection_matrix(g))
+    if not definite:
+        for route in (graph_determinant, linking_matrix, pairing_matrix):
+            with pytest.raises(NotNegativeDefinite):
+                route(g)
+        with pytest.raises(NotNegativeDefinite):
+            dual_cycle(g, g.ids[0])
+        return
+    assert graph_determinant(g) == tree_determinant(g)
+    pm = pairing_matrix(g)
+    assert pm == invert_rational(a)
+    for i, v in enumerate(g.ids):
+        assert dual_cycle(g, v).coefficients == {
+            u: -pm[i][j] for j, u in enumerate(g.ids) if pm[i][j]
+        }
+
+
+def test_sylvester_sweep_has_both_verdicts():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = ResolutionGraph.build(
+            vertices=[(f"v{i}", rng.randint(-4, -1)) for i in range(n)],
+            edges=[(f"v{rng.randrange(j)}", f"v{j}") for j in range(1, n)],
+        )
+        verdict = is_negative_definite(g)
+        assert verdict == is_negative_definite_matrix(intersection_matrix(g))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 30, 90, 200]))
+def test_linking_matrix_identity_on_dominant_trees(seed, n):
+    g = dominant_tree(random.Random(seed), n)
+    lmat = linking_matrix(g)
+    det = graph_determinant(g)
+    for i, row in enumerate(intersection_matrix(g)):
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        for j in range(n):
+            entry = sum(x * lmat[k][j] for k, x in nonzero)
+            assert entry == (-det if i == j else 0)
+
+
+def test_returned_matrices_do_not_alias_the_cache(g17):
+    lmat = linking_matrix(g17)
+    pm = pairing_matrix(g17)
+    expected_l = [list(row) for row in lmat]
+    expected_pm = [list(row) for row in pm]
+    lmat[0][0] += 1
+    lmat[1].append(7)
+    lmat.pop()
+    pm[0][0] += 1
+    pm.pop()
+    assert linking_matrix(g17) == expected_l
+    assert pairing_matrix(g17) == expected_pm
+
+
+def test_non_tree_is_rejected():
+    cyclic = ResolutionGraph.build(
+        [("a", -3), ("b", -3), ("c", -3)], [("a", "b"), ("b", "c"), ("c", "a")]
+    )
+    with pytest.raises(ValidationError):
+        is_negative_definite(cyclic)

@@ -8,11 +8,12 @@ from splicekit.linalg import (
     determinant,
     identity_matrix,
     invert_rational,
-    leading_principal_minors,
     matmul,
     smith_normal_form,
 )
 from splicekit.splice import tree_determinant
+
+from oracles import leading_principal_minors
 
 
 def test_snf_single_negative_entry():
