@@ -59,7 +59,7 @@ def cmd_det(args) -> int:
 
 def cmd_group(args) -> int:
     g = _load_graph(args.file)
-    section = reporting.group_section(g, args.cap)
+    section = reporting.group_section(g)
     lines = [
         f"order: {section['order']}",
         "invariant factors: " + ", ".join(map(str, section["invariant_factors"])),
@@ -177,7 +177,7 @@ def cmd_reduce(args) -> int:
 def cmd_report(args) -> int:
     g = _load_graph(args.file)
     name = Path(args.file).stem
-    report = reporting.analysis_report(g, name=name, cap=args.cap)
+    report = reporting.analysis_report(g, name=name)
     sys.stdout.write(reporting.render_json(report))  # JSON with or without --json
     return 0 if reporting.report_conditions_ok(report) else 1
 
@@ -209,9 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", cmd_validate).add_argument("file")
     add("det", cmd_det).add_argument("file")
-    p = add("group", cmd_group)
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None)
+    add("group", cmd_group).add_argument("file")
     add("splice", cmd_splice).add_argument("file")
     add("maximal", cmd_maximal).add_argument("file")
     p = add("check", cmd_check)
@@ -226,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--raw", action="store_true")
     mode.add_argument("--normalized", action="store_true")
-    p = add("report", cmd_report)
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None)
+    add("report", cmd_report).add_argument("file")
     p = add("emit-fixtures", cmd_emit_fixtures)
     p.add_argument("--dir", default="fixtures")
     return parser

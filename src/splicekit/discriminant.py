@@ -3,18 +3,21 @@
 Elements live in (Q/Z)^t, t the number of leaves; each leaf contributes a
 generator whose entries are the pairings of its dual basis vector with the
 other leaf duals. All values are exact rationals mod 1, never floats.
+The group checks take one Smith normal form at any determinant; element
+listing (``enumerate_elements``, capped) serves only oracles and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from . import config
 from .errors import CapExceeded
 from .graph import ResolutionGraph, graph_determinant, leaves_of
+from .linalg import smith_normal_form
 
 QTuple = tuple[Fraction, ...]
 
@@ -91,21 +94,23 @@ class DiscriminantGroup:
         return frozenset(seen)
 
 
+def _scaled_leaf_block(g: ResolutionGraph) -> tuple[tuple[str, ...], list[list[int]], int]:
+    """(leaves, G, det), G = (-L) mod det on the leaf block of the linking
+    matrix: row w is the generator at w scaled by det."""
+    rows, det, leaves = g.linking_rows, graph_determinant(g), leaves_of(g)
+    idx = [g.index[w] for w in leaves]
+    return leaves, [[-rows[i][j] % det for j in idx] for i in idx], det
+
+
 def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
-    """Leaf generators read off the rows of the pairing matrix.
+    """Leaf generators read off the leaf block of the pairing matrix -L/det.
 
     Sign convention: the entry of the generator at leaf j against leaf i
     is the raw dual pairing (non-positive before mod-1 reduction), so the
     character formulas downstream match without extra signs.
     """
-    pm = pairing_matrix(g)
-    det = graph_determinant(g)
-    leaves = leaves_of(g)
-    idx = g.index
-    gens = {
-        w: tuple(qmod1(pm[idx[w]][idx[u]]) for u in leaves)
-        for w in leaves
-    }
+    leaves, block, det = _scaled_leaf_block(g)
+    gens = {w: tuple(Fraction(x, det) for x in row) for w, row in zip(leaves, block)}
     return DiscriminantGroup(leaves=leaves, order=det, generators=gens)
 
 
@@ -122,42 +127,39 @@ class GroupCheck:
         return self.order_ok and self.drop_one_ok and self.no_pseudo_reflections
 
 
-def group_order_check(g: ResolutionGraph, cap: int | None = None) -> GroupCheck:
-    """Enumerate the group and verify its structural properties:
+def _span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
+    """The checks on the span H in (Z/d)^t of the rows of a symmetric
+    t-by-t integer matrix G, from one Smith normal form U*G*V = diag(s):
 
-    - the leaf generators span a group of order det;
-    - dropping any single generator still spans everything (skipped for a
-      one-leaf graph, where the single generator is the whole datum);
-    - no non-identity element fixes a coordinate hyperplane, i.e. every
-      non-zero element has at least two non-zero entries (also only
-      meaningful with >= 2 leaves).
+    - with e_i = d / gcd(s_i, d), |H| = prod(e_i), and the rows e_i*U_i
+      span the relations c*G = 0 mod d (c = c'*U with e_i | c'_i);
+    - the gcd m_j of d and the j-th entries of those rows is the index in
+      H of the span without row j (drop-one: every |H| = d * m_j);
+    - forgetting coordinate j maps H onto the span of the columns of G but
+      j, of order |H| / m_j as G is symmetric, with kernel the elements
+      non-zero only at j (no pseudo-reflection: every m_j = 1; t >= 2).
     """
-    group = leaf_generators(g)
-    elements = group.enumerate_elements(cap)
-    order_ok = len(elements) == group.order
-    t = len(group.leaves)
-    drop_one_ok = True
-    if t >= 2:
-        for skip in group.leaves:
-            names = tuple(w for w in group.leaves if w != skip)
-            sub = group.enumerate_elements(cap, generators=names)
-            if len(sub) != group.order:
-                drop_one_ok = False
-                break
-    no_pseudo = True
-    if t >= 2:
-        for el in elements:
-            nonzero = sum(1 for x in el if x)
-            if 0 < nonzero < 2:
-                no_pseudo = False
-                break
+    t = len(rows)
+    snf = smith_normal_form(rows)
+    steps = [d // gcd(s, d) for s in snf.diagonal]
+    spanned = prod(steps)
+    indices = [gcd(d, *(e * row[j] for e, row in zip(steps, snf.left))) for j in range(t)]
     return GroupCheck(
-        order=group.order,
-        enumerated_order=len(elements),
-        order_ok=order_ok,
-        drop_one_ok=drop_one_ok,
-        no_pseudo_reflections=no_pseudo,
+        order=d,
+        enumerated_order=spanned,
+        order_ok=spanned == d,
+        drop_one_ok=t < 2 or all(spanned == d * m for m in indices),
+        no_pseudo_reflections=t < 2 or all(m == 1 for m in indices),
     )
+
+
+def group_order_check(g: ResolutionGraph) -> GroupCheck:
+    """The leaf generators span a group of order det (``enumerated_order``
+    is the order of their span); with two or more leaves, any one of them
+    can be dropped, and no non-zero element has a single non-zero entry
+    (fixes a coordinate hyperplane). No element is listed."""
+    _, block, det = _scaled_leaf_block(g)
+    return _span_check(block, det)
 
 
 def character_of_monomial(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .conditions import AdmissibleExponents, check_congruence, check_semigroup
+from .conditions import AdmissibleExponents, SemigroupReport, check_congruence, check_semigroup
 from .discriminant import DiscriminantGroup, leaf_character, leaf_generators
 from .errors import (
     CongruenceFails,
@@ -139,6 +139,14 @@ def _validate_higher_terms(
     return tuple(out)
 
 
+def semigroup_witnesses(report: SemigroupReport) -> dict[tuple[str, str], AdmissibleExponents]:
+    """The witness at every node edge; SemigroupFails names those without."""
+    if not report.ok:
+        bad = ", ".join(f"({e.node}, {e.toward})" for e in report.failures)
+        raise SemigroupFails(f"no admissible monomial at {bad}")
+    return {(e.node, e.toward): e.witness for e in report.edges}  # type: ignore[misc]
+
+
 def build_equations_from_diagram(
     d: SpliceDiagram,
     *,
@@ -149,11 +157,7 @@ def build_equations_from_diagram(
 ) -> SpliceEquationSystem:
     variables = d.leaves
     if witnesses is None:
-        sg = check_semigroup(d)
-        if not sg.ok:
-            bad = ", ".join(f"({e.node}, {e.toward})" for e in sg.failures)
-            raise SemigroupFails(f"no admissible monomial at {bad}")
-        witnesses = {(e.node, e.toward): e.witness for e in sg.edges}  # type: ignore[misc]
+        witnesses = semigroup_witnesses(check_semigroup(d))
     blocks = []
     for v in d.nodes:
         edges = d.adjacency[v]

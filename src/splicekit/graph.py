@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
@@ -238,30 +238,34 @@ def _subtree_step(
     return total
 
 
-def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
-    """det of the component of g minus `parent` containing `child`.
-
-    Keyed by (child, parent) for every directed edge. Each entry is one
-    ``_subtree_step`` over entries already in the table: first toward
-    ids[0], leaves up, then away from it, root down. The whole table costs
-    O(V * deg^2) big-int products. Splice weights, the determinant,
-    definiteness and the linking and pairing matrices are all read from
-    it; ``ResolutionGraph.subtree_dets`` caches it. Raises ValidationError
-    when g is not a tree.
-    """
-    if not g.ids:
-        return {}
-    if not is_tree(g):
-        raise ValidationError("graph is not a tree")
-    order, parent = bfs_tree(g, g.ids[0])
+def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
+    """table[(child, parent)] = step(g, table, child, parent) on every
+    directed edge of a tree (resolution graph or splice diagram), each step
+    reading entries (x, child), x != parent: first toward ids[0], leaves
+    up, then away from it, root down, without recursion."""
+    order, parent = bfs_tree(g, g.ids[0]) if g.ids else ([], {})
     table: dict[DirectedEdge, int] = {}
     for u in reversed(order[1:]):
-        table[(u, parent[u])] = _subtree_step(g, table, u, parent[u])
+        table[(u, parent[u])] = step(g, table, u, parent[u])
     for u in order:
         for x in g.adjacency[u]:
             if x != parent[u]:
-                table[(u, x)] = _subtree_step(g, table, u, x)
+                table[(u, x)] = step(g, table, u, x)
     return table
+
+
+def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
+    """det of the component of g minus `parent` containing `child`.
+
+    Keyed by (child, parent) for every directed edge; ``fill_edge_table``
+    with ``_subtree_step``, O(V * deg^2) big-int products in all. Splice
+    weights, the determinant, definiteness and the linking and pairing
+    matrices are all read from it; ``ResolutionGraph.subtree_dets`` caches
+    it. Raises ValidationError when g is not a tree.
+    """
+    if g.ids and not is_tree(g):
+        raise ValidationError("graph is not a tree")
+    return fill_edge_table(g, _subtree_step)
 
 
 def is_negative_definite(g: ResolutionGraph) -> bool:

@@ -93,10 +93,6 @@ class SmithDecomposition:
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.diagonal
-
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form with non-negative diagonal and tracked transforms."""

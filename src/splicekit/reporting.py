@@ -7,7 +7,7 @@ from typing import Any
 
 from . import conditions, cycles, equations, splice
 from .discriminant import group_order_check, leaf_generators
-from .errors import CapExceeded, SemigroupFails
+from .errors import SemigroupFails
 from .graph import (
     ResolutionGraph,
     graph_determinant,
@@ -43,29 +43,25 @@ def maximal_section(g: ResolutionGraph) -> dict:
     return {"weights": _weights_list(d)}
 
 
-def group_section(g: ResolutionGraph, cap: int | None = None) -> dict:
+def group_section(g: ResolutionGraph) -> dict:
     snf = smith_normal_form(negated_intersection_matrix(g))
-    out: dict[str, Any] = {
-        "order": graph_determinant(g),
+    group = leaf_generators(g)
+    check = group_order_check(g)
+    return {
+        "order": group.order,
         "invariant_factors": [x for x in snf.diagonal],
         "generators": {
             leaf: [str(q) for q in gen]
             for leaf, gen in sorted(
-                leaf_generators(g).generators.items(),
-                key=lambda kv: g.index[kv[0]],
+                group.generators.items(), key=lambda kv: g.index[kv[0]]
             )
         },
-    }
-    try:
-        check = group_order_check(g, cap)
-        out["checks"] = {
+        "checks": {
             "order_ok": check.order_ok,
             "drop_one_generator_ok": check.drop_one_ok,
             "no_pseudo_reflections": check.no_pseudo_reflections,
-        }
-    except CapExceeded:
-        out["checks"] = {"skipped": "order exceeds enumeration cap"}
-    return out
+        },
+    }
 
 
 def _witness(w: conditions.AdmissibleExponents | None) -> list | None:
@@ -74,8 +70,11 @@ def _witness(w: conditions.AdmissibleExponents | None) -> list | None:
     return [[leaf, a] for leaf, a in w.exponents]
 
 
-def semigroup_section(g: ResolutionGraph) -> dict:
-    report = conditions.check_semigroup(splice.splice_from_resolution(g))
+def _truncated(flag: bool) -> dict:  # a search that ran out of budget says so
+    return {"truncated": True} if flag else {}
+
+
+def _semigroup_payload(report: conditions.SemigroupReport) -> dict:
     return {
         "ok": report.ok,
         "edges": [
@@ -85,9 +84,14 @@ def semigroup_section(g: ResolutionGraph) -> dict:
                 "ok": e.ok,
                 "witness": _witness(e.witness),
             }
+            | _truncated(e.truncated)
             for e in report.edges
         ],
     }
+
+
+def semigroup_section(g: ResolutionGraph) -> dict:
+    return _semigroup_payload(conditions.check_semigroup(splice.splice_from_resolution(g)))
 
 
 def congruence_section(g: ResolutionGraph) -> dict:
@@ -99,9 +103,7 @@ def congruence_section(g: ResolutionGraph) -> dict:
             "toward": e.toward,
             "ok": e.ok,
             "witness": _witness(e.witness),
-        }
-        if e.truncated:
-            entry["truncated"] = True
+        } | _truncated(e.truncated)
         if not e.ok:
             entry["congruences"] = [
                 {
@@ -161,25 +163,13 @@ def okuma33_section(g: ResolutionGraph) -> dict:
                 "method": d.method,
                 "exponents": [[w, a] for w, a in d.exponents],
             }
+            | _truncated(d.truncated)
             for d in report.decisions
         ],
     }
 
 
-def equations_section(g: ResolutionGraph) -> dict:
-    try:
-        system = equations.build_equations(g)
-    except SemigroupFails as exc:
-        return {"error": "SemigroupFails", "detail": str(exc)}
-    return {
-        "text": equations.render_equations(system).splitlines(),
-        "system": equations.system_to_json(system),
-    }
-
-
-def analysis_report(
-    g: ResolutionGraph, name: str | None = None, cap: int | None = None
-) -> dict:
+def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
     report: dict[str, Any] = {}
     if name:
         report["name"] = name
@@ -192,17 +182,28 @@ def analysis_report(
     report["determinant"] = graph_determinant(g)
     report["nodes"] = list(nodes_of(g))
     report["leaves"] = list(leaves_of(g))
-    report["group"] = group_section(g, cap)
+    report["group"] = group_section(g)
     report["splice"] = splice_section(g)
     report["maximal"] = maximal_section(g)
+    diagram = splice.splice_from_resolution(g)
+    semigroup = conditions.check_semigroup(diagram)  # its witnesses make the equations
     report["conditions"] = {
         "ideal": ideal_section(g),
-        "semigroup": semigroup_section(g),
+        "semigroup": _semigroup_payload(semigroup),
         "congruence": congruence_section(g),
         "okuma34": okuma34_section(g),
         "okuma33": okuma33_section(g),
     }
-    report["equations"] = equations_section(g)
+    try:
+        witnesses = equations.semigroup_witnesses(semigroup)
+    except SemigroupFails as exc:
+        report["equations"] = {"error": "SemigroupFails", "detail": str(exc)}
+        return report
+    system = equations.build_equations_from_diagram(diagram, witnesses=witnesses)
+    report["equations"] = {
+        "text": equations.render_equations(system).splitlines(),
+        "system": equations.system_to_json(system),
+    }
     return report
 
 

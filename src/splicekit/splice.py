@@ -29,6 +29,7 @@ from .graph import (
     blow_up_edge,
     classify_vertices,
     component_of,
+    fill_edge_table,
     fresh_id,
     graph_determinant,
     induced_subgraph,
@@ -288,25 +289,26 @@ def verify_edge_det_theorem(g: ResolutionGraph) -> EdgeDetReport:
     return EdgeDetReport(entries=tuple(entries))
 
 
+def _ideal_step(
+    d: SpliceDiagram, table: Mapping[DirectedEdge, int], u: str, p: str
+) -> int:
+    """Generator on the edge from p toward u: 1 at a leaf u, else the gcd
+    over the other edges at u of (generator beyond it times the product of
+    the weights at u on the rest; weights are positive, so // is exact)."""
+    if d.is_leaf(u):
+        return 1
+    others = [x for x in d.adjacency[u] if x != p]
+    rest = prod(d.weights[(u, x)] for x in others)
+    return gcd(*(table[(x, u)] * (rest // d.weights[(u, x)]) for x in others))
+
+
 def ideal_generator(d: SpliceDiagram, v: str, toward: str) -> int:
     """Positive generator of the ideal spanned by the reduced linking
-    numbers from v to the leaves beyond `toward`.
-
-    Computed by the leaf-upward gcd recursion: a leaf contributes 1, and a
-    node contributes the gcd over its outward edges of (generator there
-    times the product of the weights on its other outward edges).
-    """
+    numbers from v to the leaves beyond `toward`, read from the table that
+    ``fill_edge_table`` fills with ``_ideal_step``, leaves first."""
     if toward not in d.adjacency.get(v, ()):
         raise UnknownEdge(f"({v}, {toward})")
-    if d.is_leaf(toward):
-        return 1
-    others = [x for x in d.adjacency[toward] if x != v]
-    acc = 0
-    for x in others:
-        sub = ideal_generator(d, toward, x)
-        skip = prod(d.weights[(toward, y)] for y in others if y != x)
-        acc = gcd(acc, sub * skip)
-    return acc
+    return fill_edge_table(d, _ideal_step)[(toward, v)]
 
 
 @dataclass(frozen=True)
@@ -336,18 +338,12 @@ class IdealReport:
 
 def check_ideal_condition(d: SpliceDiagram) -> IdealReport:
     """Every node-edge weight must be divisible by its ideal generator."""
-    entries = []
-    for v in d.nodes:
-        for u in d.adjacency[v]:
-            entries.append(
-                IdealEntry(
-                    node=v,
-                    toward=u,
-                    generator=ideal_generator(d, v, u),
-                    weight=d.weights[(v, u)],
-                )
-            )
-    return IdealReport(entries=tuple(entries))
+    generators = fill_edge_table(d, _ideal_step)  # keyed (toward, v)
+    return IdealReport(entries=tuple(
+        IdealEntry(node=v, toward=u, generator=generators[(u, v)], weight=d.weights[(v, u)])
+        for v in d.nodes
+        for u in d.adjacency[v]
+    ))
 
 
 def leaf_ideal_generator(d: SpliceDiagram, leaf: str) -> int:

@@ -1,8 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from splicekit import conditions, corpus, cycles, equations, reporting
 from splicekit.cli import main
 from splicekit.document import (
     document_to_graph,
@@ -69,7 +71,7 @@ def test_cli_validate_exit_codes(tmp_path, g1):
 def test_cli_invalid_env_cap_is_input_error(tmp_path, g90, monkeypatch, capsys):
     path = write_graph(tmp_path, g90)
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "lots")
-    assert main(["group", path]) == 2
+    assert main(["check", "semigroup", path]) == 2
     assert "input error" in capsys.readouterr().err
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "0")
     assert main(["report", path]) == 2
@@ -221,3 +223,44 @@ def test_emit_fixtures(tmp_path, capsys):
         assert report["name"] == name
     emitted = (out_dir / "g90_report.json").read_text()
     assert emitted == (GOLDEN / "g90_report.json").read_text()
+
+
+def test_report_runs_semigroup_check_once(monkeypatch):
+    # the equations section reuses the semigroup witnesses of the report;
+    # on this tree (det 10237272618240) the group checks run in full
+    calls = []
+    real = conditions.check_semigroup
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "check_semigroup", counted)
+    monkeypatch.setattr(equations, "check_semigroup", counted)
+    g = corpus.dominant_tree(random.Random(3), 25)
+    payload = reporting.analysis_report(g)
+    assert len(calls) == 1
+    assert payload["group"]["checks"] == {
+        "order_ok": True,
+        "drop_one_generator_ok": True,
+        "no_pseudo_reflections": True,
+    }
+    failing = [e for e in payload["conditions"]["semigroup"]["edges"] if not e["ok"]]
+    assert failing
+    bad = ", ".join(f"({e['node']}, {e['toward']})" for e in failing)
+    assert payload["equations"] == {
+        "error": "SemigroupFails",
+        "detail": f"no admissible monomial at {bad}",
+    }
+
+
+def test_report_marks_exhausted_budgets(monkeypatch, g90):
+    # with a one-node budget the semigroup search and the 3.3 search on
+    # (nL, nR) run out; the report must say so rather than look like a fail
+    real = conditions.SearchBudget
+    monkeypatch.setattr(conditions, "SearchBudget", lambda nodes: real(1))
+    monkeypatch.setattr(cycles, "SearchBudget", lambda nodes: real(1))
+    payload = reporting.analysis_report(g90)
+    sections = payload["conditions"]
+    assert any(e.get("truncated") for e in sections["semigroup"]["edges"])
+    assert any(b.get("truncated") for b in sections["okuma33"]["branches"])

@@ -26,9 +26,9 @@ def test_env_override(monkeypatch):
 
 
 def test_env_cap_limits_group_enumeration(monkeypatch, g90):
-    from splicekit.discriminant import group_order_check
+    from splicekit.discriminant import leaf_generators
     from splicekit.errors import CapExceeded
 
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "10")
     with pytest.raises(CapExceeded):
-        group_order_check(g90)
+        leaf_generators(g90).enumerate_elements()

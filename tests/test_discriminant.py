@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.discriminant import (
+    DiscriminantGroup,
+    _span_check,
     character_of_monomial,
     group_order_check,
     leaf_generators,
@@ -19,6 +23,8 @@ from splicekit.graph import (
     leaves_of,
 )
 from splicekit.splice import linking_numbers, maximal_splice, splice_from_resolution
+
+from oracles import enumerated_group_check
 
 
 def test_pairing_single_vertex():
@@ -102,8 +108,47 @@ def test_group_order_checks(g1, g17, g90, star):
 
 
 def test_group_cap_exceeded(g90):
+    # the cap bounds explicit listing only; the checks never list elements
     with pytest.raises(CapExceeded):
-        group_order_check(g90, cap=10)
+        leaf_generators(g90).enumerate_elements(cap=10)
+    assert group_order_check(g90).ok
+
+
+@st.composite
+def symmetric_generators(draw):
+    """(G, d): a symmetric t-by-t matrix over Z/d, t <= 4, d <= 12."""
+    t = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=12))
+    g = [[0] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i, t):
+            g[i][j] = g[j][i] = draw(st.integers(min_value=0, max_value=d - 1))
+    return g, d
+
+
+def test_span_check_matches_enumeration():
+    # every False branch must be reached, not only the all-pass case
+    failures = {"order_ok": 0, "drop_one_ok": 0, "no_pseudo_reflections": 0}
+
+    @settings(max_examples=1000, deadline=None)
+    @given(symmetric_generators())
+    def compare(case):
+        rows, d = case
+        names = tuple(f"w{i}" for i in range(len(rows)))
+        group = DiscriminantGroup(
+            leaves=names,
+            order=d,
+            generators={
+                w: tuple(Fraction(x, d) for x in row) for w, row in zip(names, rows)
+            },
+        )
+        check = _span_check(rows, d)
+        assert check == enumerated_group_check(group)
+        for key in failures:
+            failures[key] += not getattr(check, key)
+
+    compare()
+    assert all(failures.values()), failures
 
 
 def test_character_trivial_cases(g17):

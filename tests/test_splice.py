@@ -15,6 +15,8 @@ from splicekit.graph import (
     negated_intersection_matrix,
 )
 from splicekit.linalg import determinant, matmul
+from splicekit.cli import main
+from splicekit.document import document_to_json, graph_to_document
 from splicekit.splice import (
     edge_determinant,
     end_node_reduce,
@@ -31,6 +33,8 @@ from splicekit.splice import (
     subtree_determinants,
     verify_edge_det_theorem,
 )
+
+from oracles import ideal_generator_recursive
 
 G1_SPLICE = {
     ("nL", "ul"): 2, ("nL", "ll"): 3, ("nL", "nR"): 7,
@@ -209,6 +213,31 @@ def test_ideal_generator_matches_direct_gcd(small_trees):
                     if u in d.path(v, w):
                         acc = gcd(acc, linking_numbers(d, v, w)[1])
                 assert ideal_generator(d, v, u) == acc
+
+
+def test_ideal_table_matches_recursion(fixture_map, random_trees, two_node_corpus):
+    for g in [*fixture_map.values(), *random_trees, *two_node_corpus]:
+        d = splice_from_resolution(g)
+        for a, b in d.edges:
+            for v, u in ((a, b), (b, a)):
+                assert ideal_generator(d, v, u) == ideal_generator_recursive(d, v, u)
+
+
+def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
+    # 1100 spine nodes, each with a leg, plus a leaf at each end: 2202
+    # vertices, deeper than the interpreter's recursion limit
+    spine = 1100
+    vertices = [(f"s{i}", -4) for i in range(spine)]
+    vertices += [(f"l{i}", -2) for i in range(spine)] + [("a", -2), ("b", -2)]
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(spine - 1)]
+    edges += [(f"s{i}", f"l{i}") for i in range(spine)]
+    edges += [("s0", "a"), (f"s{spine - 1}", "b")]
+    g = ResolutionGraph.build(vertices, edges)
+    assert len(g.ids) == 2202
+    path = tmp_path / "caterpillar.json"
+    path.write_text(document_to_json(graph_to_document(g)))
+    assert main(["check", "ideal", str(path)]) == 0
+    assert capsys.readouterr().out == "ideal: pass\n"
 
 
 def test_ideal_condition(g1, g90, small_trees, random_trees):
