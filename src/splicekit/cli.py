@@ -7,6 +7,7 @@ Exit codes: 0 all requested checks pass, 1 a checked condition fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -194,7 +195,10 @@ def cmd_emit_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by all later calls. Parsing
+    never changes it, so concurrent ``main`` calls need no coordination."""
     parser = argparse.ArgumentParser(
         prog="splicekit",
         description="Exact combinatorics of resolution graphs and splice diagrams",
@@ -231,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ValidationError) as exc:

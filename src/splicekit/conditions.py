@@ -333,6 +333,10 @@ def check_congruence(
     """Search each node edge for an admissible exponent vector whose
     per-leaf characters match the required ones.
 
+    Only the leaf generators are tested: characters are homomorphisms from
+    the discriminant group, which the leaf generators span, so equivariance
+    under each generator is equivariance under the whole group.
+
     Failures carry the per-leaf congruence table (denominators cleared by
     the determinant) and, for edges toward an end-node, the solved
     single-variable congruences.
@@ -405,35 +409,6 @@ def congruence_equalities_rational(
         rhs = qmod1(-pm[idx[v]][idx[wp]])
         out[wp] = (lhs, rhs)
     return out
-
-
-def full_group_character_oracle(
-    g: ResolutionGraph, cap: int | None = None
-) -> bool | None:
-    """Stronger check over every group element, for small determinants:
-    all chosen witnesses at a node must transform identically under the
-    whole group, not just the leaf generators. Returns None when the
-    per-generator search already fails."""
-    report = check_congruence(g)
-    if not report.ok:
-        return None
-    group = leaf_generators(g)
-    elements = group.enumerate_elements(cap)
-    det = group.order
-    by_node: dict[str, list[Mapping[str, int]]] = {}
-    for e in report.edges:
-        assert e.witness is not None
-        by_node.setdefault(e.node, []).append(e.witness.as_dict())
-    order = group.leaves
-    for node_witnesses in by_node.values():
-        for el in elements:
-            chars = set()
-            for alpha in node_witnesses:
-                val = -sum(s * alpha.get(w, 0) for w, s in zip(order, el)) % det
-                chars.add(val)
-            if len(chars) > 1:
-                return False
-    return True
 
 
 # --- closed-form criteria -------------------------------------------------

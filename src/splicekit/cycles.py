@@ -80,10 +80,12 @@ def fundamental_cycle(g: ResolutionGraph, subset: Iterable[str]) -> QCycle:
     intersection against each of its curves.
 
     Computation sequence: start with coefficient 1 everywhere; while some
-    curve in the set still meets the cycle positively, bump the first such
-    (in vertex order).
+    curve in the set still meets the cycle positively, bump it. Only the
+    neighbours of a bumped curve can newly do so, so they join a worklist;
+    by Laufer's argument the result does not depend on the order of bumps.
     """
-    sub = [v for v in g.ids if v in set(subset)]
+    inside = set(subset)
+    sub = [v for v in g.ids if v in inside]
     if not sub:
         raise NotABranch("empty vertex set")
     coeff = {v: 1 for v in sub}
@@ -94,13 +96,14 @@ def fundamental_cycle(g: ResolutionGraph, subset: Iterable[str]) -> QCycle:
             total += coeff.get(u, 0)
         return total
 
-    while True:
-        for j in sub:
-            if dot(j) > 0:
+    pending = sub[::-1]
+    while pending:
+        j = pending.pop()
+        if dot(j) > 0:
+            while dot(j) > 0:
                 coeff[j] += 1
-                break
-        else:
-            return QCycle({v: Fraction(c) for v, c in coeff.items()})
+            pending.extend(u for u in g.adjacency[j] if u in coeff)
+    return QCycle({v: Fraction(c) for v, c in coeff.items()})
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 Elements live in (Q/Z)^t, t the number of leaves; each leaf contributes a
 generator whose entries are the pairings of its dual basis vector with the
 other leaf duals. All values are exact rationals mod 1, never floats.
-The group checks take one Smith normal form at any determinant; element
-listing (``enumerate_elements``, capped) serves only oracles and tests.
+The group checks and the invariant factors come from one Smith normal form
+of the leaf block, taken modulo the determinant, at any determinant;
+element listing (``enumerate_elements``, capped) serves only test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
@@ -76,22 +77,16 @@ class DiscriminantGroup:
             raise CapExceeded(f"group order {self.order} exceeds cap {limit}")
         names = tuple(generators) if generators is not None else self.leaves
         scaled = self.scaled_generators()
-        gens = [scaled[name] for name in names]
         d = self.order
-        t = len(self.leaves)
-        zero = tuple([0] * t)
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for gen in gens:
-                    cand = tuple((a + b) % d for a, b in zip(el, gen))
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        return frozenset(seen)
+        # Close the span one generator at a time: S + k*g for k = 1, 2, ...
+        # are new cosets of S until k*g lies in S, so each element is built once.
+        span = {tuple([0] * len(self.leaves))}
+        for gen in (scaled[name] for name in names):
+            base, shift = list(span), gen
+            while shift not in span:
+                span.update(tuple((a + b) % d for a, b in zip(el, shift)) for el in base)
+                shift = tuple((a + b) % d for a, b in zip(shift, gen))
+        return frozenset(span)
 
 
 def _scaled_leaf_block(g: ResolutionGraph) -> tuple[tuple[str, ...], list[list[int]], int]:
@@ -121,6 +116,8 @@ class GroupCheck:
     order_ok: bool
     drop_one_ok: bool
     no_pseudo_reflections: bool
+    # invariant factors > 1 of the span, ascending (each divides the next)
+    invariant_factors: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def ok(self) -> bool:
@@ -129,10 +126,12 @@ class GroupCheck:
 
 def _span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
     """The checks on the span H in (Z/d)^t of the rows of a symmetric
-    t-by-t integer matrix G, from one Smith normal form U*G*V = diag(s):
+    t-by-t integer matrix G, from one Smith normal form U*G*V = diag(s)
+    taken mod d (U stays invertible mod d, so nothing below changes):
 
-    - with e_i = d / gcd(s_i, d), |H| = prod(e_i), and the rows e_i*U_i
-      span the relations c*G = 0 mod d (c = c'*U with e_i | c'_i);
+    - with e_i = d / gcd(s_i, d), |H| = prod(e_i), H is the sum of cyclic
+      groups of orders e_i, and the rows e_i*U_i span the relations
+      c*G = 0 mod d (c = c'*U with e_i | c'_i);
     - the gcd m_j of d and the j-th entries of those rows is the index in
       H of the span without row j (drop-one: every |H| = d * m_j);
     - forgetting coordinate j maps H onto the span of the columns of G but
@@ -140,7 +139,7 @@ def _span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
       non-zero only at j (no pseudo-reflection: every m_j = 1; t >= 2).
     """
     t = len(rows)
-    snf = smith_normal_form(rows)
+    snf = smith_normal_form(rows, modulus=d)
     steps = [d // gcd(s, d) for s in snf.diagonal]
     spanned = prod(steps)
     indices = [gcd(d, *(e * row[j] for e, row in zip(steps, snf.left))) for j in range(t)]
@@ -150,6 +149,7 @@ def _span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
         order_ok=spanned == d,
         drop_one_ok=t < 2 or all(spanned == d * m for m in indices),
         no_pseudo_reflections=t < 2 or all(m == 1 for m in indices),
+        invariant_factors=tuple(sorted(e for e in steps if e > 1)),
     )
 
 

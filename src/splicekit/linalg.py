@@ -94,9 +94,19 @@ class SmithDecomposition:
     right: tuple[tuple[int, ...], ...]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Smith normal form with non-negative diagonal and tracked transforms."""
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]], modulus: int | None = None
+) -> SmithDecomposition:
+    """Smith normal form with non-negative diagonal and tracked transforms.
+
+    With a modulus N, the input and each operation on the matrix and both
+    transforms are reduced mod N: U * M * V = diag(d) mod N, U and V stay
+    invertible mod N, and the gcd(d_i, N) are those of the integer form, in
+    divisibility order (each pivot divides the rest of its block as ints).
+    """
     a = [list(row) for row in matrix]
+    if modulus:
+        a = [[x % modulus for x in row] for row in a]
     n = len(a)
     m = len(a[0]) if n else 0
     left = identity_matrix(n)
@@ -107,23 +117,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
+        for row in a + right:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
         # row_dst += q * row_src
-        for j in range(m):
-            a[dst][j] += q * a[src][j]
-        for j in range(n):
-            left[dst][j] += q * left[src][j]
+        for mat in (a, left):
+            row = [x + q * y for x, y in zip(mat[dst], mat[src])]
+            mat[dst] = [x % modulus for x in row] if modulus else row
 
     def add_col(src, dst, q):
-        for row in a:
+        for row in a + right:
             row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
+            if modulus:
+                row[dst] %= modulus
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]

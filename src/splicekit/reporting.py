@@ -14,10 +14,8 @@ from .graph import (
     is_negative_definite,
     is_quasi_minimal,
     leaves_of,
-    negated_intersection_matrix,
     nodes_of,
 )
-from .linalg import smith_normal_form
 
 
 def _weights_list(d: splice.SpliceDiagram) -> list[list[Any]]:
@@ -44,12 +42,23 @@ def maximal_section(g: ResolutionGraph) -> dict:
 
 
 def group_section(g: ResolutionGraph) -> dict:
-    snf = smith_normal_form(negated_intersection_matrix(g))
+    """Order, invariant factors, leaf generators and checks of D(G) = Z^n/AZ^n.
+
+    The invariant factors are those of the leaf span, read from the Smith
+    form that ``group_order_check`` takes, padded with 1s to n entries. This
+    is exact on any tree, because the leaf duals generate D(G): going inward
+    from the leaves, the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0
+    gives the class of the parent of v from those of v and its children.
+    The discriminant pairing is non-degenerate, so the leaf generators (the
+    pairings with the leaf duals) span a copy of D(G) itself, ``order_ok``
+    always holds, and the factors equal the n-by-n Smith diagonal of -A.
+    """
     group = leaf_generators(g)
     check = group_order_check(g)
+    factors = check.invariant_factors
     return {
         "order": group.order,
-        "invariant_factors": [x for x in snf.diagonal],
+        "invariant_factors": [1] * (len(g.ids) - len(factors)) + list(factors),
         "generators": {
             leaf: [str(q) for q in gen]
             for leaf, gen in sorted(

@@ -1,6 +1,7 @@
 import pytest
 
-from splicekit import corpus, fixtures
+from splicekit import fixtures
+from splicekit.corpus import dominant_trees, two_node_graphs
 
 
 @pytest.fixture(scope="session")
@@ -35,14 +36,25 @@ def fixture_map():
 
 @pytest.fixture(scope="session")
 def random_trees():
-    return corpus.dominant_trees(100)
+    return dominant_trees(100)
 
 
 @pytest.fixture(scope="session")
 def small_trees():
-    return corpus.dominant_trees(30, max_vertices=10, seed=71)
+    return dominant_trees(30, max_vertices=10, seed=71)
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The acceptance corpus: the five fixtures, 100 dominant trees on up to
+    25 vertices and 50 two-node graphs."""
+    return (
+        list(fixtures.fixture_graphs().values())
+        + dominant_trees(100)
+        + two_node_graphs(50)
+    )
 
 
 @pytest.fixture(scope="session")
 def two_node_corpus():
-    return corpus.two_node_graphs(50)
+    return two_node_graphs(50)

@@ -16,12 +16,12 @@ import pytest
 
 import splicekit as sk
 from splicekit.conditions import check_congruence, check_semigroup
-from splicekit.corpus import dominant_trees, two_node_graphs, with_determinant_cap
+from splicekit.corpus import with_determinant_cap
 from splicekit.cycles import branches, check_condition_3_3, check_condition_3_4, fundamental_cycle
 from splicekit.discriminant import leaf_generators
 from splicekit.equations import build_equations, v_weight
 from splicekit.errors import CongruenceFails
-from splicekit.fixtures import fixture_graphs, g1, g17, g90
+from splicekit.fixtures import g1, g17, g90
 from splicekit.graph import intersection_matrix, graph_determinant
 from splicekit.linalg import determinant, matmul, smith_normal_form
 from splicekit.graph import negated_intersection_matrix
@@ -39,11 +39,6 @@ from splicekit.splice import (
 from oracles import enumerated_group_check
 
 DET_CAP = 10**4
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return list(fixture_graphs().values()) + dominant_trees(100) + two_node_graphs(50)
 
 
 @pytest.fixture(scope="module")

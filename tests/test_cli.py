@@ -1,11 +1,13 @@
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from splicekit import conditions, corpus, cycles, equations, reporting
-from splicekit.cli import main
+from splicekit.cli import build_parser, main
 from splicekit.document import (
     document_to_graph,
     document_to_json,
@@ -76,6 +78,59 @@ def test_cli_invalid_env_cap_is_input_error(tmp_path, g90, monkeypatch, capsys):
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "0")
     assert main(["report", path]) == 2
     assert "SPLICEKIT_ENUM_CAP" in capsys.readouterr().err
+
+
+def test_cli_calls_share_no_state(tmp_path, g17, g90, capsys):
+    # one parser serves every call in the process; a --json on one call
+    # must not carry over to the next
+    assert main(["check", "semigroup", write_graph(tmp_path, g90), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(["det", write_graph(tmp_path, g17, name="g17.json")]) == 0
+    assert capsys.readouterr().out == "17\n"
+
+
+def test_cli_recovers_after_usage_error(tmp_path, g17, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["det"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["det", write_graph(tmp_path, g17), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"determinant": 17}
+
+
+def test_shared_parser_under_concurrent_parsing():
+    # threads parse different command lines with the one shared parser;
+    # any state a parse left on the parser would show in another's result
+    cases = [
+        (["det", "a.json"], ("det", "a.json", False)),
+        (["det", "e.json", "--json"], ("det", "e.json", True)),
+        (["group", "b.json", "--json"], ("group", "b.json", True)),
+        (["check", "okuma33", "c.json", "--json"], ("check", "c.json", True)),
+        (["reduce", "d.json", "--end-node", "n", "--raw"], ("reduce", "d.json", False)),
+    ]
+    errors = []
+
+    def work(argv, expected):
+        for _ in range(300):
+            args = build_parser().parse_args(argv)
+            if (args.command, args.file, args.json) != expected:
+                errors.append((argv, vars(args)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=work, args=case) for case in cases * 2
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert build_parser() is build_parser()
 
 
 def test_cli_det_g17(tmp_path, g17, capsys):

@@ -7,7 +7,6 @@ from splicekit.conditions import (
     congruence_equalities_rational,
     end_node_criterion,
     end_node_criterion_slack,
-    full_group_character_oracle,
     iter_admissible,
     iter_nonnegative_solutions,
     subtree_leaves,
@@ -16,6 +15,8 @@ from splicekit.conditions import (
 from splicekit.errors import NotEndNodeEdge, NotTwoNode
 from splicekit.graph import blow_up_edge, graph_determinant
 from splicekit.splice import linking_numbers, splice_from_resolution
+
+from oracles import full_group_character_oracle
 
 
 def test_knapsack_order():

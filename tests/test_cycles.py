@@ -15,8 +15,10 @@ from splicekit.cycles import (
     fundamental_cycle,
 )
 from splicekit.errors import NotABranch
-from splicekit.graph import ResolutionGraph, graph_determinant
+from splicekit.graph import ResolutionGraph, graph_determinant, nodes_of
 from splicekit.splice import linking_matrix, splice_from_resolution
+
+from oracles import fundamental_cycle_rescan
 
 
 def test_dual_cycle_single_vertex():
@@ -84,6 +86,18 @@ def test_fundamental_cycle_matches_brute_force(g1, g90, fat_branch, small_trees)
                 assert brute == z
                 checked += 1
     assert checked > 20
+
+
+def test_fundamental_cycle_worklist_matches_rescan(corpus):
+    # the worklist bumps in another order than the rescan; Laufer's cycle
+    # is unique, so both must agree on every branch of every node
+    checked = 0
+    for g in corpus:
+        for v in nodes_of(g):
+            for comp in branches(g, v):
+                assert fundamental_cycle(g, comp) == fundamental_cycle_rescan(g, comp)
+                checked += 1
+    assert checked > 1000
 
 
 def test_condition_3_4_simple_branches(g1):

@@ -20,9 +20,10 @@ from splicekit.graph import (
     negated_intersection_matrix,
 )
 from splicekit.linalg import determinant, invert_rational
+from splicekit.reporting import group_section
 from splicekit.splice import linking_matrix, tree_determinant
 
-from oracles import is_negative_definite_matrix
+from oracles import invariant_factors_full, is_negative_definite_matrix
 
 
 @st.composite
@@ -52,12 +53,19 @@ def test_table_invariants_match_matrix_oracles(g):
             dual_cycle(g, g.ids[0])
         return
     assert graph_determinant(g) == tree_determinant(g)
+    assert group_section(g)["invariant_factors"] == invariant_factors_full(g)
     pm = pairing_matrix(g)
     assert pm == invert_rational(a)
     for i, v in enumerate(g.ids):
         assert dual_cycle(g, v).coefficients == {
             u: -pm[i][j] for j, u in enumerate(g.ids) if pm[i][j]
         }
+
+
+def test_group_invariant_factors_match_full_smith_form(corpus):
+    # read from the leaf block, they must equal the n-by-n Smith diagonal
+    for g in corpus:
+        assert group_section(g)["invariant_factors"] == invariant_factors_full(g)
 
 
 def test_sylvester_sweep_has_both_verdicts():

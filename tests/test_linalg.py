@@ -1,4 +1,4 @@
-from math import prod
+from math import gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +62,41 @@ def test_snf_properties(m):
     snf = smith_normal_form(m)
     _check_decomposition(m, snf)
     assert prod(snf.diagonal) == abs(determinant(m))
+
+
+rectangular_matrices = st.tuples(
+    st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)
+).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(min_value=-30, max_value=30),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular_matrices, st.integers(min_value=1, max_value=60))
+def test_snf_modulo_matches_integer_form(m, d):
+    integer = smith_normal_form(m)
+    modular = smith_normal_form(m, modulus=d)
+    assert sorted(gcd(s, d) for s in modular.diagonal) == sorted(
+        gcd(s, d) for s in integer.diagonal
+    )
+    factors = [gcd(s, d) for s in modular.diagonal]
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    # U * M * V = diag mod d; every entry is reduced below d, apart from the
+    # 1s of the identity that the transforms start from when d = 1
+    product = matmul(matmul([list(r) for r in modular.left], m),
+                     [list(r) for r in modular.right])
+    for i, row in enumerate(product):
+        for j, x in enumerate(row):
+            assert (x - (modular.diagonal[i] if i == j else 0)) % d == 0
+    for matrix in (modular.left, modular.right, [modular.diagonal]):
+        assert all(0 <= x < max(d, 2) for row in matrix for x in row)
+    assert gcd(determinant(modular.left), d) == 1
+    assert gcd(determinant(modular.right), d) == 1
 
 
 def test_determinant_matches_tree_recursion(random_trees):
