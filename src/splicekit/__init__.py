@@ -1,5 +1,7 @@
 """Exact combinatorics of resolution graphs and splice diagrams."""
 
+from types import ModuleType as _ModuleType
+
 from .cfrac import ContinuedFraction, continued_fraction_of_string, reverse_cf, string_of_cf
 from .conditions import (
     AdmissibleExponents,
@@ -64,4 +66,5 @@ from .splice import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules bound by importing them are not
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

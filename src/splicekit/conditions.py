@@ -58,35 +58,47 @@ def iter_nonnegative_solutions(
     generator stops early with budget.exhausted set.
     """
     k = len(values)
-    if k == 0:
-        if target == 0:
+    if k <= 1:
+        if k == 0 and target == 0:
             yield ()
+        elif k == 1 and target % values[0] == 0 and (budget is None or budget.spend()):
+            yield (target // values[0],)
         return
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = gcd(suffix[i + 1], values[i])
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == k - 1:
+    if target % suffix[0]:
+        return
+    last = k - 1
+    # Depth first with an explicit stack: counts[i] is the value tried for a_i,
+    # rests[i] what a_i, a_{i+1}, ... make up. Each value tried and each division
+    # at the last coordinate spends a node; the first refused spend ends it all.
+    counts, rests, i = [0] * last, [target] * last, 0
+    while True:
+        a, step, sub_gcd = counts[i], values[i], suffix[i + 1]
+        rest = rests[i] - a * step
+        while rest >= 0:
             if budget is not None and not budget.spend():
                 return
-            q, r = divmod(remaining, values[i])
-            if r == 0:
-                yield prefix + (q,)
-            return
-        step = values[i]
-        sub_gcd = suffix[i + 1]
-        for a in range(remaining // step + 1):
-            if budget is not None and not budget.spend():
-                return
-            rest = remaining - a * step
             if rest % sub_gcd == 0:
-                yield from rec(i + 1, rest, prefix + (a,))
-            if budget is not None and budget.exhausted:
+                counts[i] = a
+                if i + 1 < last:
+                    break
+                if budget is not None and not budget.spend():
+                    return
+                q, r = divmod(rest, values[last])
+                if r == 0:
+                    yield (*counts, q)
+            a += 1
+            rest -= step
+        else:
+            i -= 1  # every value tried: back to the previous coordinate
+            if i < 0:
                 return
-
-    if target % suffix[0] == 0:
-        yield from rec(0, target, ())
+            counts[i] += 1
+            continue
+        i += 1
+        counts[i], rests[i] = 0, rest
 
 
 @dataclass(frozen=True)

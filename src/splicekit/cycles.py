@@ -1,6 +1,6 @@
-"""Rational cycles on the exceptional curves: dual cycles, fundamental
-cycles via computation sequences, and the branch-cycle conditions that
-mirror the semigroup and congruence conditions."""
+"""Dual cycles, fundamental cycles via computation sequences, and the
+branch-cycle conditions that mirror the semigroup and congruence conditions,
+decided on integral cycles; rational ``QCycle`` values are formed for the API."""
 
 from __future__ import annotations
 
@@ -77,7 +77,12 @@ def branches(g: ResolutionGraph, v: str) -> tuple[tuple[str, ...], ...]:
 
 def fundamental_cycle(g: ResolutionGraph, subset: Iterable[str]) -> QCycle:
     """Minimal effective cycle on a connected vertex set with non-positive
-    intersection against each of its curves.
+    intersection against each of its curves."""
+    return QCycle({v: Fraction(c) for v, c in _fundamental_coefficients(g, subset).items()})
+
+
+def _fundamental_coefficients(g: ResolutionGraph, subset: Iterable[str]) -> dict[str, int]:
+    """Integer coefficients of ``fundamental_cycle``, in vertex order.
 
     Computation sequence: start with coefficient 1 everywhere; while some
     curve in the set still meets the cycle positively, bump it. Only the
@@ -89,21 +94,22 @@ def fundamental_cycle(g: ResolutionGraph, subset: Iterable[str]) -> QCycle:
     if not sub:
         raise NotABranch("empty vertex set")
     coeff = {v: 1 for v in sub}
-
-    def dot(j: str) -> int:
-        total = coeff[j] * g.weight_of(j)
-        for u in g.adjacency[j]:
-            total += coeff.get(u, 0)
-        return total
-
     pending = sub[::-1]
     while pending:
         j = pending.pop()
-        if dot(j) > 0:
-            while dot(j) > 0:
+        if _dot(g, coeff, j) > 0:
+            while _dot(g, coeff, j) > 0:
                 coeff[j] += 1
             pending.extend(u for u in g.adjacency[j] if u in coeff)
-    return QCycle({v: Fraction(c) for v, c in coeff.items()})
+    return coeff
+
+
+def _dot(g: ResolutionGraph, coeff: Mapping[str, int], j: str) -> int:
+    """Intersection number of an integral cycle with the curve at j."""
+    total = coeff.get(j, 0) * g.weight_of(j)
+    for u in g.adjacency[j]:
+        total += coeff.get(u, 0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,7 @@ def check_condition_3_4(g: ResolutionGraph) -> Condition34Report:
             continue
         for u in g.adjacency[v]:
             comp = component_of(g, v, u)
-            z = fundamental_cycle(g, comp)
-            value = int(cycle_pairing(g, z, v))
+            value = _dot(g, _fundamental_coefficients(g, comp), v)
             checks.append(BranchCheck(vertex=v, attach=u, value=value))
     return Condition34Report(checks=tuple(checks))
 
@@ -180,9 +185,15 @@ def construct_monomial_cycle(
     sub-branches; the result, when the loop terminates cleanly, pairs to
     zero with every non-leaf curve and decomposes over the leaf duals of
     the branch.
+
+    The cycle is dual(v) + W, and only the integral W is kept: the branch
+    fundamental cycle plus positive multiples of those of sub-branches, so
+    the difference with the dual cycle is integral, effective and on the
+    branch by construction. dual(v) meets E_v in -1 and other curves in 0,
+    so each pairing read is the integer W.E_j - [j = v]. The rational cycle
+    is formed once, on success.
     """
     attach = _branch_of(g, v, branch)
-    bset = set(branch)
     leaf_set = set(leaves_of(g))
     interior = [j for j in branch if j not in leaf_set]
     cap = graph_determinant(g) * len(g.ids) * max(-w for w in g.weights)
@@ -191,86 +202,55 @@ def construct_monomial_cycle(
     for x in order[1:]:
         distance[x] = distance[parent[x]] + 1
 
-    d_cycle = cycle_add(dual_cycle(g, v), fundamental_cycle(g, branch))
+    excess = _fundamental_coefficients(g, branch)  # W; v is not in the branch
+    trace, distance_trace, iterations = [], [], 0
 
-    def deficiency() -> int:
-        return sum(
-            max(0, -int(cycle_pairing(g, d_cycle, j))) for j in interior
-        )
-
-    def deficit_distances() -> tuple[int, ...]:
-        return tuple(sorted(
-            distance[j] for j in interior if cycle_pairing(g, d_cycle, j) < 0
-        ))
-
-    trace = [deficiency()]
-    distance_trace = [deficit_distances()]
-    iterations = 0
-    while True:
-        bad = [
-            (distance[j], g.index[j], j)
-            for j in interior
-            if cycle_pairing(g, d_cycle, j) < 0
-        ]
-        if not bad:
-            break
-        if iterations >= cap:
-            return MonomialCycleResult(
-                ok=False, node=v, attach=attach, cycle=None, exponents=(),
-                iterations=iterations, deficiency_trace=tuple(trace),
-                deficit_distance_trace=tuple(distance_trace),
-                reason="iteration cap exceeded",
-            )
-        iterations += 1
-        _, _, j = min(bad)
-        deficit = -int(cycle_pairing(g, d_cycle, j))
-        candidates = []
-        for x in g.adjacency[j]:
-            comp = component_of(g, j, x)
-            if v in comp:
-                continue
-            has_negative = any(
-                cycle_pairing(g, d_cycle, k) < 0 for k in comp if k in bset
-            )
-            candidates.append((0 if has_negative else 1, g.index[x], comp))
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        sub = candidates[0][2]
-        d_cycle = cycle_add(d_cycle, fundamental_cycle(g, sub), scale=deficit)
-        trace.append(deficiency())
-        distance_trace.append(deficit_distances())
-
-    diff = cycle_add(d_cycle, dual_cycle(g, v), scale=-1)
-    problems = []
-    if not diff.is_integral():
-        problems.append("difference with the dual cycle is not integral")
-    if not diff.is_effective():
-        problems.append("difference with the dual cycle is not effective")
-    if any(x not in bset for x in diff.support):
-        problems.append("difference is not supported on the branch")
-    for j in g.ids:
-        if j not in leaf_set and cycle_pairing(g, d_cycle, j) != 0:
-            problems.append(f"nonzero pairing with non-leaf curve {j}")
-            break
-    exponents = []
-    for k in leaves_of(g):
-        val = -cycle_pairing(g, d_cycle, k)
-        if val.denominator != 1 or val < 0:
-            problems.append(f"leaf exponent at {k} is not a non-negative integer")
-            break
-        if k in bset:
-            exponents.append((k, int(val)))
-        elif val:
-            problems.append(f"nonzero exponent at leaf {k} outside the branch")
-            break
-    if problems:
+    def failed(reason: str) -> MonomialCycleResult:
         return MonomialCycleResult(
             ok=False, node=v, attach=attach, cycle=None, exponents=(),
             iterations=iterations, deficiency_trace=tuple(trace),
-            deficit_distance_trace=tuple(distance_trace),
-            reason="; ".join(problems),
+            deficit_distance_trace=tuple(distance_trace), reason=reason,
         )
+
+    while True:
+        pairs = {j: _dot(g, excess, j) for j in branch}
+        bad = [(distance[j], g.index[j], j) for j in interior if pairs[j] < 0]
+        trace.append(sum(-pairs[j] for _, _, j in bad))
+        distance_trace.append(tuple(sorted(d for d, _, _ in bad)))
+        if not bad:
+            break
+        if iterations >= cap:
+            return failed("iteration cap exceeded")
+        iterations += 1
+        _, _, j = min(bad)
+        candidates = []  # sub-branches still met negatively first, then vertex order
+        for x in g.adjacency[j]:
+            comp = component_of(g, j, x)
+            if v not in comp:
+                candidates.append((all(pairs[k] >= 0 for k in comp), g.index[x], comp))
+        _, _, sub = min(candidates, key=lambda t: t[:2])
+        for x, c in _fundamental_coefficients(g, sub).items():
+            excess[x] -= pairs[j] * c
+
+    problems = []
+    for j in g.ids:
+        if j not in leaf_set and _dot(g, excess, j) != (j == v):
+            problems.append(f"nonzero pairing with non-leaf curve {j}")
+            break
+    exponents = []
+    bset = set(branch)
+    for k in leaves_of(g):
+        val = (k == v) - _dot(g, excess, k)
+        if val < 0:
+            problems.append(f"leaf exponent at {k} is not a non-negative integer")
+            break
+        if k in bset:  # W.E_k = 0 at other leaves but v, where val = 1 - W.E_v <= 0
+            exponents.append((k, val))
+    if problems:
+        return failed("; ".join(problems))
+    cycle = cycle_add(dual_cycle(g, v), QCycle({x: Fraction(c) for x, c in excess.items()}))
     return MonomialCycleResult(
-        ok=True, node=v, attach=attach, cycle=d_cycle,
+        ok=True, node=v, attach=attach, cycle=cycle,
         exponents=tuple(exponents), iterations=iterations,
         deficiency_trace=tuple(trace),
         deficit_distance_trace=tuple(distance_trace), reason=None,

@@ -104,7 +104,10 @@ def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
     is the raw dual pairing (non-positive before mod-1 reduction), so the
     character formulas downstream match without extra signs.
     """
-    leaves, block, det = _scaled_leaf_block(g)
+    return _block_group(*_scaled_leaf_block(g))
+
+
+def _block_group(leaves: tuple[str, ...], block: list[list[int]], det: int) -> DiscriminantGroup:
     gens = {w: tuple(Fraction(x, det) for x in row) for w, row in zip(leaves, block)}
     return DiscriminantGroup(leaves=leaves, order=det, generators=gens)
 

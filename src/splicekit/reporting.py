@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import conditions, cycles, equations, splice
-from .discriminant import group_order_check, leaf_generators
+from . import conditions, cycles, discriminant, equations, splice
 from .errors import SemigroupFails
 from .graph import (
     ResolutionGraph,
@@ -44,17 +43,20 @@ def maximal_section(g: ResolutionGraph) -> dict:
 def group_section(g: ResolutionGraph) -> dict:
     """Order, invariant factors, leaf generators and checks of D(G) = Z^n/AZ^n.
 
-    The invariant factors are those of the leaf span, read from the Smith
-    form that ``group_order_check`` takes, padded with 1s to n entries. This
-    is exact on any tree, because the leaf duals generate D(G): going inward
-    from the leaves, the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0
-    gives the class of the parent of v from those of v and its children.
+    The generators and checks are those of ``leaf_generators`` and
+    ``group_order_check``, from one leaf block built once. The invariant
+    factors are those of the leaf span, read from the Smith form that the
+    checks take, padded with 1s to n entries. This is exact on any tree,
+    because the leaf duals generate D(G): going inward from the leaves,
+    the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0 gives the class
+    of the parent of v from those of v and its children.
     The discriminant pairing is non-degenerate, so the leaf generators (the
     pairings with the leaf duals) span a copy of D(G) itself, ``order_ok``
     always holds, and the factors equal the n-by-n Smith diagonal of -A.
     """
-    group = leaf_generators(g)
-    check = group_order_check(g)
+    leaves, block, det = discriminant._scaled_leaf_block(g)  # built once for both
+    group = discriminant._block_group(leaves, block, det)
+    check = discriminant._span_check(block, det)
     factors = check.invariant_factors
     return {
         "order": group.order,

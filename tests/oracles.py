@@ -9,18 +9,36 @@ only the leaf generators. It fills the ideal generators in one table;
 ``ideal_generator_recursive`` recurses per edge. It finds fundamental
 cycles with a worklist; ``fundamental_cycle_rescan`` rescans the whole set
 after every bump. The invariant factors come from the leaf block;
-``invariant_factors_full`` takes the n-by-n Smith form of -A.
+``invariant_factors_full`` takes the n-by-n Smith form of -A. The
+monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational``
+keeps the whole rational cycle. Non-negative solutions are listed with an
+explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
 """
 
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from splicekit.conditions import check_congruence
-from splicekit.cycles import QCycle
+from splicekit.conditions import SearchBudget, check_congruence
+from splicekit.cycles import (
+    MonomialCycleResult,
+    QCycle,
+    _branch_of,
+    cycle_add,
+    cycle_pairing,
+    dual_cycle,
+    fundamental_cycle,
+)
 from splicekit.discriminant import DiscriminantGroup, GroupCheck, leaf_generators
 from splicekit.errors import UnknownEdge
-from splicekit.graph import ResolutionGraph, negated_intersection_matrix
+from splicekit.graph import (
+    ResolutionGraph,
+    bfs_tree,
+    component_of,
+    graph_determinant,
+    leaves_of,
+    negated_intersection_matrix,
+)
 from splicekit.linalg import determinant, smith_normal_form
 from splicekit.splice import SpliceDiagram
 
@@ -131,3 +149,144 @@ def fundamental_cycle_rescan(g: ResolutionGraph, subset: Iterable[str]) -> QCycl
 def invariant_factors_full(g: ResolutionGraph) -> list[int]:
     """Diagonal of the n-by-n integer Smith form of -A."""
     return list(smith_normal_form(negated_intersection_matrix(g)).diagonal)
+
+
+def construct_monomial_cycle_rational(
+    g: ResolutionGraph, v: str, branch: Sequence[str]
+) -> MonomialCycleResult:
+    """The greedy monomial-cycle construction over Fractions: the whole
+    rational cycle dual(v) + W is kept, and every pairing, the deficits and
+    the final checks are read from it with ``cycle_pairing``."""
+    attach = _branch_of(g, v, branch)
+    bset = set(branch)
+    leaf_set = set(leaves_of(g))
+    interior = [j for j in branch if j not in leaf_set]
+    cap = graph_determinant(g) * len(g.ids) * max(-w for w in g.weights)
+    order, parent = bfs_tree(g, v)
+    distance = {v: 1}  # vertices on the path from the node, both ends counted
+    for x in order[1:]:
+        distance[x] = distance[parent[x]] + 1
+
+    d_cycle = cycle_add(dual_cycle(g, v), fundamental_cycle(g, branch))
+
+    def deficiency() -> int:
+        return sum(
+            max(0, -int(cycle_pairing(g, d_cycle, j))) for j in interior
+        )
+
+    def deficit_distances() -> tuple[int, ...]:
+        return tuple(sorted(
+            distance[j] for j in interior if cycle_pairing(g, d_cycle, j) < 0
+        ))
+
+    trace = [deficiency()]
+    distance_trace = [deficit_distances()]
+    iterations = 0
+    while True:
+        bad = [
+            (distance[j], g.index[j], j)
+            for j in interior
+            if cycle_pairing(g, d_cycle, j) < 0
+        ]
+        if not bad:
+            break
+        if iterations >= cap:
+            return MonomialCycleResult(
+                ok=False, node=v, attach=attach, cycle=None, exponents=(),
+                iterations=iterations, deficiency_trace=tuple(trace),
+                deficit_distance_trace=tuple(distance_trace),
+                reason="iteration cap exceeded",
+            )
+        iterations += 1
+        _, _, j = min(bad)
+        deficit = -int(cycle_pairing(g, d_cycle, j))
+        candidates = []
+        for x in g.adjacency[j]:
+            comp = component_of(g, j, x)
+            if v in comp:
+                continue
+            has_negative = any(
+                cycle_pairing(g, d_cycle, k) < 0 for k in comp if k in bset
+            )
+            candidates.append((0 if has_negative else 1, g.index[x], comp))
+        candidates.sort(key=lambda t: (t[0], t[1]))
+        sub = candidates[0][2]
+        d_cycle = cycle_add(d_cycle, fundamental_cycle(g, sub), scale=deficit)
+        trace.append(deficiency())
+        distance_trace.append(deficit_distances())
+
+    diff = cycle_add(d_cycle, dual_cycle(g, v), scale=-1)
+    problems = []
+    if not diff.is_integral():
+        problems.append("difference with the dual cycle is not integral")
+    if not diff.is_effective():
+        problems.append("difference with the dual cycle is not effective")
+    if any(x not in bset for x in diff.support):
+        problems.append("difference is not supported on the branch")
+    for j in g.ids:
+        if j not in leaf_set and cycle_pairing(g, d_cycle, j) != 0:
+            problems.append(f"nonzero pairing with non-leaf curve {j}")
+            break
+    exponents = []
+    for k in leaves_of(g):
+        val = -cycle_pairing(g, d_cycle, k)
+        if val.denominator != 1 or val < 0:
+            problems.append(f"leaf exponent at {k} is not a non-negative integer")
+            break
+        if k in bset:
+            exponents.append((k, int(val)))
+        elif val:
+            problems.append(f"nonzero exponent at leaf {k} outside the branch")
+            break
+    if problems:
+        return MonomialCycleResult(
+            ok=False, node=v, attach=attach, cycle=None, exponents=(),
+            iterations=iterations, deficiency_trace=tuple(trace),
+            deficit_distance_trace=tuple(distance_trace),
+            reason="; ".join(problems),
+        )
+    return MonomialCycleResult(
+        ok=True, node=v, attach=attach, cycle=d_cycle,
+        exponents=tuple(exponents), iterations=iterations,
+        deficiency_trace=tuple(trace),
+        deficit_distance_trace=tuple(distance_trace), reason=None,
+    )
+
+
+def iter_nonnegative_solutions_recursive(
+    values: Sequence[int],
+    target: int,
+    budget: SearchBudget | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """``iter_nonnegative_solutions`` as one generator per coordinate, each
+    passing its solutions up a ``yield from`` chain."""
+    k = len(values)
+    if k == 0:
+        if target == 0:
+            yield ()
+        return
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = gcd(suffix[i + 1], values[i])
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
+        if i == k - 1:
+            if budget is not None and not budget.spend():
+                return
+            q, r = divmod(remaining, values[i])
+            if r == 0:
+                yield prefix + (q,)
+            return
+        step = values[i]
+        sub_gcd = suffix[i + 1]
+        for a in range(remaining // step + 1):
+            if budget is not None and not budget.spend():
+                return
+            rest = remaining - a * step
+            if rest % sub_gcd == 0:
+                yield from rec(i + 1, rest, prefix + (a,))
+            if budget is not None and budget.exhausted:
+                return
+
+    if target % suffix[0] == 0:
+        yield from rec(0, target, ())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicekit import conditions, corpus, cycles, equations, reporting
+from splicekit import conditions, corpus, cycles, discriminant, equations, reporting
 from splicekit.cli import build_parser, main
 from splicekit.document import (
     document_to_graph,
@@ -307,6 +307,33 @@ def test_report_runs_semigroup_check_once(monkeypatch):
         "error": "SemigroupFails",
         "detail": f"no admissible monomial at {bad}",
     }
+
+
+def test_group_section_builds_leaf_block_once(monkeypatch, fixture_map, random_trees):
+    # one leaf block feeds both the generators and the checks, which agree
+    # with the public routes that build it for themselves
+    calls = []
+    real = discriminant._scaled_leaf_block
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(discriminant, "_scaled_leaf_block", counted)
+    for g in [*fixture_map.values(), *random_trees[:40]]:
+        calls.clear()
+        section = reporting.group_section(g)
+        assert len(calls) == 1
+        group, check = discriminant.leaf_generators(g), discriminant.group_order_check(g)
+        assert section["order"] == group.order
+        assert section["generators"] == {
+            w: [str(q) for q in group.generators[w]] for w in group.leaves
+        }
+        assert section["checks"] == {
+            "order_ok": check.order_ok,
+            "drop_one_generator_ok": check.drop_one_ok,
+            "no_pseudo_reflections": check.no_pseudo_reflections,
+        }
 
 
 def test_report_marks_exhausted_budgets(monkeypatch, g90):

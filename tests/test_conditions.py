@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicekit.conditions import (
+    SearchBudget,
     admissible_exponents,
     check_congruence,
     check_semigroup,
@@ -16,13 +21,40 @@ from splicekit.errors import NotEndNodeEdge, NotTwoNode
 from splicekit.graph import blow_up_edge, graph_determinant
 from splicekit.splice import linking_numbers, splice_from_resolution
 
-from oracles import full_group_character_oracle
+from oracles import full_group_character_oracle, iter_nonnegative_solutions_recursive
 
 
 def test_knapsack_order():
     assert list(iter_nonnegative_solutions((3, 3), 3)) == [(0, 1), (1, 0)]
     assert list(iter_nonnegative_solutions((2, 5), 3)) == []
     assert list(iter_nonnegative_solutions((1,), 4)) == [(4,)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), max_size=5),
+    st.integers(-3, 40),
+    st.one_of(st.none(), st.integers(0, 60)),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_solutions_match_recursion(values, target, nodes, take):
+    # same vectors in the same order, and the same spends, under budgets
+    # that run out and when the consumer stops early
+    budgets = [None if nodes is None else SearchBudget(nodes) for _ in range(2)]
+    runs = [
+        list(itertools.islice(route(values, target, budget), take))
+        for route, budget in zip(
+            (iter_nonnegative_solutions, iter_nonnegative_solutions_recursive), budgets
+        )
+    ]
+    assert runs[0] == runs[1]
+    if nodes is not None:
+        states = [(b.remaining, b.exhausted) for b in budgets]
+        assert states[0] == states[1]
+
+
+def test_solutions_with_thousands_of_values():
+    assert list(iter_nonnegative_solutions([1] * 3000, 0)) == [(0,) * 3000]
 
 
 def test_admissible_g90(g90):

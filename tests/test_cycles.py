@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from splicekit.conditions import check_congruence, check_semigroup
+from splicekit.corpus import dominant_tree
 from splicekit.cycles import (
     branches,
     check_condition_3_3,
@@ -15,10 +17,10 @@ from splicekit.cycles import (
     fundamental_cycle,
 )
 from splicekit.errors import NotABranch
-from splicekit.graph import ResolutionGraph, graph_determinant, nodes_of
+from splicekit.graph import ResolutionGraph, component_of, graph_determinant, nodes_of
 from splicekit.splice import linking_matrix, splice_from_resolution
 
-from oracles import fundamental_cycle_rescan
+from oracles import construct_monomial_cycle_rational, fundamental_cycle_rescan
 
 
 def test_dual_cycle_single_vertex():
@@ -98,6 +100,34 @@ def test_fundamental_cycle_worklist_matches_rescan(corpus):
                 assert fundamental_cycle(g, comp) == fundamental_cycle_rescan(g, comp)
                 checked += 1
     assert checked > 1000
+
+
+def test_monomial_cycle_matches_rational_oracle(corpus, small_trees):
+    # the integral route agrees with the Fraction route in every field, on
+    # every branch of every node (and, on small trees, of every leaf and
+    # string vertex): ok, exponents, iterations, both traces, reason and
+    # the rational cycle, down to its key order
+    seeded = [dominant_tree(random.Random(seed), 25) for seed in range(6)]
+    cases = [(g, v) for g in [*corpus, *seeded] for v in g.ids if g.degree(v) >= 3]
+    cases += [(g, v) for g in small_trees for v in g.ids if g.degree(v) < 3]
+    checked = failed = 0
+    for g, v in cases:
+        for comp in branches(g, v):
+            result = construct_monomial_cycle(g, v, comp)
+            expected = construct_monomial_cycle_rational(g, v, comp)
+            assert result == expected
+            if result.ok:
+                assert list(result.cycle.coefficients) == list(expected.cycle.coefficients)
+            checked += 1
+            failed += not result.ok
+    assert checked > 1500 and failed > 0
+
+
+def test_condition_3_4_matches_rational_pairing(corpus):
+    for g in corpus:
+        for c in check_condition_3_4(g).checks:
+            comp = component_of(g, c.vertex, c.attach)
+            assert c.value == cycle_pairing(g, fundamental_cycle(g, comp), c.vertex)
 
 
 def test_condition_3_4_simple_branches(g1):
