@@ -1,28 +1,23 @@
 """Semigroup and congruence conditions, with closed-form end-node criteria.
 
-The congruence test clears denominators by the graph determinant and works
-with integer congruences; the equivalent exact-rational route is exposed
-separately and the test suite asserts the two agree.
+One bounded search per diagram edge, ``search_edge``, serves the semigroup
+test, the congruence test and the fallback of condition 3.3. The congruence
+test clears denominators by the graph determinant and works with integer
+congruences; the test oracles keep the exact-rational route and the suite
+asserts the two agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import config
 from .cfrac import continued_fraction_of_string
-from .discriminant import (
-    character_of_monomial,
-    leaf_generators,
-    pairing_matrix,
-    qmod1,
-)
 from .errors import NotEndNodeEdge, NotTwoNode, UnknownEdge
 from .graph import ResolutionGraph, graph_determinant
-from .splice import SpliceDiagram, linking_matrix, linking_numbers, splice_from_resolution
+from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
 
 
 class SearchBudget:
@@ -163,6 +158,28 @@ class ExponentSolutions:
     truncated: bool
 
 
+def search_edge(
+    d: SpliceDiagram,
+    v: str,
+    toward: str,
+    cap: int,
+    accept: Callable[[AdmissibleExponents], bool] | None = None,
+) -> tuple[AdmissibleExponents | None, int, bool]:
+    """The first admissible vector on the edge that passes `accept` (the
+    first one at all without a test), the number of vectors tested, and
+    whether the search was truncated: it stops after `cap` vectors, or
+    when its node budget of max(16 * cap, 2^20) runs out."""
+    budget = SearchBudget(max(cap * 16, 1 << 20))
+    tested = 0
+    for adm in iter_admissible(d, v, toward, budget):
+        if tested >= cap:
+            return None, tested, True
+        tested += 1
+        if accept is None or accept(adm):
+            return adm, tested, False
+    return None, tested, budget.exhausted
+
+
 def admissible_exponents(
     d: SpliceDiagram, v: str, toward: str, limit: int | None = None
 ) -> ExponentSolutions:
@@ -171,16 +188,14 @@ def admissible_exponents(
     Exceeding the limit is reported through the `truncated` flag; the
     partial list is still returned.
     """
-    cap = config.solution_limit(limit)
     leaves, values, target = edge_equation(d, v, toward)
     out: list[AdmissibleExponents] = []
-    truncated = False
-    budget = SearchBudget(max(cap * 16, 1 << 20))
-    for adm in iter_admissible(d, v, toward, budget):
-        if len(out) >= cap:
-            truncated = True
-            break
+
+    def collect(adm: AdmissibleExponents) -> bool:
         out.append(adm)
+        return False  # every vector is wanted, so none ends the search
+
+    _, _, truncated = search_edge(d, v, toward, config.solution_limit(limit), collect)
     return ExponentSolutions(
         node=v,
         toward=toward,
@@ -188,7 +203,7 @@ def admissible_exponents(
         values=values,
         target=target,
         solutions=tuple(out),
-        truncated=truncated or budget.exhausted,
+        truncated=truncated,
     )
 
 
@@ -228,12 +243,10 @@ def check_semigroup(d: SpliceDiagram, limit: int | None = None) -> SemigroupRepo
     edges = []
     for v in d.nodes:
         for u in d.adjacency[v]:
-            budget = SearchBudget(max(cap * 16, 1 << 20))
-            witness = next(iter_admissible(d, v, u, budget), None)
+            witness, _, truncated = search_edge(d, v, u, cap)
             edges.append(
                 SemigroupEdge(node=v, toward=u, ok=witness is not None,
-                              witness=witness,
-                              truncated=witness is None and budget.exhausted)
+                              witness=witness, truncated=truncated)
             )
     return SemigroupReport(edges=tuple(edges))
 
@@ -285,14 +298,9 @@ class CongruenceReport:
 
 
 def _congruence_table(
-    g: ResolutionGraph,
-    lmat: list[list[int]],
-    det: int,
-    d: SpliceDiagram,
-    v: str,
-    leaves: tuple[str, ...],
+    g: ResolutionGraph, v: str, leaves: tuple[str, ...]
 ) -> tuple[LeafCongruence, ...]:
-    idx = g.index
+    idx, lmat, det = g.index, g.linking_rows, g.det
     out = []
     for wp in leaves:
         coeffs = tuple((w, lmat[idx[w]][idx[wp]] % det) for w in leaves)
@@ -304,7 +312,7 @@ def _congruence_table(
                 modulus=det,
             )
         )
-    return out
+    return tuple(out)
 
 
 def _satisfies(table: tuple[LeafCongruence, ...], alpha: Mapping[str, int]) -> bool:
@@ -320,22 +328,47 @@ def _solved_congruences(
 ) -> tuple[SolvedCongruence, ...]:
     """Per-leaf single-variable congruences for an edge toward an end-node:
     the exponent at each leaf must be = -n*p_i modulo the leaf string
-    determinant, n the central string determinant."""
-    if d.strings is None:
-        return ()
-    central = d.strings[(v, v_star)]
-    n = continued_fraction_of_string(
-        [g.weight_of(x) for x in central]
-    ).numerator if central else 1
+    determinant, n the central string determinant (1 for an empty string)."""
+    n, _ = _string_fraction(g, d.strings[(v, v_star)])
     out = []
     for w in d.adjacency[v_star]:
         if w == v or not d.is_leaf(w):
             continue
-        chain = list(d.strings[(v_star, w)]) + [w]
-        cf = continued_fraction_of_string([g.weight_of(x) for x in chain])
-        n_i, p_i = cf.numerator, cf.denominator
+        n_i, p_i = _string_fraction(g, list(d.strings[(v_star, w)]) + [w])
         out.append(SolvedCongruence(leaf=w, residue=(-n * p_i) % n_i, modulus=n_i))
     return tuple(out)
+
+
+def congruence_edge(
+    g: ResolutionGraph, d: SpliceDiagram, v: str, toward: str, cap: int
+) -> CongruenceEdge:
+    """Congruence search on one node edge of d, the splice diagram of g: the
+    first admissible vector that meets the per-leaf congruence table.
+
+    A failure carries the table and, toward an end-node, the solved
+    single-variable congruences.
+    """
+    table = _congruence_table(g, v, subtree_leaves(d, v, toward))
+    witness, tested, truncated = search_edge(
+        d, v, toward, cap, lambda adm: _satisfies(table, adm.as_dict())
+    )
+    failed = witness is None
+    is_end_edge = d.is_node(toward) and all(
+        d.is_leaf(x) for x in d.adjacency[toward] if x != v
+    )
+    return CongruenceEdge(
+        node=v,
+        toward=toward,
+        semigroup_ok=tested > 0,
+        ok=not failed,
+        witness=witness,
+        tested=tested,
+        truncated=truncated,
+        congruences=table if failed else (),
+        solved=(
+            _solved_congruences(g, d, v, toward) if failed and tested and is_end_edge else ()
+        ),
+    )
 
 
 def check_congruence(
@@ -354,73 +387,9 @@ def check_congruence(
     single-variable congruences.
     """
     d = splice_from_resolution(g)
-    det = graph_determinant(g)
-    lmat = linking_matrix(g)
     cap = config.solution_limit(limit)
-    edges = []
-    for v in d.nodes:
-        for u in d.adjacency[v]:
-            leaves, _, _ = edge_equation(d, v, u)
-            table = _congruence_table(g, lmat, det, d, v, leaves)
-            witness = None
-            tested = 0
-            truncated = False
-            any_admissible = False
-            budget = SearchBudget(max(cap * 16, 1 << 20))
-            for adm in iter_admissible(d, v, u, budget):
-                any_admissible = True
-                if tested >= cap:
-                    truncated = True
-                    break
-                tested += 1
-                if _satisfies(table, adm.as_dict()):
-                    witness = adm
-                    break
-            truncated = truncated or (witness is None and budget.exhausted)
-            is_end_edge = (
-                d.is_node(u)
-                and all(d.is_leaf(x) for x in d.adjacency[u] if x != v)
-            )
-            solved = (
-                _solved_congruences(g, d, v, u)
-                if (witness is None and any_admissible and is_end_edge)
-                else ()
-            )
-            edges.append(
-                CongruenceEdge(
-                    node=v,
-                    toward=u,
-                    semigroup_ok=any_admissible,
-                    ok=witness is not None,
-                    witness=witness,
-                    tested=tested,
-                    truncated=truncated,
-                    congruences=table if witness is None else (),
-                    solved=solved,
-                )
-            )
-    return CongruenceReport(determinant=det, edges=tuple(edges))
-
-
-def congruence_equalities_rational(
-    g: ResolutionGraph,
-    v: str,
-    toward: str,
-    alpha: Mapping[str, int],
-) -> dict[str, tuple[Fraction, Fraction]]:
-    """Exact-rational form of the per-leaf equalities for one candidate:
-    maps each leaf beyond the edge to (character value, required value)."""
-    d = splice_from_resolution(g)
-    group = leaf_generators(g)
-    pm = pairing_matrix(g)
-    idx = g.index
-    leaves = subtree_leaves(d, v, toward)
-    out = {}
-    for wp in leaves:
-        lhs = character_of_monomial(group, alpha, group.generator(wp))
-        rhs = qmod1(-pm[idx[v]][idx[wp]])
-        out[wp] = (lhs, rhs)
-    return out
+    edges = tuple(congruence_edge(g, d, v, u, cap) for v in d.nodes for u in d.adjacency[v])
+    return CongruenceReport(determinant=graph_determinant(g), edges=edges)
 
 
 # --- closed-form criteria -------------------------------------------------

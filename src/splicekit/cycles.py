@@ -9,10 +9,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import config
-from .conditions import SearchBudget, iter_nonnegative_solutions
+from .conditions import congruence_edge
 from .errors import NotABranch
 from .graph import ResolutionGraph, bfs_tree, component_of, graph_determinant, leaves_of
-from .splice import linking_matrix
+from .splice import splice_from_resolution
 
 
 @dataclass(frozen=True)
@@ -280,61 +280,32 @@ class Condition33Report:
         return tuple(d for d in self.decisions if not d.ok)
 
 
-def _search_monomial_cycle(
-    g: ResolutionGraph,
-    lmat: list[list[int]],
-    det: int,
-    v: str,
-    branch: Sequence[str],
-    limit: int,
-) -> tuple[tuple[tuple[str, int], ...] | None, bool]:
-    """Complete bounded search over exponent vectors on the branch leaves.
-
-    A vector works when sum(a_k * L[k][j]) - L[v][j] vanishes outside the
-    branch and is a non-negative multiple of det inside it, i.e. the
-    corresponding combination of leaf duals exceeds the node dual by an
-    effective integral cycle supported on the branch.
-    """
-    idx = g.index
-    bset = set(branch)
-    leaves = [k for k in leaves_of(g) if k in bset]
-    values = [lmat[idx[k]][idx[v]] for k in leaves]
-    target = lmat[idx[v]][idx[v]]
-    tested = 0
-    budget = SearchBudget(max(limit * 16, 1 << 20))
-    for alpha in iter_nonnegative_solutions(values, target, budget):
-        if tested >= limit:
-            return None, True
-        tested += 1
-        good = True
-        for j in g.ids:
-            total = sum(
-                a * lmat[idx[k]][idx[j]] for k, a in zip(leaves, alpha)
-            ) - lmat[idx[v]][idx[j]]
-            if j in bset:
-                if total < 0 or total % det:
-                    good = False
-                    break
-            elif total:
-                good = False
-                break
-        if good:
-            return tuple(zip(leaves, alpha)), False
-    return None, budget.exhausted
-
-
 def check_condition_3_3(
     g: ResolutionGraph, limit: int | None = None
 ) -> Condition33Report:
     """Monomial-cycle condition at every node and branch.
 
-    The greedy construction is tried first; when it does not settle, a
-    complete bounded search over admissible exponent vectors decides the
-    branch.
+    The greedy construction is tried first. Where it does not settle the
+    branch B of v attached at u, the congruence search of the diagram edge
+    (v, t) whose string starts at u (t = u when the string is empty)
+    decides it. The leaves of that edge are the leaves of B, and a vector
+    passes the congruence table exactly when its Z is an effective integral
+    cycle supported on B, the test a monomial cycle asks for. Here L is the
+    linking matrix, e_j* = L[j] / det are the dual cycles and
+    Z = sum a_k e_k* - e_v* for a vector a that solves the edge equation.
+
+    - For a leaf k in B and a vertex j outside it,
+      L[k][j] * L[v][v] = L[k][v] * L[v][j]. So Z vanishes outside B:
+      that is the edge equation, which every enumerated vector satisfies.
+    - Z meets every curve integrally. So Z is integral exactly when it
+      pairs integrally with the leaf duals, which generate D(Gamma). Off B
+      that pairing is 0; inside B it is the congruence table.
+    - Z is 0 off B and meets every curve of B non-positively (in -a_j at a
+      leaf j, in 0 elsewhere). As -A_B^-1 >= 0, Z is effective, so no vector
+      needs a non-negativity test.
     """
     cap = config.solution_limit(limit)
-    lmat = linking_matrix(g)
-    det = graph_determinant(g)
+    diagram = None
     decisions = []
     for v in g.ids:
         if g.degree(v) < 3:
@@ -350,14 +321,16 @@ def check_condition_3_3(
                     )
                 )
                 continue
-            exponents, truncated = _search_monomial_cycle(
-                g, lmat, det, v, comp, cap
+            diagram = diagram or splice_from_resolution(g)
+            t = next(
+                t for t in diagram.adjacency[v] if (diagram.strings[(v, t)] + (t,))[0] == u
             )
+            edge = congruence_edge(g, diagram, v, t, cap)
             decisions.append(
                 BranchDecision(
-                    node=v, attach=u, ok=exponents is not None,
-                    method="search", exponents=exponents or (),
-                    truncated=truncated,
+                    node=v, attach=u, ok=edge.ok, method="search",
+                    exponents=edge.witness.exponents if edge.witness else (),
+                    truncated=edge.truncated,
                 )
             )
     return Condition33Report(decisions=tuple(decisions))

@@ -13,13 +13,22 @@ after every bump. The invariant factors come from the leaf block;
 monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational``
 keeps the whole rational cycle. Non-negative solutions are listed with an
 explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
+A branch where the greedy monomial cycle fails is decided by the congruence
+search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
+each vector on every curve. Congruences are checked on integers mod det;
+``congruence_equalities_rational`` compares the characters as fractions.
 """
 
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from splicekit.conditions import SearchBudget, check_congruence
+from splicekit.conditions import (
+    SearchBudget,
+    check_congruence,
+    iter_nonnegative_solutions,
+    subtree_leaves,
+)
 from splicekit.cycles import (
     MonomialCycleResult,
     QCycle,
@@ -29,7 +38,14 @@ from splicekit.cycles import (
     dual_cycle,
     fundamental_cycle,
 )
-from splicekit.discriminant import DiscriminantGroup, GroupCheck, leaf_generators
+from splicekit.discriminant import (
+    DiscriminantGroup,
+    GroupCheck,
+    character_of_monomial,
+    leaf_generators,
+    pairing_matrix,
+    qmod1,
+)
 from splicekit.errors import UnknownEdge
 from splicekit.graph import (
     ResolutionGraph,
@@ -40,7 +56,7 @@ from splicekit.graph import (
     negated_intersection_matrix,
 )
 from splicekit.linalg import determinant, smith_normal_form
-from splicekit.splice import SpliceDiagram
+from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -290,3 +306,65 @@ def iter_nonnegative_solutions_recursive(
 
     if target % suffix[0] == 0:
         yield from rec(0, target, ())
+
+
+def search_monomial_cycle(
+    g: ResolutionGraph,
+    v: str,
+    branch: Sequence[str],
+    limit: int,
+    budget: SearchBudget,
+) -> tuple[tuple[tuple[str, int], ...] | None, bool]:
+    """Complete bounded search over exponent vectors on the branch leaves.
+
+    A vector works when sum(a_k * L[k][j]) - L[v][j] vanishes outside the
+    branch and is a non-negative multiple of det inside it, i.e. the
+    corresponding combination of leaf duals exceeds the node dual by an
+    effective integral cycle supported on the branch.
+    """
+    lmat, det, idx = linking_matrix(g), graph_determinant(g), g.index
+    bset = set(branch)
+    leaves = [k for k in leaves_of(g) if k in bset]
+    values = [lmat[idx[k]][idx[v]] for k in leaves]
+    target = lmat[idx[v]][idx[v]]
+    tested = 0
+    for alpha in iter_nonnegative_solutions(values, target, budget):
+        if tested >= limit:
+            return None, True
+        tested += 1
+        good = True
+        for j in g.ids:
+            total = sum(
+                a * lmat[idx[k]][idx[j]] for k, a in zip(leaves, alpha)
+            ) - lmat[idx[v]][idx[j]]
+            if j in bset:
+                if total < 0 or total % det:
+                    good = False
+                    break
+            elif total:
+                good = False
+                break
+        if good:
+            return tuple(zip(leaves, alpha)), False
+    return None, budget.exhausted
+
+
+def congruence_equalities_rational(
+    g: ResolutionGraph,
+    v: str,
+    toward: str,
+    alpha: Mapping[str, int],
+) -> dict[str, tuple[Fraction, Fraction]]:
+    """Exact-rational form of the per-leaf equalities for one candidate:
+    maps each leaf beyond the edge to (character value, required value)."""
+    d = splice_from_resolution(g)
+    group = leaf_generators(g)
+    pm = pairing_matrix(g)
+    idx = g.index
+    leaves = subtree_leaves(d, v, toward)
+    out = {}
+    for wp in leaves:
+        lhs = character_of_monomial(group, alpha, group.generator(wp))
+        rhs = qmod1(-pm[idx[v]][idx[wp]])
+        out[wp] = (lhs, rhs)
+    return out

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicekit import conditions, corpus, cycles, discriminant, equations, reporting
+from splicekit import conditions, corpus, discriminant, equations, reporting
 from splicekit.cli import build_parser, main
 from splicekit.document import (
     document_to_graph,
@@ -341,7 +341,6 @@ def test_report_marks_exhausted_budgets(monkeypatch, g90):
     # (nL, nR) run out; the report must say so rather than look like a fail
     real = conditions.SearchBudget
     monkeypatch.setattr(conditions, "SearchBudget", lambda nodes: real(1))
-    monkeypatch.setattr(cycles, "SearchBudget", lambda nodes: real(1))
     payload = reporting.analysis_report(g90)
     sections = payload["conditions"]
     assert any(e.get("truncated") for e in sections["semigroup"]["edges"])

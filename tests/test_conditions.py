@@ -9,7 +9,6 @@ from splicekit.conditions import (
     admissible_exponents,
     check_congruence,
     check_semigroup,
-    congruence_equalities_rational,
     end_node_criterion,
     end_node_criterion_slack,
     iter_admissible,
@@ -21,7 +20,11 @@ from splicekit.errors import NotEndNodeEdge, NotTwoNode
 from splicekit.graph import blow_up_edge, graph_determinant
 from splicekit.splice import linking_numbers, splice_from_resolution
 
-from oracles import full_group_character_oracle, iter_nonnegative_solutions_recursive
+from oracles import (
+    congruence_equalities_rational,
+    full_group_character_oracle,
+    iter_nonnegative_solutions_recursive,
+)
 
 
 def test_knapsack_order():
@@ -116,6 +119,15 @@ def test_congruence_g90_obstruction(g90):
     assert all(r == 2 and m == 3 for r, m in solved.values())
 
 
+def test_failing_congruence_report_is_hashable(g90):
+    report = check_congruence(g90)
+    assert report.failures
+    assert all(e.congruences for e in report.failures)
+    hash(report)
+    for edge in report.failures:
+        hash(edge)
+
+
 def test_congruence_g1_trivial(g1):
     report = check_congruence(g1)
     assert report.ok and report.determinant == 1
@@ -139,15 +151,9 @@ def test_rational_and_integer_paths_agree(g17, g90):
                 ok_rational = all(lhs == rhs for lhs, rhs in rational.values())
                 # integer path: re-run the table check via the report machinery
                 from splicekit.conditions import _congruence_table, _satisfies
-                from splicekit.splice import linking_matrix
 
                 table = _congruence_table(
-                    g,
-                    linking_matrix(g),
-                    graph_determinant(g),
-                    d,
-                    edge.node,
-                    subtree_leaves(d, edge.node, edge.toward),
+                    g, edge.node, subtree_leaves(d, edge.node, edge.toward)
                 )
                 assert _satisfies(table, adm.as_dict()) == ok_rational
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from splicekit.conditions import check_congruence, check_semigroup
+from splicekit import conditions, config
+from splicekit.conditions import check_congruence, check_semigroup, congruence_edge
 from splicekit.corpus import dominant_tree
 from splicekit.cycles import (
     branches,
@@ -20,7 +21,11 @@ from splicekit.errors import NotABranch
 from splicekit.graph import ResolutionGraph, component_of, graph_determinant, nodes_of
 from splicekit.splice import linking_matrix, splice_from_resolution
 
-from oracles import construct_monomial_cycle_rational, fundamental_cycle_rescan
+from oracles import (
+    construct_monomial_cycle_rational,
+    fundamental_cycle_rescan,
+    search_monomial_cycle,
+)
 
 
 def test_dual_cycle_single_vertex():
@@ -226,3 +231,31 @@ def test_equivalence_and_implication(fixture_map, small_trees):
         assert o33 == general
         if check_condition_3_4(g).ok:
             assert o33
+
+
+def test_condition_3_3_search_matches_cycle_oracle(monkeypatch, corpus):
+    # the 3.3 fallback is the congruence search of the matching diagram
+    # edge; on every branch that search and the oracle, which tests each
+    # vector's cycle on every curve, agree on the witness and on truncation.
+    # A 5000-node budget makes some branches run out.
+    real = conditions.SearchBudget
+    monkeypatch.setattr(conditions, "SearchBudget", lambda nodes: real(5000))
+    cap = config.solution_limit()
+    seeded = [dominant_tree(random.Random(s), n) for n in (25, 40) for s in range(6)]
+    fallbacks = truncated = 0
+    for g in [*corpus, *seeded]:
+        d = splice_from_resolution(g)
+        decisions = {(b.node, b.attach): b for b in check_condition_3_3(g).decisions}
+        for v in nodes_of(g):
+            for u in g.adjacency[v]:
+                branch = component_of(g, v, u)
+                expected = search_monomial_cycle(g, v, branch, cap, real(5000))
+                t = next(t for t in d.adjacency[v] if t in branch)
+                edge = congruence_edge(g, d, v, t, cap)
+                assert (edge.witness and edge.witness.exponents, edge.truncated) == expected
+                decision = decisions[(v, u)]
+                if decision.method == "search":
+                    fallbacks += 1
+                    assert (decision.exponents or None, decision.truncated) == expected
+                truncated += expected[1]
+    assert fallbacks and truncated
