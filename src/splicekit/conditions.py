@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import config
 from .cfrac import continued_fraction_of_string
@@ -163,20 +163,23 @@ def search_edge(
     v: str,
     toward: str,
     cap: int,
-    accept: Callable[[AdmissibleExponents], bool] | None = None,
+    accept: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> tuple[AdmissibleExponents | None, int, bool]:
     """The first admissible vector on the edge that passes `accept` (the
     first one at all without a test), the number of vectors tested, and
     whether the search was truncated: it stops after `cap` vectors, or
-    when its node budget of max(16 * cap, 2^20) runs out."""
+    when its node budget of max(16 * cap, 2^20) runs out. `accept` sees the
+    raw exponents, aligned with ``edge_equation``'s leaves; only the vector
+    it accepts is wrapped."""
+    leaves, values, target = edge_equation(d, v, toward)
     budget = SearchBudget(max(cap * 16, 1 << 20))
     tested = 0
-    for adm in iter_admissible(d, v, toward, budget):
+    for alpha in iter_nonnegative_solutions(values, target, budget):
         if tested >= cap:
             return None, tested, True
         tested += 1
-        if accept is None or accept(adm):
-            return adm, tested, False
+        if accept is None or accept(alpha):
+            return AdmissibleExponents(v, toward, tuple(zip(leaves, alpha))), tested, False
     return None, tested, budget.exhausted
 
 
@@ -191,8 +194,8 @@ def admissible_exponents(
     leaves, values, target = edge_equation(d, v, toward)
     out: list[AdmissibleExponents] = []
 
-    def collect(adm: AdmissibleExponents) -> bool:
-        out.append(adm)
+    def collect(alpha: tuple[int, ...]) -> bool:
+        out.append(AdmissibleExponents(v, toward, tuple(zip(leaves, alpha))))
         return False  # every vector is wanted, so none ends the search
 
     _, _, truncated = search_edge(d, v, toward, config.solution_limit(limit), collect)
@@ -315,9 +318,11 @@ def _congruence_table(
     return tuple(out)
 
 
-def _satisfies(table: tuple[LeafCongruence, ...], alpha: Mapping[str, int]) -> bool:
+def _satisfies(table: tuple[LeafCongruence, ...], alpha: Sequence[int]) -> bool:
+    """Whether the exponents alpha, aligned with the leaves of the table's
+    rows, meet every congruence of the table."""
     for row in table:
-        total = sum(c * alpha.get(w, 0) for w, c in row.coefficients)
+        total = sum(c * a for (_, c), a in zip(row.coefficients, alpha))
         if (total - row.target) % row.modulus:
             return False
     return True
@@ -350,7 +355,7 @@ def congruence_edge(
     """
     table = _congruence_table(g, v, subtree_leaves(d, v, toward))
     witness, tested, truncated = search_edge(
-        d, v, toward, cap, lambda adm: _satisfies(table, adm.as_dict())
+        d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
     )
     failed = witness is None
     is_end_edge = d.is_node(toward) and all(

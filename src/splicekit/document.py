@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 from .errors import ParseError
 from .graph import ResolutionGraph, validate_graph
@@ -38,7 +39,7 @@ def _parse_json(text: str) -> GraphDocument:
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
     version = data.get("version")
-    if version != 1:
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
         raise ParseError(f"version: expected 1, got {version!r}")
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list):
@@ -134,4 +135,78 @@ def document_to_json(doc: GraphDocument) -> str:
     }
     if doc.metadata:
         payload["metadata"] = dict(doc.metadata)
-    return json.dumps(payload, indent=2) + "\n"
+    return indented_json(payload) + "\n"
+
+
+def indented_json(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without its
+    pure-Python encoder: one recursive pass that appends the parts to a list
+    and escapes strings with the C ``encode_basestring_ascii``. Takes what
+    ``json.dumps`` takes (dicts, lists, tuples, str, int, float, bool, None;
+    dict keys also int, float, bool or None) and raises TypeError on the
+    rest. There is no check for circular references."""
+    parts: list[str] = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value: Any, parts: list[str], newline: str) -> None:
+    """Append value to parts; newline ends a line and indents to value's depth."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_json(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            parts.append(sep + inner)
+            _write_json(item, parts, inner)
+            sep = ","
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            parts.append(sep + inner + encode_basestring_ascii(_json_key(key)) + ": ")
+            _write_json(item, parts, inner)
+            sep = ","
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_json(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)

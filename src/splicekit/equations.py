@@ -9,7 +9,6 @@ invariants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
@@ -23,6 +22,7 @@ from .errors import (
     InvalidHigherTerm,
     SemigroupFails,
 )
+from .document import indented_json
 from .graph import ResolutionGraph
 from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
 
@@ -447,7 +447,7 @@ def _render_terms(terms: Sequence[tuple[Coefficient, Monomial]]) -> str:
 def render_equations(system: SpliceEquationSystem, format: str = "text") -> str:
     """Deterministic text or JSON form of the system."""
     if format == "json":
-        return json.dumps(system_to_json(system), indent=2)
+        return indented_json(system_to_json(system))
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = []

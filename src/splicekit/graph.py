@@ -6,10 +6,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
+
+if TYPE_CHECKING:
+    from .splice import SpliceDiagram
 
 VertexKind = str  # "leaf" | "string" | "node"
 DirectedEdge = tuple[str, str]
@@ -23,8 +26,9 @@ class ResolutionGraph:
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
     pure functions. The subtree-determinant table and the invariants read
-    from it (definiteness, determinant, linking numbers) are computed once
-    per instance and cached read-only.
+    from it (definiteness, determinant, linking numbers), the branch-cycle
+    table and the reduced splice diagram are computed once per instance and
+    cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -78,6 +82,20 @@ class ResolutionGraph:
     def subtree_dets(self) -> Mapping[DirectedEdge, int]:
         """Read-only ``subtree_determinants`` table."""
         return MappingProxyType(subtree_determinants(self))
+
+    @cached_property
+    def branch_cycles(self) -> Mapping[DirectedEdge, Mapping[str, int]]:
+        """Read-only ``branch_cycle_table``."""
+        return MappingProxyType(branch_cycle_table(self))
+
+    @cached_property
+    def splice_diagram(self) -> SpliceDiagram:
+        """The reduced splice diagram with read-only weights and strings,
+        returned by ``splice.splice_from_resolution``. Raises
+        NotNegativeDefinite."""
+        from .splice import _reduced_diagram  # splice imports this module
+
+        return _reduced_diagram(self)
 
     @cached_property
     def det(self) -> int:
@@ -266,6 +284,61 @@ def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     if g.ids and not is_tree(g):
         raise ValidationError("graph is not a tree")
     return fill_edge_table(g, _subtree_step)
+
+
+def computation_sequence(
+    g: ResolutionGraph, coeff: dict[str, int], pending: list[str]
+) -> dict[str, int]:
+    """Laufer's computation sequence on the support of coeff, in place: while
+    a curve of the support meets the cycle positively, bump it until it no
+    longer does. `pending` must hold every curve that may meet the start
+    positively; after that only the neighbours of a bumped curve can, so
+    they join the worklist. Started from an effective cycle at or below the
+    fundamental cycle of a negative-definite support, it ends at that cycle
+    whatever the order of bumps (Laufer, "On rational singularities", 1972).
+    """
+    adj = g.adjacency
+    while pending:
+        j = pending.pop()
+        w = g.weight_of(j)
+        excess = coeff[j] * w + sum(coeff.get(x, 0) for x in adj[j])
+        if excess > 0:
+            coeff[j] -= excess // w  # ceil(excess / -w) bumps, as w < 0
+            pending.extend(x for x in adj[j] if x in coeff)
+    return coeff
+
+
+def _branch_cycle_step(
+    g: ResolutionGraph, table: Mapping[DirectedEdge, Mapping[str, int]], u: str, p: str
+) -> Mapping[str, int]:
+    """Fundamental cycle of the component at u away from p, by the
+    computation sequence started from E_u plus the cycles of the components
+    beyond u. Restricted to one of those, the answer is effective and meets
+    each of its curves non-positively, so it lies above that component's
+    cycle: the start is at or below the answer. Only u and the neighbours of
+    u can meet the start positively."""
+    kids = [x for x in g.adjacency[u] if x != p]
+    coeff = {u: 1}
+    for x in kids:
+        coeff.update(table[(x, u)])
+    kids.append(u)
+    return MappingProxyType(computation_sequence(g, coeff, kids))
+
+
+def branch_cycle_table(g: ResolutionGraph) -> dict[DirectedEdge, Mapping[str, int]]:
+    """Fundamental cycle of the component of g minus `parent` containing
+    `child`, as read-only integer coefficients keyed by that component's
+    vertices.
+
+    Keyed by (child, parent) for every directed edge; ``fill_edge_table``
+    with ``_branch_cycle_step``, leaves first. The entries hold the sum over
+    directed edges of the component sizes, O(V^2) coefficients on a path
+    or a caterpillar. ``ResolutionGraph.branch_cycles`` caches it. Raises
+    NotNegativeDefinite, where a component may have no fundamental cycle.
+    """
+    if not g.negative_definite:
+        raise NotNegativeDefinite("graph is not negative definite")
+    return fill_edge_table(g, _branch_cycle_step)
 
 
 def is_negative_definite(g: ResolutionGraph) -> bool:

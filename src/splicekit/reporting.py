@@ -1,11 +1,17 @@
-"""Structured analysis reports with stable key order (byte-stable JSON)."""
+"""Structured analysis reports with stable key order (byte-stable JSON).
+
+Every section reads the graph's one cached splice diagram, and conditions
+3.3 and 3.4 its one branch-cycle table, which holds O(sum of branch sizes)
+coefficients. ``render_json`` writes with ``document.indented_json``, the
+bytes of ``json.dumps(payload, indent=2)`` without its pure-Python encoder.
+"""
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from . import conditions, cycles, discriminant, equations, splice
+from .document import indented_json
 from .errors import SemigroupFails
 from .graph import (
     ResolutionGraph,
@@ -224,4 +230,4 @@ def report_conditions_ok(report: dict) -> bool:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return indented_json(payload) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
+from types import MappingProxyType
 from typing import Mapping
 
 from . import linalg
@@ -146,7 +147,13 @@ def _walk_string(
 
 
 def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
-    """Reduced splice diagram of a negative-definite resolution graph."""
+    """Reduced splice diagram of a negative-definite resolution graph, built
+    once per graph and cached read-only (``ResolutionGraph.splice_diagram``).
+    Raises NotNegativeDefinite."""
+    return g.splice_diagram
+
+
+def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
     if not is_negative_definite(g):
         raise NotNegativeDefinite("graph is not negative definite")
     kinds = classify_vertices(g)
@@ -168,7 +175,10 @@ def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
                 weights[(v, terminal)] = dets[(u, v)]
     order = {v: i for i, v in enumerate(keep)}
     edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
-    return SpliceDiagram(ids=keep, edges=tuple(edges), weights=weights, strings=strings)
+    return SpliceDiagram(
+        ids=keep, edges=tuple(edges), weights=MappingProxyType(weights),
+        strings=MappingProxyType(strings),
+    )
 
 
 def maximal_splice(g: ResolutionGraph) -> MaximalSpliceDiagram:

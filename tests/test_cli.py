@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicekit import conditions, corpus, discriminant, equations, reporting
+from splicekit import conditions, corpus, discriminant, equations, reporting, splice
 from splicekit.cli import build_parser, main
 from splicekit.document import (
     document_to_graph,
@@ -239,6 +239,18 @@ def test_report_on_indefinite_graph(tmp_path, capsys):
     assert "conditions" not in payload
 
 
+def test_branch_conditions_on_indefinite_graph(tmp_path, capsys):
+    # 3.4 reads the branch-cycle table, which needs a definite form (a
+    # computation sequence need not end otherwise), so it is refused like 3.3
+    path = tmp_path / "indefinite.json"
+    path.write_text(
+        '{"version":1,"vertices":[{"id":"a","weight":-1},{"id":"b","weight":-1},'
+        '{"id":"c","weight":-1}],"edges":[["a","b"],["b","c"]]}'
+    )
+    assert main(["check", "okuma34", str(path)]) == 2
+    assert "NotNegativeDefinite" in capsys.readouterr().err
+
+
 def test_report_on_degenerate_string_graph(tmp_path, capsys):
     # a pure string has a two-leaf diagram with no nodes: every condition
     # is vacuous and the equation system is empty
@@ -307,6 +319,28 @@ def test_report_runs_semigroup_check_once(monkeypatch):
         "error": "SemigroupFails",
         "detail": f"no admissible monomial at {bad}",
     }
+
+
+def test_report_builds_splice_diagram_once(monkeypatch):
+    # every section reads the one cached, read-only diagram of the graph
+    calls = []
+    real = splice._reduced_diagram
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(splice, "_reduced_diagram", counted)
+    g = corpus.dominant_tree(random.Random(1), 12)
+    reporting.analysis_report(g)
+    assert len(calls) == 1
+    d = splice.splice_from_resolution(g)
+    assert d is splice.splice_from_resolution(g) and len(calls) == 1
+    edge = next(iter(d.weights))
+    with pytest.raises(TypeError):
+        d.weights[edge] = 1
+    with pytest.raises(TypeError):
+        d.strings[edge] = ()
 
 
 def test_group_section_builds_leaf_block_once(monkeypatch, fixture_map, random_trees):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splicekit import conditions, config
 from splicekit.conditions import check_congruence, check_semigroup, congruence_edge
@@ -105,6 +107,60 @@ def test_fundamental_cycle_worklist_matches_rescan(corpus):
                 assert fundamental_cycle(g, comp) == fundamental_cycle_rescan(g, comp)
                 checked += 1
     assert checked > 1000
+
+
+def _assert_branch_table(g):
+    table = g.branch_cycles
+    assert len(table) == 2 * len(g.edges)
+    for (u, p), cycle in table.items():
+        comp = component_of(g, p, u)
+        assert set(cycle) == set(comp)
+        assert dict(cycle) == fundamental_cycle(g, comp).as_int_dict()
+        assert dict(cycle) == fundamental_cycle_rescan(g, comp).as_int_dict()
+
+
+def test_branch_table_matches_fundamental_cycles(corpus):
+    # every directed edge: the component's own computation sequence, from
+    # all ones, and the rescanning oracle agree with the table entry
+    for g in corpus:
+        _assert_branch_table(g)
+
+
+def test_branch_table_is_read_only(g90):
+    table = g90.branch_cycles
+    with pytest.raises(TypeError):
+        table[("nL", "nR")] = {}
+    with pytest.raises(TypeError):
+        table[("nL", "nR")]["nL"] = 5
+
+
+def test_branch_table_bumps_on_minus_two_curves():
+    # D4 inside D5: the fundamental cycle of the star of -2 curves is 2 at
+    # its centre, reached only by bumping the start E_a + Z(b - c - d)
+    g = ResolutionGraph.build(
+        [("c", -2), ("a", -2), ("b", -2), ("d", -2), ("e", -2)],
+        [("c", "a"), ("c", "b"), ("c", "d"), ("a", "e")],
+    )
+    _assert_branch_table(g)
+    assert g.branch_cycles[("a", "e")] == {"c": 2, "a": 1, "b": 1, "d": 1}
+
+
+@st.composite
+def small_weighted_trees(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    parents = [draw(st.integers(min_value=0, max_value=j - 1)) for j in range(1, n)]
+    weights = [draw(st.sampled_from((-1, -2, -2, -2, -3))) for _ in range(n)]
+    return ResolutionGraph.build(
+        vertices=[(f"v{i}", w) for i, w in enumerate(weights)],
+        edges=[(f"v{p}", f"v{j}") for j, p in enumerate(parents, start=1)],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_weighted_trees())
+def test_branch_table_matches_fundamental_cycles_on_minus_two_trees(g):
+    assume(g.negative_definite)
+    _assert_branch_table(g)
 
 
 def test_monomial_cycle_matches_rational_oracle(corpus, small_trees):

@@ -223,7 +223,7 @@ def test_ideal_table_matches_recursion(fixture_map, random_trees, two_node_corpu
                 assert ideal_generator(d, v, u) == ideal_generator_recursive(d, v, u)
 
 
-def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
+def _deep_caterpillar():
     # 1100 spine nodes, each with a leg, plus a leaf at each end: 2202
     # vertices, deeper than the interpreter's recursion limit
     spine = 1100
@@ -234,10 +234,37 @@ def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
     edges += [("s0", "a"), (f"s{spine - 1}", "b")]
     g = ResolutionGraph.build(vertices, edges)
     assert len(g.ids) == 2202
+    return g
+
+
+def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
     path = tmp_path / "caterpillar.json"
-    path.write_text(document_to_json(graph_to_document(g)))
+    path.write_text(document_to_json(graph_to_document(_deep_caterpillar())))
     assert main(["check", "ideal", str(path)]) == 0
     assert capsys.readouterr().out == "ideal: pass\n"
+
+
+def test_check_okuma34_on_deep_caterpillar(tmp_path, capsys):
+    # the branch table is filled leaves first without recursion; it holds
+    # the sum of the branch sizes, about 4.8 million coefficients here
+    path = tmp_path / "caterpillar.json"
+    path.write_text(document_to_json(graph_to_document(_deep_caterpillar())))
+    assert main(["check", "okuma34", str(path)]) == 0
+    assert capsys.readouterr().out == "okuma34: pass\n"
+
+
+def test_check_okuma33_on_deep_string(tmp_path, capsys):
+    # a node with two leaves and a string of 1100 curves, as deep as the
+    # caterpillar; on the caterpillar itself the greedy loop adds a multiple
+    # of the rest of the spine at every spine curve, cubic in its length
+    length = 1100
+    vertices = [("c", -3), ("a", -2), ("b", -2)] + [(f"x{i}", -2) for i in range(length)]
+    edges = [("c", "a"), ("c", "b"), ("c", "x0")]
+    edges += [(f"x{i}", f"x{i + 1}") for i in range(length - 1)]
+    path = tmp_path / "deep.json"
+    path.write_text(document_to_json(graph_to_document(ResolutionGraph.build(vertices, edges))))
+    assert main(["check", "okuma33", str(path)]) == 0
+    assert capsys.readouterr().out == "okuma33: pass\n"
 
 
 def test_ideal_condition(g1, g90, small_trees, random_trees):
