@@ -33,7 +33,13 @@ CHECKS = ("semigroup", "congruence", "ideal", "okuma34", "okuma33", "all")
 
 
 def _load_graph(path: str) -> ResolutionGraph:
-    return document_to_graph(load_document(path))
+    try:
+        doc = load_document(path)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return document_to_graph(doc)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -243,9 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NotEndNode as exc:
         print(f"input error: not an end-node: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SpliceKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -303,16 +303,15 @@ class CongruenceReport:
 def _congruence_table(
     g: ResolutionGraph, v: str, leaves: tuple[str, ...]
 ) -> tuple[LeafCongruence, ...]:
-    idx, lmat, det = g.index, g.linking_rows, g.det
+    node_row = g.linking_row(v)  # raises NotNegativeDefinite
+    idx, det, rows = g.index, g.det, [g.linking_row(w) for w in leaves]
     out = []
     for wp in leaves:
-        coeffs = tuple((w, lmat[idx[w]][idx[wp]] % det) for w in leaves)
+        j = idx[wp]
+        coeffs = tuple((w, row[j] % det) for w, row in zip(leaves, rows))
         out.append(
             LeafCongruence(
-                leaf=wp,
-                coefficients=coeffs,
-                target=lmat[idx[v]][idx[wp]] % det,
-                modulus=det,
+                leaf=wp, coefficients=coeffs, target=node_row[j] % det, modulus=det
             )
         )
     return tuple(out)

@@ -79,7 +79,7 @@ def dual_cycles(g: ResolutionGraph) -> dict[str, QCycle]:
 
 def dual_cycle(g: ResolutionGraph, v: str) -> QCycle:
     """Row v of the negated pairing matrix, L[v] / det."""
-    row = g.linking_rows[g.index[v]]  # raises NotNegativeDefinite
+    row = g.linking_row(v)  # raises NotNegativeDefinite
     return QCycle({u: Fraction(x, g.det) for u, x in zip(g.ids, row) if x})
 
 

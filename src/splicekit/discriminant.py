@@ -4,8 +4,9 @@ Elements live in (Q/Z)^t, t the number of leaves; each leaf contributes a
 generator whose entries are the pairings of its dual basis vector with the
 other leaf duals. All values are exact rationals mod 1, never floats.
 The group checks and the invariant factors come from one Smith normal form
-of the leaf block, taken modulo the determinant, at any determinant;
-element listing (``enumerate_elements``, capped) serves only test oracles.
+of the leaf block, taken modulo the determinant, at any determinant; that
+block is read from the leaves' linking rows alone, one walk per leaf.
+Element listing (``enumerate_elements``, capped) serves only test oracles.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ class DiscriminantGroup:
 
 def _scaled_leaf_block(g: ResolutionGraph) -> tuple[tuple[str, ...], list[list[int]], int]:
     """(leaves, G, det), G = (-L) mod det on the leaf block of the linking
-    matrix: row w is the generator at w scaled by det."""
-    rows, det, leaves = g.linking_rows, graph_determinant(g), leaves_of(g)
-    idx = [g.index[w] for w in leaves]
-    return leaves, [[-rows[i][j] % det for j in idx] for i in idx], det
+    matrix: row w is the generator at w scaled by det. Only the leaves'
+    linking rows are walked."""
+    leaves = leaves_of(g)
+    rows = [g.linking_row(w) for w in leaves]  # raises NotNegativeDefinite
+    det, idx = graph_determinant(g), [g.index[w] for w in leaves]
+    return leaves, [[-row[j] % det for j in idx] for row in rows], det
 
 
 def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
@@ -104,10 +107,7 @@ def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
     is the raw dual pairing (non-positive before mod-1 reduction), so the
     character formulas downstream match without extra signs.
     """
-    return _block_group(*_scaled_leaf_block(g))
-
-
-def _block_group(leaves: tuple[str, ...], block: list[list[int]], det: int) -> DiscriminantGroup:
+    leaves, block, det = _scaled_leaf_block(g)
     gens = {w: tuple(Fraction(x, det) for x in row) for w, row in zip(leaves, block)}
     return DiscriminantGroup(leaves=leaves, order=det, generators=gens)
 

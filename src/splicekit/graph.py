@@ -26,9 +26,9 @@ class ResolutionGraph:
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
     pure functions. The subtree-determinant table and the invariants read
-    from it (definiteness, determinant, linking numbers), the branch-cycle
-    table and the reduced splice diagram are computed once per instance and
-    cached read-only.
+    from it (definiteness, determinant, and the linking numbers, one row
+    per vertex on first use), the branch-cycle table and the reduced splice
+    diagram are computed once per instance and cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -115,25 +115,49 @@ class ResolutionGraph:
 
     @cached_property
     def linking_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Linking numbers of the maximal splice diagram, by one walk from
-        each vertex v. The diagonal entry is wp(v), the product of all
-        weights at v; a step from u to x divides out the weight at u toward
-        x, D(x, u), and multiplies in wp(x) / D(u, x). Both divisions are
-        exact. Raises NotNegativeDefinite, where some weight may be zero.
+        """Linking numbers of the maximal splice diagram: ``linking_row`` of
+        every vertex, in vertex order. Callers that need a few rows (the
+        group section needs the leaves', the congruence table the leaves'
+        and a node's) ask ``linking_row`` for those alone. Raises
+        NotNegativeDefinite, where some weight may be zero.
         """
+        return tuple(self.linking_row(v) for v in self.ids)
+
+    @cached_property
+    def _weight_products(self) -> Mapping[str, int]:
+        table = self.subtree_dets
+        return {v: prod(table[(u, v)] for u in self.adjacency[v]) for v in self.ids}
+
+    @cached_property
+    def _linking_row_cache(self) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    def linking_row(self, v: str) -> tuple[int, ...]:
+        """Linking numbers of v with every vertex, in vertex order, by one
+        walk from v, cached per vertex. The entry at v is wp(v), the product
+        of all weights at v; a step from u to x divides out the weight at u
+        toward x, D(x, u), and multiplies in wp(x) / D(u, x). Both divisions
+        are exact. Raises UnknownVertex, and NotNegativeDefinite, where some
+        weight may be zero.
+        """
+        cache = self._linking_row_cache
+        row = cache.get(v)
+        if row is not None:
+            return row
+        if v not in self.index:
+            raise UnknownVertex(v)
         if not self.negative_definite:
             raise NotNegativeDefinite("graph is not negative definite")
-        table = self.subtree_dets
-        wp = {v: prod(table[(u, v)] for u in self.adjacency[v]) for v in self.ids}
-        rows = []
-        for v in self.ids:
-            order, parent = bfs_tree(self, v)
-            row = {v: wp[v]}
-            for x in order[1:]:
-                u = parent[x]
-                row[x] = row[u] // table[(x, u)] * (wp[x] // table[(u, x)])
-            rows.append(tuple(row[x] for x in self.ids))
-        return tuple(rows)
+        table, wp, adj = self.subtree_dets, self._weight_products, self.adjacency
+        order, walk = [v], {v: wp[v]}
+        for u in order:  # breadth first
+            here = walk[u]
+            for x in adj[u]:
+                if x not in walk:
+                    walk[x] = here // table[(x, u)] * (wp[x] // table[(u, x)])
+                    order.append(x)
+        row = cache[v] = tuple(walk[x] for x in self.ids)
+        return row
 
     def weight_of(self, v: str) -> int:
         try:
@@ -244,16 +268,21 @@ def _subtree_step(
     """det of the subtree at u away from p (the whole tree when p is None),
     by expanding along u's row: b_u times the product of the child values,
     minus, for each child w, the other child values times the product of
-    w's own child values."""
+    w's own child values. One pass over the children keeps the product of
+    the values so far and the sum of the cross terms so far, so each child
+    and grandchild entry is read once."""
     adj = g.adjacency
-    kids = [w for w in adj[u] if w != p]
-    down = [table[(w, u)] for w in kids]
-    total = -g.weight_of(u) * prod(down)
-    for idx, w in enumerate(kids):
-        skip = prod(down[:idx]) * prod(down[idx + 1:])
-        grand = prod(table[(x, w)] for x in adj[w] if x != u)
-        total -= skip * grand
-    return total
+    down, cross = 1, 0
+    for w in adj[u]:
+        if w == p:
+            continue
+        grand = 1
+        for x in adj[w]:
+            if x != u:
+                grand *= table[(x, w)]
+        cross = cross * table[(w, u)] + down * grand
+        down *= table[(w, u)]
+    return -g.weight_of(u) * down - cross
 
 
 def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
@@ -276,10 +305,11 @@ def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     """det of the component of g minus `parent` containing `child`.
 
     Keyed by (child, parent) for every directed edge; ``fill_edge_table``
-    with ``_subtree_step``, O(V * deg^2) big-int products in all. Splice
-    weights, the determinant, definiteness and the linking and pairing
-    matrices are all read from it; ``ResolutionGraph.subtree_dets`` caches
-    it. Raises ValidationError when g is not a tree.
+    with ``_subtree_step``, O(sum over edges uw of deg(u)*deg(w)) big-int
+    products in all. Splice weights, the determinant, definiteness and the
+    linking and pairing matrices are all read from it;
+    ``ResolutionGraph.subtree_dets`` caches it. Raises ValidationError when
+    g is not a tree.
     """
     if g.ids and not is_tree(g):
         raise ValidationError("graph is not a tree")

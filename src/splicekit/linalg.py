@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over arbitrary-precision ints or Fractions; there is
-no floating point anywhere in the package. The Smith normal form serves the
-discriminant group. ``determinant`` (Bareiss) and ``invert_rational``
+no floating point anywhere in the package. The Smith normal form, built by
+2x2 Bezout row and column steps and taken modulo the determinant, serves
+the discriminant group. ``determinant`` (Bareiss) and ``invert_rational``
 (Gauss-Jordan) are general-matrix reference oracles with no caller in the
 package: definiteness, determinants, linking and pairing matrices are all
 read from the subtree-determinant table in ``graph``, and the tests check
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 IntMatrix = list[list[int]]
@@ -87,103 +89,122 @@ def invert_rational(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = diag(d1..dn) with d1 | d2 | ... and unimodular U, V."""
+    """U * M * V = diag(d1..dk), k = min(rows, cols), with U and V
+    unimodular and d_i >= 0. Over the integers d1 | d2 | ... (zeros last).
+    Taken modulo N, every entry is reduced below N, U and V are invertible
+    mod N, and only the gcd(d_i, N) form a divisibility chain."""
 
     diagonal: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
 
+def _bezout(p: int, q: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*p + y*q = g = gcd(p, q) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while q:
+        c, r = divmod(p, q)
+        p, q = q, r
+        x0, x1 = x1, x0 - c * x1
+        y0, y1 = y1, y0 - c * y1
+    return (p, x0, y0) if p >= 0 else (-p, -x0, -y0)
+
+
 def smith_normal_form(
     matrix: Sequence[Sequence[int]], modulus: int | None = None
 ) -> SmithDecomposition:
-    """Smith normal form with non-negative diagonal and tracked transforms.
+    """Smith normal form with non-negative diagonal and tracked transforms,
+    by 2x2 Bezout steps of determinant 1 (Kannan and Bachem, 1979).
 
-    With a modulus N, the input and each operation on the matrix and both
-    transforms are reduced mod N: U * M * V = diag(d) mod N, U and V stay
-    invertible mod N, and the gcd(d_i, N) are those of the integer form, in
-    divisibility order (each pivot divides the rest of its block as ints).
+    At each diagonal position k, whose entry is made non-zero by a swap
+    from the remaining block if need be, column k and then row k are
+    cleared against the pivot: an entry q it divides is subtracted away,
+    any other one is combined with it into gcd(pivot, q). A column step of
+    that kind may refill column k, so the two clearings repeat until both
+    hold; the pivot only shrinks. An entry of the block that the pivot does
+    not divide is then pulled into row k, and the clearing starts again.
+
+    With a modulus N, the input and every operation on the matrix and both
+    transforms are reduced mod N, and divisibility is that of the reduced
+    representatives: U * M * V = diag(d) mod N, U and V stay invertible
+    mod N, and the gcd(d_i, N) are those of the integer form.
     """
-    a = [list(row) for row in matrix]
+    n = len(matrix)
+    m = len(matrix[0]) if n else 0
     if modulus:
-        a = [[x % modulus for x in row] for row in a]
-    n = len(a)
-    m = len(a[0]) if n else 0
+        a = [[x % modulus for x in row] for row in matrix]
+    else:
+        a = [list(row) for row in matrix]
     left = identity_matrix(n)
     right = identity_matrix(m)
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
+    def combine(rk: list[int], ri: list[int], x: int, y: int) -> list[int]:
+        if modulus:
+            return [(x * r + y * s) % modulus for r, s in zip(rk, ri)]
+        return [x * r + y * s for r, s in zip(rk, ri)]
 
-    def swap_cols(i, j):
-        for row in a + right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
+    def row_step(k: int, i: int, q: int) -> None:
+        # (row k, row i) <- (x*row k + y*row i, -q/g*row k + p/g*row i),
+        # or row i -= (q/p)*row k when the pivot p divides q
+        p = a[k][k]
+        if q % p == 0:
+            for mat in (a, left):
+                mat[i] = combine(mat[k], mat[i], -(q // p), 1)
+            return
+        g, x, y = _bezout(p, q)
         for mat in (a, left):
-            row = [x + q * y for x, y in zip(mat[dst], mat[src])]
-            mat[dst] = [x % modulus for x in row] if modulus else row
+            rk, ri = mat[k], mat[i]
+            mat[k], mat[i] = combine(rk, ri, x, y), combine(rk, ri, -q // g, p // g)
 
-    def add_col(src, dst, q):
-        for row in a + right:
-            row[dst] += q * row[src]
-            if modulus:
-                row[dst] %= modulus
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
+    def col_step(k: int, j: int, q: int) -> bool:
+        # the row_step above on columns k and j; True when column k changed
+        p = a[k][k]
+        rows = a[k:] + right  # rows of a above k are zero in both columns
+        if q % p == 0:
+            c = q // p
+            for row in rows:
+                s = row[j] - c * row[k]
+                row[j] = s % modulus if modulus else s
+            return False
+        g, x, y = _bezout(p, q)
+        u, v = -q // g, p // g
+        for row in rows:
+            r, s = row[k], row[j]
+            r, s = x * r + y * s, u * r + v * s
+            row[k], row[j] = (r % modulus, s % modulus) if modulus else (r, s)
+        return True
 
     for k in range(min(n, m)):
+        if not a[k][k]:
+            hit = next(((i, j) for i in range(k, n) for j in range(k, m) if a[i][j]), None)
+            if hit is None:
+                break  # the remaining block is zero
+            i, j = hit
+            a[k], a[i] = a[i], a[k]
+            left[k], left[i] = left[i], left[k]
+            for row in a + right:
+                row[k], row[j] = row[j], row[k]
         while True:
-            # Choose the nonzero entry of smallest magnitude as pivot.
-            best = None
-            for i in range(k, n):
-                for j in range(k, m):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-            if best is None:
-                break
-            _, pi, pj = best
-            if pi != k:
-                swap_rows(k, pi)
-            if pj != k:
-                swap_cols(k, pj)
-            pivot = a[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    q = a[i][k] // pivot
-                    if q:
-                        add_row(k, i, -q)
+            refilled = True
+            while refilled:
+                for i in range(k + 1, n):
                     if a[i][k]:
-                        dirty = True
-            for j in range(k + 1, m):
-                if a[k][j]:
-                    q = a[k][j] // pivot
-                    if q:
-                        add_col(k, j, -q)
-                    if a[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # Pull in any entry the pivot does not divide yet.
-            offender = None
-            for i in range(k + 1, n):
+                        row_step(k, i, a[i][k])
+                refilled = False
                 for j in range(k + 1, m):
-                    if a[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                    if a[k][j]:
+                        refilled |= col_step(k, j, a[k][j])
+            p = abs(a[k][k])
+            offender = next(
+                (i for i in range(k + 1, n) if p != 1 and gcd(p, *a[i][k + 1:]) != p), None
+            )
             if offender is None:
                 break
-            add_row(offender, k, 1)
-        if k < min(n, m) and a[k][k] < 0:
-            negate_row(k)
+            for mat in (a, left):  # row k += row offender; the pivot stays
+                mat[k] = combine(mat[k], mat[offender], 1, 1)
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            left[k] = [-x for x in left[k]]
 
     diag = tuple(a[k][k] for k in range(min(n, m)))
     return SmithDecomposition(

@@ -8,6 +8,7 @@ bytes of ``json.dumps(payload, indent=2)`` without its pure-Python encoder.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Any
 
 from . import conditions, cycles, discriminant, equations, splice
@@ -46,13 +47,23 @@ def maximal_section(g: ResolutionGraph) -> dict:
     return {"weights": _weights_list(d)}
 
 
+def _residue_str(x: int, det: int) -> str:
+    """str(Fraction(x, det)) for 0 <= x < det, without the Fraction."""
+    if not x:
+        return "0"
+    common = gcd(x, det)
+    return f"{x // common}/{det // common}"
+
+
 def group_section(g: ResolutionGraph) -> dict:
     """Order, invariant factors, leaf generators and checks of D(G) = Z^n/AZ^n.
 
     The generators and checks are those of ``leaf_generators`` and
-    ``group_order_check``, from one leaf block built once. The invariant
-    factors are those of the leaf span, read from the Smith form that the
-    checks take, padded with 1s to n entries. This is exact on any tree,
+    ``group_order_check``, from one leaf block built once from the leaves'
+    linking rows alone; each generator entry is written from its integer
+    x in that block as the reduced x/det, or "0". The invariant factors are
+    those of the leaf span, read from the Smith form that the checks take,
+    padded with 1s to n entries. This is exact on any tree,
     because the leaf duals generate D(G): going inward from the leaves,
     the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0 gives the class
     of the parent of v from those of v and its children.
@@ -61,17 +72,13 @@ def group_section(g: ResolutionGraph) -> dict:
     always holds, and the factors equal the n-by-n Smith diagonal of -A.
     """
     leaves, block, det = discriminant._scaled_leaf_block(g)  # built once for both
-    group = discriminant._block_group(leaves, block, det)
     check = discriminant._span_check(block, det)
     factors = check.invariant_factors
     return {
-        "order": group.order,
+        "order": det,
         "invariant_factors": [1] * (len(g.ids) - len(factors)) + list(factors),
         "generators": {
-            leaf: [str(q) for q in gen]
-            for leaf, gen in sorted(
-                group.generators.items(), key=lambda kv: g.index[kv[0]]
-            )
+            leaf: [_residue_str(x, det) for x in row] for leaf, row in zip(leaves, block)
         },
         "checks": {
             "order_ok": check.order_ok,

@@ -9,7 +9,9 @@ only the leaf generators. It fills the ideal generators in one table;
 ``ideal_generator_recursive`` recurses per edge. It finds fundamental
 cycles with a worklist; ``fundamental_cycle_rescan`` rescans the whole set
 after every bump. The invariant factors come from the leaf block;
-``invariant_factors_full`` takes the n-by-n Smith form of -A. The
+``invariant_factors_full`` takes the n-by-n Smith form of -A. The Smith
+form is built by Bezout steps; ``smith_normal_form_rescan`` rescans the
+whole block for the smallest pivot on every round. The
 monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational``
 keeps the whole rational cycle. Non-negative solutions are listed with an
 explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
@@ -55,7 +57,7 @@ from splicekit.graph import (
     leaves_of,
     negated_intersection_matrix,
 )
-from splicekit.linalg import determinant, smith_normal_form
+from splicekit.linalg import SmithDecomposition, determinant, identity_matrix
 from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
 
 
@@ -162,9 +164,98 @@ def fundamental_cycle_rescan(g: ResolutionGraph, subset: Iterable[str]) -> QCycl
             return QCycle({v: Fraction(c) for v, c in coeff.items()})
 
 
+def smith_normal_form_rescan(
+    matrix: Sequence[Sequence[int]], modulus: int | None = None
+) -> SmithDecomposition:
+    """Smith normal form by smallest-magnitude pivots: every round rescans
+    the whole remaining block for the non-zero entry of least absolute
+    value, reduces its row and column by floor division, and pulls in an
+    entry the pivot does not divide. The contract is that of
+    ``linalg.smith_normal_form``; with a modulus, entries, steps and both
+    transforms are reduced mod N."""
+    a = [list(row) for row in matrix]
+    if modulus:
+        a = [[x % modulus for x in row] for row in a]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    left = identity_matrix(n)
+    right = identity_matrix(m)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in a + right:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row_dst += q * row_src
+        for mat in (a, left):
+            row = [x + q * y for x, y in zip(mat[dst], mat[src])]
+            mat[dst] = [x % modulus for x in row] if modulus else row
+
+    def add_col(src, dst, q):
+        for row in a + right:
+            row[dst] += q * row[src]
+            if modulus:
+                row[dst] %= modulus
+
+    for k in range(min(n, m)):
+        while True:
+            best = None
+            for i in range(k, n):
+                for j in range(k, m):
+                    v = abs(a[i][j])
+                    if v and (best is None or v < best[0]):
+                        best = (v, i, j)
+            if best is None:
+                break
+            _, pi, pj = best
+            if pi != k:
+                swap_rows(k, pi)
+            if pj != k:
+                swap_cols(k, pj)
+            pivot = a[k][k]
+            dirty = False
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    q = a[i][k] // pivot
+                    if q:
+                        add_row(k, i, -q)
+                    if a[i][k]:
+                        dirty = True
+            for j in range(k + 1, m):
+                if a[k][j]:
+                    q = a[k][j] // pivot
+                    if q:
+                        add_col(k, j, -q)
+                    if a[k][j]:
+                        dirty = True
+            if dirty:
+                continue
+            offender = next(
+                (i for i in range(k + 1, n) for j in range(k + 1, m) if a[i][j] % pivot),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(offender, k, 1)
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            left[k] = [-x for x in left[k]]
+
+    return SmithDecomposition(
+        diagonal=tuple(a[k][k] for k in range(min(n, m))),
+        left=tuple(tuple(row) for row in left),
+        right=tuple(tuple(row) for row in right),
+    )
+
+
 def invariant_factors_full(g: ResolutionGraph) -> list[int]:
-    """Diagonal of the n-by-n integer Smith form of -A."""
-    return list(smith_normal_form(negated_intersection_matrix(g)).diagonal)
+    """Diagonal of the n-by-n integer Smith form of -A, by the rescanning
+    pivot search."""
+    return list(smith_normal_form_rescan(negated_intersection_matrix(g)).diagonal)
 
 
 def construct_monomial_cycle_rational(

@@ -70,6 +70,17 @@ def test_cli_validate_exit_codes(tmp_path, g1):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_unreadable_graph_file_is_input_error(tmp_path, capsys):
+    # a directory or a file that is not UTF-8 is invalid input, not a crash
+    assert main(["det", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["det", str(binary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "not UTF-8" in err
+
+
 def test_cli_invalid_env_cap_is_input_error(tmp_path, g90, monkeypatch, capsys):
     path = write_graph(tmp_path, g90)
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "lots")

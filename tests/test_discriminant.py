@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicekit import discriminant
 from splicekit.cfrac import continued_fraction_of_string
+from splicekit.corpus import dominant_tree
 from splicekit.discriminant import (
     DiscriminantGroup,
+    _scaled_leaf_block,
     _span_check,
     character_of_monomial,
     group_order_check,
@@ -21,10 +25,12 @@ from splicekit.graph import (
     graph_determinant,
     intersection_matrix,
     leaves_of,
+    negated_intersection_matrix,
 )
+from splicekit.linalg import smith_normal_form
 from splicekit.splice import linking_numbers, maximal_splice, splice_from_resolution
 
-from oracles import enumerated_group_check
+from oracles import enumerated_group_check, smith_normal_form_rescan
 
 
 def test_pairing_single_vertex():
@@ -149,6 +155,29 @@ def test_span_check_matches_enumeration():
 
     compare()
     assert all(failures.values()), failures
+
+
+def test_bezout_smith_form_matches_rescan_oracle(monkeypatch, corpus, fixture_map):
+    # on the leaf block mod det, both forms give the same gcd(s_i, det)
+    # and the same group checks; on -A over the integers, the same diagonal
+    trees = [dominant_tree(random.Random(seed), 25) for seed in range(12)]
+    trees += [dominant_tree(random.Random(seed), 50) for seed in range(6)]
+    for g in [*corpus, *trees]:
+        _, block, det = _scaled_leaf_block(g)
+        bezout = smith_normal_form(block, modulus=det)
+        rescan = smith_normal_form_rescan(block, modulus=det)
+        assert sorted(gcd(s, det) for s in bezout.diagonal) == sorted(
+            gcd(s, det) for s in rescan.diagonal
+        )
+        check = _span_check(block, det)
+        with monkeypatch.context() as patch:
+            patch.setattr(discriminant, "smith_normal_form", smith_normal_form_rescan)
+            oracle = _span_check(block, det)
+        assert check == oracle
+        assert check.invariant_factors == oracle.invariant_factors
+    for g in fixture_map.values():
+        m = negated_intersection_matrix(g)
+        assert smith_normal_form(m).diagonal == smith_normal_form_rescan(m).diagonal
 
 
 def test_character_trivial_cases(g17):

@@ -3,15 +3,18 @@ general-matrix oracles: Sylvester's criterion, Bareiss determinants and
 Gauss-Jordan inversion."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicekit import fixtures
 from splicekit.corpus import dominant_tree
 from splicekit.cycles import dual_cycle
 from splicekit.discriminant import pairing_matrix
-from splicekit.errors import NotNegativeDefinite, ValidationError
+from splicekit.errors import NotNegativeDefinite, UnknownVertex, ValidationError
 from splicekit.graph import (
     ResolutionGraph,
     graph_determinant,
@@ -20,7 +23,7 @@ from splicekit.graph import (
     negated_intersection_matrix,
 )
 from splicekit.linalg import determinant, invert_rational
-from splicekit.reporting import group_section
+from splicekit.reporting import analysis_report, group_section
 from splicekit.splice import linking_matrix, tree_determinant
 
 from oracles import invariant_factors_full, is_negative_definite_matrix
@@ -108,6 +111,60 @@ def test_returned_matrices_do_not_alias_the_cache(g17):
     pm.pop()
     assert linking_matrix(g17) == expected_l
     assert pairing_matrix(g17) == expected_pm
+
+
+def test_linking_row_is_the_row_of_linking_rows(corpus):
+    for g in corpus:
+        for v in g.ids:
+            assert g.linking_row(v) == g.linking_rows[g.index[v]]
+
+
+def test_group_and_report_walk_only_the_rows_they_read():
+    # the group section reads the leaves' rows and the congruence table the
+    # leaves' and the nodes'; neither may walk from every vertex
+    fresh = [*fixtures.fixture_graphs().values()]
+    fresh += [dominant_tree(random.Random(seed), 12) for seed in range(3)]
+    for g in fresh:
+        group_section(g)
+        assert "linking_rows" not in vars(g)
+        analysis_report(g)
+        assert "linking_rows" not in vars(g)
+
+
+def test_linking_rows_under_concurrent_first_use():
+    # threads fill one fresh graph's per-vertex cache in different orders;
+    # every row each of them reads must be the row a lone caller gets
+    expected = linking_matrix(dominant_tree(random.Random(4), 40))
+    g = dominant_tree(random.Random(4), 40)
+    errors = []
+
+    def work(offset):
+        for k in range(len(g.ids)):
+            i = (k * 7 + offset) % len(g.ids)
+            if list(g.linking_row(g.ids[i])) != expected[i]:
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert [list(row) for row in g.linking_rows] == expected
+
+
+def test_linking_row_rejects_unknown_and_indefinite(g17):
+    with pytest.raises(UnknownVertex):
+        g17.linking_row("nowhere")
+    indefinite = ResolutionGraph.build([("a", -1), ("b", -1)], [("a", "b")])
+    with pytest.raises(NotNegativeDefinite):
+        indefinite.linking_row("a")
 
 
 def test_non_tree_is_rejected():

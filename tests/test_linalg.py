@@ -47,6 +47,21 @@ def _check_decomposition(m, snf):
         assert b % a == 0
 
 
+def _check_modular(m, d, snf):
+    """U * M * V = diag mod d, U and V invertible mod d, entries below d
+    (the untouched 1s of the identity aside when d = 1), gcd chain."""
+    product = matmul(matmul([list(r) for r in snf.left], m), [list(r) for r in snf.right])
+    for i, row in enumerate(product):
+        for j, x in enumerate(row):
+            assert (x - (snf.diagonal[i] if i == j else 0)) % d == 0
+    for matrix in (snf.left, snf.right, [snf.diagonal]):
+        assert all(0 <= x < max(d, 2) for row in matrix for x in row)
+    assert gcd(determinant(snf.left), d) == 1
+    assert gcd(determinant(snf.right), d) == 1
+    factors = [gcd(s, d) for s in snf.diagonal]
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
 square_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
@@ -84,19 +99,67 @@ def test_snf_modulo_matches_integer_form(m, d):
     assert sorted(gcd(s, d) for s in modular.diagonal) == sorted(
         gcd(s, d) for s in integer.diagonal
     )
-    factors = [gcd(s, d) for s in modular.diagonal]
-    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
-    # U * M * V = diag mod d; every entry is reduced below d, apart from the
-    # 1s of the identity that the transforms start from when d = 1
-    product = matmul(matmul([list(r) for r in modular.left], m),
-                     [list(r) for r in modular.right])
-    for i, row in enumerate(product):
-        for j, x in enumerate(row):
-            assert (x - (modular.diagonal[i] if i == j else 0)) % d == 0
-    for matrix in (modular.left, modular.right, [modular.diagonal]):
-        assert all(0 <= x < max(d, 2) for row in matrix for x in row)
-    assert gcd(determinant(modular.left), d) == 1
-    assert gcd(determinant(modular.right), d) == 1
+    _check_modular(m, d, modular)
+
+
+def test_snf_zero_leading_entry():
+    m = [[0, 0], [0, 1]]
+    snf = smith_normal_form(m, modulus=2)
+    assert snf.diagonal == (1, 0)
+    _check_modular(m, 2, snf)
+    snf = smith_normal_form(m)
+    assert snf.diagonal == (1, 0)
+    _check_decomposition(m, snf)
+
+
+def test_snf_zero_matrix():
+    m = [[0, 0, 0], [0, 0, 0]]
+    snf = smith_normal_form(m)
+    assert snf.diagonal == (0, 0)
+    assert snf.left == ((1, 0), (0, 1))
+    assert snf.right == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert smith_normal_form(m, modulus=7).diagonal == (0, 0)
+    assert smith_normal_form([]).diagonal == ()
+
+
+def test_snf_single_row_and_column():
+    for m in ([[6, -10, 15]], [[6], [-10], [15]], [[0, 0, 4]], [[0], [9], [6]]):
+        snf = smith_normal_form(m)
+        assert snf.diagonal == (gcd(*(x for row in m for x in row)),)
+        _check_decomposition(m, snf)
+        for d in (1, 4, 12, 10**18 + 9):
+            modular = smith_normal_form(m, modulus=d)
+            assert gcd(modular.diagonal[0], d) == gcd(snf.diagonal[0], d)
+            _check_modular(m, d, modular)
+
+
+def test_snf_modulus_one():
+    m = [[3, 5], [7, 11]]
+    snf = smith_normal_form(m, modulus=1)
+    assert snf.diagonal == (0, 0)
+    _check_modular(m, 1, snf)
+
+
+@st.composite
+def matrices_with_large_modulus(draw):
+    d = draw(st.integers(min_value=2, max_value=10**18))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=-d, max_value=d), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_large_modulus())
+def test_snf_large_moduli(case):
+    # production moduli are determinants of 10^13 and more
+    m, d = case
+    modular = smith_normal_form(m, modulus=d)
+    _check_modular(m, d, modular)
+    integer = smith_normal_form(m)
+    assert sorted(gcd(s, d) for s in modular.diagonal) == sorted(
+        gcd(s, d) for s in integer.diagonal
+    )
 
 
 def test_determinant_matches_tree_recursion(random_trees):
