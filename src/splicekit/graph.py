@@ -18,6 +18,16 @@ VertexKind = str  # "leaf" | "string" | "node"
 DirectedEdge = tuple[str, str]
 
 
+def rooted_order(g) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
+    """``bfs_tree`` of a graph or splice diagram from ids[0], read-only; empty
+    when there are no vertices. Where g is not a tree it holds the component
+    of ids[0] only. Cached on each instance as ``rooted``."""
+    if not g.ids:
+        return (), MappingProxyType({})
+    order, parent = bfs_tree(g, g.ids[0])
+    return tuple(order), MappingProxyType(parent)
+
+
 @dataclass(frozen=True)
 class ResolutionGraph:
     """A tree whose vertices carry self-intersection weights.
@@ -25,10 +35,13 @@ class ResolutionGraph:
     Vertex order is the insertion order of the input and fixes the row
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
-    pure functions. The subtree-determinant table and the invariants read
-    from it (definiteness, determinant, and the linking numbers, one row
-    per vertex on first use), the branch-cycle table and the reduced splice
-    diagram are computed once per instance and cached read-only.
+    pure functions. One breadth-first order from ids[0] (``rooted``) is
+    walked once per instance; the tree test, the subtree-determinant and
+    branch-cycle tables and the definiteness verdict all read it. The
+    subtree-determinant table and the invariants read from it
+    (definiteness, determinant, and the linking numbers, one row per vertex
+    on first use), the branch-cycle table and the reduced splice diagram are
+    computed once per instance and cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -78,6 +91,8 @@ class ResolutionGraph:
         order = self.index
         return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
 
+    rooted = cached_property(rooted_order)
+
     @cached_property
     def subtree_dets(self) -> Mapping[DirectedEdge, int]:
         """Read-only ``subtree_determinants`` table."""
@@ -99,17 +114,20 @@ class ResolutionGraph:
 
     @cached_property
     def det(self) -> int:
-        """det of the negated intersection matrix, by the subtree step at
-        ids[0]; no definiteness gate."""
+        """det of the negated intersection matrix: the value at ids[0] of the
+        leaves-up pass of ``subtree_determinants``, one subtree step read
+        off the cached table; 1 on the empty graph. No definiteness gate.
+        Raises ValidationError when the graph is not a tree."""
         return _subtree_step(self, self.subtree_dets, self.ids[0], None) if self.ids else 1
 
     @cached_property
     def negative_definite(self) -> bool:
-        """Rooted at ids[0] and read leaves first, each leading principal
-        minor of the negated form is a product of entries D(child, parent),
-        each itself a principal minor; so the form is negative definite
-        exactly when all of them and the root value are positive."""
-        order, parent = bfs_tree(self, self.ids[0]) if self.ids else ([], {})
+        """Rooted at ids[0] (the cached ``rooted`` order) and read leaves
+        first, each leading principal minor of the negated form is a product
+        of entries D(child, parent), each itself a principal minor; so the
+        form is negative definite exactly when all of them and the root value
+        are positive. Raises ValidationError when the graph is not a tree."""
+        order, parent = self.rooted
         table = self.subtree_dets
         return self.det > 0 and all(table[(x, parent[x])] > 0 for x in order[1:])
 
@@ -185,7 +203,7 @@ def bfs_tree(g: ResolutionGraph, root: str) -> tuple[list[str], dict[str, str | 
 
 def is_tree(g: ResolutionGraph) -> bool:
     n = len(g.ids)
-    return n > 0 and len(g.edges) == n - 1 and len(bfs_tree(g, g.ids[0])[0]) == n
+    return n > 0 and len(g.edges) == n - 1 and len(g.rooted[0]) == n
 
 
 def validate_graph(g: ResolutionGraph) -> None:
@@ -289,8 +307,10 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     """table[(child, parent)] = step(g, table, child, parent) on every
     directed edge of a tree (resolution graph or splice diagram), each step
     reading entries (x, child), x != parent: first toward ids[0], leaves
-    up, then away from it, root down, without recursion."""
-    order, parent = bfs_tree(g, g.ids[0]) if g.ids else ([], {})
+    up, then away from it, root down, along the cached ``g.rooted`` order
+    and without recursion. The branch-cycle and ideal-generator tables are
+    filled this way."""
+    order, parent = g.rooted
     table: dict[DirectedEdge, int] = {}
     for u in reversed(order[1:]):
         table[(u, parent[u])] = step(g, table, u, parent[u])
@@ -304,16 +324,49 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
 def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     """det of the component of g minus `parent` containing `child`.
 
-    Keyed by (child, parent) for every directed edge; ``fill_edge_table``
-    with ``_subtree_step``, O(sum over edges uw of deg(u)*deg(w)) big-int
-    products in all. Splice weights, the determinant, definiteness and the
-    linking and pairing matrices are all read from it;
+    Keyed by (child, parent) for every directed edge, in the order of
+    ``fill_edge_table``. Two passes over the cached ``g.rooted`` order.
+    Leaves up, the entry D(u, p) toward the parent p is the subtree step
+    b_u * prod D(c, u) - sum_c down(c) * prod_{c' != c} D(c', u) over the
+    children c, where down(c) is the product of c's own child entries, kept
+    from c's step. Root down, the entry D(u, x) away from a child x is read
+    off the edge-determinant identity det = D(u, x) * D(x, u) -
+    (F_u / D(x, u)) * down(x), F_u the product of all entries at u, as
+    (det + down(x) * (F_u // D(x, u))) // D(x, u); where D(x, u) is 0,
+    which a negative-definite graph never has, ``_subtree_step`` expands
+    it. In all O(sum of degrees) big-int products plus two exact divisions
+    per root-down entry. Splice weights, the determinant, definiteness and
+    the linking and pairing matrices are all read from it;
     ``ResolutionGraph.subtree_dets`` caches it. Raises ValidationError when
     g is not a tree.
     """
     if g.ids and not is_tree(g):
         raise ValidationError("graph is not a tree")
-    return fill_edge_table(g, _subtree_step)
+    order, parent = g.rooted
+    adj, weight = g.adjacency, dict(zip(g.ids, g.weights))
+    up: dict[str, int] = {}  # D(u, parent of u); det at the root
+    down: dict[str, int] = {}  # product of u's child entries
+    for u in reversed(order):
+        p = parent[u]
+        below, cross = 1, 0
+        for c in adj[u]:
+            if c != p:
+                cross = cross * up[c] + below * down[c]
+                below *= up[c]
+        down[u] = below
+        up[u] = -weight[u] * below - cross
+    det = up[order[0]] if order else 1
+    table = {(u, parent[u]): up[u] for u in reversed(order[1:])}
+    for u in order:
+        p = parent[u]
+        full = down[u] if p is None else down[u] * table[(p, u)]
+        for x in adj[u]:
+            if x != p:
+                d = up[x]
+                table[(u, x)] = (
+                    (det + down[x] * (full // d)) // d if d else _subtree_step(g, table, u, x)
+                )
+    return table
 
 
 def computation_sequence(

@@ -16,6 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import linalg
+from .cfrac import continued_fraction_of_string
 from .errors import (
     LeafEdgeInReducedDiagram,
     NotEndNode,
@@ -35,6 +36,7 @@ from .graph import (
     graph_determinant,
     induced_subgraph,
     is_negative_definite,
+    rooted_order,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
 )
 
@@ -68,6 +70,8 @@ class SpliceDiagram:
             nbrs[b].append(a)
         order = self.index
         return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
+
+    rooted = cached_property(rooted_order)
 
     def weight(self, at: str, toward: str) -> int | None:
         return self.weights.get((at, toward))
@@ -279,7 +283,9 @@ class EdgeDetReport:
 
 
 def verify_edge_det_theorem(g: ResolutionGraph) -> EdgeDetReport:
-    """Check edge det = string det * graph det on every node-node edge."""
+    """Check edge det = string det * graph det on every node-node edge. The
+    string determinant is the numerator of the continued fraction of the
+    string's weights (1 for an empty string)."""
     d = splice_from_resolution(g)
     det_g = graph_determinant(g)
     entries = []
@@ -287,7 +293,7 @@ def verify_edge_det_theorem(g: ResolutionGraph) -> EdgeDetReport:
         if not (d.is_node(v) and d.is_node(w)):
             continue
         interior = d.strings[(v, w)] if d.strings else ()
-        string_det = tree_determinant(induced_subgraph(g, interior))
+        string_det = continued_fraction_of_string([g.weight_of(x) for x in interior]).numerator
         entries.append(
             EdgeDetEntry(
                 edge=(v, w),

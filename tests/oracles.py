@@ -15,6 +15,9 @@ whole block for the smallest pivot on every round. The
 monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational``
 keeps the whole rational cycle. Non-negative solutions are listed with an
 explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
+The subtree-determinant table reads its root-down entries off the
+edge-determinant identity; ``subtree_determinants_direct`` expands every
+entry along its vertex's row, re-reading the grandchild entries.
 A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
@@ -51,8 +54,10 @@ from splicekit.discriminant import (
 from splicekit.errors import UnknownEdge
 from splicekit.graph import (
     ResolutionGraph,
+    _subtree_step,
     bfs_tree,
     component_of,
+    fill_edge_table,
     graph_determinant,
     leaves_of,
     negated_intersection_matrix,
@@ -75,6 +80,12 @@ def is_negative_definite_matrix(matrix: Sequence[Sequence[int]]) -> bool:
         if k % 2 == 0 and minor <= 0:
             return False
     return True
+
+
+def subtree_determinants_direct(g: ResolutionGraph) -> dict[tuple[str, str], int]:
+    """The subtree-determinant table of a tree, every entry by
+    ``_subtree_step`` in the order of ``fill_edge_table``."""
+    return fill_edge_table(g, _subtree_step)
 
 
 def enumerated_group_check(group: DiscriminantGroup) -> GroupCheck:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicekit import conditions, corpus, discriminant, equations, reporting, splice
+from splicekit import conditions, corpus, discriminant, equations, graph, reporting, splice
 from splicekit.cli import build_parser, main
 from splicekit.document import (
     document_to_graph,
@@ -79,6 +79,36 @@ def test_cli_unreadable_graph_file_is_input_error(tmp_path, capsys):
     assert main(["det", str(binary)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "not UTF-8" in err
+
+
+def test_det_walks_the_tree_once(tmp_path, g17, monkeypatch, capsys):
+    # the tree test, the subtree table and the definiteness verdict all
+    # read the one breadth-first order cached on the fresh graph
+    calls = []
+    real = graph.bfs_tree
+
+    def counted(g, root):
+        calls.append(root)
+        return real(g, root)
+
+    monkeypatch.setattr(graph, "bfs_tree", counted)
+    assert main(["det", "--json", write_graph(tmp_path, g17)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"determinant": 17}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first", ["a", "d"])
+def test_cli_disconnected_graph_with_tree_edge_count(tmp_path, first, capsys):
+    # a triangle and a lone vertex: n - 1 edges, but not a tree, whichever
+    # vertex the cached order starts from
+    vertices = [("a", -3), ("b", -3), ("c", -3), ("d", -3)]
+    vertices.sort(key=lambda v: v[0] != first)
+    g = graph.ResolutionGraph.build(vertices, [("a", "b"), ("b", "c"), ("c", "a")])
+    for command in (["det", "--json"], ["validate"], ["splice"], ["report", "--json"]):
+        assert main([*command, write_graph(tmp_path, g)]) == 2
+        assert capsys.readouterr().err == "input error: graph is not a tree\n"
+    with pytest.raises(ValidationError, match="not a tree"):
+        graph.is_negative_definite(g)
 
 
 def test_cli_invalid_env_cap_is_input_error(tmp_path, g90, monkeypatch, capsys):

@@ -5,12 +5,13 @@ Gauss-Jordan inversion."""
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splicekit import fixtures
+from splicekit import fixtures, graph
 from splicekit.corpus import dominant_tree
 from splicekit.cycles import dual_cycle
 from splicekit.discriminant import pairing_matrix
@@ -21,12 +22,17 @@ from splicekit.graph import (
     intersection_matrix,
     is_negative_definite,
     negated_intersection_matrix,
+    subtree_determinants,
 )
 from splicekit.linalg import determinant, invert_rational
 from splicekit.reporting import analysis_report, group_section
 from splicekit.splice import linking_matrix, tree_determinant
 
-from oracles import invariant_factors_full, is_negative_definite_matrix
+from oracles import (
+    invariant_factors_full,
+    is_negative_definite_matrix,
+    subtree_determinants_direct,
+)
 
 
 @st.composite
@@ -63,6 +69,26 @@ def test_table_invariants_match_matrix_oracles(g):
         assert dual_cycle(g, v).coefficients == {
             u: -pm[i][j] for j, u in enumerate(g.ids) if pm[i][j]
         }
+
+
+def test_subtree_table_matches_direct_expansion():
+    # a zero entry toward the root leaves nothing to divide by, so the entry
+    # away from it is expanded by _subtree_step; that must happen at least
+    # once here, and the example below forces it (a 0-weighted leaf)
+    expanded = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_trees())
+    @example(ResolutionGraph.build([("a", -2), ("b", 0), ("c", -1)], [("a", "b"), ("a", "c")]))
+    def check(g):
+        with mock.patch.object(graph, "_subtree_step", wraps=graph._subtree_step) as step:
+            table = subtree_determinants(g)
+        expanded.extend(c for c in step.call_args_list if c.args[3] is not None)
+        direct = subtree_determinants_direct(g)
+        assert list(table.items()) == list(direct.items())
+
+    check()
+    assert expanded
 
 
 def test_group_invariant_factors_match_full_smith_form(corpus):

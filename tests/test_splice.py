@@ -1,8 +1,10 @@
+import random
 from math import gcd
 
 import pytest
 
 from splicekit.cfrac import continued_fraction_of_string
+from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
 from splicekit.errors import LeafEdgeInReducedDiagram, NotEndNode, SameVertex
 from splicekit.graph import (
@@ -34,7 +36,7 @@ from splicekit.splice import (
     verify_edge_det_theorem,
 )
 
-from oracles import ideal_generator_recursive
+from oracles import ideal_generator_recursive, subtree_determinants_direct
 
 G1_SPLICE = {
     ("nL", "ul"): 2, ("nL", "ll"): 3, ("nL", "nR"): 7,
@@ -237,6 +239,14 @@ def _deep_caterpillar():
     return g
 
 
+def test_subtree_table_matches_direct_expansion_on_large_trees():
+    # the root-down entries come from the edge-determinant identity, the
+    # oracle's from expanding every row again
+    graphs = [dominant_tree(random.Random(seed), n) for seed, n in ((7, 200), (8, 400), (9, 1000))]
+    for g in [*graphs, _deep_caterpillar()]:
+        assert list(subtree_determinants(g).items()) == list(subtree_determinants_direct(g).items())
+
+
 def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
     path = tmp_path / "caterpillar.json"
     path.write_text(document_to_json(graph_to_document(_deep_caterpillar())))
@@ -412,6 +422,17 @@ def test_reduction_weight_lemma(two_node_corpus, g1):
                 m_prod = d.weight_product(v) // a
                 lp = linking_numbers(d, v, v_star)[1]
                 assert a * r - a_tilde * det == m_prod * n_prod * lp * lp
+
+
+@pytest.mark.parametrize("seed, n", [(41, 25), (42, 100), (43, 400), (44, 1000)])
+def test_edge_det_theorem_and_blow_up_on_dominant_trees(seed, n):
+    rng = random.Random(seed)
+    g = dominant_tree(rng, n)
+    report = verify_edge_det_theorem(g)
+    assert report.entries and report.ok
+    g2 = blow_up_edge(g, rng.choice(g.edges))
+    assert graph_determinant(g2) == graph_determinant(g)
+    assert splice_from_resolution(g2).weights == splice_from_resolution(g).weights
 
 
 def test_splice_invariant_under_blow_up(small_trees, random_trees, g90):
