@@ -162,20 +162,16 @@ def cmd_reduce(args) -> int:
         ])
         return 1
     assert result.diagram is not None
-    order = result.diagram.index
-    triples = sorted(
-        ((at, to, w) for (at, to), w in result.diagram.weights.items()),
-        key=lambda t: (order[t[0]], order[t[1]]),
-    )
+    weights = reporting._weights_list(result.diagram)
     payload = {
         "mode": mode,
         "new_leaf": result.new_leaf,
         "vertices": list(result.diagram.ids),
         "edges": [[a, b] for a, b in result.diagram.edges],
-        "weights": [[at, to, w] for at, to, w in triples],
+        "weights": weights,
     }
     lines = [f"new leaf: {result.new_leaf}"] + [
-        f"weight at {at} toward {to}: {w}" for at, to, w in triples
+        f"weight at {at} toward {to}: {w}" for at, to, w in weights
     ]
     _emit(payload, args.json, lines)
     return 0

@@ -5,7 +5,10 @@ decided on integral cycles; rational ``QCycle`` values are formed for the API.
 Conditions 3.3 and 3.4 read every branch and sub-branch cycle from the
 graph's cached branch-cycle table (``ResolutionGraph.branch_cycles``),
 built once in O(sum of branch sizes) coefficients: O(V^2) on a path or a
-caterpillar, about 120 MiB at 2202 vertices.
+caterpillar, about 120 MiB at 2202 vertices. The greedy monomial cycle of
+3.3 is one breadth-first sweep of each branch from its node: a step only
+changes pairings farther from the node, so the sweep steps the curves
+that "nearest first" would, each once.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import config
 from .conditions import congruence_edge
-from .errors import NotABranch
+from .errors import NotABranch, NotNegativeDefinite
 from .graph import (
     ResolutionGraph,
     bfs_tree,
     component_of,
     computation_sequence,
-    graph_determinant,
     leaves_of,
+    nodes_of,
 )
 from .splice import splice_from_resolution
 
@@ -156,10 +159,6 @@ class MonomialCycleResult:
     cycle: QCycle | None
     exponents: tuple[tuple[str, int], ...]
     iterations: int
-    deficiency_trace: tuple[int, ...]
-    # sorted distances (from the node) of curves still met negatively, one
-    # snapshot per loop state; deficits only ever move strictly outward
-    deficit_distance_trace: tuple[tuple[int, ...], ...] = ()
     reason: str | None = None
 
 
@@ -172,57 +171,33 @@ def _branch_of(g: ResolutionGraph, v: str, branch: Sequence[str]) -> str:
     return attach[0]
 
 
-def _distances(g: ResolutionGraph, v: str) -> tuple[dict[str, str | None], dict[str, int]]:
-    """BFS parents from v, and the number of vertices on the path from v,
-    both ends counted."""
-    order, parent = bfs_tree(g, v)
-    distance = {v: 1}
-    for x in order[1:]:
-        distance[x] = distance[parent[x]] + 1
-    return parent, distance
-
-
-def _iteration_cap(g: ResolutionGraph) -> int:
-    return graph_determinant(g) * len(g.ids) * max(-w for w in g.weights)
-
-
 def _greedy_monomial(
     g: ResolutionGraph,
     v: str,
     attach: str,
+    order: Sequence[str],
     parent: Mapping[str, str | None],
-    distance: Mapping[str, int],
     leaf_set: set[str],
-    cap: int,
 ) -> tuple[MonomialCycleResult, dict[str, int]]:
-    """The loop of ``construct_monomial_cycle`` on the branch of v at
+    """The sweep of ``construct_monomial_cycle`` on the branch of v at
     attach, with the integral part W of its cycle; the result's ``cycle``
-    is None. Branch cycles come from ``g.branch_cycles``; adding one changes
-    W on that sub-branch only, so only the pairings there and at the curve
-    it hangs from are read again."""
+    is None. ``order`` and ``parent`` are ``bfs_tree(g, v)``.
+
+    A step at j adds -(W.E_j) times the cycle Z_S of a sub-branch S beyond
+    j, read from ``g.branch_cycles``. Z_S meets E_j at least once, so j is
+    then met non-negatively; only the pairings on S, all farther from v,
+    change. A curve's pairing thus moves only when it or an ancestor is
+    stepped: one pass in breadth-first order steps the curves that
+    "nearest first" would, each once, with the same sub-branch choices
+    (steps at one distance touch disjoint sub-branches, so they commute)."""
     table = g.branch_cycles
     excess = dict(table[(attach, v)])  # W; v is not in the branch
     pairs = {j: _dot(g, excess, j) for j in excess}
-    bad = {j for j, p in pairs.items() if p < 0 and j not in leaf_set}
-    trace, distance_trace, iterations = [], [], 0
-
-    def result(ok: bool, exponents=(), reason: str | None = None) -> MonomialCycleResult:
-        return MonomialCycleResult(
-            ok=ok, node=v, attach=attach, cycle=None, exponents=tuple(exponents),
-            iterations=iterations, deficiency_trace=tuple(trace),
-            deficit_distance_trace=tuple(distance_trace), reason=reason,
-        )
-
-    while True:
-        ranked = sorted((distance[j], g.index[j], j) for j in bad)
-        trace.append(sum(-pairs[j] for j in bad))
-        distance_trace.append(tuple(d for d, _, _ in ranked))
-        if not ranked:
-            break
-        if iterations >= cap:
-            return result(False, reason="iteration cap exceeded"), excess
+    iterations = 0
+    for j in order:
+        if j not in excess or j in leaf_set or pairs[j] >= 0:
+            continue
         iterations += 1
-        j = ranked[0][2]
         # sub-branches at j away from v: still met negatively first, then vertex order
         top = min(
             (x for x in g.adjacency[j] if x != parent[j]),
@@ -231,34 +206,25 @@ def _greedy_monomial(
         sub, scale = table[(top, j)], -pairs[j]
         for k, c in sub.items():
             excess[k] += scale * c
-        for k in (*sub, j):
+        for k in sub:
             pairs[k] = _dot(g, excess, k)
-            if pairs[k] < 0 and k not in leaf_set:
-                bad.add(k)
-            else:
-                bad.discard(k)
 
     # W, so each pairing with it, vanishes off the branch and v: every
     # other curve passes both checks below
     curves = sorted([v, *excess], key=g.index.__getitem__)
-    problems = []
-    for j in curves:
-        if j not in leaf_set and _dot(g, excess, j) != (j == v):
-            problems.append(f"nonzero pairing with non-leaf curve {j}")
-            break
-    exponents = []
-    for k in curves:
-        if k not in leaf_set:
-            continue
-        val = (k == v) - _dot(g, excess, k)
-        if val < 0:
-            problems.append(f"leaf exponent at {k} is not a non-negative integer")
-            break
-        if k != v:  # a leaf v is checked but lies off the branch
-            exponents.append((k, val))
-    if problems:
-        return result(False, reason="; ".join(problems)), excess
-    return result(True, exponents), excess
+    meet = {j: _dot(g, excess, j) - (j == v) for j in curves}  # (dual(v) + W).E_j
+    nonzero = [j for j in curves if j not in leaf_set and meet[j]]
+    negative = [k for k in curves if k in leaf_set and meet[k] > 0]
+    problems = [f"nonzero pairing with non-leaf curve {j}" for j in nonzero[:1]]
+    problems += [f"leaf exponent at {k} is not a non-negative integer" for k in negative[:1]]
+    # a leaf v is checked but lies off the branch
+    exponents = tuple((k, -meet[k]) for k in curves if k in leaf_set and k != v)
+    found = MonomialCycleResult(
+        ok=not problems, node=v, attach=attach, cycle=None,
+        exponents=() if problems else exponents, iterations=iterations,
+        reason="; ".join(problems) or None,
+    )
+    return found, excess
 
 
 def construct_monomial_cycle(
@@ -267,11 +233,11 @@ def construct_monomial_cycle(
     """Greedy construction of a monomial cycle for a node and branch.
 
     Starts from the dual cycle of the node plus the branch fundamental
-    cycle, then repeatedly absorbs negative intersections at non-leaf
-    curves (nearest to the node first) by adding fundamental cycles of
-    sub-branches; the result, when the loop terminates cleanly, pairs to
-    zero with every non-leaf curve and decomposes over the leaf duals of
-    the branch.
+    cycle, then absorbs negative intersections at non-leaf curves by adding
+    fundamental cycles of sub-branches, in one breadth-first sweep from the
+    node; a step only changes pairings farther out, so this is the "nearest
+    first" order. The result, when every check passes, pairs to zero with
+    every non-leaf curve and decomposes over the leaf duals of the branch.
 
     The cycle is dual(v) + W, and only the integral W is kept: the branch
     fundamental cycle plus positive multiples of those of sub-branches, so
@@ -281,10 +247,8 @@ def construct_monomial_cycle(
     is formed once, on success.
     """
     attach = _branch_of(g, v, branch)
-    parent, distance = _distances(g, v)
-    found, excess = _greedy_monomial(
-        g, v, attach, parent, distance, set(leaves_of(g)), _iteration_cap(g)
-    )
+    order, parent = bfs_tree(g, v)
+    found, excess = _greedy_monomial(g, v, attach, order, parent, set(leaves_of(g)))
     if not found.ok:
         return found
     cycle = cycle_add(dual_cycle(g, v), QCycle({x: Fraction(c) for x, c in excess.items()}))
@@ -339,15 +303,14 @@ def check_condition_3_3(
       needs a non-negativity test.
     """
     cap = config.solution_limit(limit)
-    nodes = [v for v in g.ids if g.degree(v) >= 3]
-    if not nodes:  # nothing to decide, even on a graph that is not definite
-        return Condition33Report(decisions=())
-    steps, leaf_set = _iteration_cap(g), set(leaves_of(g))
+    nodes, leaf_set = nodes_of(g), set(leaves_of(g))
+    if nodes and not g.negative_definite:  # graph_determinant's message
+        raise NotNegativeDefinite("intersection form is not negative definite")
     decisions = []
     for v in nodes:
-        parent, distance = _distances(g, v)
+        order, parent = bfs_tree(g, v)
         for u in g.adjacency[v]:
-            greedy, _ = _greedy_monomial(g, v, u, parent, distance, leaf_set, steps)
+            greedy, _ = _greedy_monomial(g, v, u, order, parent, leaf_set)
             if greedy.ok:
                 decisions.append(
                     BranchDecision(

@@ -18,6 +18,23 @@ VertexKind = str  # "leaf" | "string" | "node"
 DirectedEdge = tuple[str, str]
 
 
+def vertex_index(g) -> Mapping[str, int]:
+    """Position of each vertex in ``g.ids``, for a graph or splice diagram.
+    Cached on each instance as ``index``."""
+    return {v: i for i, v in enumerate(g.ids)}
+
+
+def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
+    """Neighbours of each vertex in vertex order, for a graph or splice
+    diagram. Cached on each instance as ``adjacency``."""
+    nbrs: dict[str, list[str]] = {v: [] for v in g.ids}
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    order = g.index
+    return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
+
+
 def rooted_order(g) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
     """``bfs_tree`` of a graph or splice diagram from ids[0], read-only; empty
     when there are no vertices. Where g is not a tree it holds the component
@@ -78,19 +95,8 @@ class ResolutionGraph:
             edges=tuple((a, b) for a, b in edges),
         )
 
-    @cached_property
-    def index(self) -> Mapping[str, int]:
-        return {v: i for i, v in enumerate(self.ids)}
-
-    @cached_property
-    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        nbrs: dict[str, list[str]] = {v: [] for v in self.ids}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        order = self.index
-        return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
-
+    index = cached_property(vertex_index)
+    adjacency = cached_property(vertex_adjacency)
     rooted = cached_property(rooted_order)
 
     @cached_property

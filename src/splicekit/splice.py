@@ -38,6 +38,8 @@ from .graph import (
     is_negative_definite,
     rooted_order,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
+    vertex_adjacency,
+    vertex_index,
 )
 
 
@@ -58,19 +60,8 @@ class SpliceDiagram:
         default=None, compare=False
     )
 
-    @cached_property
-    def index(self) -> Mapping[str, int]:
-        return {v: i for i, v in enumerate(self.ids)}
-
-    @cached_property
-    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        nbrs: dict[str, list[str]] = {v: [] for v in self.ids}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        order = self.index
-        return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
-
+    index = cached_property(vertex_index)
+    adjacency = cached_property(vertex_adjacency)
     rooted = cached_property(rooted_order)
 
     def weight(self, at: str, toward: str) -> int | None:

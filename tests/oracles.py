@@ -270,11 +270,14 @@ def invariant_factors_full(g: ResolutionGraph) -> list[int]:
 
 
 def construct_monomial_cycle_rational(
-    g: ResolutionGraph, v: str, branch: Sequence[str]
+    g: ResolutionGraph, v: str, branch: Sequence[str], stepped: list[str] | None = None
 ) -> MonomialCycleResult:
-    """The greedy monomial-cycle construction over Fractions: the whole
-    rational cycle dual(v) + W is kept, and every pairing, the deficits and
-    the final checks are read from it with ``cycle_pairing``."""
+    """The greedy monomial-cycle construction over Fractions, re-ranking
+    the curves still met negatively before every step and stepping the
+    nearest (fewest vertices from the node, then vertex order): the whole
+    rational cycle dual(v) + W is kept, and every pairing and the final
+    checks are read from it with ``cycle_pairing``. Each stepped curve is
+    appended to ``stepped`` when it is given."""
     attach = _branch_of(g, v, branch)
     bset = set(branch)
     leaf_set = set(leaves_of(g))
@@ -286,19 +289,6 @@ def construct_monomial_cycle_rational(
         distance[x] = distance[parent[x]] + 1
 
     d_cycle = cycle_add(dual_cycle(g, v), fundamental_cycle(g, branch))
-
-    def deficiency() -> int:
-        return sum(
-            max(0, -int(cycle_pairing(g, d_cycle, j))) for j in interior
-        )
-
-    def deficit_distances() -> tuple[int, ...]:
-        return tuple(sorted(
-            distance[j] for j in interior if cycle_pairing(g, d_cycle, j) < 0
-        ))
-
-    trace = [deficiency()]
-    distance_trace = [deficit_distances()]
     iterations = 0
     while True:
         bad = [
@@ -311,12 +301,12 @@ def construct_monomial_cycle_rational(
         if iterations >= cap:
             return MonomialCycleResult(
                 ok=False, node=v, attach=attach, cycle=None, exponents=(),
-                iterations=iterations, deficiency_trace=tuple(trace),
-                deficit_distance_trace=tuple(distance_trace),
-                reason="iteration cap exceeded",
+                iterations=iterations, reason="iteration cap exceeded",
             )
         iterations += 1
         _, _, j = min(bad)
+        if stepped is not None:
+            stepped.append(j)
         deficit = -int(cycle_pairing(g, d_cycle, j))
         candidates = []
         for x in g.adjacency[j]:
@@ -330,8 +320,6 @@ def construct_monomial_cycle_rational(
         candidates.sort(key=lambda t: (t[0], t[1]))
         sub = candidates[0][2]
         d_cycle = cycle_add(d_cycle, fundamental_cycle(g, sub), scale=deficit)
-        trace.append(deficiency())
-        distance_trace.append(deficit_distances())
 
     diff = cycle_add(d_cycle, dual_cycle(g, v), scale=-1)
     problems = []
@@ -359,15 +347,11 @@ def construct_monomial_cycle_rational(
     if problems:
         return MonomialCycleResult(
             ok=False, node=v, attach=attach, cycle=None, exponents=(),
-            iterations=iterations, deficiency_trace=tuple(trace),
-            deficit_distance_trace=tuple(distance_trace),
-            reason="; ".join(problems),
+            iterations=iterations, reason="; ".join(problems),
         )
     return MonomialCycleResult(
         ok=True, node=v, attach=attach, cycle=d_cycle,
-        exponents=tuple(exponents), iterations=iterations,
-        deficiency_trace=tuple(trace),
-        deficit_distance_trace=tuple(distance_trace), reason=None,
+        exponents=tuple(exponents), iterations=iterations, reason=None,
     )
 
 

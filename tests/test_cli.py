@@ -290,6 +290,16 @@ def test_branch_conditions_on_indefinite_graph(tmp_path, capsys):
     )
     assert main(["check", "okuma34", str(path)]) == 2
     assert "NotNegativeDefinite" in capsys.readouterr().err
+    # 3.3 is refused on an indefinite graph with a node, before any table
+    path.write_text(
+        '{"version":1,"vertices":[{"id":"c","weight":-1},{"id":"a","weight":-1},'
+        '{"id":"b","weight":-2},{"id":"d","weight":-3}],'
+        '"edges":[["c","a"],["c","b"],["c","d"]]}'
+    )
+    assert main(["check", "okuma33", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: NotNegativeDefinite: intersection form is not negative definite\n"
+    )
 
 
 def test_report_on_degenerate_string_graph(tmp_path, capsys):
