@@ -16,6 +16,7 @@ from .document import (
     document_to_graph,
     document_to_json,
     graph_to_document,
+    int_text,
     load_document,
 )
 from .errors import (
@@ -60,7 +61,7 @@ def cmd_validate(args) -> int:
 def cmd_det(args) -> int:
     g = _load_graph(args.file)
     det = graph_determinant(g)
-    _emit({"determinant": det}, args.json, [str(det)])
+    _emit({"determinant": det}, args.json, [int_text(det)])
     return 0
 
 
@@ -68,8 +69,8 @@ def cmd_group(args) -> int:
     g = _load_graph(args.file)
     section = reporting.group_section(g)
     lines = [
-        f"order: {section['order']}",
-        "invariant factors: " + ", ".join(map(str, section["invariant_factors"])),
+        f"order: {int_text(section['order'])}",
+        "invariant factors: " + ", ".join(map(int_text, section["invariant_factors"])),
     ]
     for leaf, gen in section["generators"].items():
         lines.append(f"generator at {leaf}: [" + ", ".join(gen) + "]")
@@ -77,12 +78,15 @@ def cmd_group(args) -> int:
     return 0
 
 
+def _weight_lines(weights: list) -> list[str]:
+    return [f"weight at {at} toward {to}: {int_text(w)}" for at, to, w in weights]
+
+
 def cmd_splice(args) -> int:
     g = _load_graph(args.file)
     section = reporting.splice_section(g)
-    lines = ["vertices: " + " ".join(section["vertices"])]
-    for at, to, w in section["weights"]:
-        lines.append(f"weight at {at} toward {to}: {w}")
+    vertices = "vertices: " + " ".join(section["vertices"])
+    lines = [] if args.json else [vertices, *_weight_lines(section["weights"])]
     _emit(section, args.json, lines)
     return 0
 
@@ -90,8 +94,7 @@ def cmd_splice(args) -> int:
 def cmd_maximal(args) -> int:
     g = _load_graph(args.file)
     section = reporting.maximal_section(g)
-    lines = [f"weight at {at} toward {to}: {w}" for at, to, w in section["weights"]]
-    _emit(section, args.json, lines)
+    _emit(section, args.json, [] if args.json else _weight_lines(section["weights"]))
     return 0
 
 

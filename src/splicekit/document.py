@@ -36,6 +36,10 @@ def _parse_json(text: str) -> GraphDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise ParseError(str(exc).partition(";")[0]) from exc
+    except RecursionError as exc:
+        raise ParseError("nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
     version = data.get("version")
@@ -44,29 +48,32 @@ def _parse_json(text: str) -> GraphDocument:
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list):
         raise ParseError("vertices: expected a list")
-    vertices = []
-    for i, entry in enumerate(raw_vertices):
+    # one pass each; None marks a bad entry, and the first one is named
+    vertices = [
+        (e["id"], e["weight"])
+        if type(e) is dict and type(e.get("id")) is str and type(e.get("weight")) is int
+        else None
+        for e in raw_vertices
+    ]
+    if None in vertices:
+        i = vertices.index(None)
+        entry = raw_vertices[i]
         if not isinstance(entry, dict):
             raise ParseError(f"vertices[{i}]: expected an object")
-        vid = entry.get("id")
-        weight = entry.get("weight")
-        if not isinstance(vid, str):
+        if not isinstance(entry.get("id"), str):
             raise ParseError(f"vertices[{i}].id: expected a string")
-        if not isinstance(weight, int) or isinstance(weight, bool):
-            raise ParseError(f"vertices[{i}].weight: expected an integer")
-        vertices.append((vid, weight))
+        raise ParseError(f"vertices[{i}].weight: expected an integer")
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("edges: expected a list")
-    edges = []
-    for i, entry in enumerate(raw_edges):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, str) for x in entry)
-        ):
-            raise ParseError(f"edges[{i}]: expected a pair of ids")
-        edges.append((entry[0], entry[1]))
+    edges = [
+        (e[0], e[1])
+        if type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
+        else None
+        for e in raw_edges
+    ]
+    if None in edges:
+        raise ParseError(f"edges[{edges.index(None)}]: expected a pair of ids")
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object")
@@ -140,19 +147,72 @@ def document_to_json(doc: GraphDocument) -> str:
 
 def indented_json(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, without its
-    pure-Python encoder: one recursive pass that appends the parts to a list
+    pure-Python encoder: one recursive pass over the lists and dicts that
+    appends the parts to a list, writes their str and int items in place
     and escapes strings with the C ``encode_basestring_ascii``. Takes what
     ``json.dumps`` takes (dicts, lists, tuples, str, int, float, bool, None;
     dict keys also int, float, bool or None) and raises TypeError on the
-    rest. There is no check for circular references."""
+    rest; unlike ``json.dumps`` it writes integers of any length (see
+    ``int_text``). There is no check for circular references."""
     parts: list[str] = []
     _write_json(value, parts, "\n")
     return "".join(parts)
 
 
+def int_text(x: int) -> str:
+    """``int.__repr__(x)`` at any length. Past ``sys.get_int_max_str_digits()``
+    digits, where ``int.__repr__`` refuses, x is split at a power of ten
+    near half its digits and the halves are written alone; the limit, which
+    protects the whole interpreter, stays as it is."""
+    try:
+        return int.__repr__(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + int_text(-x)
+    k = x.bit_length() * 3 // 20  # log10(2) is about 3/10
+    high, low = divmod(x, 10**k)
+    return int_text(high) + int_text(low).zfill(k)
+
+
 def _write_json(value: Any, parts: list[str], newline: str) -> None:
     """Append value to parts; newline ends a line and indents to value's depth."""
-    if isinstance(value, str):
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                parts.append(sep + encode_basestring_ascii(item))
+            elif kind is int:
+                parts.append(sep + int_text(item))
+            else:
+                parts.append(sep)
+                _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            head = sep + encode_basestring_ascii(_json_key(key)) + ": "
+            kind = type(item)
+            if kind is str:
+                parts.append(head + encode_basestring_ascii(item))
+            elif kind is int:
+                parts.append(head + int_text(item))
+            else:
+                parts.append(head)
+                _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif value is None:
         parts.append("null")
@@ -161,29 +221,9 @@ def _write_json(value: Any, parts: list[str], newline: str) -> None:
     elif value is False:
         parts.append("false")
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        parts.append(int_text(value))
     elif isinstance(value, float):
         parts.append(_float_json(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner, sep = newline + "  ", "["
-        for item in value:
-            parts.append(sep + inner)
-            _write_json(item, parts, inner)
-            sep = ","
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner, sep = newline + "  ", "{"
-        for key, item in value.items():
-            parts.append(sep + inner + encode_basestring_ascii(_json_key(key)) + ": ")
-            _write_json(item, parts, inner)
-            sep = ","
-        parts.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -200,7 +240,7 @@ def _json_key(key: Any) -> str:
     if key is None:
         return "null"
     if isinstance(key, int):
-        return int.__repr__(key)
+        return int_text(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 

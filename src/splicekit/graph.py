@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
@@ -24,24 +23,63 @@ def vertex_index(g) -> Mapping[str, int]:
     return {v: i for i, v in enumerate(g.ids)}
 
 
+class IntTree(NamedTuple):
+    """The integer view of a graph or splice diagram: vertex i is ids[i]."""
+
+    nbrs: tuple[tuple[int, ...], ...]  # neighbours of each vertex, ascending
+    order: tuple[int, ...]  # breadth first from vertex 0, over its component
+    parent: tuple[int, ...]  # parent in that order; -1 at 0 and off the component
+
+
+def walk_tree(nbrs, root: int) -> tuple[list[int], list[int]]:
+    """Vertices reachable from root over the integer adjacency lists nbrs, in
+    breadth-first order, and the parent of each vertex: -1 at root and at
+    every vertex not reached."""
+    order, parent = [root], [-1] * len(nbrs)
+    parent[root] = root  # marks root as reached
+    for u in order:
+        for x in nbrs[u]:
+            if parent[x] < 0:
+                parent[x] = u
+                order.append(x)
+    parent[root] = -1
+    return order, parent
+
+
+def int_tree(g) -> IntTree:
+    """Integer adjacency lists of a graph or splice diagram, with one
+    ``walk_tree`` from vertex 0; empty when there are no vertices. Cached on
+    each instance as ``tree``."""
+    index, nbrs = g.index, [[] for _ in g.ids]
+    for a, b in g.edges:
+        i, j = index[a], index[b]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    for ns in nbrs:
+        ns.sort()
+    order, parent = walk_tree(nbrs, 0) if nbrs else ([], [])
+    return IntTree(tuple(map(tuple, nbrs)), tuple(order), tuple(parent))
+
+
 def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
     """Neighbours of each vertex in vertex order, for a graph or splice
-    diagram. Cached on each instance as ``adjacency``."""
-    nbrs: dict[str, list[str]] = {v: [] for v in g.ids}
-    for a, b in g.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    order = g.index
-    return {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in nbrs.items()}
+    diagram, read off ``g.tree``. Cached on each instance as ``adjacency``."""
+    ids = g.ids
+    return {v: tuple(map(ids.__getitem__, ns)) for v, ns in zip(ids, g.tree.nbrs)}
+
+
+def _named(ids, order, parent) -> tuple[list[str], dict[str, str | None]]:
+    """An integer order and parent array by vertex id; parents in that order."""
+    names = [ids[i] for i in order]
+    return names, {v: ids[parent[i]] if parent[i] >= 0 else None for v, i in zip(names, order)}
 
 
 def rooted_order(g) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
-    """``bfs_tree`` of a graph or splice diagram from ids[0], read-only; empty
-    when there are no vertices. Where g is not a tree it holds the component
-    of ids[0] only. Cached on each instance as ``rooted``."""
-    if not g.ids:
-        return (), MappingProxyType({})
-    order, parent = bfs_tree(g, g.ids[0])
+    """The breadth-first order and parents of ``g.tree`` by vertex id,
+    read-only, for a graph or splice diagram; empty when there are no
+    vertices. Where g is not a tree it holds the component of ids[0] only.
+    Cached on each instance as ``rooted``; ``fill_edge_table`` reads it."""
+    order, parent = _named(g.ids, g.tree.order, g.tree.parent)
     return tuple(order), MappingProxyType(parent)
 
 
@@ -52,13 +90,17 @@ class ResolutionGraph:
     Vertex order is the insertion order of the input and fixes the row
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
-    pure functions. One breadth-first order from ids[0] (``rooted``) is
-    walked once per instance; the tree test, the subtree-determinant and
-    branch-cycle tables and the definiteness verdict all read it. The
-    subtree-determinant table and the invariants read from it
-    (definiteness, determinant, and the linking numbers, one row per vertex
-    on first use), the branch-cycle table and the reduced splice diagram are
-    computed once per instance and cached read-only.
+    pure functions. Vertex i is ids[i] in the integer view ``tree``: int
+    adjacency lists, one breadth-first order from vertex 0 and its parent
+    array, built on first use. The tree test, the leaves-up pass of the
+    subtree determinants (which gives the determinant and definiteness),
+    the root-down pass and the linking rows run on those arrays; the
+    root-down pass runs only when something reads the entries pointing
+    away from vertex 0. The string-keyed views ``adjacency``, ``rooted``
+    and ``subtree_dets`` are built from the arrays when a caller asks.
+    Everything derived (the passes, the linking numbers, one row per vertex
+    on first use, the branch-cycle table and the reduced splice diagram)
+    is computed once per instance and cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -96,6 +138,7 @@ class ResolutionGraph:
         )
 
     index = cached_property(vertex_index)
+    tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
     rooted = cached_property(rooted_order)
 
@@ -119,23 +162,72 @@ class ResolutionGraph:
         return _reduced_diagram(self)
 
     @cached_property
+    def _leaves_up(self) -> tuple[list[int], list[int]]:
+        """The leaves-up pass over ``tree``, as (up, down) by vertex: up[u] is
+        D(u, parent of u), the det of the subtree at u, and the det of the
+        whole graph at vertex 0; down[u] is the product of u's child entries.
+        The subtree step is b_u * prod D(c, u) - sum_c down(c) * prod_{c' !=
+        c} D(c', u) over the children c, one pass keeping the product so far
+        and the cross sum so far. Raises ValidationError when the graph is
+        not a tree."""
+        if self.ids and not is_tree(self):
+            raise ValidationError("graph is not a tree")
+        nbrs, order, parent = self.tree
+        weights, up, down = self.weights, [0] * len(order), [1] * len(order)
+        for u in reversed(order):
+            p = parent[u]
+            below, cross = 1, 0
+            for c in nbrs[u]:
+                if c != p:
+                    d = up[c]
+                    cross = cross * d + below * down[c]
+                    below *= d
+            down[u] = below
+            up[u] = -weights[u] * below - cross
+        return up, down
+
+    @cached_property
+    def _rev(self) -> list[int]:
+        """The root-down pass over ``tree``: rev[x] is D(parent of x, x), the
+        det of the component of the parent once x is cut off, and 1 at
+        vertex 0, so down[u] * rev[u] is F_u, the product of all entries at
+        u. It is read off the edge-determinant identity det = D(u, x) *
+        D(x, u) - (F_u / D(x, u)) * down(x), for x a child of u, as (det +
+        down(x) * (F_u // D(x, u))) // D(x, u): two exact divisions. Where
+        D(x, u) is 0, which a negative-definite graph never has,
+        ``_subtree_step`` expands it. Raises ValidationError when the graph
+        is not a tree."""
+        up, down = self._leaves_up
+        nbrs, order, parent = self.tree
+        det, rev = self.det, [1] * len(order)
+        for u in order:
+            p, full = parent[u], down[u] * rev[u]
+            for x in nbrs[u]:
+                if x != p:
+                    d = up[x]
+                    rev[x] = (
+                        (det + down[x] * (full // d)) // d
+                        if d
+                        else _subtree_step(self, _PassEntries(self, rev), self.ids[u], self.ids[x])
+                    )
+        return rev
+
+    @cached_property
     def det(self) -> int:
-        """det of the negated intersection matrix: the value at ids[0] of the
-        leaves-up pass of ``subtree_determinants``, one subtree step read
-        off the cached table; 1 on the empty graph. No definiteness gate.
+        """det of the negated intersection matrix: the value at vertex 0 of
+        the leaves-up pass; 1 on the empty graph. No definiteness gate.
         Raises ValidationError when the graph is not a tree."""
-        return _subtree_step(self, self.subtree_dets, self.ids[0], None) if self.ids else 1
+        return self._leaves_up[0][0] if self.ids else 1
 
     @cached_property
     def negative_definite(self) -> bool:
-        """Rooted at ids[0] (the cached ``rooted`` order) and read leaves
-        first, each leading principal minor of the negated form is a product
-        of entries D(child, parent), each itself a principal minor; so the
-        form is negative definite exactly when all of them and the root value
-        are positive. Raises ValidationError when the graph is not a tree."""
-        order, parent = self.rooted
-        table = self.subtree_dets
-        return self.det > 0 and all(table[(x, parent[x])] > 0 for x in order[1:])
+        """Rooted at vertex 0 and read leaves first, each leading principal
+        minor of the negated form is a product of subtree determinants
+        D(u, parent of u), each itself a principal minor; so the form is
+        negative definite exactly when all of them and the root value, the
+        whole leaves-up pass, are positive. Raises ValidationError when the
+        graph is not a tree."""
+        return all(d > 0 for d in self._leaves_up[0])
 
     @cached_property
     def linking_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -148,39 +240,43 @@ class ResolutionGraph:
         return tuple(self.linking_row(v) for v in self.ids)
 
     @cached_property
-    def _weight_products(self) -> Mapping[str, int]:
-        table = self.subtree_dets
-        return {v: prod(table[(u, v)] for u in self.adjacency[v]) for v in self.ids}
-
-    @cached_property
     def _linking_row_cache(self) -> dict[str, tuple[int, ...]]:
         return {}
 
     def linking_row(self, v: str) -> tuple[int, ...]:
-        """Linking numbers of v with every vertex, in vertex order, by one
-        walk from v, cached per vertex. The entry at v is wp(v), the product
-        of all weights at v; a step from u to x divides out the weight at u
-        toward x, D(x, u), and multiplies in wp(x) / D(u, x). Both divisions
-        are exact. Raises UnknownVertex, and NotNegativeDefinite, where some
-        weight may be zero.
+        """Linking numbers of v with every vertex, in vertex order, cached
+        per vertex. The entry at v is F_v, the product of all weights at v;
+        a step from u to a neighbour x divides out the weight at u toward x,
+        D(x, u), and multiplies in F_x / D(u, x). The walk steps from v up to
+        vertex 0, to each parent p of u multiplying in (down[p] * rev[p]) //
+        up[u], and then reaches every other vertex from its parent along the
+        order of ``tree``, multiplying in down[x]. Both divisions are exact.
+        Raises UnknownVertex, and NotNegativeDefinite, where some weight may
+        be zero.
         """
         cache = self._linking_row_cache
         row = cache.get(v)
         if row is not None:
             return row
-        if v not in self.index:
+        i = self.index.get(v)
+        if i is None:
             raise UnknownVertex(v)
         if not self.negative_definite:
             raise NotNegativeDefinite("graph is not negative definite")
-        table, wp, adj = self.subtree_dets, self._weight_products, self.adjacency
-        order, walk = [v], {v: wp[v]}
-        for u in order:  # breadth first
-            here = walk[u]
-            for x in adj[u]:
-                if x not in walk:
-                    walk[x] = here // table[(x, u)] * (wp[x] // table[(u, x)])
-                    order.append(x)
-        row = cache[v] = tuple(walk[x] for x in self.ids)
+        _, order, parent = self.tree
+        (up, down), rev = self._leaves_up, self._rev
+        walk = [0] * len(up)
+        walk[i] = down[i] * rev[i]
+        path, u = {i}, i
+        while parent[u] >= 0:
+            p = parent[u]
+            walk[p] = walk[u] // rev[u] * (down[p] * rev[p] // up[u])
+            path.add(p)
+            u = p
+        for x in order:
+            if x not in path:
+                walk[x] = walk[parent[x]] // up[x] * down[x]
+        row = cache[v] = tuple(walk)
         return row
 
     def weight_of(self, v: str) -> int:
@@ -190,26 +286,21 @@ class ResolutionGraph:
             raise UnknownVertex(v) from None
 
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        return len(self.tree.nbrs[self.index[v]])
 
     def has_edge(self, a: str, b: str) -> bool:
         return b in self.adjacency.get(a, ())
 
 
 def bfs_tree(g: ResolutionGraph, root: str) -> tuple[list[str], dict[str, str | None]]:
-    """Vertices reachable from root in breadth-first order, with parents."""
-    order, parent = [root], {root: None}
-    for u in order:
-        for x in g.adjacency[u]:
-            if x not in parent:
-                parent[x] = u
-                order.append(x)
-    return order, parent
+    """Vertices reachable from root in breadth-first order, with parents:
+    ``walk_tree`` over ``g.tree`` by vertex id."""
+    return _named(g.ids, *walk_tree(g.tree.nbrs, g.index[root]))
 
 
 def is_tree(g: ResolutionGraph) -> bool:
     n = len(g.ids)
-    return n > 0 and len(g.edges) == n - 1 and len(g.rooted[0]) == n
+    return n > 0 and len(g.edges) == n - 1 and len(g.tree.order) == n
 
 
 def validate_graph(g: ResolutionGraph) -> None:
@@ -233,11 +324,11 @@ def classify_vertices(g: ResolutionGraph) -> dict[str, VertexKind]:
 
 
 def nodes_of(g: ResolutionGraph) -> tuple[str, ...]:
-    return tuple(v for v in g.ids if g.degree(v) >= 3)
+    return tuple(v for v, ns in zip(g.ids, g.tree.nbrs) if len(ns) >= 3)
 
 
 def leaves_of(g: ResolutionGraph) -> tuple[str, ...]:
-    return tuple(v for v in g.ids if g.degree(v) <= 1)
+    return tuple(v for v, ns in zip(g.ids, g.tree.nbrs) if len(ns) <= 1)
 
 
 def maximal_strings(g: ResolutionGraph) -> tuple[tuple[str, ...], ...]:
@@ -327,51 +418,41 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     return table
 
 
+class _PassEntries:
+    """D(a, b) by vertex id, read off the two passes of g as far as they
+    have run; ``_subtree_step`` reads it where a root-down pivot is zero."""
+
+    def __init__(self, g: ResolutionGraph, rev: list[int]) -> None:
+        self.index, self.parent, self.up, self.rev = g.index, g.tree.parent, g._leaves_up[0], rev
+
+    def __getitem__(self, edge: DirectedEdge) -> int:
+        a, b = self.index[edge[0]], self.index[edge[1]]
+        return self.up[a] if self.parent[a] == b else self.rev[b]
+
+
 def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     """det of the component of g minus `parent` containing `child`.
 
     Keyed by (child, parent) for every directed edge, in the order of
-    ``fill_edge_table``. Two passes over the cached ``g.rooted`` order.
-    Leaves up, the entry D(u, p) toward the parent p is the subtree step
-    b_u * prod D(c, u) - sum_c down(c) * prod_{c' != c} D(c', u) over the
-    children c, where down(c) is the product of c's own child entries, kept
-    from c's step. Root down, the entry D(u, x) away from a child x is read
-    off the edge-determinant identity det = D(u, x) * D(x, u) -
-    (F_u / D(x, u)) * down(x), F_u the product of all entries at u, as
-    (det + down(x) * (F_u // D(x, u))) // D(x, u); where D(x, u) is 0,
-    which a negative-definite graph never has, ``_subtree_step`` expands
-    it. In all O(sum of degrees) big-int products plus two exact divisions
-    per root-down entry. Splice weights, the determinant, definiteness and
-    the linking and pairing matrices are all read from it;
+    ``fill_edge_table``: the entries toward vertex 0, leaves first, then
+    those away from it, root first. A view by vertex id of the two passes
+    that ``ResolutionGraph`` caches on its integer view ``tree``: the
+    leaves-up pass (``_leaves_up``, which alone gives the determinant and
+    definiteness) and the root-down pass (``_rev``), O(sum of degrees)
+    big-int products plus two exact divisions per root-down entry. Splice
+    weights and the maximal diagram are read from it;
     ``ResolutionGraph.subtree_dets`` caches it. Raises ValidationError when
     g is not a tree.
     """
-    if g.ids and not is_tree(g):
-        raise ValidationError("graph is not a tree")
-    order, parent = g.rooted
-    adj, weight = g.adjacency, dict(zip(g.ids, g.weights))
-    up: dict[str, int] = {}  # D(u, parent of u); det at the root
-    down: dict[str, int] = {}  # product of u's child entries
-    for u in reversed(order):
-        p = parent[u]
-        below, cross = 1, 0
-        for c in adj[u]:
-            if c != p:
-                cross = cross * up[c] + below * down[c]
-                below *= up[c]
-        down[u] = below
-        up[u] = -weight[u] * below - cross
-    det = up[order[0]] if order else 1
-    table = {(u, parent[u]): up[u] for u in reversed(order[1:])}
+    (up, _), rev = g._leaves_up, g._rev
+    nbrs, order, parent = g.tree
+    ids = g.ids
+    table = {(ids[u], ids[parent[u]]): up[u] for u in reversed(order[1:])}
     for u in order:
-        p = parent[u]
-        full = down[u] if p is None else down[u] * table[(p, u)]
-        for x in adj[u]:
+        p, a = parent[u], ids[u]
+        for x in nbrs[u]:
             if x != p:
-                d = up[x]
-                table[(u, x)] = (
-                    (det + down[x] * (full // d)) // d if d else _subtree_step(g, table, u, x)
-                )
+                table[(a, ids[x])] = rev[x]
     return table
 
 

@@ -12,7 +12,7 @@ from math import gcd
 from typing import Any
 
 from . import conditions, cycles, discriminant, equations, splice
-from .document import indented_json
+from .document import indented_json, int_text
 from .errors import SemigroupFails
 from .graph import (
     ResolutionGraph,
@@ -52,7 +52,10 @@ def _residue_str(x: int, det: int) -> str:
     if not x:
         return "0"
     common = gcd(x, det)
-    return f"{x // common}/{det // common}"
+    try:
+        return f"{x // common}/{det // common}"
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        return int_text(x // common) + "/" + int_text(det // common)
 
 
 def group_section(g: ResolutionGraph) -> dict:

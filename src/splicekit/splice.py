@@ -35,6 +35,7 @@ from .graph import (
     fresh_id,
     graph_determinant,
     induced_subgraph,
+    int_tree,
     is_negative_definite,
     rooted_order,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
@@ -61,6 +62,7 @@ class SpliceDiagram:
     )
 
     index = cached_property(vertex_index)
+    tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
     rooted = cached_property(rooted_order)
 
@@ -118,8 +120,9 @@ class MaximalSpliceDiagram(SpliceDiagram):
 
 
 def tree_determinant(g: ResolutionGraph) -> int:
-    """det of the negated intersection matrix, read from the subtree table
-    at ids[0] without a definiteness gate (``graph_determinant`` adds it).
+    """det of the negated intersection matrix, the value at ids[0] of the
+    leaves-up pass of the subtree determinants, without a definiteness gate
+    (``graph_determinant`` adds it).
 
     ``linalg.determinant`` (Bareiss) is the independent oracle; the tests
     cross-check the two.

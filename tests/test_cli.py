@@ -61,6 +61,35 @@ def test_parse_errors():
         document_to_graph(parse_document(cyclic))
 
 
+_A, _B = '{"id": "a", "weight": -2}', '{"id": "b", "weight": -2}'
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (f"[{_A}, 3]", "[]", "vertices[1]: expected an object"),
+        (f'[{_A}, ["b", -2]]', "[]", "vertices[1]: expected an object"),
+        ('[{"id": 1, "weight": -2}]', "[]", "vertices[0].id: expected a string"),
+        ('[{"weight": -2}]', "[]", "vertices[0].id: expected a string"),
+        ('[{"id": "a", "weight": true}]', "[]", "vertices[0].weight: expected an integer"),
+        ('[{"id": "a", "weight": -2.0}]', "[]", "vertices[0].weight: expected an integer"),
+        (f'[{_A}, {{"id": "b"}}, 7]', '"x"', "vertices[1].weight: expected an integer"),
+        (f"[{_A}, {_B}]", '[["a", "b"], ["a"]]', "edges[1]: expected a pair of ids"),
+        (f"[{_A}, {_B}]", '[["a", "b"], 3, ["a"], ["b", "a"]]', "edges[1]: expected a pair of ids"),
+        (f"[{_A}, {_B}]", '["ab"]', "edges[0]: expected a pair of ids"),
+        (f"[{_A}, {_B}]", '[{"a": 1, "b": 2}]', "edges[0]: expected a pair of ids"),
+        (f"[{_A}, {_B}]", '[["a", "b", "a"]]', "edges[0]: expected a pair of ids"),
+        (f"[{_A}, {_B}]", '[["a", "b"], ["a", 2]]', "edges[1]: expected a pair of ids"),
+        (f"[{_A}, {_B}]", '{"a": "b"}', "edges: expected a list"),
+    ],
+)
+def test_parse_errors_name_the_first_bad_entry(vertices, edges, message):
+    text = f'{{"version": 1, "vertices": {vertices}, "edges": {edges}}}'
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert str(info.value) == message
+
+
 def test_cli_validate_exit_codes(tmp_path, g1):
     path = write_graph(tmp_path, g1)
     assert main(["validate", path]) == 0
@@ -82,19 +111,81 @@ def test_cli_unreadable_graph_file_is_input_error(tmp_path, capsys):
 
 
 def test_det_walks_the_tree_once(tmp_path, g17, monkeypatch, capsys):
-    # the tree test, the subtree table and the definiteness verdict all
-    # read the one breadth-first order cached on the fresh graph
+    # the tree test, the leaves-up pass and the definiteness verdict all
+    # read the one breadth-first walk of the integer view cached on the
+    # fresh graph
     calls = []
-    real = graph.bfs_tree
+    real = graph.walk_tree
 
-    def counted(g, root):
+    def counted(nbrs, root):
         calls.append(root)
-        return real(g, root)
+        return real(nbrs, root)
 
-    monkeypatch.setattr(graph, "bfs_tree", counted)
+    monkeypatch.setattr(graph, "walk_tree", counted)
     assert main(["det", "--json", write_graph(tmp_path, g17)]) == 0
     assert json.loads(capsys.readouterr().out) == {"determinant": 17}
-    assert len(calls) == 1
+    assert calls == [0]
+
+
+def _chunked_int(text: str) -> int:
+    # int(text) refuses past sys.get_int_max_str_digits() digits
+    value = 0
+    for k in range(0, len(text), 1000):
+        chunk = text[k : k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_cli_writes_integers_of_any_length(tmp_path, capsys):
+    # a path of 300 curves of weight -10^16 with two (-2)-leaves at one end
+    # has a determinant of about 4800 digits, past the interpreter's
+    # 4300-digit limit on int -> str; the limit itself is left as it was
+    n = 300
+    g = graph.ResolutionGraph.build(
+        [(f"v{i}", -(10**16)) for i in range(n)] + [("a", -2), ("b", -2)],
+        [(f"v{i}", f"v{i + 1}") for i in range(n - 1)] + [("v0", "a"), ("v0", "b")],
+    )
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < g.det.bit_length() * 3 // 10
+    path = write_graph(tmp_path, g)
+    assert main(["det", path]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n") and _chunked_int(text[:-1]) == g.det
+    assert main(["det", "--json", path]) == 0
+    head, digits = capsys.readouterr().out.split(": ")
+    assert head == '{\n  "determinant"' and digits.endswith("\n}\n")
+    assert _chunked_int(digits[:-3]) == g.det
+    # the other commands that print a determinant-sized integer
+    assert main(["group", path]) == 0
+    assert _chunked_int(capsys.readouterr().out.splitlines()[0][len("order: ") :]) == g.det
+    widest = max(g.subtree_dets.values())
+    for command in (["maximal", "--json"], ["splice", "--json"], ["group", "--json"]):
+        assert main([*command, path]) == 0
+        assert capsys.readouterr().out
+    # the widest maximal weight, and the node's splice weight toward the path
+    toward_path = g.subtree_dets[("v1", "v0")]
+    for command, lines, wanted in (
+        (["maximal"], slice(None), widest),
+        (["splice"], slice(1, None), toward_path),
+    ):
+        assert main([*command, path]) == 0
+        weights = capsys.readouterr().out.splitlines()[lines]
+        assert max(_chunked_int(line.rsplit(" ", 1)[1]) for line in weights) == wanted
+    assert toward_path > 10**limit
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_overlong_and_deeply_nested_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    long_weight = "-" + "9" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(
+        '{"version": 1, "vertices": [{"id": "a", "weight": ' + long_weight + '}], "edges": []}'
+    )
+    assert main(["det", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: Exceeds the limit")
+    path.write_text('{"version": 1, "vertices": ' + "[" * 200000)
+    assert main(["det", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: nested too deeply\n"
 
 
 @pytest.mark.parametrize("first", ["a", "d"])

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from splicekit import document, equations, reporting
 from splicekit.cli import main
 from splicekit.corpus import with_determinant_cap
-from splicekit.document import document_to_json, graph_to_document, indented_json
+from splicekit.document import document_to_json, graph_to_document, indented_json, int_text
 
 CHEAP = (
     ["validate"], ["det"], ["group"], ["splice"], ["maximal"],
@@ -75,6 +76,25 @@ payloads = st.recursive(
 @example([float("nan"), float("inf"), -float("inf"), 1e300, 5e-324])
 def test_writer_matches_json_dumps(payload):
     assert indented_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (10**5000, "1" + "0" * 5000),
+        (-(10**5000) - 7, "-1" + "0" * 4999 + "7"),
+        (10**9000 + 1, "1" + "0" * 8999 + "1"),
+        (int("9" * 4000) * 10**4000 + int("12345" * 800), "9" * 4000 + "12345" * 800),
+    ],
+    ids=["power", "negative", "sparse", "dense"],
+)
+def test_writer_takes_integers_past_the_digit_limit(x, text):
+    # str(x) refuses them; the writer splits them, and the limit stays
+    assert len(text.lstrip("-")) > sys.get_int_max_str_digits()
+    with pytest.raises(ValueError):
+        str(x)
+    assert int_text(x) == text
+    assert indented_json({"x": [x]}) == '{\n  "x": [\n    ' + text + "\n  ]\n}"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from splicekit.graph import (
     is_negative_definite,
     negated_intersection_matrix,
     subtree_determinants,
+    validate_graph,
 )
 from splicekit.linalg import determinant, invert_rational
 from splicekit.reporting import analysis_report, group_section
@@ -199,3 +200,103 @@ def test_non_tree_is_rejected():
     )
     with pytest.raises(ValidationError):
         is_negative_definite(cyclic)
+
+
+@st.composite
+def trees_and_near_trees(draw):
+    """Random trees with vertices in a random order and weights in [-6, top],
+    top 1, -2 or -3 so that both verdicts come up, as drawn or with an edge
+    added, removed or moved, so that some are not trees."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    top = draw(st.sampled_from((1, -2, -3)))
+    weights = [draw(st.integers(min_value=-6, max_value=top)) for _ in range(n)]
+    edges = [(f"v{draw(st.integers(0, j - 1))}", f"v{j}") for j in range(1, n)]
+    change = draw(st.sampled_from(("none", "none", "add", "remove", "move")))
+    if change in ("remove", "move") and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    if change in ("add", "move"):
+        free = [
+            (f"v{i}", f"v{j}")
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (f"v{i}", f"v{j}") not in edges and (f"v{j}", f"v{i}") not in edges
+        ]
+        if free:
+            edges.append(draw(st.sampled_from(free)))
+    vertices = draw(st.permutations([(f"v{i}", w) for i, w in enumerate(weights)]))
+    return ResolutionGraph.build(vertices, draw(st.permutations(edges)))
+
+
+def _is_tree_by_search(g):
+    reached, stack = {g.ids[0]}, [g.ids[0]]
+    while stack:
+        u = stack.pop()
+        for a, b in g.edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return len(reached) == len(g.ids) and len(g.edges) == len(g.ids) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_and_near_trees())
+def test_linking_rows_invert_the_intersection_matrix(g):
+    # each row L_v of the integer kernel solves A * L_v = -det * e_v; a
+    # non-tree raises ValidationError and an indefinite tree
+    # NotNegativeDefinite, for every vertex
+    if not _is_tree_by_search(g):
+        for v in g.ids:
+            with pytest.raises(ValidationError):
+                g.linking_row(v)
+        return
+    a = intersection_matrix(g)
+    if not is_negative_definite_matrix(a):
+        for v in g.ids:
+            with pytest.raises(NotNegativeDefinite):
+                g.linking_row(v)
+        return
+    det = determinant(negated_intersection_matrix(g))
+    for i, v in enumerate(g.ids):
+        row = g.linking_row(v)
+        assert all(x > 0 for x in row)
+        assert [sum(x * y for x, y in zip(r, row)) for r in a] == [
+            -det if k == i else 0 for k in range(len(g.ids))
+        ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_and_near_trees())
+def test_integer_view_lists_neighbours_in_vertex_order(g):
+    # whatever the order of the edges and their ends; the rooted order is
+    # breadth first from ids[0], children in vertex order, over its component
+    pos = g.index
+    for v in g.ids:
+        around = {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
+        expected = tuple(sorted(around, key=pos.__getitem__))
+        assert g.adjacency[v] == expected
+        assert g.tree.nbrs[pos[v]] == tuple(pos[x] for x in expected)
+    parent, queue = {g.ids[0]: None}, [g.ids[0]]
+    for u in queue:
+        for x in g.adjacency[u]:
+            if x not in parent:
+                parent[x] = u
+                queue.append(x)
+    order, rooted_parent = g.rooted
+    assert order == tuple(queue) and list(rooted_parent.items()) == list(parent.items())
+
+
+def test_det_and_validation_read_the_leaves_up_pass_alone(corpus):
+    # neither the root-down pass nor any table keyed by vertex ids is built
+    indefinite = ResolutionGraph.build([("a", -1), ("b", -1)], [("a", "b")])
+    for g in [*corpus, indefinite]:
+        fresh = ResolutionGraph(g.ids, g.weights, g.edges)
+        validate_graph(fresh)
+        if fresh.negative_definite:
+            assert graph_determinant(fresh) == g.det
+        else:
+            with pytest.raises(NotNegativeDefinite):
+                graph_determinant(fresh)
+        built = vars(fresh)
+        assert "_leaves_up" in built
+        assert not {"_rev", "subtree_dets", "adjacency", "rooted"} & built.keys()
