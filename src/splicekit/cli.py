@@ -160,7 +160,7 @@ def cmd_reduce(args) -> int:
         }
         _emit(payload, args.json, [
             f"non-integral reduced weight at {p.at} toward {p.toward}: "
-            f"{p.raw} not divisible by {p.divisor}"
+            + int_text(p.raw) + " not divisible by " + int_text(p.divisor)
             for p in result.problems
         ])
         return 1
@@ -173,9 +173,7 @@ def cmd_reduce(args) -> int:
         "edges": [[a, b] for a, b in result.diagram.edges],
         "weights": weights,
     }
-    lines = [f"new leaf: {result.new_leaf}"] + [
-        f"weight at {at} toward {to}: {w}" for at, to, w in weights
-    ]
+    lines = [f"new leaf: {result.new_leaf}", *_weight_lines(weights)]
     _emit(payload, args.json, lines)
     return 0
 

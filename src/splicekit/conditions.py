@@ -15,9 +15,9 @@ from typing import Callable, Iterator, Sequence
 
 from . import config
 from .cfrac import continued_fraction_of_string
-from .errors import NotEndNodeEdge, NotTwoNode, UnknownEdge
+from .errors import NotEndNodeEdge, NotTwoNode
 from .graph import ResolutionGraph, graph_determinant
-from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
+from .splice import SpliceDiagram, splice_from_resolution
 
 
 class SearchBudget:
@@ -113,27 +113,12 @@ class AdmissibleExponents:
         return tuple(w for w, a in self.exponents if a)
 
 
-def subtree_leaves(d: SpliceDiagram, v: str, toward: str) -> tuple[str, ...]:
-    """Leaves of the piece of the diagram cut off from v by the edge toward
-    `toward` (including `toward` itself when it is a leaf)."""
-    if toward not in d.adjacency.get(v, ()):
-        raise UnknownEdge(f"({v}, {toward})")
-    seen = {toward}
-    stack = [toward]
-    while stack:
-        for x in d.adjacency[stack.pop()]:
-            if x != v and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return tuple(w for w in d.ids if w in seen and d.is_leaf(w))
-
-
 def edge_equation(
     d: SpliceDiagram, v: str, toward: str
 ) -> tuple[tuple[str, ...], tuple[int, ...], int]:
-    """(leaves, reduced linking numbers, edge weight) for one node edge."""
-    leaves = subtree_leaves(d, v, toward)
-    values = tuple(linking_numbers(d, v, w)[1] for w in leaves)
+    """(leaves, reduced linking numbers, edge weight) for one node edge,
+    read from the diagram's one walk per vertex (``edge_leaves``)."""
+    leaves, values = d.edge_leaves(v, toward)
     return leaves, values, d.weights[(v, toward)]
 
 
@@ -352,7 +337,7 @@ def congruence_edge(
     A failure carries the table and, toward an end-node, the solved
     single-variable congruences.
     """
-    table = _congruence_table(g, v, subtree_leaves(d, v, toward))
+    table = _congruence_table(g, v, d.edge_leaves(v, toward)[0])
     witness, tested, truncated = search_edge(
         d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
     )

@@ -22,7 +22,7 @@ from .errors import (
     InvalidHigherTerm,
     SemigroupFails,
 )
-from .document import indented_json
+from .document import indented_json, int_text
 from .graph import ResolutionGraph
 from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
 
@@ -50,10 +50,7 @@ class Monomial:
     def render(self) -> str:
         if not self.exponents:
             return "1"
-        parts = []
-        for w, a in self.exponents:
-            parts.append(f"z_{w}" if a == 1 else f"z_{w}^{a}")
-        return "*".join(parts)
+        return "*".join(f"z_{w}" if a == 1 else f"z_{w}^" + int_text(a) for w, a in self.exponents)
 
 
 def v_weight(d: SpliceDiagram, v: str, monomial: Monomial | Mapping[str, int]) -> int:

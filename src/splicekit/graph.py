@@ -90,17 +90,20 @@ class ResolutionGraph:
     Vertex order is the insertion order of the input and fixes the row
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
-    pure functions. Vertex i is ids[i] in the integer view ``tree``: int
+    pure functions. Vertex i is ids[i] in ``index``, which the edge checks
+    of the constructor build, and in the integer view ``tree``: int
     adjacency lists, one breadth-first order from vertex 0 and its parent
     array, built on first use. The tree test, the leaves-up pass of the
     subtree determinants (which gives the determinant and definiteness),
-    the root-down pass and the linking rows run on those arrays; the
-    root-down pass runs only when something reads the entries pointing
-    away from vertex 0. The string-keyed views ``adjacency``, ``rooted``
-    and ``subtree_dets`` are built from the arrays when a caller asks.
-    Everything derived (the passes, the linking numbers, one row per vertex
-    on first use, the branch-cycle table and the reduced splice diagram)
-    is computed once per instance and cached read-only.
+    the root-down pass, the linking rows, the reduced splice diagram and
+    the maximal weights run on those arrays; the root-down pass runs only
+    when something reads the entries pointing away from vertex 0. The
+    string-keyed views ``adjacency`` and ``rooted`` are built from the
+    arrays when a caller asks, and ``subtree_determinants`` lists the
+    whole table by vertex id. Everything derived (the passes, the linking
+    numbers, one row per vertex on first use, the branch-cycle table and
+    the reduced splice diagram) is computed once per instance and cached
+    read-only.
     """
 
     ids: tuple[str, ...]
@@ -110,16 +113,16 @@ class ResolutionGraph:
     def __post_init__(self) -> None:
         if len(self.ids) != len(self.weights):
             raise ValidationError("ids and weights differ in length")
-        if len(set(self.ids)) != len(self.ids):
+        if len(self.index) != len(self.ids):
             raise ValidationError("duplicate vertex id")
-        known = set(self.ids)
-        seen: set[frozenset[str]] = set()
+        index, seen = self.index, set()
         for a, b in self.edges:
-            if a not in known or b not in known:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise ValidationError(f"edge ({a}, {b}) references unknown vertex")
-            if a == b:
+            if i == j:
                 raise ValidationError(f"self-loop at {a}")
-            key = frozenset((a, b))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(key)
@@ -141,11 +144,6 @@ class ResolutionGraph:
     tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
     rooted = cached_property(rooted_order)
-
-    @cached_property
-    def subtree_dets(self) -> Mapping[DirectedEdge, int]:
-        """Read-only ``subtree_determinants`` table."""
-        return MappingProxyType(subtree_determinants(self))
 
     @cached_property
     def branch_cycles(self) -> Mapping[DirectedEdge, Mapping[str, int]]:
@@ -439,10 +437,10 @@ def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     that ``ResolutionGraph`` caches on its integer view ``tree``: the
     leaves-up pass (``_leaves_up``, which alone gives the determinant and
     definiteness) and the root-down pass (``_rev``), O(sum of degrees)
-    big-int products plus two exact divisions per root-down entry. Splice
-    weights and the maximal diagram are read from it;
-    ``ResolutionGraph.subtree_dets`` caches it. Raises ValidationError when
-    g is not a tree.
+    big-int products plus two exact divisions per root-down entry. The
+    splice and maximal weights read the two passes themselves; this table
+    is for callers and tests that want every entry by vertex id. Raises
+    ValidationError when g is not a tree.
     """
     (up, _), rev = g._leaves_up, g._rev
     nbrs, order, parent = g.tree

@@ -1,6 +1,7 @@
 """Structured analysis reports with stable key order (byte-stable JSON).
 
-Every section reads the graph's one cached splice diagram, and conditions
+Every section reads the graph's one cached splice diagram, whose edges and
+weights come in vertex order, as do the maximal diagram's, and conditions
 3.3 and 3.4 its one branch-cycle table, which holds O(sum of branch sizes)
 coefficients. ``render_json`` writes with ``document.indented_json``, the
 bytes of ``json.dumps(payload, indent=2)`` without its pure-Python encoder.
@@ -38,13 +39,13 @@ def splice_section(g: ResolutionGraph) -> dict:
     return {
         "vertices": list(d.ids),
         "edges": [[a, b] for a, b in d.edges],
-        "weights": _weights_list(d),
+        "weights": [[at, to, w] for (at, to), w in d.weights.items()],
     }
 
 
 def maximal_section(g: ResolutionGraph) -> dict:
-    d = splice.maximal_splice(g)
-    return {"weights": _weights_list(d)}
+    weights = splice.maximal_splice(g).weights
+    return {"weights": [[at, to, w] for (at, to), w in weights.items()]}
 
 
 def _residue_str(x: int, det: int) -> str:

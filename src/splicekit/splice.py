@@ -4,7 +4,8 @@ A splice diagram is a tree without valency-2 vertices; each node carries a
 positive weight on every incident edge, equal to the determinant of the
 piece of the resolution graph cut off in that direction. The maximal
 variant keeps all vertices of the resolution graph and weights both ends
-of every edge.
+of every edge. Both are read off the graph's integer tree and the two
+passes of its subtree determinants.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import linalg
 from .cfrac import continued_fraction_of_string
@@ -29,7 +30,6 @@ from .graph import (
     DirectedEdge,
     ResolutionGraph,
     blow_up_edge,
-    classify_vertices,
     component_of,
     fill_edge_table,
     fresh_id,
@@ -41,6 +41,7 @@ from .graph import (
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
     vertex_adjacency,
     vertex_index,
+    walk_tree,
 )
 
 
@@ -51,7 +52,9 @@ class SpliceDiagram:
     In a reduced diagram only nodes carry weights; leaf ends are bare.
     ``strings`` optionally maps each directed edge back to the interior
     vertices of the resolution string it came from (ordered from the
-    first endpoint).
+    first endpoint). The leaves beyond each edge, with their reduced
+    linking numbers, are walked once per vertex and cached
+    (``edge_leaves``).
     """
 
     ids: tuple[str, ...]
@@ -96,6 +99,51 @@ class SpliceDiagram:
             out *= w
         return out
 
+    @cached_property
+    def _edge_leaf_cache(self) -> dict[str, dict[str, tuple[tuple[str, ...], tuple[int, ...]]]]:
+        return {}
+
+    def edge_leaves(self, v: str, toward: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The leaves beyond the edge from v toward `toward` (`toward` itself
+        when it is a leaf) in vertex order, with their reduced linking
+        numbers from v (``linking_numbers(d, v, w)[1]``). One walk from v,
+        cached per v, gives them for every edge at v: the number at a vertex
+        is the one at its predecessor y times the weights at y toward y's
+        other successors, the weights off the path at y, and 1 next to v; a
+        missing weight counts as 1. Raises UnknownEdge."""
+        cache = self._edge_leaf_cache
+        branches = cache.get(v)
+        if branches is None and v in self.index:
+            branches = cache[v] = self._walk_leaves(self.index[v])
+        branch = branches.get(toward) if branches else None
+        if branch is None:
+            raise UnknownEdge(f"({v}, {toward})")
+        return branch
+
+    def _walk_leaves(self, i: int) -> dict[str, tuple[tuple[str, ...], tuple[int, ...]]]:
+        ids, nbrs, weights = self.ids, self.tree.nbrs, self.weights
+        order, parent = walk_tree(nbrs, i)
+        value, branch = [1] * len(ids), [-1] * len(ids)
+        for x in nbrs[i]:
+            branch[x] = x
+        for y in order[1:]:
+            kids = [x for x in nbrs[y] if x != parent[y]]
+            at = [weights.get((ids[y], ids[x]), 1) for x in kids]
+            after = [1] * (len(kids) + 1)  # after[m]: product of at[m:]
+            for m in range(len(kids) - 1, -1, -1):
+                after[m] = after[m + 1] * at[m]
+            before = value[y]
+            for m, x in enumerate(kids):
+                value[x], branch[x] = before * after[m + 1], branch[y]
+                before *= at[m]
+        out: dict[int, tuple[list[str], list[int]]] = {u: ([], []) for u in nbrs[i]}
+        for x, ns in enumerate(nbrs):
+            if len(ns) <= 1 and branch[x] >= 0:
+                leaves, values = out[branch[x]]
+                leaves.append(ids[x])
+                values.append(value[x])
+        return {ids[u]: (tuple(ls), tuple(vs)) for u, (ls, vs) in out.items()}
+
     def path(self, v: str, w: str) -> tuple[str, ...]:
         if v not in self.index or w not in self.index:
             raise UnknownVertex(f"{v!r} or {w!r}")
@@ -130,20 +178,6 @@ def tree_determinant(g: ResolutionGraph) -> int:
     return g.det
 
 
-def _walk_string(
-    g: ResolutionGraph, kinds: Mapping[str, str], start: str, first: str
-) -> tuple[str, tuple[str, ...]]:
-    """Follow valency-2 vertices from `start` through `first` until a
-    leaf or node; returns (terminal, interior vertices in walk order)."""
-    interior: list[str] = []
-    prev, cur = start, first
-    while kinds[cur] == "string":
-        interior.append(cur)
-        nxt = [x for x in g.adjacency[cur] if x != prev]
-        prev, cur = cur, nxt[0]
-    return cur, tuple(interior)
-
-
 def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
     """Reduced splice diagram of a negative-definite resolution graph, built
     once per graph and cached read-only (``ResolutionGraph.splice_diagram``).
@@ -151,43 +185,55 @@ def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
     return g.splice_diagram
 
 
+def _toward(g: ResolutionGraph) -> Callable[[int, int], int]:
+    """D(j, i), the weight at vertex i toward its neighbour j in ``g.tree``:
+    j's leaves-up entry when i is j's parent, else i's root-down entry."""
+    parent, up, rev = g.tree.parent, g._leaves_up[0], g._rev
+    return lambda i, j: up[j] if parent[j] == i else rev[i]
+
+
 def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
+    """The vertices of valency other than 2, each string walked over int
+    neighbours from both ends; the ends at each vertex are taken in vertex
+    order, so edges and weights come out in vertex order, as ``tree``."""
     if not is_negative_definite(g):
         raise NotNegativeDefinite("graph is not negative definite")
-    kinds = classify_vertices(g)
-    keep = tuple(v for v in g.ids if kinds[v] != "string")
-    dets = g.subtree_dets
+    nbrs, ids, toward = g.tree.nbrs, g.ids, _toward(g)
+    keep = [i for i, ns in enumerate(nbrs) if len(ns) != 2]
     edges: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
     weights: dict[DirectedEdge, int] = {}
     strings: dict[DirectedEdge, tuple[str, ...]] = {}
-    for v in keep:
-        for u in g.adjacency[v]:
-            terminal, interior = _walk_string(g, kinds, v, u)
-            pair = frozenset((v, terminal))
-            if pair not in seen:
-                seen.add(pair)
-                edges.append((v, terminal))
-            strings[(v, terminal)] = interior
-            if kinds[v] == "node":
-                weights[(v, terminal)] = dets[(u, v)]
-    order = {v: i for i, v in enumerate(keep)}
-    edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
+    for i in keep:
+        ends = []
+        for j in nbrs[i]:
+            prev, t, interior = i, j, []
+            while len(nbrs[t]) == 2:
+                interior.append(ids[t])
+                a, b = nbrs[t]
+                prev, t = t, b if a == prev else a
+            ends.append((t, j, interior))
+        ends.sort()  # the ends t are distinct, so only they are compared
+        for t, j, interior in ends:
+            key = (ids[i], ids[t])
+            if t > i:
+                edges.append(key)
+            strings[key] = tuple(interior)
+            if len(ends) > 2:
+                weights[key] = toward(i, j)
     return SpliceDiagram(
-        ids=keep, edges=tuple(edges), weights=MappingProxyType(weights),
-        strings=MappingProxyType(strings),
+        ids=tuple(ids[i] for i in keep), edges=tuple(edges),
+        weights=MappingProxyType(weights), strings=MappingProxyType(strings),
     )
 
 
 def maximal_splice(g: ResolutionGraph) -> MaximalSpliceDiagram:
-    """Splice diagram keeping every vertex, with weights at both edge ends."""
+    """Splice diagram keeping every vertex, with weights at both edge ends,
+    in (at, toward) vertex order."""
     if not is_negative_definite(g):
         raise NotNegativeDefinite("graph is not negative definite")
-    dets = g.subtree_dets
-    weights = {(v, u): dets[(u, v)] for (u, v) in dets}
-    return MaximalSpliceDiagram(
-        ids=g.ids, edges=g.edges, weights=weights, strings=None
-    )
+    ids, toward = g.ids, _toward(g)
+    weights = {(ids[i], ids[j]): toward(i, j) for i, ns in enumerate(g.tree.nbrs) for j in ns}
+    return MaximalSpliceDiagram(ids=g.ids, edges=g.edges, weights=weights, strings=None)
 
 
 def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:

@@ -18,6 +18,10 @@ explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
 The subtree-determinant table reads its root-down entries off the
 edge-determinant identity; ``subtree_determinants_direct`` expands every
 entry along its vertex's row, re-reading the grandchild entries.
+The reduced and maximal splice diagrams and the edge equations are read
+off the integer tree; ``reduced_diagram_by_id``, ``maximal_weights_by_id``
+and ``edge_equations_by_id`` build them by vertex id from
+``subtree_determinants``, ``classify_vertices`` and ``linking_numbers``.
 A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
@@ -32,7 +36,6 @@ from splicekit.conditions import (
     SearchBudget,
     check_congruence,
     iter_nonnegative_solutions,
-    subtree_leaves,
 )
 from splicekit.cycles import (
     MonomialCycleResult,
@@ -56,14 +59,21 @@ from splicekit.graph import (
     ResolutionGraph,
     _subtree_step,
     bfs_tree,
+    classify_vertices,
     component_of,
     fill_edge_table,
     graph_determinant,
     leaves_of,
     negated_intersection_matrix,
+    subtree_determinants,
 )
 from splicekit.linalg import SmithDecomposition, determinant, identity_matrix
-from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
+from splicekit.splice import (
+    SpliceDiagram,
+    linking_matrix,
+    linking_numbers,
+    splice_from_resolution,
+)
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -86,6 +96,88 @@ def subtree_determinants_direct(g: ResolutionGraph) -> dict[tuple[str, str], int
     """The subtree-determinant table of a tree, every entry by
     ``_subtree_step`` in the order of ``fill_edge_table``."""
     return fill_edge_table(g, _subtree_step)
+
+
+def _walk_string(
+    g: ResolutionGraph, kinds: Mapping[str, str], start: str, first: str
+) -> tuple[str, tuple[str, ...]]:
+    """Follow valency-2 vertices from `start` through `first` until a
+    leaf or node; returns (terminal, interior vertices in walk order)."""
+    interior: list[str] = []
+    prev, cur = start, first
+    while kinds[cur] == "string":
+        interior.append(cur)
+        nxt = [x for x in g.adjacency[cur] if x != prev]
+        prev, cur = cur, nxt[0]
+    return cur, tuple(interior)
+
+
+def reduced_diagram_by_id(g: ResolutionGraph) -> SpliceDiagram:
+    """The reduced splice diagram by vertex id: the vertices that
+    ``classify_vertices`` does not call strings, a walk through each string
+    over ``adjacency``, node weights from ``subtree_determinants``, and
+    edges and weights sorted by position in the kept vertices."""
+    kinds = classify_vertices(g)
+    keep = tuple(v for v in g.ids if kinds[v] != "string")
+    dets = subtree_determinants(g)
+    edges: list[tuple[str, str]] = []
+    seen: set[frozenset[str]] = set()
+    weights: dict[tuple[str, str], int] = {}
+    strings: dict[tuple[str, str], tuple[str, ...]] = {}
+    for v in keep:
+        for u in g.adjacency[v]:
+            terminal, interior = _walk_string(g, kinds, v, u)
+            if frozenset((v, terminal)) not in seen:
+                seen.add(frozenset((v, terminal)))
+                edges.append((v, terminal))
+            strings[(v, terminal)] = interior
+            if kinds[v] == "node":
+                weights[(v, terminal)] = dets[(u, v)]
+    order = {v: i for i, v in enumerate(keep)}
+    rank = lambda e: (order[e[0]], order[e[1]])  # noqa: E731
+    return SpliceDiagram(
+        ids=keep,
+        edges=tuple(sorted(edges, key=rank)),
+        weights={e: weights[e] for e in sorted(weights, key=rank)},
+        strings=strings,
+    )
+
+
+def maximal_weights_by_id(g: ResolutionGraph) -> list[tuple[tuple[str, str], int]]:
+    """((at, toward), weight) on both ends of every edge, from
+    ``subtree_determinants``, sorted by vertex order."""
+    idx = g.index
+    return sorted(
+        (((v, u), w) for (u, v), w in subtree_determinants(g).items()),
+        key=lambda t: (idx[t[0][0]], idx[t[0][1]]),
+    )
+
+
+def subtree_leaves_by_id(d: SpliceDiagram, v: str, toward: str) -> tuple[str, ...]:
+    """Leaves of the piece of the diagram cut off from v by the edge toward
+    `toward` (including `toward` itself when it is a leaf), in vertex order,
+    by a search over ``adjacency``."""
+    if toward not in d.adjacency.get(v, ()):
+        raise UnknownEdge(f"({v}, {toward})")
+    seen, stack = {toward}, [toward]
+    while stack:
+        for x in d.adjacency[stack.pop()]:
+            if x != v and x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return tuple(w for w in d.ids if w in seen and d.is_leaf(w))
+
+
+def edge_equations_by_id(
+    d: SpliceDiagram, v: str
+) -> dict[str, tuple[tuple[str, ...], tuple[int, ...]]]:
+    """For each neighbour u of v, ``subtree_leaves_by_id`` with
+    ``linking_numbers(d, v, w)[1]`` for each leaf w, one path walk per leaf."""
+    out = {}
+    for u in d.adjacency[v]:
+        leaves = subtree_leaves_by_id(d, v, u)
+        out[u] = (leaves, tuple(linking_numbers(d, v, w)[1] for w in leaves))
+    return out
 
 
 def enumerated_group_check(group: DiscriminantGroup) -> GroupCheck:
@@ -447,7 +539,7 @@ def congruence_equalities_rational(
     group = leaf_generators(g)
     pm = pairing_matrix(g)
     idx = g.index
-    leaves = subtree_leaves(d, v, toward)
+    leaves = subtree_leaves_by_id(d, v, toward)
     out = {}
     for wp in leaves:
         lhs = character_of_monomial(group, alpha, group.generator(wp))

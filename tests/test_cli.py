@@ -158,12 +158,13 @@ def test_cli_writes_integers_of_any_length(tmp_path, capsys):
     # the other commands that print a determinant-sized integer
     assert main(["group", path]) == 0
     assert _chunked_int(capsys.readouterr().out.splitlines()[0][len("order: ") :]) == g.det
-    widest = max(g.subtree_dets.values())
+    dets = graph.subtree_determinants(g)
+    widest = max(dets.values())
     for command in (["maximal", "--json"], ["splice", "--json"], ["group", "--json"]):
         assert main([*command, path]) == 0
         assert capsys.readouterr().out
     # the widest maximal weight, and the node's splice weight toward the path
-    toward_path = g.subtree_dets[("v1", "v0")]
+    toward_path = dets[("v1", "v0")]
     for command, lines, wanted in (
         (["maximal"], slice(None), widest),
         (["splice"], slice(1, None), toward_path),
@@ -172,6 +173,15 @@ def test_cli_writes_integers_of_any_length(tmp_path, capsys):
         weights = capsys.readouterr().out.splitlines()[lines]
         assert max(_chunked_int(line.rsplit(" ", 1)[1]) for line in weights) == wanted
     assert toward_path > 10**limit
+    # the equation at v0 takes the whole weight toward the path as the
+    # exponent of the far leaf, in the equations and in the report
+    assert main(["equations", path]) in (0, 1)
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith(" + z_a^2 + z_b^2 = 0") and line.startswith("z_v299^")
+    assert _chunked_int(line[len("z_v299^") : -len(" + z_a^2 + z_b^2 = 0")]) == toward_path
+    assert main(["report", "--json", path]) in (0, 1)
+    out = capsys.readouterr().out
+    assert out.endswith("\n}\n") and f'"{line}"' in out
     assert sys.get_int_max_str_digits() == limit
 
 

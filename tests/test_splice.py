@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 
 from splicekit.cfrac import continued_fraction_of_string
+from splicekit.conditions import edge_equation
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
-from splicekit.errors import LeafEdgeInReducedDiagram, NotEndNode, SameVertex
+from splicekit.errors import LeafEdgeInReducedDiagram, NotEndNode, SameVertex, UnknownEdge
 from splicekit.graph import (
     ResolutionGraph,
     blow_up_edge,
@@ -36,7 +37,13 @@ from splicekit.splice import (
     verify_edge_det_theorem,
 )
 
-from oracles import ideal_generator_recursive, subtree_determinants_direct
+from oracles import (
+    edge_equations_by_id,
+    ideal_generator_recursive,
+    maximal_weights_by_id,
+    reduced_diagram_by_id,
+    subtree_determinants_direct,
+)
 
 G1_SPLICE = {
     ("nL", "ul"): 2, ("nL", "ll"): 3, ("nL", "nR"): 7,
@@ -245,6 +252,59 @@ def test_subtree_table_matches_direct_expansion_on_large_trees():
     graphs = [dominant_tree(random.Random(seed), n) for seed, n in ((7, 200), (8, 400), (9, 1000))]
     for g in [*graphs, _deep_caterpillar()]:
         assert list(subtree_determinants(g).items()) == list(subtree_determinants_direct(g).items())
+
+
+def _shuffled(g, rng):
+    # the same tree with its vertices and edges in a seeded order, each edge
+    # either way round, so vertex order and tree order disagree
+    order = rng.sample(range(len(g.ids)), len(g.ids))
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in g.edges]
+    rng.shuffle(edges)
+    return ResolutionGraph.build([(g.ids[i], g.weights[i]) for i in order], edges)
+
+
+def _diagram_families(rng):
+    yield ResolutionGraph.build([("a", -2)], [])
+    yield ResolutionGraph.build([("a", -2), ("b", -3)], [("a", "b")])
+    for _ in range(6):  # paths
+        n = rng.randint(3, 40)
+        yield ResolutionGraph.build(
+            [(f"p{i}", -rng.randint(2, 5)) for i in range(n)],
+            [(f"p{i}", f"p{i + 1}") for i in range(n - 1)],
+        )
+    for _ in range(6):  # stars whose arms are strings of 1 to 3 curves
+        arms = [rng.randint(1, 3) for _ in range(rng.randint(3, 7))]
+        vertices, edges = [("c", -len(arms) - 1 - rng.randint(0, 2))], []
+        for a, length in enumerate(arms):
+            chain = ["c"] + [f"a{a}_{k}" for k in range(length)]
+            vertices += [(x, -rng.randint(2, 4)) for x in chain[1:]]
+            edges += list(zip(chain, chain[1:]))
+        yield ResolutionGraph.build(vertices, edges)
+    for n in (5, 12, 25, 50, 100, 200, 400):
+        yield dominant_tree(rng, n)
+
+
+def test_diagrams_off_the_integer_tree_match_the_tables_by_vertex_id():
+    rng = random.Random(20)
+    graphs = [_shuffled(g, rng) for g in _diagram_families(rng)]
+    for g in [*graphs, _deep_caterpillar()]:
+        d, ref = splice_from_resolution(g), reduced_diagram_by_id(g)
+        assert (d.ids, d.edges, dict(d.strings)) == (ref.ids, ref.edges, ref.strings)
+        assert list(d.weights.items()) == list(ref.weights.items())
+        assert list(maximal_splice(g).weights.items()) == maximal_weights_by_id(g)
+        # every vertex of the small diagrams, a seeded few of the large ones;
+        # the reference walks one path per leaf
+        for v in d.ids if len(d.ids) <= 60 else rng.sample(d.ids, 4 if len(g.ids) < 2000 else 2):
+            assert {u: d.edge_leaves(v, u) for u in d.adjacency[v]} == edge_equations_by_id(d, v)
+        if len(g.ids) <= 60:  # valency-2 vertices and weights at both ends
+            dmax = maximal_splice(g)
+            for v in rng.sample(dmax.ids, min(3, len(dmax.ids))):
+                leaves = {u: dmax.edge_leaves(v, u) for u in dmax.adjacency[v]}
+                assert leaves == edge_equations_by_id(dmax, v)
+        with pytest.raises(UnknownEdge):
+            edge_equation(d, d.ids[0], d.ids[0])
+        with pytest.raises(UnknownEdge):
+            d.edge_leaves("no such vertex", d.ids[0])
 
 
 def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
