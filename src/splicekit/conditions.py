@@ -1,10 +1,10 @@
 """Semigroup and congruence conditions, with closed-form end-node criteria.
 
-One bounded search per diagram edge, ``search_edge``, serves the semigroup
-test, the congruence test and the fallback of condition 3.3. The congruence
-test clears denominators by the graph determinant and works with integer
-congruences; the test oracles keep the exact-rational route and the suite
-asserts the two agree.
+One bounded search routine, ``search_edge``, serves the semigroup test, the
+congruence test and the fallback of condition 3.3; each runs it on its own.
+The congruence test clears denominators by the graph determinant and works
+with integer congruences; the test oracles keep the exact-rational route
+and the suite asserts the two agree.
 """
 
 from __future__ import annotations
@@ -120,16 +120,6 @@ def edge_equation(
     read from the diagram's one walk per vertex (``edge_leaves``)."""
     leaves, values = d.edge_leaves(v, toward)
     return leaves, values, d.weights[(v, toward)]
-
-
-def iter_admissible(
-    d: SpliceDiagram, v: str, toward: str, budget: SearchBudget | None = None
-) -> Iterator[AdmissibleExponents]:
-    leaves, values, target = edge_equation(d, v, toward)
-    for alpha in iter_nonnegative_solutions(values, target, budget):
-        yield AdmissibleExponents(
-            node=v, toward=toward, exponents=tuple(zip(leaves, alpha))
-        )
 
 
 @dataclass(frozen=True)

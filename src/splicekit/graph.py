@@ -68,21 +68,6 @@ def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
     return {v: tuple(map(ids.__getitem__, ns)) for v, ns in zip(ids, g.tree.nbrs)}
 
 
-def _named(ids, order, parent) -> tuple[list[str], dict[str, str | None]]:
-    """An integer order and parent array by vertex id; parents in that order."""
-    names = [ids[i] for i in order]
-    return names, {v: ids[parent[i]] if parent[i] >= 0 else None for v, i in zip(names, order)}
-
-
-def rooted_order(g) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
-    """The breadth-first order and parents of ``g.tree`` by vertex id,
-    read-only, for a graph or splice diagram; empty when there are no
-    vertices. Where g is not a tree it holds the component of ids[0] only.
-    Cached on each instance as ``rooted``; ``fill_edge_table`` reads it."""
-    order, parent = _named(g.ids, g.tree.order, g.tree.parent)
-    return tuple(order), MappingProxyType(parent)
-
-
 @dataclass(frozen=True)
 class ResolutionGraph:
     """A tree whose vertices carry self-intersection weights.
@@ -97,13 +82,13 @@ class ResolutionGraph:
     subtree determinants (which gives the determinant and definiteness),
     the root-down pass, the linking rows, the reduced splice diagram and
     the maximal weights run on those arrays; the root-down pass runs only
-    when something reads the entries pointing away from vertex 0. The
-    string-keyed views ``adjacency`` and ``rooted`` are built from the
-    arrays when a caller asks, and ``subtree_determinants`` lists the
-    whole table by vertex id. Everything derived (the passes, the linking
-    numbers, one row per vertex on first use, the branch-cycle table and
-    the reduced splice diagram) is computed once per instance and cached
-    read-only.
+    when something reads the entries pointing away from vertex 0, and
+    ``fill_edge_table`` walks them too. The string-keyed view
+    ``adjacency`` is built from the arrays when a caller asks, and
+    ``subtree_determinants`` lists the whole table by vertex id.
+    Everything derived (the passes, the linking numbers, one row per vertex
+    on first use, the branch-cycle table and the reduced splice diagram) is
+    computed once per instance and cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -143,7 +128,6 @@ class ResolutionGraph:
     index = cached_property(vertex_index)
     tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
-    rooted = cached_property(rooted_order)
 
     @cached_property
     def branch_cycles(self) -> Mapping[DirectedEdge, Mapping[str, int]]:
@@ -293,7 +277,10 @@ class ResolutionGraph:
 def bfs_tree(g: ResolutionGraph, root: str) -> tuple[list[str], dict[str, str | None]]:
     """Vertices reachable from root in breadth-first order, with parents:
     ``walk_tree`` over ``g.tree`` by vertex id."""
-    return _named(g.ids, *walk_tree(g.tree.nbrs, g.index[root]))
+    ids = g.ids
+    order, parent = walk_tree(g.tree.nbrs, g.index[root])
+    names = [ids[i] for i in order]
+    return names, {v: ids[parent[i]] if parent[i] >= 0 else None for v, i in zip(names, order)}
 
 
 def is_tree(g: ResolutionGraph) -> bool:
@@ -321,11 +308,11 @@ def classify_vertices(g: ResolutionGraph) -> dict[str, VertexKind]:
     return out
 
 
-def nodes_of(g: ResolutionGraph) -> tuple[str, ...]:
+def nodes_of(g) -> tuple[str, ...]:
     return tuple(v for v, ns in zip(g.ids, g.tree.nbrs) if len(ns) >= 3)
 
 
-def leaves_of(g: ResolutionGraph) -> tuple[str, ...]:
+def leaves_of(g) -> tuple[str, ...]:
     return tuple(v for v, ns in zip(g.ids, g.tree.nbrs) if len(ns) <= 1)
 
 
@@ -402,17 +389,16 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     """table[(child, parent)] = step(g, table, child, parent) on every
     directed edge of a tree (resolution graph or splice diagram), each step
     reading entries (x, child), x != parent: first toward ids[0], leaves
-    up, then away from it, root down, along the cached ``g.rooted`` order
-    and without recursion. The branch-cycle and ideal-generator tables are
-    filled this way."""
-    order, parent = g.rooted
+    up, then away from it, root down, neighbours in vertex order, along the
+    order and parent array of ``g.tree`` and without recursion. The
+    branch-cycle and ideal-generator tables are filled this way."""
+    ids, (nbrs, order, parent) = g.ids, g.tree
+    edges = [(u, parent[u]) for u in reversed(order[1:])]
+    edges += [(u, x) for u in order for x in nbrs[u] if x != parent[u]]
     table: dict[DirectedEdge, int] = {}
-    for u in reversed(order[1:]):
-        table[(u, parent[u])] = step(g, table, u, parent[u])
-    for u in order:
-        for x in g.adjacency[u]:
-            if x != parent[u]:
-                table[(u, x)] = step(g, table, u, x)
+    for u, x in edges:
+        a, b = ids[u], ids[x]
+        table[(a, b)] = step(g, table, a, b)
     return table
 
 

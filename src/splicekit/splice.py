@@ -23,6 +23,7 @@ from .errors import (
     NotEndNode,
     NotNegativeDefinite,
     SameVertex,
+    SpliceKitError,
     UnknownEdge,
     UnknownVertex,
 )
@@ -37,7 +38,8 @@ from .graph import (
     induced_subgraph,
     int_tree,
     is_negative_definite,
-    rooted_order,
+    leaves_of,
+    nodes_of,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
     vertex_adjacency,
     vertex_index,
@@ -67,13 +69,21 @@ class SpliceDiagram:
     index = cached_property(vertex_index)
     tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
-    rooted = cached_property(rooted_order)
+    nodes = cached_property(nodes_of)
+    leaves = cached_property(leaves_of)
 
     def weight(self, at: str, toward: str) -> int | None:
         return self.weights.get((at, toward))
 
+    def _position(self, v: str) -> int:
+        i = self.index.get(v)
+        if i is None:
+            raise UnknownVertex(v)
+        return i
+
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        """Raises UnknownVertex, as do is_node, is_leaf and weight_product."""
+        return len(self.tree.nbrs[self._position(v)])
 
     def is_node(self, v: str) -> bool:
         return self.degree(v) >= 3
@@ -81,21 +91,13 @@ class SpliceDiagram:
     def is_leaf(self, v: str) -> bool:
         return self.degree(v) <= 1
 
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(v for v in self.ids if self.is_node(v))
-
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self.ids if self.is_leaf(v))
-
     def weight_product(self, v: str) -> int:
         """Product of all edge weights at v (1 for a bare vertex)."""
-        out = 1
-        for u in self.adjacency[v]:
-            w = self.weights.get((v, u))
+        ids, out = self.ids, 1
+        for u in self.tree.nbrs[self._position(v)]:
+            w = self.weights.get((v, ids[u]))
             if w is None:
-                raise UnknownVertex(f"no weight at {v} toward {u}")
+                raise UnknownVertex(f"no weight at {v} toward {ids[u]}")
             out *= w
         return out
 
@@ -144,22 +146,22 @@ class SpliceDiagram:
                 values.append(value[x])
         return {ids[u]: (tuple(ls), tuple(vs)) for u, (ls, vs) in out.items()}
 
+    def _climb(self, v: str, w: str) -> list[int]:
+        """The path from w to v as positions: one ``walk_tree`` from v, then
+        up its parent array from w. Raises UnknownVertex, and SpliceKitError
+        when w is not reached from v."""
+        i, j = self._position(v), self._position(w)
+        _, parent = walk_tree(self.tree.nbrs, i)
+        path = [j]
+        while j != i:
+            j = parent[j]
+            if j < 0:
+                raise SpliceKitError(f"no path from {v!r} to {w!r}")
+            path.append(j)
+        return path
+
     def path(self, v: str, w: str) -> tuple[str, ...]:
-        if v not in self.index or w not in self.index:
-            raise UnknownVertex(f"{v!r} or {w!r}")
-        parent: dict[str, str | None] = {v: None}
-        stack = [v]
-        while stack and w not in parent:
-            u = stack.pop()
-            for x in self.adjacency[u]:
-                if x not in parent:
-                    parent[x] = u
-                    stack.append(x)
-        path = [w]
-        while path[-1] != v:
-            path.append(parent[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        return tuple(path)
+        return tuple(self.ids[i] for i in reversed(self._climb(v, w)))
 
 
 @dataclass(frozen=True)
@@ -244,25 +246,15 @@ def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
     """
     if v == w:
         raise SameVertex(v)
-    path = d.path(v, w)
-    on_path = set(path)
-    full = 1
-    reduced = 1
-    for i, u in enumerate(path):
-        neighbors_on_path = set()
-        if i > 0:
-            neighbors_on_path.add(path[i - 1])
-        if i + 1 < len(path):
-            neighbors_on_path.add(path[i + 1])
-        for x in d.adjacency[u]:
-            if x in neighbors_on_path:
-                continue
-            wt = d.weights.get((u, x))
-            if wt is None:
-                continue
-            full *= wt
-            if u not in (v, w):
-                reduced *= wt
+    ids, nbrs, weights = d.ids, d.tree.nbrs, d.weights
+    path = d._climb(v, w)
+    full = reduced = 1
+    for k, u in enumerate(path):
+        on = path[k - 1 : k + 2] if k else path[:2]  # u and its path neighbours
+        at = prod(weights.get((ids[u], ids[x]), 1) for x in nbrs[u] if x not in on)
+        full *= at
+        if 0 < k < len(path) - 1:
+            reduced *= at
     return full, reduced
 
 
@@ -447,8 +439,9 @@ class ReductionResult:
 
 
 def is_end_node(d: SpliceDiagram, v: str) -> bool:
-    """A node all but (at most) one of whose edges leads to a leaf."""
-    if not d.is_node(v):
+    """A node all but (at most) one of whose edges leads to a leaf; False
+    for a vertex not in d."""
+    if v not in d.index or not d.is_node(v):
         return False
     non_leaf = [x for x in d.adjacency[v] if not d.is_leaf(x)]
     return len(non_leaf) <= 1
@@ -502,10 +495,8 @@ def end_node_reduce(
     new_weights: dict[DirectedEdge, int] = {}
     problems: list[NonIntegralWeight] = []
     surviving_nodes = [v for v in d.nodes if v != v_star]
-    toward_new = {}
-    for v in surviving_nodes:
-        path = d.path(v, v_star)
-        toward_new[v] = path[1]
+    _, parent = walk_tree(d.tree.nbrs, d.index[v_star])
+    toward_new = {v: d.ids[parent[d.index[v]]] for v in surviving_nodes}
     for (at, to), wt in d.weights.items():
         if at in removed:
             continue
@@ -513,10 +504,10 @@ def end_node_reduce(
             continue  # replaced below
         new_weights[(at, to)] = wt
     for v in surviving_nodes:
+        _, lp = linking_numbers(d, v, v_star)
         x = toward_new[v]
         d_v1 = d.weights[(v, x)]
         d_v = d.weight_product(v)
-        _, lp = linking_numbers(d, v, v_star)
         raw = r * d_v1 - n_product * (d_v // d_v1) * lp * lp
         value = raw
         if mode == "normalized":
@@ -559,14 +550,11 @@ def end_node_reduce_graph(
     non_leaf = [x for x in d.adjacency[v_star] if not d.is_leaf(x)]
     if not non_leaf:
         raise NotEndNode(f"{v_star}: no remaining direction to keep")
-    central = non_leaf[0]
-    central_dir = None
-    for u in g.adjacency[v_star]:
-        if central in component_of(g, v_star, u):
-            central_dir = u
-            break
-    assert central_dir is not None
-    work = g
+    star, x = g.index[v_star], g.index[non_leaf[0]]
+    _, parent = walk_tree(g.tree.nbrs, star)
+    while parent[x] != star:
+        x = parent[x]
+    central_dir, work = g.ids[x], g
     if work.degree(central_dir) >= 3:
         work = blow_up_edge(work, (v_star, central_dir))
         central_dir = next(v for v in work.ids if v not in g.index)

@@ -21,7 +21,10 @@ entry along its vertex's row, re-reading the grandchild entries.
 The reduced and maximal splice diagrams and the edge equations are read
 off the integer tree; ``reduced_diagram_by_id``, ``maximal_weights_by_id``
 and ``edge_equations_by_id`` build them by vertex id from
-``subtree_determinants``, ``classify_vertices`` and ``linking_numbers``.
+``subtree_determinants``, ``classify_vertices`` and
+``linking_numbers_by_path``. Paths and linking numbers climb the parent
+array of one walk from v; ``path_by_search`` searches depth first over
+``adjacency``, and ``linking_numbers_by_path`` multiplies along its path.
 A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
@@ -54,7 +57,7 @@ from splicekit.discriminant import (
     pairing_matrix,
     qmod1,
 )
-from splicekit.errors import UnknownEdge
+from splicekit.errors import SameVertex, UnknownEdge, UnknownVertex
 from splicekit.graph import (
     ResolutionGraph,
     _subtree_step,
@@ -68,12 +71,7 @@ from splicekit.graph import (
     subtree_determinants,
 )
 from splicekit.linalg import SmithDecomposition, determinant, identity_matrix
-from splicekit.splice import (
-    SpliceDiagram,
-    linking_matrix,
-    linking_numbers,
-    splice_from_resolution,
-)
+from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -168,15 +166,55 @@ def subtree_leaves_by_id(d: SpliceDiagram, v: str, toward: str) -> tuple[str, ..
     return tuple(w for w in d.ids if w in seen and d.is_leaf(w))
 
 
+def path_by_search(d: SpliceDiagram, v: str, w: str) -> tuple[str, ...]:
+    """The vertices from v to w, by a depth-first search from v over
+    ``adjacency`` that records each vertex's parent until it meets w."""
+    if v not in d.index or w not in d.index:
+        raise UnknownVertex(f"{v!r} or {w!r}")
+    parent: dict[str, str | None] = {v: None}
+    stack = [v]
+    while stack and w not in parent:
+        u = stack.pop()
+        for x in d.adjacency[u]:
+            if x not in parent:
+                parent[x] = u
+                stack.append(x)
+    path = [w]
+    while path[-1] != v:
+        path.append(parent[path[-1]])  # type: ignore[arg-type]
+    return tuple(reversed(path))
+
+
+def linking_numbers_by_path(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
+    """(full, reduced) by ``path_by_search``: at each vertex u of the path,
+    the weights at u toward neighbours off the path, each missing weight
+    skipped; the reduced value leaves out those at v and w."""
+    if v == w:
+        raise SameVertex(v)
+    path = path_by_search(d, v, w)
+    full = reduced = 1
+    for i, u in enumerate(path):
+        on_path = {path[i - 1] if i else None, path[i + 1] if i + 1 < len(path) else None}
+        for x in d.adjacency[u]:
+            wt = d.weights.get((u, x))
+            if x in on_path or wt is None:
+                continue
+            full *= wt
+            if u not in (v, w):
+                reduced *= wt
+    return full, reduced
+
+
 def edge_equations_by_id(
     d: SpliceDiagram, v: str
 ) -> dict[str, tuple[tuple[str, ...], tuple[int, ...]]]:
     """For each neighbour u of v, ``subtree_leaves_by_id`` with
-    ``linking_numbers(d, v, w)[1]`` for each leaf w, one path walk per leaf."""
+    ``linking_numbers_by_path(d, v, w)[1]`` for each leaf w, one path search
+    per leaf."""
     out = {}
     for u in d.adjacency[v]:
         leaves = subtree_leaves_by_id(d, v, u)
-        out[u] = (leaves, tuple(linking_numbers(d, v, w)[1] for w in leaves))
+        out[u] = (leaves, tuple(linking_numbers_by_path(d, v, w)[1] for w in leaves))
     return out
 
 

@@ -322,6 +322,9 @@ def test_cli_reduce_g1(tmp_path, g1, capsys):
     weights = {(at, to): w for at, to, w in payload["weights"]}
     assert sorted(weights.values()) == [2, 3, 17]
     assert main(["reduce", path, "--end-node", "ul"]) == 2  # not an end-node
+    capsys.readouterr()
+    assert main(["reduce", path, "--end-node", "zz"]) == 2  # not a vertex at all
+    assert capsys.readouterr().err == "input error: not an end-node: zz\n"
 
 
 def test_cli_equations(tmp_path, g90, star, capsys):

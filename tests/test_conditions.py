@@ -11,7 +11,6 @@ from splicekit.conditions import (
     check_semigroup,
     end_node_criterion,
     end_node_criterion_slack,
-    iter_admissible,
     iter_nonnegative_solutions,
     two_node_criterion,
 )
@@ -88,7 +87,9 @@ def test_both_weighted_sums_agree(g1, g17, g90):
         for v in d.nodes:
             d_v = d.weight_product(v)
             for u in d.adjacency[v]:
-                for adm in iter_admissible(d, v, u):
+                sols = admissible_exponents(d, v, u)
+                assert not sols.truncated
+                for adm in sols.solutions:
                     alpha = adm.as_dict()
                     total = sum(
                         a * linking_numbers(d, v, w)[0] for w, a in alpha.items()
@@ -143,7 +144,9 @@ def test_rational_and_integer_paths_agree(g17, g90):
         d = splice_from_resolution(g)
         report = check_congruence(g)
         for edge in report.edges:
-            for adm in list(iter_admissible(d, edge.node, edge.toward))[:5]:
+            sols = admissible_exponents(d, edge.node, edge.toward)
+            assert not sols.truncated
+            for adm in sols.solutions[:5]:
                 rational = congruence_equalities_rational(
                     g, edge.node, edge.toward, adm.as_dict()
                 )

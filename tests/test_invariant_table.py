@@ -268,8 +268,8 @@ def test_linking_rows_invert_the_intersection_matrix(g):
 @settings(max_examples=150, deadline=None)
 @given(trees_and_near_trees())
 def test_integer_view_lists_neighbours_in_vertex_order(g):
-    # whatever the order of the edges and their ends; the rooted order is
-    # breadth first from ids[0], children in vertex order, over its component
+    # whatever the order of the edges and their ends; the order of ``tree``
+    # is breadth first from ids[0], children in vertex order, over its component
     pos = g.index
     for v in g.ids:
         around = {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
@@ -282,8 +282,9 @@ def test_integer_view_lists_neighbours_in_vertex_order(g):
             if x not in parent:
                 parent[x] = u
                 queue.append(x)
-    order, rooted_parent = g.rooted
-    assert order == tuple(queue) and list(rooted_parent.items()) == list(parent.items())
+    ids, (_, order, tree_parent) = g.ids, g.tree
+    named = [(ids[i], ids[tree_parent[i]] if tree_parent[i] >= 0 else None) for i in order]
+    assert tuple(ids[i] for i in order) == tuple(queue) and named == list(parent.items())
 
 
 def test_det_and_validation_read_the_leaves_up_pass_alone(corpus):
@@ -299,4 +300,4 @@ def test_det_and_validation_read_the_leaves_up_pass_alone(corpus):
                 graph_determinant(fresh)
         built = vars(fresh)
         assert "_leaves_up" in built
-        assert not {"_rev", "adjacency", "rooted"} & built.keys()
+        assert not {"_rev", "adjacency"} & built.keys()

@@ -33,6 +33,8 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
             "verify_identities.py", ("--trees", "8"),
             "verified 13 linking identities, 128 edge determinants and 20 end-node reductions in ",
         ),
+        # one digest line per command on fixed file names, then the total
+        ("cli_digest.py", ("--trees", "2", "--two-node", "1"), "261 commands, digest "),
     ],
 )
 def test_sweep_script_runs(script, args, summary):

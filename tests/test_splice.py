@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -7,7 +8,14 @@ from splicekit.cfrac import continued_fraction_of_string
 from splicekit.conditions import edge_equation
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
-from splicekit.errors import LeafEdgeInReducedDiagram, NotEndNode, SameVertex, UnknownEdge
+from splicekit.errors import (
+    LeafEdgeInReducedDiagram,
+    NotEndNode,
+    SameVertex,
+    SpliceKitError,
+    UnknownEdge,
+    UnknownVertex,
+)
 from splicekit.graph import (
     ResolutionGraph,
     blow_up_edge,
@@ -21,6 +29,7 @@ from splicekit.linalg import determinant, matmul
 from splicekit.cli import main
 from splicekit.document import document_to_json, graph_to_document
 from splicekit.splice import (
+    SpliceDiagram,
     edge_determinant,
     end_node_reduce,
     end_node_reduce_graph,
@@ -40,7 +49,9 @@ from splicekit.splice import (
 from oracles import (
     edge_equations_by_id,
     ideal_generator_recursive,
+    linking_numbers_by_path,
     maximal_weights_by_id,
+    path_by_search,
     reduced_diagram_by_id,
     subtree_determinants_direct,
 )
@@ -305,6 +316,60 @@ def test_diagrams_off_the_integer_tree_match_the_tables_by_vertex_id():
             edge_equation(d, d.ids[0], d.ids[0])
         with pytest.raises(UnknownEdge):
             d.edge_leaves("no such vertex", d.ids[0])
+
+
+def test_paths_and_linking_numbers_match_the_search_on_every_pair(fixture_map, two_node_corpus):
+    # every ordered pair of the reduced and maximal diagrams, adjacent or
+    # not, and a seeded sample of pairs on the deep caterpillar
+    rng = random.Random(21)
+    paths = [
+        ResolutionGraph.build(
+            [(f"p{i}", -rng.randint(2, 5)) for i in range(n)],
+            [(f"p{i}", f"p{i + 1}") for i in range(n - 1)],
+        )
+        for n in (1, 2, 3, 8, 30)
+    ]
+    trees = [_shuffled(dominant_tree(rng, rng.randint(2, 50)), rng) for _ in range(12)]
+
+    def agree(d, v, w):
+        assert d.path(v, w) == path_by_search(d, v, w)
+        if v == w:
+            with pytest.raises(SameVertex):
+                linking_numbers(d, v, w)
+        else:
+            assert linking_numbers(d, v, w) == linking_numbers_by_path(d, v, w)
+
+    for g in [*fixture_map.values(), *trees, *paths, *two_node_corpus]:
+        for d in (splice_from_resolution(g), maximal_splice(g)):
+            for v, w in itertools.product(d.ids, repeat=2):
+                agree(d, v, w)
+    g = _deep_caterpillar()
+    for d in (splice_from_resolution(g), maximal_splice(g)):
+        for _ in range(200):
+            agree(d, *rng.sample(d.ids, 2))
+
+
+def test_unknown_and_unreachable_vertices_are_library_errors(g1):
+    d = SpliceDiagram(ids=("a", "b", "c"), edges=(("a", "b"),), weights={})
+    assert d.path("a", "b") == ("a", "b") and linking_numbers(d, "a", "b") == (1, 1)
+    for call in (d.path, lambda v, w: linking_numbers(d, v, w)):
+        with pytest.raises(SpliceKitError, match="no path from 'a' to 'c'"):
+            call("a", "c")
+        with pytest.raises(UnknownVertex):
+            call("a", "zz")
+    for query in (d.degree, d.is_node, d.is_leaf, d.weight_product):
+        with pytest.raises(UnknownVertex):
+            query("zz")
+    assert not is_end_node(d, "zz")
+    # g1's diagram beside a lone star: the star's node is not reached
+    g1d = splice_from_resolution(g1)
+    star = [("m", "x"), ("m", "y"), ("m", "z")]
+    two = SpliceDiagram(
+        ids=(*g1d.ids, "m", "x", "y", "z"), edges=(*g1d.edges, *star),
+        weights={**g1d.weights, **{e: 2 for e in star}},
+    )
+    with pytest.raises(SpliceKitError, match="no path from 'm' to 'nR'"):
+        end_node_reduce(two, "nR", mode="raw")
 
 
 def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
