@@ -11,12 +11,12 @@ change in anything a user sees shows up as a differing line.
 Each graph gets validate, det, group, splice, maximal and ``check ideal``,
 and ``reduce`` at every node of its splice diagram in both modes. The
 commands that search exponent vectors (the other checks, ``equations`` and
-``report``) run only where the determinant is at most --det-cap. Each
-command runs with and without --json. An uncaught exception is recorded as
-its type and message with exit code 1.
+``report``) run only where the determinant is at most DET_CAP. Each command
+runs with and without --json. An uncaught exception is recorded as its type
+and message with exit code 1. The corpus is the default-seeded one of
+``splicekit.corpus``; --trees and --two-node take a prefix of it.
 
 Usage: python scripts/cli_digest.py [--trees 100] [--two-node 50]
-                                    [--seed 20240917] [--det-cap 10000]
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from splicekit.fixtures import fixture_graphs
 from splicekit.graph import graph_determinant, is_negative_definite
 from splicekit.splice import splice_from_resolution
 
+DET_CAP = 10**4
 CHEAP = (("validate",), ("det",), ("group",), ("splice",), ("maximal",), ("check", "ideal"))
 SEARCHING = (
     ("check", "semigroup"), ("check", "congruence"), ("check", "okuma34"),
@@ -59,14 +60,14 @@ def run(argv: list[str]) -> str:
     return f"{hashlib.sha256(blob).hexdigest()[:16]} {code}"
 
 
-def commands(name: str, g, det_cap: int):
+def commands(name: str, g):
     file = f"{name}.json"
     calls = [(*cmd, file) for cmd in CHEAP]
     if is_negative_definite(g):
         for v in splice_from_resolution(g).nodes:
             calls.append(("reduce", file, "--end-node", v))
             calls.append(("reduce", file, "--end-node", v, "--raw"))
-        if graph_determinant(g) <= det_cap:
+        if graph_determinant(g) <= DET_CAP:
             calls += [(*cmd, file) for cmd in SEARCHING]
     for call in calls:
         yield list(call)
@@ -77,13 +78,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=100)
     parser.add_argument("--two-node", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=20240917)
-    parser.add_argument("--det-cap", type=int, default=10_000)
     args = parser.parse_args()
 
     graphs = list(fixture_graphs().items())
-    graphs += [(f"tree{i:03d}", g) for i, g in enumerate(dominant_trees(args.trees, seed=args.seed))]
-    graphs += [(f"pair{i:03d}", g) for i, g in enumerate(two_node_graphs(args.two_node, seed=args.seed))]
+    graphs += [(f"tree{i:03d}", g) for i, g in enumerate(dominant_trees(args.trees))]
+    graphs += [(f"pair{i:03d}", g) for i, g in enumerate(two_node_graphs(args.two_node))]
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -92,7 +91,7 @@ def main() -> int:
             for name, g in graphs:
                 Path(f"{name}.json").write_text(document_to_json(graph_to_document(g)))
             lines = [f"{run(argv)} {' '.join(argv)}" for name, g in graphs
-                     for argv in commands(name, g, args.det_cap)]
+                     for argv in commands(name, g)]
             emitted = run(["emit-fixtures", "--dir", "emitted"])
             files = b"".join(
                 p.name.encode() + b"\0" + p.read_bytes() for p in sorted(Path("emitted").iterdir())

@@ -392,12 +392,14 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     up, then away from it, root down, neighbours in vertex order, along the
     order and parent array of ``g.tree`` and without recursion. The
     branch-cycle and ideal-generator tables are filled this way."""
-    ids, (nbrs, order, parent) = g.ids, g.tree
+    ids = g.ids
+    nbrs, order, parent = g.tree
     edges = [(u, parent[u]) for u in reversed(order[1:])]
     edges += [(u, x) for u in order for x in nbrs[u] if x != parent[u]]
     table: dict[DirectedEdge, int] = {}
     for u, x in edges:
-        a, b = ids[u], ids[x]
+        a = ids[u]
+        b = ids[x]
         table[(a, b)] = step(g, table, a, b)
     return table
 

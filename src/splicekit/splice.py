@@ -93,7 +93,8 @@ class SpliceDiagram:
 
     def weight_product(self, v: str) -> int:
         """Product of all edge weights at v (1 for a bare vertex)."""
-        ids, out = self.ids, 1
+        ids = self.ids
+        out = 1
         for u in self.tree.nbrs[self._position(v)]:
             w = self.weights.get((v, ids[u]))
             if w is None:
@@ -150,7 +151,8 @@ class SpliceDiagram:
         """The path from w to v as positions: one ``walk_tree`` from v, then
         up its parent array from w. Raises UnknownVertex, and SpliceKitError
         when w is not reached from v."""
-        i, j = self._position(v), self._position(w)
+        i = self._position(v)
+        j = self._position(w)
         _, parent = walk_tree(self.tree.nbrs, i)
         path = [j]
         while j != i:
@@ -246,9 +248,12 @@ def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
     """
     if v == w:
         raise SameVertex(v)
-    ids, nbrs, weights = d.ids, d.tree.nbrs, d.weights
+    ids = d.ids
+    nbrs = d.tree.nbrs
+    weights = d.weights
     path = d._climb(v, w)
-    full = reduced = 1
+    full = 1
+    reduced = 1
     for k, u in enumerate(path):
         on = path[k - 1 : k + 2] if k else path[:2]  # u and its path neighbours
         at = prod(weights.get((ids[u], ids[x]), 1) for x in nbrs[u] if x not in on)
@@ -496,7 +501,12 @@ def end_node_reduce(
     problems: list[NonIntegralWeight] = []
     surviving_nodes = [v for v in d.nodes if v != v_star]
     _, parent = walk_tree(d.tree.nbrs, d.index[v_star])
-    toward_new = {v: d.ids[parent[d.index[v]]] for v in surviving_nodes}
+    toward_new = {}
+    for v in surviving_nodes:
+        up = parent[d.index[v]]
+        if up < 0:
+            raise SpliceKitError(f"no path from {v!r} to {v_star!r}")
+        toward_new[v] = d.ids[up]
     for (at, to), wt in d.weights.items():
         if at in removed:
             continue
@@ -504,10 +514,10 @@ def end_node_reduce(
             continue  # replaced below
         new_weights[(at, to)] = wt
     for v in surviving_nodes:
-        _, lp = linking_numbers(d, v, v_star)
         x = toward_new[v]
         d_v1 = d.weights[(v, x)]
         d_v = d.weight_product(v)
+        _, lp = linking_numbers(d, v, v_star)
         raw = r * d_v1 - n_product * (d_v // d_v1) * lp * lp
         value = raw
         if mode == "normalized":
@@ -543,18 +553,18 @@ def end_node_reduce_graph(
     so that a string vertex remains to serve as the new leaf.
     """
     d = splice_from_resolution(g)
-    if v_star not in d.index or not d.is_node(v_star):
-        raise NotEndNode(v_star)
     if not is_end_node(d, v_star):
         raise NotEndNode(v_star)
     non_leaf = [x for x in d.adjacency[v_star] if not d.is_leaf(x)]
     if not non_leaf:
         raise NotEndNode(f"{v_star}: no remaining direction to keep")
-    star, x = g.index[v_star], g.index[non_leaf[0]]
+    star = g.index[v_star]
+    x = g.index[non_leaf[0]]
     _, parent = walk_tree(g.tree.nbrs, star)
     while parent[x] != star:
         x = parent[x]
-    central_dir, work = g.ids[x], g
+    central_dir = g.ids[x]
+    work = g
     if work.degree(central_dir) >= 3:
         work = blow_up_edge(work, (v_star, central_dir))
         central_dir = next(v for v in work.ids if v not in g.index)

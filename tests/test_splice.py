@@ -361,11 +361,12 @@ def test_unknown_and_unreachable_vertices_are_library_errors(g1):
         with pytest.raises(UnknownVertex):
             query("zz")
     assert not is_end_node(d, "zz")
-    # g1's diagram beside a lone star: the star's node is not reached
+    # g1's diagram beside a lone star: the star's node is not reached, and
+    # the last vertex is not next to it
     g1d = splice_from_resolution(g1)
     star = [("m", "x"), ("m", "y"), ("m", "z")]
     two = SpliceDiagram(
-        ids=(*g1d.ids, "m", "x", "y", "z"), edges=(*g1d.edges, *star),
+        ids=("m", "x", "y", "z", *g1d.ids), edges=(*star, *g1d.edges),
         weights={**g1d.weights, **{e: 2 for e in star}},
     )
     with pytest.raises(SpliceKitError, match="no path from 'm' to 'nR'"):
