@@ -14,7 +14,10 @@ commands that search exponent vectors (the other checks, ``equations`` and
 ``report``) run only where the determinant is at most DET_CAP. Each command
 runs with and without --json. An uncaught exception is recorded as its type
 and message with exit code 1. The corpus is the default-seeded one of
-``splicekit.corpus``; --trees and --two-node take a prefix of it.
+``splicekit.corpus``; --trees and --two-node take a prefix of it. One more
+line digests ``report --json`` on ``dominant_tree(random.Random(3), 25)``,
+the one seeded input whose searches run out of budget (one semigroup and
+three congruence edges are truncated).
 
 Usage: python scripts/cli_digest.py [--trees 100] [--two-node 50]
 """
@@ -26,11 +29,12 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import tempfile
 from pathlib import Path
 
 from splicekit.cli import main as cli_main
-from splicekit.corpus import dominant_trees, two_node_graphs
+from splicekit.corpus import dominant_tree, dominant_trees, two_node_graphs
 from splicekit.document import document_to_json, graph_to_document
 from splicekit.fixtures import fixture_graphs
 from splicekit.graph import graph_determinant, is_negative_definite
@@ -43,6 +47,7 @@ SEARCHING = (
     ("check", "okuma33"), ("check", "all"), ("equations",),
     ("equations", "--equivariant"), ("report",),
 )
+RUNS_OUT = (3, 25)  # seed and size of the tree whose searches run out of budget
 
 
 def run(argv: list[str]) -> str:
@@ -90,8 +95,11 @@ def main() -> int:
         try:
             for name, g in graphs:
                 Path(f"{name}.json").write_text(document_to_json(graph_to_document(g)))
-            lines = [f"{run(argv)} {' '.join(argv)}" for name, g in graphs
-                     for argv in commands(name, g)]
+            runs_out = dominant_tree(random.Random(RUNS_OUT[0]), RUNS_OUT[1])
+            Path("runs_out.json").write_text(document_to_json(graph_to_document(runs_out)))
+            calls = [argv for name, g in graphs for argv in commands(name, g)]
+            calls.append(["report", "--json", "runs_out.json"])
+            lines = [f"{run(argv)} {' '.join(argv)}" for argv in calls]
             emitted = run(["emit-fixtures", "--dir", "emitted"])
             files = b"".join(
                 p.name.encode() + b"\0" + p.read_bytes() for p in sorted(Path("emitted").iterdir())

@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import equations, reporting, splice
+from . import conditions, equations, reporting, splice
 from .document import (
     document_to_graph,
     document_to_json,
@@ -109,6 +109,10 @@ def cmd_check(args) -> int:
         "okuma34": reporting.okuma34_section,
         "okuma33": reporting.okuma33_section,
     }
+    if args.condition == "all":  # the congruence search decides the semigroup edges too
+        builders["semigroup"] = lambda g: reporting._semigroup_payload(
+            conditions.check_congruence(g).semigroup
+        )
     for name in wanted:
         sections[name] = builders[name](g)
     ok = all(s["ok"] for s in sections.values())

@@ -1,15 +1,16 @@
 """Semigroup and congruence conditions, with closed-form end-node criteria.
 
-One bounded search routine, ``search_edge``, serves the semigroup test, the
-congruence test and the fallback of condition 3.3; each runs it on its own.
-The congruence test clears denominators by the graph determinant and works
-with integer congruences; the test oracles keep the exact-rational route
-and the suite asserts the two agree.
+One bounded search per edge, ``search_edge``, decides the semigroup test
+(its first vector) and the congruence test (its first vector meeting the
+integer congruence table, denominators cleared by the determinant), cached
+on the graph by ``congruence_edge`` for both reports and the 3.3 fallback.
+The test oracles keep the exact-rational route; the suite asserts agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -133,29 +134,43 @@ class ExponentSolutions:
     truncated: bool
 
 
+@dataclass(frozen=True)
+class SemigroupEdge:
+    node: str
+    toward: str
+    ok: bool
+    witness: AdmissibleExponents | None
+    truncated: bool = False
+
+
 def search_edge(
     d: SpliceDiagram,
     v: str,
     toward: str,
     cap: int,
     accept: Callable[[tuple[int, ...]], bool] | None = None,
-) -> tuple[AdmissibleExponents | None, int, bool]:
-    """The first admissible vector on the edge that passes `accept` (the
-    first one at all without a test), the number of vectors tested, and
-    whether the search was truncated: it stops after `cap` vectors, or
-    when its node budget of max(16 * cap, 2^20) runs out. `accept` sees the
-    raw exponents, aligned with ``edge_equation``'s leaves; only the vector
-    it accepts is wrapped."""
+) -> tuple[SemigroupEdge, AdmissibleExponents | None, int, bool]:
+    """The edge's semigroup verdict (from the first vector found), the first
+    admissible vector on the edge that passes `accept` (the first one at all
+    without a test), the number of vectors tested, and whether the search
+    was truncated: it stops after `cap` vectors, or when its node budget of
+    max(16 * cap, 2^20) runs out. `accept` sees the raw exponents, aligned
+    with ``edge_equation``'s leaves; only the vectors returned are wrapped."""
     leaves, values, target = edge_equation(d, v, toward)
     budget = SearchBudget(max(cap * 16, 1 << 20))
+    solutions = iter_nonnegative_solutions(values, target, budget)
+    first = witness = None
     tested = 0
-    for alpha in iter_nonnegative_solutions(values, target, budget):
-        if tested >= cap:
-            return None, tested, True
-        tested += 1
+    for tested, alpha in enumerate(islice(solutions, cap), 1):
         if accept is None or accept(alpha):
-            return AdmissibleExponents(v, toward, tuple(zip(leaves, alpha))), tested, False
-    return None, tested, budget.exhausted
+            witness = AdmissibleExponents(v, toward, tuple(zip(leaves, alpha)))
+        first = first or witness or AdmissibleExponents(v, toward, tuple(zip(leaves, alpha)))
+        if witness is not None:
+            break
+    # past the cap, one more vector means truncated, as does a spent budget
+    truncated = witness is None and (next(solutions, None) is not None or budget.exhausted)
+    semigroup = SemigroupEdge(v, toward, first is not None, first, first is None and truncated)
+    return semigroup, witness, tested, truncated
 
 
 def admissible_exponents(
@@ -173,7 +188,7 @@ def admissible_exponents(
         out.append(AdmissibleExponents(v, toward, tuple(zip(leaves, alpha))))
         return False  # every vector is wanted, so none ends the search
 
-    _, _, truncated = search_edge(d, v, toward, config.solution_limit(limit), collect)
+    truncated = search_edge(d, v, toward, config.solution_limit(limit), collect)[3]
     return ExponentSolutions(
         node=v,
         toward=toward,
@@ -186,15 +201,6 @@ def admissible_exponents(
 
 
 @dataclass(frozen=True)
-class SemigroupEdge:
-    node: str
-    toward: str
-    ok: bool
-    witness: AdmissibleExponents | None
-    truncated: bool = False
-
-
-@dataclass(frozen=True)
 class SemigroupReport:
     edges: tuple[SemigroupEdge, ...]
 
@@ -203,30 +209,21 @@ class SemigroupReport:
         return all(e.ok for e in self.edges)
 
     @property
-    def truncated(self) -> bool:
-        return any(e.truncated for e in self.edges)
-
-    @property
     def failures(self) -> tuple[SemigroupEdge, ...]:
         return tuple(e for e in self.edges if not e.ok)
 
 
-def check_semigroup(d: SpliceDiagram, limit: int | None = None) -> SemigroupReport:
+def check_semigroup(d: SpliceDiagram) -> SemigroupReport:
     """Each node-edge weight must lie in the semigroup spanned by the
     reduced linking numbers toward that edge. Edges to leaves always pass
     (the single exponent is the weight itself). A failing edge with the
     truncated flag set means the search budget ran out before the space
-    was exhausted."""
-    cap = config.solution_limit(limit)
-    edges = []
-    for v in d.nodes:
-        for u in d.adjacency[v]:
-            witness, _, truncated = search_edge(d, v, u, cap)
-            edges.append(
-                SemigroupEdge(node=v, toward=u, ok=witness is not None,
-                              witness=witness, truncated=truncated)
-            )
-    return SemigroupReport(edges=tuple(edges))
+    was exhausted. Each search stops at its first vector; on a resolution
+    graph, ``check_congruence(g).semigroup`` reads the same report."""
+    cap = config.solution_limit()
+    return SemigroupReport(edges=tuple(
+        search_edge(d, v, u, cap)[0] for v in d.nodes for u in d.adjacency[v]
+    ))
 
 
 @dataclass(frozen=True)
@@ -252,7 +249,7 @@ class SolvedCongruence:
 class CongruenceEdge:
     node: str
     toward: str
-    semigroup_ok: bool
+    semigroup: SemigroupEdge
     ok: bool
     witness: AdmissibleExponents | None
     tested: int
@@ -273,6 +270,10 @@ class CongruenceReport:
     @property
     def failures(self) -> tuple[CongruenceEdge, ...]:
         return tuple(e for e in self.edges if not e.ok)
+
+    @property
+    def semigroup(self) -> SemigroupReport:
+        return SemigroupReport(edges=tuple(e.semigroup for e in self.edges))
 
 
 def _congruence_table(
@@ -318,42 +319,45 @@ def _solved_congruences(
     return tuple(out)
 
 
-def congruence_edge(
-    g: ResolutionGraph, d: SpliceDiagram, v: str, toward: str, cap: int
-) -> CongruenceEdge:
-    """Congruence search on one node edge of d, the splice diagram of g: the
-    first admissible vector that meets the per-leaf congruence table.
+def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
+    """Congruence search on one node edge of the splice diagram of g: the
+    first admissible vector that meets the per-leaf congruence table, and
+    the edge's semigroup verdict from the same search, cached on g per
+    edge and enumeration cap.
 
     A failure carries the table and, toward an end-node, the solved
     single-variable congruences.
     """
+    cap = config.solution_limit()
+    found = g._congruence_edge_cache.get((v, toward, cap))
+    if found is not None:
+        return found
+    d = splice_from_resolution(g)
     table = _congruence_table(g, v, d.edge_leaves(v, toward)[0])
-    witness, tested, truncated = search_edge(
+    semigroup, witness, tested, truncated = search_edge(
         d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
     )
     failed = witness is None
     is_end_edge = d.is_node(toward) and all(
         d.is_leaf(x) for x in d.adjacency[toward] if x != v
     )
-    return CongruenceEdge(
+    found = g._congruence_edge_cache[(v, toward, cap)] = CongruenceEdge(
         node=v,
         toward=toward,
-        semigroup_ok=tested > 0,
+        semigroup=semigroup,
         ok=not failed,
         witness=witness,
         tested=tested,
         truncated=truncated,
         congruences=table if failed else (),
         solved=(
-            _solved_congruences(g, d, v, toward) if failed and tested and is_end_edge else ()
+            _solved_congruences(g, d, v, toward) if failed and semigroup.ok and is_end_edge else ()
         ),
     )
+    return found
 
 
-def check_congruence(
-    g: ResolutionGraph,
-    limit: int | None = None,
-) -> CongruenceReport:
+def check_congruence(g: ResolutionGraph) -> CongruenceReport:
     """Search each node edge for an admissible exponent vector whose
     per-leaf characters match the required ones.
 
@@ -363,11 +367,10 @@ def check_congruence(
 
     Failures carry the per-leaf congruence table (denominators cleared by
     the determinant) and, for edges toward an end-node, the solved
-    single-variable congruences.
+    single-variable congruences. ``semigroup`` reads the same searches.
     """
     d = splice_from_resolution(g)
-    cap = config.solution_limit(limit)
-    edges = tuple(congruence_edge(g, d, v, u, cap) for v in d.nodes for u in d.adjacency[v])
+    edges = tuple(congruence_edge(g, v, u) for v in d.nodes for u in d.adjacency[v])
     return CongruenceReport(determinant=graph_determinant(g), edges=edges)
 
 

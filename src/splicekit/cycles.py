@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import config
 from .conditions import congruence_edge
 from .errors import NotABranch, NotNegativeDefinite
 from .graph import (
@@ -142,9 +141,11 @@ class Condition34Report:
 def check_condition_3_4(g: ResolutionGraph) -> Condition34Report:
     """Every branch of every non-leaf curve must have fundamental cycle
     meeting that curve exactly once. The branch B of v at u meets E_v only
-    through u, so Z_B.E_v = Z_B[u], read from ``g.branch_cycles``."""
+    through u, so Z_B.E_v = Z_B[u], read from ``g.branch_cycles``, which
+    refuses any indefinite graph."""
+    table = g.branch_cycles
     return Condition34Report(checks=tuple(
-        BranchCheck(vertex=v, attach=u, value=g.branch_cycles[(u, v)][u])
+        BranchCheck(vertex=v, attach=u, value=table[(u, v)][u])
         for v in g.ids
         if g.degree(v) > 1
         for u in g.adjacency[v]
@@ -278,18 +279,16 @@ class Condition33Report:
         return tuple(d for d in self.decisions if not d.ok)
 
 
-def check_condition_3_3(
-    g: ResolutionGraph, limit: int | None = None
-) -> Condition33Report:
-    """Monomial-cycle condition at every node and branch.
+def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
+    """Monomial-cycle condition at every node and branch of a definite graph.
 
     The greedy construction is tried first. Where it does not settle the
-    branch B of v attached at u, the congruence search of the diagram edge
-    (v, t) whose string starts at u (t = u when the string is empty)
-    decides it. The leaves of that edge are the leaves of B, and a vector
-    passes the congruence table exactly when its Z is an effective integral
-    cycle supported on B, the test a monomial cycle asks for. Here L is the
-    linking matrix, e_j* = L[j] / det are the dual cycles and
+    branch B of v attached at u, the cached congruence search of the diagram
+    edge (v, t) whose string starts at u (t = u when the string is empty,
+    ``congruence_edge``) decides it. The leaves of that edge are the leaves
+    of B, and a vector passes the congruence table exactly when its Z is an
+    effective integral cycle supported on B, the test a monomial cycle asks
+    for. Here L is the linking matrix, e_j* = L[j] / det are the dual cycles and
     Z = sum a_k e_k* - e_v* for a vector a that solves the edge equation.
 
     - For a leaf k in B and a vertex j outside it,
@@ -302,10 +301,9 @@ def check_condition_3_3(
       leaf j, in 0 elsewhere). As -A_B^-1 >= 0, Z is effective, so no vector
       needs a non-negativity test.
     """
-    cap = config.solution_limit(limit)
-    nodes, leaf_set = nodes_of(g), set(leaves_of(g))
-    if nodes and not g.negative_definite:  # graph_determinant's message
+    if not g.negative_definite:  # graph_determinant's message
         raise NotNegativeDefinite("intersection form is not negative definite")
+    nodes, leaf_set = nodes_of(g), set(leaves_of(g))
     decisions = []
     for v in nodes:
         order, parent = bfs_tree(g, v)
@@ -323,7 +321,7 @@ def check_condition_3_3(
             t = next(
                 t for t in diagram.adjacency[v] if (diagram.strings[(v, t)] + (t,))[0] == u
             )
-            edge = congruence_edge(g, diagram, v, t, cap)
+            edge = congruence_edge(g, v, t)
             decisions.append(
                 BranchDecision(
                     node=v, attach=u, ok=edge.ok, method="search",

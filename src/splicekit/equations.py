@@ -206,10 +206,7 @@ def build_equations(
     if not equivariant:
         return build_equations_from_diagram(d, higher_terms=higher_terms)
     congruence = check_congruence(g)
-    failing_sg = [e for e in congruence.edges if not e.semigroup_ok]
-    if failing_sg:
-        bad = ", ".join(f"({e.node}, {e.toward})" for e in failing_sg)
-        raise SemigroupFails(f"no admissible monomial at {bad}")
+    semigroup_witnesses(congruence.semigroup)  # raises SemigroupFails
     if not congruence.ok:
         bad = ", ".join(f"({e.node}, {e.toward})" for e in congruence.failures)
         raise CongruenceFails(f"no equivariant monomial at {bad}")

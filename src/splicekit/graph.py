@@ -11,6 +11,7 @@ from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
 
 if TYPE_CHECKING:
+    from .conditions import CongruenceEdge
     from .splice import SpliceDiagram
 
 VertexKind = str  # "leaf" | "string" | "node"
@@ -223,6 +224,11 @@ class ResolutionGraph:
 
     @cached_property
     def _linking_row_cache(self) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    @cached_property
+    def _congruence_edge_cache(self) -> dict[tuple[str, str, int], CongruenceEdge]:
+        """``conditions.congruence_edge`` by (node, toward, cap)."""
         return {}
 
     def linking_row(self, v: str) -> tuple[int, ...]:

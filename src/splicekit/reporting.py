@@ -214,7 +214,8 @@ def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
     report["splice"] = splice_section(g)
     report["maximal"] = maximal_section(g)
     diagram = splice.splice_from_resolution(g)
-    semigroup = conditions.check_semigroup(diagram)  # its witnesses make the equations
+    # the congruence searches, cached on g for the congruence and 3.3 sections
+    semigroup = conditions.check_congruence(g).semigroup  # its witnesses make the equations
     report["conditions"] = {
         "ideal": ideal_section(g),
         "semigroup": _semigroup_payload(semigroup),

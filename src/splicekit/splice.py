@@ -103,6 +103,12 @@ class SpliceDiagram:
         return out
 
     @cached_property
+    def ideal_generators(self) -> Mapping[DirectedEdge, int]:
+        """Read-only ``fill_edge_table(self, _ideal_step)``, keyed (toward, v),
+        which the ideal generators, leaf knot orders and ideal check read."""
+        return MappingProxyType(fill_edge_table(self, _ideal_step))
+
+    @cached_property
     def _edge_leaf_cache(self) -> dict[str, dict[str, tuple[tuple[str, ...], tuple[int, ...]]]]:
         return {}
 
@@ -357,11 +363,11 @@ def _ideal_step(
 
 def ideal_generator(d: SpliceDiagram, v: str, toward: str) -> int:
     """Positive generator of the ideal spanned by the reduced linking
-    numbers from v to the leaves beyond `toward`, read from the table that
-    ``fill_edge_table`` fills with ``_ideal_step``, leaves first."""
+    numbers from v to the leaves beyond `toward`, read from the diagram's
+    cached table (``SpliceDiagram.ideal_generators``), filled leaves first."""
     if toward not in d.adjacency.get(v, ()):
         raise UnknownEdge(f"({v}, {toward})")
-    return fill_edge_table(d, _ideal_step)[(toward, v)]
+    return d.ideal_generators[(toward, v)]
 
 
 @dataclass(frozen=True)
@@ -391,7 +397,7 @@ class IdealReport:
 
 def check_ideal_condition(d: SpliceDiagram) -> IdealReport:
     """Every node-edge weight must be divisible by its ideal generator."""
-    generators = fill_edge_table(d, _ideal_step)  # keyed (toward, v)
+    generators = d.ideal_generators  # keyed (toward, v)
     return IdealReport(entries=tuple(
         IdealEntry(node=v, toward=u, generator=generators[(u, v)], weight=d.weights[(v, u)])
         for v in d.nodes

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicekit import conditions, corpus, discriminant, equations, graph, reporting, splice
+from splicekit import conditions, corpus, discriminant, fixtures, graph, reporting, splice
 from splicekit.cli import build_parser, main
 from splicekit.document import (
     document_to_graph,
@@ -394,6 +394,19 @@ def test_branch_conditions_on_indefinite_graph(tmp_path, capsys):
     )
     assert main(["check", "okuma34", str(path)]) == 2
     assert "NotNegativeDefinite" in capsys.readouterr().err
+    # both are refused up front, also where no table entry or node is read
+    assert main(["check", "okuma33", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: NotNegativeDefinite: intersection form is not negative definite\n"
+    )
+    path.write_text(
+        '{"version":1,"vertices":[{"id":"a","weight":-1},{"id":"b","weight":-1}],'
+        '"edges":[["a","b"]]}'
+    )
+    assert main(["check", "okuma34", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: NotNegativeDefinite: graph is not negative definite\n"
+    )
     # 3.3 is refused on an indefinite graph with a node, before any table
     path.write_text(
         '{"version":1,"vertices":[{"id":"c","weight":-1},{"id":"a","weight":-1},'
@@ -447,21 +460,25 @@ def test_emit_fixtures(tmp_path, capsys):
     assert emitted == (GOLDEN / "g90_report.json").read_text()
 
 
-def test_report_runs_semigroup_check_once(monkeypatch):
-    # the equations section reuses the semigroup witnesses of the report;
-    # on this tree (det 10237272618240) the group checks run in full
+def test_report_searches_each_edge_once(monkeypatch, tmp_path, capsys):
+    # the semigroup and congruence sections, the 3.3 fallback and the
+    # equations read one search per diagram node edge; `check semigroup`
+    # alone runs its own searches, each stopping at the first vector. On
+    # this tree (det 10237272618240) the group checks run in full
     calls = []
-    real = conditions.check_semigroup
+    real = conditions.search_edge
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(d, v, toward, cap, accept=None):
+        calls.append((v, toward, accept is None))
+        return real(d, v, toward, cap, accept)
 
-    monkeypatch.setattr(conditions, "check_semigroup", counted)
-    monkeypatch.setattr(equations, "check_semigroup", counted)
+    monkeypatch.setattr(conditions, "search_edge", counted)
     g = corpus.dominant_tree(random.Random(3), 25)
+    d = splice.splice_from_resolution(g)
+    edges = sorted((v, u) for v in d.nodes for u in d.adjacency[v])
+    assert len(edges) == 22
     payload = reporting.analysis_report(g)
-    assert len(calls) == 1
+    assert sorted(calls) == [(v, u, False) for v, u in edges]
     assert payload["group"]["checks"] == {
         "order_ok": True,
         "drop_one_generator_ok": True,
@@ -474,6 +491,16 @@ def test_report_runs_semigroup_check_once(monkeypatch):
         "error": "SemigroupFails",
         "detail": f"no admissible monomial at {bad}",
     }
+    path = write_graph(tmp_path, g)
+    for argv, first_only in (
+        (["check", "all", path], False),
+        (["equations", "--equivariant", path], False),
+        (["check", "semigroup", path], True),
+    ):
+        calls.clear()
+        assert main(argv) == 1
+        assert sorted(calls) == [(v, u, first_only) for v, u in edges]
+    capsys.readouterr()
 
 
 def test_report_builds_splice_diagram_once(monkeypatch):
@@ -525,12 +552,13 @@ def test_group_section_builds_leaf_block_once(monkeypatch, fixture_map, random_t
         }
 
 
-def test_report_marks_exhausted_budgets(monkeypatch, g90):
+def test_report_marks_exhausted_budgets(monkeypatch):
     # with a one-node budget the semigroup search and the 3.3 search on
-    # (nL, nR) run out; the report must say so rather than look like a fail
+    # (nL, nR) run out; the report must say so rather than look like a fail.
+    # The graph is built here: its searches are cached on it
     real = conditions.SearchBudget
     monkeypatch.setattr(conditions, "SearchBudget", lambda nodes: real(1))
-    payload = reporting.analysis_report(g90)
+    payload = reporting.analysis_report(fixtures.g90())
     sections = payload["conditions"]
     assert any(e.get("truncated") for e in sections["semigroup"]["edges"])
     assert any(b.get("truncated") for b in sections["okuma33"]["branches"])

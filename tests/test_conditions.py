@@ -1,9 +1,12 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicekit import conditions, fixtures
 from splicekit.conditions import (
     SearchBudget,
     admissible_exponents,
@@ -14,6 +17,7 @@ from splicekit.conditions import (
     iter_nonnegative_solutions,
     two_node_criterion,
 )
+from splicekit.corpus import dominant_tree, with_determinant_cap
 from splicekit.errors import NotEndNodeEdge, NotTwoNode
 from splicekit.graph import blow_up_edge, graph_determinant
 from splicekit.splice import linking_numbers, splice_from_resolution
@@ -112,7 +116,7 @@ def test_congruence_g90_obstruction(g90):
     assert len(failures) == 1
     edge = failures[0]
     assert (edge.node, edge.toward) == ("nL", "nR")
-    assert edge.semigroup_ok
+    assert edge.semigroup.ok
     solved = {s.leaf: (s.residue, s.modulus) for s in edge.solved}
     assert solved == {"u": (2, 3), "v": (2, 3)}
     # incompatible with the admissibility equation a + b = 1
@@ -126,6 +130,36 @@ def test_failing_congruence_report_is_hashable(g90):
     hash(report)
     for edge in report.failures:
         hash(edge)
+
+
+@pytest.mark.parametrize("nodes", [None, 3000, 40])
+def test_congruence_pass_gives_the_semigroup_report(monkeypatch, corpus, nodes):
+    # the semigroup verdict read off each edge's congruence search is the
+    # one of the search that stops at the first vector, truncation included.
+    # The searches are cached on the graph, so each is a fresh copy. At the
+    # default budget the corpus graphs of det > 10^4 are left out: their
+    # congruence searches take over a minute
+    real = SearchBudget
+    if nodes is not None:
+        monkeypatch.setattr(conditions, "SearchBudget", lambda _: real(nodes))
+    graphs = corpus if nodes else with_determinant_cap(corpus, 10**4)
+    truncated = 0
+    for g in [*map(replace, graphs), *(dominant_tree(random.Random(s), 25) for s in range(3))]:
+        report = check_congruence(g).semigroup
+        assert report == check_semigroup(g.splice_diagram)
+        truncated += sum(e.truncated for e in report.edges)
+    assert truncated
+
+
+def test_congruence_searches_are_cached_per_cap(monkeypatch):
+    g = fixtures.g90()
+    full = check_congruence(g)
+    monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "1")
+    capped = check_congruence(g)
+    assert capped == check_congruence(fixtures.g90())
+    assert capped != full and any(e.truncated for e in capped.edges)
+    monkeypatch.delenv("SPLICEKIT_ENUM_CAP")
+    assert all(a is b for a, b in zip(check_congruence(g).edges, full.edges))
 
 
 def test_congruence_g1_trivial(g1):
@@ -220,7 +254,7 @@ def test_end_node_criterion_matches_search(two_node_corpus, small_trees):
         report = check_congruence(g)
         if any(e.truncated for e in report.edges):
             continue
-        per_edge = {(e.node, e.toward): (e.semigroup_ok and e.ok) for e in report.edges}
+        per_edge = {(e.node, e.toward): (e.semigroup.ok and e.ok) for e in report.edges}
         for v in d.nodes:
             for u in d.adjacency[v]:
                 if not d.is_node(u):

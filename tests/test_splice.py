@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from splicekit import splice
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.conditions import edge_equation
 from splicekit.corpus import dominant_tree
@@ -422,6 +423,29 @@ def test_leaf_knot_orders(g1, g17, g90):
         assert leaf_knot_order(g90, w) == 90 // leaf_ideal_generator(
             splice_from_resolution(g90), w
         ) == order
+
+
+def test_ideal_generators_fill_one_table(monkeypatch):
+    # every leaf knot order, ideal generator and ideal check of a diagram
+    # reads its one cached table
+    calls = []
+    real = splice.fill_edge_table
+
+    def counted(d, step):
+        calls.append(step)
+        return real(d, step)
+
+    monkeypatch.setattr(splice, "fill_edge_table", counted)
+    g = dominant_tree(random.Random(7), 60)
+    d = splice_from_resolution(g)
+    orders = [leaf_knot_order(g, w) for w in d.leaves]
+    report = check_ideal_condition(d)
+    assert [ideal_generator(d, e.node, e.toward) for e in report.entries] == [
+        e.generator for e in report.entries
+    ]
+    assert calls == [splice._ideal_step] and len(orders) == len(d.leaves)
+    with pytest.raises(TypeError):
+        d.ideal_generators[next(iter(d.ideal_generators))] = 1
 
 
 def test_end_node_reduce_g1(g1):
