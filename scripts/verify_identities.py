@@ -6,7 +6,8 @@ Checks, with exact arithmetic throughout:
   - every maximal-diagram edge determinant equals det;
   - reduced-diagram edge determinants equal string det times graph det;
   - end-node reduction scales the surviving edge determinants by the
-    trimmed graph's determinant (raw mode).
+    trimmed graph's determinant (raw mode), and the reduced linking
+    numbers of the reduced diagram are symmetric.
 
 Usage: python scripts/verify_identities.py [--trees 100] [--seed 20240917]
 """
@@ -14,6 +15,7 @@ Usage: python scripts/verify_identities.py [--trees 100] [--seed 20240917]
 from __future__ import annotations
 
 import argparse
+import itertools
 import time
 
 from splicekit import (
@@ -22,6 +24,7 @@ from splicekit import (
     graph_determinant,
     intersection_matrix,
     linking_matrix,
+    linking_numbers,
     maximal_splice,
     splice_from_resolution,
     verify_edge_det_theorem,
@@ -73,6 +76,8 @@ def main() -> int:
             for e in trimmed.edges:
                 if trimmed.is_node(e[0]) and trimmed.is_node(e[1]):
                     assert edge_determinant(trimmed, e) == r * edge_determinant(d, e)
+            for v, w in itertools.combinations(trimmed.ids, 2):
+                assert linking_numbers(trimmed, v, w)[1] == linking_numbers(trimmed, w, v)[1]
             reductions += 1
     elapsed = time.perf_counter() - started
     print(

@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import conditions, equations, reporting, splice
+from . import equations, reporting, splice
 from .document import (
     document_to_graph,
     document_to_json,
@@ -30,7 +30,7 @@ from .errors import (
 from .fixtures import fixture_graphs
 from .graph import ResolutionGraph, graph_determinant
 
-CHECKS = ("semigroup", "congruence", "ideal", "okuma34", "okuma33", "all")
+CHECKS = (*reporting.SECTIONS, "all")
 
 
 def _load_graph(path: str) -> ResolutionGraph:
@@ -100,21 +100,8 @@ def cmd_maximal(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.file)
-    sections: dict[str, dict] = {}
     wanted = CHECKS[:-1] if args.condition == "all" else (args.condition,)
-    builders = {
-        "semigroup": reporting.semigroup_section,
-        "congruence": reporting.congruence_section,
-        "ideal": reporting.ideal_section,
-        "okuma34": reporting.okuma34_section,
-        "okuma33": reporting.okuma33_section,
-    }
-    if args.condition == "all":  # the congruence search decides the semigroup edges too
-        builders["semigroup"] = lambda g: reporting._semigroup_payload(
-            conditions.check_congruence(g).semigroup
-        )
-    for name in wanted:
-        sections[name] = builders[name](g)
+    sections = reporting.condition_sections(g, wanted)
     ok = all(s["ok"] for s in sections.values())
     lines = []
     for name, section in sections.items():

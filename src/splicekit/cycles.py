@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .conditions import congruence_edge
-from .errors import NotABranch, NotNegativeDefinite
+from .errors import NotABranch
 from .graph import (
     ResolutionGraph,
     bfs_tree,
@@ -26,6 +26,7 @@ from .graph import (
     computation_sequence,
     leaves_of,
     nodes_of,
+    require_negative_definite,
 )
 from .splice import splice_from_resolution
 
@@ -301,8 +302,7 @@ def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
       leaf j, in 0 elsewhere). As -A_B^-1 >= 0, Z is effective, so no vector
       needs a non-negativity test.
     """
-    if not g.negative_definite:  # graph_determinant's message
-        raise NotNegativeDefinite("intersection form is not negative definite")
+    require_negative_definite(g)
     nodes, leaf_set = nodes_of(g), set(leaves_of(g))
     decisions = []
     for v in nodes:

@@ -150,10 +150,11 @@ def indented_json(value: Any) -> str:
     pure-Python encoder: one recursive pass over the lists and dicts that
     appends the parts to a list, writes their str and int items in place
     and escapes strings with the C ``encode_basestring_ascii``. Takes what
-    ``json.dumps`` takes (dicts, lists, tuples, str, int, float, bool, None;
-    dict keys also int, float, bool or None) and raises TypeError on the
-    rest; unlike ``json.dumps`` it writes integers of any length (see
-    ``int_text``). There is no check for circular references."""
+    ``json.dumps`` takes (dicts, lists, tuples, str, int, float, bool,
+    None) with str dict keys only, as every payload of the program and
+    every parsed object has, and raises TypeError on the rest; unlike
+    ``json.dumps`` it writes integers of any length (see ``int_text``).
+    There is no check for circular references."""
     parts: list[str] = []
     _write_json(value, parts, "\n")
     return "".join(parts)
@@ -201,7 +202,7 @@ def _write_json(value: Any, parts: list[str], newline: str) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
-            head = sep + encode_basestring_ascii(_json_key(key)) + ": "
+            head = sep + encode_basestring_ascii(key) + ": "
             kind = type(item)
             if kind is str:
                 parts.append(head + encode_basestring_ascii(item))
@@ -226,22 +227,6 @@ def _write_json(value: Any, parts: list[str], newline: str) -> None:
         parts.append(_float_json(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key: Any) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_json(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _float_json(x: float) -> str:

@@ -105,13 +105,17 @@ def _validate_higher_terms(
     eq_count: int,
     terms: Sequence[Sequence[HigherTerm]],
     group: DiscriminantGroup | None,
-    reference_character: Mapping[str, Fraction] | None,
+    first: Monomial,
 ) -> tuple[tuple[HigherTerm, ...], ...]:
+    """With a group, each term must transform as the node's first monomial."""
     if len(terms) != eq_count:
         raise InvalidHigherTerm(
             f"node {node}: expected {eq_count} higher-term lists, got {len(terms)}"
         )
     limit = d.weight_product(node)
+    reference: dict[str, Fraction] = {}
+    if group is not None:
+        reference = {w: leaf_character(group, first.as_dict(), w) for w in group.leaves}
     out = []
     for i, eq_terms in enumerate(terms):
         checked = []
@@ -124,9 +128,9 @@ def _validate_higher_terms(
                     f"node {node} eq {i}: term {mon.render()} has weight "
                     f"{weight}, not above {limit}"
                 )
-            if group is not None and reference_character is not None:
+            if group is not None:
                 for leaf in group.leaves:
-                    if leaf_character(group, mon.as_dict(), leaf) != reference_character[leaf]:
+                    if leaf_character(group, mon.as_dict(), leaf) != reference[leaf]:
                         raise InvalidHigherTerm(
                             f"node {node} eq {i}: term {mon.render()} transforms "
                             f"differently under the generator at leaf {leaf}"
@@ -150,8 +154,8 @@ def build_equations_from_diagram(
     higher_terms: Mapping[str, Sequence[Sequence[HigherTerm]]] | None = None,
     witnesses: Mapping[tuple[str, str], AdmissibleExponents] | None = None,
     group: DiscriminantGroup | None = None,
-    equivariant: bool = False,
 ) -> SpliceEquationSystem:
+    """One block per node; equivariant exactly when a group is given."""
     variables = d.leaves
     if witnesses is None:
         witnesses = semigroup_witnesses(check_semigroup(d))
@@ -163,18 +167,12 @@ def build_equations_from_diagram(
             for u in edges
         )
         coeffs = generic_coefficients(len(edges) - 2, len(edges))
-        reference = None
-        if group is not None:
-            reference = {
-                leaf: leaf_character(group, monomials[0].as_dict(), leaf)
-                for leaf in group.leaves
-            }
         terms: tuple[tuple[HigherTerm, ...], ...] = tuple(
             () for _ in range(len(edges) - 2)
         )
         if higher_terms and v in higher_terms:
             terms = _validate_higher_terms(
-                d, v, len(edges) - 2, higher_terms[v], group, reference
+                d, v, len(edges) - 2, higher_terms[v], group, monomials[0]
             )
         blocks.append(
             NodeBlock(
@@ -186,7 +184,7 @@ def build_equations_from_diagram(
             )
         )
     return SpliceEquationSystem(
-        variables=variables, blocks=tuple(blocks), equivariant=equivariant
+        variables=variables, blocks=tuple(blocks), equivariant=group is not None
     )
 
 
@@ -217,7 +215,6 @@ def build_equations(
         higher_terms=higher_terms,
         witnesses=witnesses,  # type: ignore[arg-type]
         group=group,
-        equivariant=True,
     )
 
 
@@ -315,7 +312,7 @@ def leading_form_check(
                 )
             )
             continue
-        toward = d.path(vp, v)[1]
+        toward = d.path(v, vp)[-2]  # vp's parent in the walk from v
         away, away_weights = [], []
         toward_weight = None
         for edge, mon in zip(block.edges, block.monomials):
@@ -328,7 +325,7 @@ def leading_form_check(
         entries.append(
             LeadingFormEntry(
                 node=vp,
-                expected_weight=linking_numbers(d, vp, v)[0],
+                expected_weight=linking_numbers(d, v, vp)[0],
                 away_edges=tuple(away),
                 away_weights=tuple(away_weights),
                 toward_edge=toward,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
@@ -178,21 +179,18 @@ class ResolutionGraph:
         D(x, u) - (F_u / D(x, u)) * down(x), for x a child of u, as (det +
         down(x) * (F_u // D(x, u))) // D(x, u): two exact divisions. Where
         D(x, u) is 0, which a negative-definite graph never has,
-        ``_subtree_step`` expands it. Raises ValidationError when the graph
-        is not a tree."""
+        ``_expand_row`` expands D(u, x) along u's row of the two passes.
+        Raises ValidationError when the graph is not a tree."""
         up, down = self._leaves_up
         nbrs, order, parent = self.tree
         det, rev = self.det, [1] * len(order)
         for u in order:
             p, full = parent[u], down[u] * rev[u]
             for x in nbrs[u]:
-                if x != p:
-                    d = up[x]
-                    rev[x] = (
-                        (det + down[x] * (full // d)) // d
-                        if d
-                        else _subtree_step(self, _PassEntries(self, rev), self.ids[u], self.ids[x])
-                    )
+                if x == p:
+                    continue
+                d = up[x]
+                rev[x] = (det + down[x] * (full // d)) // d if d else _expand_row(self, rev, u, x)
         return rev
 
     @cached_property
@@ -249,8 +247,7 @@ class ResolutionGraph:
         i = self.index.get(v)
         if i is None:
             raise UnknownVertex(v)
-        if not self.negative_definite:
-            raise NotNegativeDefinite("graph is not negative definite")
+        require_negative_definite(self)
         _, order, parent = self.tree
         (up, down), rev = self._leaves_up, self._rev
         walk = [0] * len(up)
@@ -368,29 +365,6 @@ def negated_intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
     return [[-x for x in row] for row in intersection_matrix(g)]
 
 
-def _subtree_step(
-    g: ResolutionGraph, table: Mapping[DirectedEdge, int], u: str, p: str | None
-) -> int:
-    """det of the subtree at u away from p (the whole tree when p is None),
-    by expanding along u's row: b_u times the product of the child values,
-    minus, for each child w, the other child values times the product of
-    w's own child values. One pass over the children keeps the product of
-    the values so far and the sum of the cross terms so far, so each child
-    and grandchild entry is read once."""
-    adj = g.adjacency
-    down, cross = 1, 0
-    for w in adj[u]:
-        if w == p:
-            continue
-        grand = 1
-        for x in adj[w]:
-            if x != u:
-                grand *= table[(x, w)]
-        cross = cross * table[(w, u)] + down * grand
-        down *= table[(w, u)]
-    return -g.weight_of(u) * down - cross
-
-
 def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     """table[(child, parent)] = step(g, table, child, parent) on every
     directed edge of a tree (resolution graph or splice diagram), each step
@@ -410,16 +384,21 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     return table
 
 
-class _PassEntries:
-    """D(a, b) by vertex id, read off the two passes of g as far as they
-    have run; ``_subtree_step`` reads it where a root-down pivot is zero."""
-
-    def __init__(self, g: ResolutionGraph, rev: list[int]) -> None:
-        self.index, self.parent, self.up, self.rev = g.index, g.tree.parent, g._leaves_up[0], rev
-
-    def __getitem__(self, edge: DirectedEdge) -> int:
-        a, b = self.index[edge[0]], self.index[edge[1]]
-        return self.up[a] if self.parent[a] == b else self.rev[b]
+def _expand_row(g: ResolutionGraph, rev: list[int], u: int, x: int) -> int:
+    """D(u, x) along u's row: b_u times the product of the D(c, u) over u's
+    other neighbours c, minus, for each c, the other D(c', u) times the
+    product of the D(y, c), y != u; one pass keeps the product and the cross
+    sum so far. D(a, b) is up[a] when b is a's parent, else rev[b]."""
+    nbrs, parent = g.tree.nbrs, g.tree.parent
+    up = g._leaves_up[0]
+    below, cross = 1, 0
+    for c in nbrs[u]:
+        if c != x:
+            grand = prod(up[y] if parent[y] == c else rev[c] for y in nbrs[c] if y != u)
+            d = up[c] if parent[c] == u else rev[u]
+            cross = cross * d + below * grand
+            below *= d
+    return -g.weights[u] * below - cross
 
 
 def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
@@ -498,13 +477,18 @@ def branch_cycle_table(g: ResolutionGraph) -> dict[DirectedEdge, Mapping[str, in
     or a caterpillar. ``ResolutionGraph.branch_cycles`` caches it. Raises
     NotNegativeDefinite, where a component may have no fundamental cycle.
     """
-    if not g.negative_definite:
-        raise NotNegativeDefinite("graph is not negative definite")
+    require_negative_definite(g)
     return fill_edge_table(g, _branch_cycle_step)
 
 
 def is_negative_definite(g: ResolutionGraph) -> bool:
     return g.negative_definite
+
+
+def require_negative_definite(g: ResolutionGraph) -> None:
+    """The one definiteness gate, and its one NotNegativeDefinite message."""
+    if not g.negative_definite:
+        raise NotNegativeDefinite("graph is not negative definite")
 
 
 def graph_determinant(g: ResolutionGraph) -> int:
@@ -513,8 +497,7 @@ def graph_determinant(g: ResolutionGraph) -> int:
     Raises NotNegativeDefinite when the intersection form is not
     negative definite.
     """
-    if not g.negative_definite:
-        raise NotNegativeDefinite("intersection form is not negative definite")
+    require_negative_definite(g)
     return g.det
 
 

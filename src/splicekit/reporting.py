@@ -197,6 +197,23 @@ def okuma33_section(g: ResolutionGraph) -> dict:
     }
 
 
+SECTIONS = {  # the order of ``check all``
+    "semigroup": semigroup_section, "congruence": congruence_section,
+    "ideal": ideal_section, "okuma34": okuma34_section, "okuma33": okuma33_section,
+}
+
+
+def condition_sections(g: ResolutionGraph, names: tuple[str, ...]) -> dict[str, dict]:
+    """The named condition sections in the order given. Where congruence is
+    named too, the semigroup section is read off its searches, which are
+    cached on g; alone, each semigroup edge stops at its first vector."""
+    builders = dict(SECTIONS)
+    if "congruence" in names:
+        congruence = conditions.check_congruence
+        builders["semigroup"] = lambda g: _semigroup_payload(congruence(g).semigroup)
+    return {name: builders[name](g) for name in names}
+
+
 def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
     report: dict[str, Any] = {}
     if name:
@@ -213,22 +230,17 @@ def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
     report["group"] = group_section(g)
     report["splice"] = splice_section(g)
     report["maximal"] = maximal_section(g)
-    diagram = splice.splice_from_resolution(g)
-    # the congruence searches, cached on g for the congruence and 3.3 sections
-    semigroup = conditions.check_congruence(g).semigroup  # its witnesses make the equations
-    report["conditions"] = {
-        "ideal": ideal_section(g),
-        "semigroup": _semigroup_payload(semigroup),
-        "congruence": congruence_section(g),
-        "okuma34": okuma34_section(g),
-        "okuma33": okuma33_section(g),
-    }
-    try:
-        witnesses = equations.semigroup_witnesses(semigroup)
+    report["conditions"] = condition_sections(
+        g, ("ideal", "semigroup", "congruence", "okuma34", "okuma33")
+    )
+    try:  # the witnesses of the congruence searches make the equations
+        witnesses = equations.semigroup_witnesses(conditions.check_congruence(g).semigroup)
     except SemigroupFails as exc:
         report["equations"] = {"error": "SemigroupFails", "detail": str(exc)}
         return report
-    system = equations.build_equations_from_diagram(diagram, witnesses=witnesses)
+    system = equations.build_equations_from_diagram(
+        splice.splice_from_resolution(g), witnesses=witnesses
+    )
     report["equations"] = {
         "text": equations.render_equations(system).splitlines(),
         "system": equations.system_to_json(system),

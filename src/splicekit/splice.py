@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import linalg
 from .cfrac import continued_fraction_of_string
 from .errors import (
     LeafEdgeInReducedDiagram,
     NotEndNode,
-    NotNegativeDefinite,
     SameVertex,
     SpliceKitError,
     UnknownEdge,
@@ -37,14 +36,23 @@ from .graph import (
     graph_determinant,
     induced_subgraph,
     int_tree,
-    is_negative_definite,
     leaves_of,
     nodes_of,
+    require_negative_definite,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
     vertex_adjacency,
     vertex_index,
     walk_tree,
 )
+
+
+class Walk(NamedTuple):
+    """``SpliceDiagram.walk`` from vertex i, by position in ``ids``."""
+
+    parent: tuple[int, ...]  # toward i; -1 at i and off its component
+    branch: tuple[int, ...]  # the neighbour of i on the way; -1 at i and off
+    reduced: tuple[int, ...]  # reduced linking number from i; 1 at i and next to it
+    leaves: Mapping[str, tuple[tuple[str, ...], tuple[int, ...]]]  # edge_leaves by toward
 
 
 @dataclass(frozen=True)
@@ -54,9 +62,9 @@ class SpliceDiagram:
     In a reduced diagram only nodes carry weights; leaf ends are bare.
     ``strings`` optionally maps each directed edge back to the interior
     vertices of the resolution string it came from (ordered from the
-    first endpoint). The leaves beyond each edge, with their reduced
-    linking numbers, are walked once per vertex and cached
-    (``edge_leaves``).
+    first endpoint). One walk from each vertex is cached on first use
+    (``walk``); the paths, linking numbers, edge equations and end-node
+    reduction read it.
     """
 
     ids: tuple[str, ...]
@@ -109,28 +117,19 @@ class SpliceDiagram:
         return MappingProxyType(fill_edge_table(self, _ideal_step))
 
     @cached_property
-    def _edge_leaf_cache(self) -> dict[str, dict[str, tuple[tuple[str, ...], tuple[int, ...]]]]:
+    def _walks(self) -> dict[str, Walk]:
         return {}
 
-    def edge_leaves(self, v: str, toward: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """The leaves beyond the edge from v toward `toward` (`toward` itself
-        when it is a leaf) in vertex order, with their reduced linking
-        numbers from v (``linking_numbers(d, v, w)[1]``). One walk from v,
-        cached per v, gives them for every edge at v: the number at a vertex
-        is the one at its predecessor y times the weights at y toward y's
-        other successors, the weights off the path at y, and 1 next to v; a
-        missing weight counts as 1. Raises UnknownEdge."""
-        cache = self._edge_leaf_cache
-        branches = cache.get(v)
-        if branches is None and v in self.index:
-            branches = cache[v] = self._walk_leaves(self.index[v])
-        branch = branches.get(toward) if branches else None
-        if branch is None:
-            raise UnknownEdge(f"({v}, {toward})")
-        return branch
-
-    def _walk_leaves(self, i: int) -> dict[str, tuple[tuple[str, ...], tuple[int, ...]]]:
-        ids, nbrs, weights = self.ids, self.tree.nbrs, self.weights
+    def walk(self, v: str) -> Walk:
+        """The walk from v, cached per v. One ``walk_tree`` from v, then one
+        product pass along its order: the reduced number at a vertex is the
+        one at its parent y times the weights at y toward y's other
+        children, the weights off the path at y, and 1 next to v; a missing
+        weight counts as 1. Raises UnknownVertex."""
+        found = self._walks.get(v)
+        if found is not None:
+            return found
+        i, ids, nbrs, weights = self._position(v), self.ids, self.tree.nbrs, self.weights
         order, parent = walk_tree(nbrs, i)
         value, branch = [1] * len(ids), [-1] * len(ids)
         for x in nbrs[i]:
@@ -148,28 +147,36 @@ class SpliceDiagram:
         out: dict[int, tuple[list[str], list[int]]] = {u: ([], []) for u in nbrs[i]}
         for x, ns in enumerate(nbrs):
             if len(ns) <= 1 and branch[x] >= 0:
-                leaves, values = out[branch[x]]
-                leaves.append(ids[x])
+                names, values = out[branch[x]]
+                names.append(ids[x])
                 values.append(value[x])
-        return {ids[u]: (tuple(ls), tuple(vs)) for u, (ls, vs) in out.items()}
+        leaves = {ids[u]: (tuple(ls), tuple(vs)) for u, (ls, vs) in out.items()}
+        found = Walk(tuple(parent), tuple(branch), tuple(value), MappingProxyType(leaves))
+        self._walks[v] = found
+        return found
 
-    def _climb(self, v: str, w: str) -> list[int]:
-        """The path from w to v as positions: one ``walk_tree`` from v, then
-        up its parent array from w. Raises UnknownVertex, and SpliceKitError
-        when w is not reached from v."""
-        i = self._position(v)
-        j = self._position(w)
-        _, parent = walk_tree(self.tree.nbrs, i)
-        path = [j]
+    def edge_leaves(self, v: str, toward: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The leaves beyond the edge from v toward `toward` (`toward` itself
+        when it is a leaf) in vertex order, with their reduced linking
+        numbers from v (``linking_numbers(d, v, w)[1]``), read off the walk
+        from v. Raises UnknownEdge."""
+        branch = self.walk(v).leaves.get(toward) if v in self.index else None
+        if branch is None:
+            raise UnknownEdge(f"({v}, {toward})")
+        return branch
+
+    def path(self, v: str, w: str) -> tuple[str, ...]:
+        """The vertices from v to w, up the parent array of the walk from v
+        from w. Raises UnknownVertex, and SpliceKitError when w is not
+        reached from v."""
+        i, j = self._position(v), self._position(w)
+        parent, path = self.walk(v).parent, [j]
         while j != i:
             j = parent[j]
             if j < 0:
                 raise SpliceKitError(f"no path from {v!r} to {w!r}")
             path.append(j)
-        return path
-
-    def path(self, v: str, w: str) -> tuple[str, ...]:
-        return tuple(self.ids[i] for i in reversed(self._climb(v, w)))
+        return tuple(self.ids[k] for k in reversed(path))
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,7 @@ def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
     """The vertices of valency other than 2, each string walked over int
     neighbours from both ends; the ends at each vertex are taken in vertex
     order, so edges and weights come out in vertex order, as ``tree``."""
-    if not is_negative_definite(g):
-        raise NotNegativeDefinite("graph is not negative definite")
+    require_negative_definite(g)
     nbrs, ids, toward = g.tree.nbrs, g.ids, _toward(g)
     keep = [i for i, ns in enumerate(nbrs) if len(ns) != 2]
     edges: list[tuple[str, str]] = []
@@ -239,8 +245,7 @@ def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
 def maximal_splice(g: ResolutionGraph) -> MaximalSpliceDiagram:
     """Splice diagram keeping every vertex, with weights at both edge ends,
     in (at, toward) vertex order."""
-    if not is_negative_definite(g):
-        raise NotNegativeDefinite("graph is not negative definite")
+    require_negative_definite(g)
     ids, toward = g.ids, _toward(g)
     weights = {(ids[i], ids[j]): toward(i, j) for i, ns in enumerate(g.tree.nbrs) for j in ns}
     return MaximalSpliceDiagram(ids=g.ids, edges=g.edges, weights=weights, strings=None)
@@ -250,22 +255,21 @@ def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
     """(full, reduced) products of weights adjacent to but not on the v-w path.
 
     The reduced value omits the weights sitting at v and w themselves; it
-    is 1 when v and w are adjacent.
+    is 1 when v and w are adjacent. Both are read off the walk from v: the
+    reduced value at w times the weights at v and at w off the path, a
+    missing weight counting as 1. Both are symmetric in v and w. Raises
+    SameVertex, UnknownVertex, and SpliceKitError when w is not reached.
     """
     if v == w:
         raise SameVertex(v)
-    ids = d.ids
-    nbrs = d.tree.nbrs
-    weights = d.weights
-    path = d._climb(v, w)
-    full = 1
-    reduced = 1
-    for k, u in enumerate(path):
-        on = path[k - 1 : k + 2] if k else path[:2]  # u and its path neighbours
-        at = prod(weights.get((ids[u], ids[x]), 1) for x in nbrs[u] if x not in on)
-        full *= at
-        if 0 < k < len(path) - 1:
-            reduced *= at
+    i, j = d._position(v), d._position(w)
+    walk = d.walk(v)
+    if walk.branch[j] < 0:
+        raise SpliceKitError(f"no path from {v!r} to {w!r}")
+    ids, nbrs, weights = d.ids, d.tree.nbrs, d.weights
+    full = reduced = walk.reduced[j]
+    for k, on in ((i, walk.branch[j]), (j, walk.parent[j])):
+        full *= prod(weights.get((ids[k], ids[x]), 1) for x in nbrs[k] if x != on)
     return full, reduced
 
 
@@ -474,8 +478,10 @@ def end_node_reduce(
     where r is the end-node's weight toward the rest and N the product of
     its leaf weights. In ``normalized`` mode the value is divided by
     ``det``; a non-divisible value is recorded as a problem instead of
-    raising. Reducing a single-node diagram leaves nothing and returns
-    the empty diagram.
+    raising. The edge toward the new leaf and the reduced linking number
+    to the end-node, which is symmetric, are read at each node off the one
+    walk from the end-node. Reducing a single-node diagram leaves nothing
+    and returns the empty diagram.
     """
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -506,10 +512,10 @@ def end_node_reduce(
     new_weights: dict[DirectedEdge, int] = {}
     problems: list[NonIntegralWeight] = []
     surviving_nodes = [v for v in d.nodes if v != v_star]
-    _, parent = walk_tree(d.tree.nbrs, d.index[v_star])
+    walk = d.walk(v_star)  # the reduced numbers are symmetric
     toward_new = {}
     for v in surviving_nodes:
-        up = parent[d.index[v]]
+        up = walk.parent[d.index[v]]
         if up < 0:
             raise SpliceKitError(f"no path from {v!r} to {v_star!r}")
         toward_new[v] = d.ids[up]
@@ -523,7 +529,7 @@ def end_node_reduce(
         x = toward_new[v]
         d_v1 = d.weights[(v, x)]
         d_v = d.weight_product(v)
-        _, lp = linking_numbers(d, v, v_star)
+        lp = walk.reduced[d.index[v]]
         raw = r * d_v1 - n_product * (d_v // d_v1) * lp * lp
         value = raw
         if mode == "normalized":

@@ -16,15 +16,17 @@ monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational`
 keeps the whole rational cycle. Non-negative solutions are listed with an
 explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
 The subtree-determinant table reads its root-down entries off the
-edge-determinant identity; ``subtree_determinants_direct`` expands every
-entry along its vertex's row, re-reading the grandchild entries.
+edge-determinant identity, and expands along a row of the integer tree only
+where a pivot is zero; ``subtree_determinants_direct`` expands every entry
+along its vertex's row by vertex id, re-reading the grandchild entries.
 The reduced and maximal splice diagrams and the edge equations are read
 off the integer tree; ``reduced_diagram_by_id``, ``maximal_weights_by_id``
 and ``edge_equations_by_id`` build them by vertex id from
 ``subtree_determinants``, ``classify_vertices`` and
-``linking_numbers_by_path``. Paths and linking numbers climb the parent
-array of one walk from v; ``path_by_search`` searches depth first over
-``adjacency``, and ``linking_numbers_by_path`` multiplies along its path.
+``linking_numbers_by_path``. Paths and linking numbers read the one cached
+walk from v, its parent array and its reduced numbers; ``path_by_search``
+searches depth first over ``adjacency``, and ``linking_numbers_by_path``
+multiplies along its path.
 A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
@@ -60,7 +62,6 @@ from splicekit.discriminant import (
 from splicekit.errors import SameVertex, UnknownEdge, UnknownVertex
 from splicekit.graph import (
     ResolutionGraph,
-    _subtree_step,
     bfs_tree,
     classify_vertices,
     component_of,
@@ -88,6 +89,28 @@ def is_negative_definite_matrix(matrix: Sequence[Sequence[int]]) -> bool:
         if k % 2 == 0 and minor <= 0:
             return False
     return True
+
+
+def _subtree_step(
+    g: ResolutionGraph, table: Mapping[tuple[str, str], int], u: str, p: str
+) -> int:
+    """det of the subtree at u away from p, by expanding along u's row by
+    vertex id: b_u times the product of the child values, minus, for each
+    child w, the other child values times the product of w's own child
+    values. One pass over the children keeps the product of the values so
+    far and the sum of the cross terms so far."""
+    adj = g.adjacency
+    down, cross = 1, 0
+    for w in adj[u]:
+        if w == p:
+            continue
+        grand = 1
+        for x in adj[w]:
+            if x != u:
+                grand *= table[(x, w)]
+        cross = cross * table[(w, u)] + down * grand
+        down *= table[(w, u)]
+    return -g.weight_of(u) * down - cross
 
 
 def subtree_determinants_direct(g: ResolutionGraph) -> dict[tuple[str, str], int]:

@@ -394,10 +394,15 @@ def test_branch_conditions_on_indefinite_graph(tmp_path, capsys):
     )
     assert main(["check", "okuma34", str(path)]) == 2
     assert "NotNegativeDefinite" in capsys.readouterr().err
-    # both are refused up front, also where no table entry or node is read
+    # both are refused up front, also where no table entry or node is read,
+    # with the one message of the definiteness gate, as det is
     assert main(["check", "okuma33", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: NotNegativeDefinite: intersection form is not negative definite\n"
+        "error: NotNegativeDefinite: graph is not negative definite\n"
+    )
+    assert main(["det", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: NotNegativeDefinite: graph is not negative definite\n"
     )
     path.write_text(
         '{"version":1,"vertices":[{"id":"a","weight":-1},{"id":"b","weight":-1}],'
@@ -415,7 +420,7 @@ def test_branch_conditions_on_indefinite_graph(tmp_path, capsys):
     )
     assert main(["check", "okuma33", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: NotNegativeDefinite: intersection form is not negative definite\n"
+        "error: NotNegativeDefinite: graph is not negative definite\n"
     )
 
 

@@ -74,17 +74,18 @@ def test_table_invariants_match_matrix_oracles(g):
 
 def test_subtree_table_matches_direct_expansion():
     # a zero entry toward the root leaves nothing to divide by, so the entry
-    # away from it is expanded by _subtree_step; that must happen at least
-    # once here, and the example below forces it (a 0-weighted leaf)
+    # away from it is expanded along a row of the two passes by _expand_row;
+    # that must happen at least once here, and the example below forces it
+    # (a 0-weighted leaf)
     expanded = []
 
     @settings(max_examples=300, deadline=None)
     @given(weighted_trees())
     @example(ResolutionGraph.build([("a", -2), ("b", 0), ("c", -1)], [("a", "b"), ("a", "c")]))
     def check(g):
-        with mock.patch.object(graph, "_subtree_step", wraps=graph._subtree_step) as step:
+        with mock.patch.object(graph, "_expand_row", wraps=graph._expand_row) as step:
             table = subtree_determinants(g)
-        expanded.extend(c for c in step.call_args_list if c.args[3] is not None)
+        expanded.extend(step.call_args_list)
         direct = subtree_determinants_direct(g)
         assert list(table.items()) == list(direct.items())
 

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 from math import gcd
 
 import pytest
 
-from splicekit import splice
+from splicekit import graph, splice
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.conditions import edge_equation
 from splicekit.corpus import dominant_tree
@@ -29,6 +30,11 @@ from splicekit.graph import (
 from splicekit.linalg import determinant, matmul
 from splicekit.cli import main
 from splicekit.document import document_to_json, graph_to_document
+from splicekit.equations import (
+    build_equations_from_diagram,
+    curve_component_count,
+    leading_form_check,
+)
 from splicekit.splice import (
     SpliceDiagram,
     edge_determinant,
@@ -321,7 +327,9 @@ def test_diagrams_off_the_integer_tree_match_the_tables_by_vertex_id():
 
 def test_paths_and_linking_numbers_match_the_search_on_every_pair(fixture_map, two_node_corpus):
     # every ordered pair of the reduced and maximal diagrams, adjacent or
-    # not, and a seeded sample of pairs on the deep caterpillar
+    # not, and of the bare diagrams of their end-node reductions, and a
+    # seeded sample of pairs on the deep caterpillar; both numbers are
+    # symmetric, though each is read off the walk from its first vertex
     rng = random.Random(21)
     paths = [
         ResolutionGraph.build(
@@ -339,15 +347,64 @@ def test_paths_and_linking_numbers_match_the_search_on_every_pair(fixture_map, t
                 linking_numbers(d, v, w)
         else:
             assert linking_numbers(d, v, w) == linking_numbers_by_path(d, v, w)
+            assert linking_numbers(d, v, w) == linking_numbers(d, w, v)
+
+    def reductions(d):
+        for v_star in d.nodes:
+            if is_end_node(d, v_star):
+                reduced = end_node_reduce(d, v_star, mode="raw").diagram
+                assert reduced is not None and reduced.strings is None
+                yield reduced
 
     for g in [*fixture_map.values(), *trees, *paths, *two_node_corpus]:
         for d in (splice_from_resolution(g), maximal_splice(g)):
-            for v, w in itertools.product(d.ids, repeat=2):
-                agree(d, v, w)
+            for dd in (d, *reductions(d)):
+                for v, w in itertools.product(dd.ids, repeat=2):
+                    agree(dd, v, w)
     g = _deep_caterpillar()
     for d in (splice_from_resolution(g), maximal_splice(g)):
         for _ in range(200):
             agree(d, *rng.sample(d.ids, 2))
+
+
+def test_each_consumer_walks_the_diagram_once(fixture_map, monkeypatch):
+    # the end-node reduction, the linking numbers from one vertex to all
+    # others, the curve component count and the leading-form check each
+    # read the one cached walk from one vertex: a fresh diagram walks once
+    # past its integer view, and a repeat call walks zero times
+    calls = []
+    real = splice.walk_tree
+
+    def counted(nbrs, root):
+        calls.append(root)
+        return real(nbrs, root)
+
+    monkeypatch.setattr(graph, "walk_tree", counted)
+    monkeypatch.setattr(splice, "walk_tree", counted)
+
+    def walks(d, call):
+        d = dataclasses.replace(d)  # no cached walks
+        d.tree  # its integer view walks once from vertex 0, not counted
+        calls.clear()
+        call(d)
+        first = len(calls)
+        call(d)
+        return first, len(calls) - first
+
+    g = dominant_tree(random.Random(7), 100)
+    for d in (splice_from_resolution(g), maximal_splice(g)):
+        ends = [v for v in d.nodes if is_end_node(d, v)]
+        assert ends
+        for v_star in ends:
+            assert walks(d, lambda d: end_node_reduce(d, v_star, mode="raw")) == (1, 0)
+        for v in (d.nodes[0], d.leaves[0]):
+            assert walks(d, lambda d: [linking_numbers(d, v, w) for w in d.ids if w != v]) == (1, 0)
+        assert walks(d, lambda d: curve_component_count(d, d.leaves[-1])) == (1, 0)
+    for name in ("g1", "star"):
+        d = splice_from_resolution(fixture_map[name])
+        system = build_equations_from_diagram(d)
+        for v in d.nodes:
+            assert walks(d, lambda d: leading_form_check(d, v, system)) == (1, 0)
 
 
 def test_unknown_and_unreachable_vertices_are_library_errors(g1):
