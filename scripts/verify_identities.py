@@ -7,7 +7,9 @@ Checks, with exact arithmetic throughout:
   - reduced-diagram edge determinants equal string det times graph det;
   - end-node reduction scales the surviving edge determinants by the
     trimmed graph's determinant (raw mode), and the reduced linking
-    numbers of the reduced diagram are symmetric.
+    numbers of the reduced diagram are symmetric;
+  - with two or more leaves, the leaf generators but any one span a group
+    of order det (every drop-one index is 1 on a tree).
 
 Usage: python scripts/verify_identities.py [--trees 100] [--seed 20240917]
 """
@@ -17,15 +19,18 @@ from __future__ import annotations
 import argparse
 import itertools
 import time
+from math import gcd, prod
 
 from splicekit import (
     edge_determinant,
     end_node_reduce,
     graph_determinant,
     intersection_matrix,
+    leaf_generators,
     linking_matrix,
     linking_numbers,
     maximal_splice,
+    smith_normal_form,
     splice_from_resolution,
     verify_edge_det_theorem,
 )
@@ -63,6 +68,13 @@ def main() -> int:
             assert edge_determinant(dmax, e) == det
             edges += 1
         assert verify_edge_det_theorem(g).ok
+
+        scaled = list(leaf_generators(g).scaled_generators().values())
+        if len(scaled) >= 2:
+            for j in range(len(scaled)):
+                others = scaled[:j] + scaled[j + 1:]
+                diagonal = smith_normal_form(others, modulus=det).diagonal
+                assert prod(det // gcd(s, det) for s in diagonal) == det
 
         d = splice_from_resolution(g)
         if len(d.nodes) < 2:

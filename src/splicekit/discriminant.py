@@ -3,10 +3,12 @@
 Elements live in (Q/Z)^t, t the number of leaves; each leaf contributes a
 generator whose entries are the pairings of its dual basis vector with the
 other leaf duals. All values are exact rationals mod 1, never floats.
-The group checks and the invariant factors come from one Smith normal form
-of the leaf block, taken modulo the determinant, at any determinant; that
-block is read from the leaves' linking rows alone, one walk per leaf.
-Element listing (``enumerate_elements``, capped) serves only test oracles.
+The group checks and the invariant factors come from the Smith diagonal
+of the leaf block, taken modulo the determinant, at any determinant, with
+no transform tracked: on a tree every drop-one index is 1 (the lemma in
+``group_order_check``). That block is read from the leaves' linking rows
+alone, one walk per leaf. Element listing (``enumerate_elements``,
+capped) serves only test oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 from . import config
 from .errors import CapExceeded
 from .graph import ResolutionGraph, graph_determinant, leaves_of
-from .linalg import smith_normal_form
+from .linalg import smith_diagonal
 
 QTuple = tuple[Fraction, ...]
 
@@ -114,6 +116,10 @@ def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
 
 @dataclass(frozen=True)
 class GroupCheck:
+    """The three checks on the span of the leaf generators in (Q/Z)^t.
+    ``enumerated_order`` is the order of that span, read off the Smith
+    diagonal of the scaled leaf block: prod(d / gcd(s_i, d)), d = det."""
+
     order: int
     enumerated_order: int
     order_ok: bool
@@ -127,31 +133,20 @@ class GroupCheck:
         return self.order_ok and self.drop_one_ok and self.no_pseudo_reflections
 
 
-def _span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
-    """The checks on the span H in (Z/d)^t of the rows of a symmetric
-    t-by-t integer matrix G, from one Smith normal form U*G*V = diag(s)
-    taken mod d (U stays invertible mod d, so nothing below changes):
-
-    - with e_i = d / gcd(s_i, d), |H| = prod(e_i), H is the sum of cyclic
-      groups of orders e_i, and the rows e_i*U_i span the relations
-      c*G = 0 mod d (c = c'*U with e_i | c'_i);
-    - the gcd m_j of d and the j-th entries of those rows is the index in
-      H of the span without row j (drop-one: every |H| = d * m_j);
-    - forgetting coordinate j maps H onto the span of the columns of G but
-      j, of order |H| / m_j as G is symmetric, with kernel the elements
-      non-zero only at j (no pseudo-reflection: every m_j = 1; t >= 2).
-    """
-    t = len(rows)
-    snf = smith_normal_form(rows, modulus=d)
-    steps = [d // gcd(s, d) for s in snf.diagonal]
+def _tree_span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
+    """The checks on the span H in (Z/d)^t of the rows of a tree's scaled
+    leaf block, from its Smith diagonal s taken mod d: with
+    e_i = d / gcd(s_i, d), H is the sum of cyclic groups of orders e_i and
+    |H| = prod(e_i). Drop-one and pseudo-reflections follow from |H| by
+    the lemma in ``group_order_check``."""
+    steps = [d // gcd(s, d) for s in smith_diagonal(rows, modulus=d)]
     spanned = prod(steps)
-    indices = [gcd(d, *(e * row[j] for e, row in zip(steps, snf.left))) for j in range(t)]
     return GroupCheck(
         order=d,
         enumerated_order=spanned,
         order_ok=spanned == d,
-        drop_one_ok=t < 2 or all(spanned == d * m for m in indices),
-        no_pseudo_reflections=t < 2 or all(m == 1 for m in indices),
+        drop_one_ok=len(rows) < 2 or spanned == d,
+        no_pseudo_reflections=True,
         invariant_factors=tuple(sorted(e for e in steps if e > 1)),
     )
 
@@ -160,9 +155,28 @@ def group_order_check(g: ResolutionGraph) -> GroupCheck:
     """The leaf generators span a group of order det (``enumerated_order``
     is the order of their span); with two or more leaves, any one of them
     can be dropped, and no non-zero element has a single non-zero entry
-    (fixes a coordinate hyperplane). No element is listed."""
+    (fixes a coordinate hyperplane). No element is listed, and only the
+    Smith diagonal of the leaf block is taken.
+
+    Lemma: on a tree with t >= 2 leaves, the classes x_i of the other
+    leaves generate D = Z^n/AZ^n for every leaf j. Here x_v is the class
+    of e_v, the dual e_v* under A^-1, with relations
+    w_u*x_u + sum over v ~ u of x_v = 0. Proof: root the tree at j and
+    work in D/<x_i : i != j>. Every vertex u != j is 0 there, by induction
+    up from the leaves: a leaf i != j is 0 by definition, and any other u
+    has a child c, whose relation w_c*x_c + x_u + sum over c's children = 0
+    has every term but x_u already 0. Last, the relation at j's neighbour
+    gives x_j = 0. The leaf generators are the images of the x_w under the
+    non-degenerate pairing with the leaf duals, so the span H_j of all but
+    generator j is the span H of them all: each drop-one index
+    m_j = [H : H_j] is 1, and dropping a generator keeps order det exactly
+    when H has it. Forgetting coordinate j maps H onto the span of the
+    columns of the block but j, of order |H_j| = |H| as the block is
+    symmetric, and its kernel is the elements non-zero only at j, so no
+    pseudo-reflection is left.
+    """
     _, block, det = _scaled_leaf_block(g)
-    return _span_check(block, det)
+    return _tree_span_check(block, det)
 
 
 def character_of_monomial(

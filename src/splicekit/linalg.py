@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over arbitrary-precision ints or Fractions; there is
-no floating point anywhere in the package. The Smith normal form, built by
-2x2 Bezout row and column steps and taken modulo the determinant, serves
-the discriminant group. ``determinant`` (Bareiss) and ``invert_rational``
+no floating point anywhere in the package. One Smith elimination, by 2x2
+Bezout row and column steps, serves both ``smith_diagonal``, which tracks
+no transform and, taken modulo the determinant, gives the discriminant
+group its checks and invariant factors, and ``smith_normal_form``, which
+tracks both transforms. ``determinant`` (Bareiss) and ``invert_rational``
 (Gauss-Jordan) are general-matrix reference oracles with no caller in the
 package: definiteness, determinants, linking and pairing matrices are all
 read from the subtree-determinant table in ``graph``, and the tests check
@@ -110,11 +112,15 @@ def _bezout(p: int, q: int) -> tuple[int, int, int]:
     return (p, x0, y0) if p >= 0 else (-p, -x0, -y0)
 
 
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]], modulus: int | None = None
-) -> SmithDecomposition:
-    """Smith normal form with non-negative diagonal and tracked transforms,
-    by 2x2 Bezout steps of determinant 1 (Kannan and Bachem, 1979).
+def _eliminate(
+    matrix: Sequence[Sequence[int]],
+    modulus: int | None,
+    left: IntMatrix | None,
+    right: IntMatrix,
+) -> tuple[int, ...]:
+    """The Smith diagonal of a copy of matrix, by 2x2 Bezout steps of
+    determinant 1 (Kannan and Bachem, 1979), applying each row step to
+    left as well, when given, and each column step to the rows of right.
 
     At each diagonal position k, whose entry is made non-zero by a swap
     from the remaining block if need be, column k and then row k are
@@ -123,20 +129,16 @@ def smith_normal_form(
     that kind may refill column k, so the two clearings repeat until both
     hold; the pivot only shrinks. An entry of the block that the pivot does
     not divide is then pulled into row k, and the clearing starts again.
-
-    With a modulus N, the input and every operation on the matrix and both
-    transforms are reduced mod N, and divisibility is that of the reduced
-    representatives: U * M * V = diag(d) mod N, U and V stay invertible
-    mod N, and the gcd(d_i, N) are those of the integer form.
+    With a modulus N, the copy and every step are reduced mod N, and
+    divisibility is that of the reduced representatives.
     """
-    n = len(matrix)
-    m = len(matrix[0]) if n else 0
     if modulus:
         a = [[x % modulus for x in row] for row in matrix]
     else:
         a = [list(row) for row in matrix]
-    left = identity_matrix(n)
-    right = identity_matrix(m)
+    n = len(a)
+    m = len(a[0]) if n else 0
+    row_mats = (a,) if left is None else (a, left)
 
     def combine(rk: list[int], ri: list[int], x: int, y: int) -> list[int]:
         if modulus:
@@ -148,11 +150,11 @@ def smith_normal_form(
         # or row i -= (q/p)*row k when the pivot p divides q
         p = a[k][k]
         if q % p == 0:
-            for mat in (a, left):
+            for mat in row_mats:
                 mat[i] = combine(mat[k], mat[i], -(q // p), 1)
             return
         g, x, y = _bezout(p, q)
-        for mat in (a, left):
+        for mat in row_mats:
             rk, ri = mat[k], mat[i]
             mat[k], mat[i] = combine(rk, ri, x, y), combine(rk, ri, -q // g, p // g)
 
@@ -180,8 +182,8 @@ def smith_normal_form(
             if hit is None:
                 break  # the remaining block is zero
             i, j = hit
-            a[k], a[i] = a[i], a[k]
-            left[k], left[i] = left[i], left[k]
+            for mat in row_mats:
+                mat[k], mat[i] = mat[i], mat[k]
             for row in a + right:
                 row[k], row[j] = row[j], row[k]
         while True:
@@ -200,15 +202,37 @@ def smith_normal_form(
             )
             if offender is None:
                 break
-            for mat in (a, left):  # row k += row offender; the pivot stays
+            for mat in row_mats:  # row k += row offender; the pivot stays
                 mat[k] = combine(mat[k], mat[offender], 1, 1)
         if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            left[k] = [-x for x in left[k]]
+            for mat in row_mats:
+                mat[k] = [-x for x in mat[k]]
+    return tuple(a[k][k] for k in range(min(n, m)))
 
-    diag = tuple(a[k][k] for k in range(min(n, m)))
+
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]], modulus: int | None = None
+) -> SmithDecomposition:
+    """Smith normal form with non-negative diagonal and tracked transforms,
+    by the Bezout elimination of ``_eliminate``.
+
+    With a modulus N, the input and every operation on the matrix and both
+    transforms are reduced mod N, and divisibility is that of the reduced
+    representatives: U * M * V = diag(d) mod N, U and V stay invertible
+    mod N, and the gcd(d_i, N) are those of the integer form.
+    """
+    n = len(matrix)
+    left, right = identity_matrix(n), identity_matrix(len(matrix[0]) if n else 0)
     return SmithDecomposition(
-        diagonal=diag,
+        diagonal=_eliminate(matrix, modulus, left, right),
         left=tuple(tuple(row) for row in left),
         right=tuple(tuple(row) for row in right),
     )
+
+
+def smith_diagonal(
+    matrix: Sequence[Sequence[int]], modulus: int | None = None
+) -> tuple[int, ...]:
+    """``smith_normal_form(matrix, modulus).diagonal``, by the same
+    elimination with neither transform tracked."""
+    return _eliminate(matrix, modulus, None, [])

@@ -65,8 +65,9 @@ def group_section(g: ResolutionGraph) -> dict:
     The generators and checks are those of ``leaf_generators`` and
     ``group_order_check``, from one leaf block built once from the leaves'
     linking rows alone; each generator entry is written from its integer
-    x in that block as the reduced x/det, or "0". The invariant factors are
-    those of the leaf span, read from the Smith form that the checks take,
+    x in that block as the reduced x/det, or "0", once per unordered leaf
+    pair, as the block is symmetric. The invariant factors are those of
+    the leaf span, read from the Smith diagonal that the checks take,
     padded with 1s to n entries. This is exact on any tree,
     because the leaf duals generate D(G): going inward from the leaves,
     the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0 gives the class
@@ -76,14 +77,15 @@ def group_section(g: ResolutionGraph) -> dict:
     always holds, and the factors equal the n-by-n Smith diagonal of -A.
     """
     leaves, block, det = discriminant._scaled_leaf_block(g)  # built once for both
-    check = discriminant._span_check(block, det)
+    check = discriminant._tree_span_check(block, det)
     factors = check.invariant_factors
+    text: list[list[str]] = []
+    for i, row in enumerate(block):
+        text.append([text[j][i] for j in range(i)] + [_residue_str(x, det) for x in row[i:]])
     return {
         "order": det,
         "invariant_factors": [1] * (len(g.ids) - len(factors)) + list(factors),
-        "generators": {
-            leaf: [_residue_str(x, det) for x in row] for leaf, row in zip(leaves, block)
-        },
+        "generators": dict(zip(leaves, text)),
         "checks": {
             "order_ok": check.order_ok,
             "drop_one_generator_ok": check.drop_one_ok,

@@ -2,8 +2,10 @@
 
 The library reads definiteness from its subtree-determinant table; these
 apply Sylvester's criterion to the matrix itself. It checks the
-discriminant group from one Smith normal form of the leaf block;
-``enumerated_group_check`` lists the elements, and
+discriminant group from the Smith diagonal of the leaf block and the lemma
+that every drop-one index is 1 on a tree; ``_span_check`` reads the
+drop-one indices of any symmetric block off the left transform of its
+Smith normal form, ``enumerated_group_check`` lists the elements, and
 ``full_group_character_oracle`` tests witnesses against every element, not
 only the leaf generators. It fills the ideal generators in one table;
 ``ideal_generator_recursive`` recurses per edge. It finds fundamental
@@ -71,7 +73,12 @@ from splicekit.graph import (
     negated_intersection_matrix,
     subtree_determinants,
 )
-from splicekit.linalg import SmithDecomposition, determinant, identity_matrix
+from splicekit.linalg import (
+    SmithDecomposition,
+    determinant,
+    identity_matrix,
+    smith_normal_form,
+)
 from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
 
 
@@ -239,6 +246,43 @@ def edge_equations_by_id(
         leaves = subtree_leaves_by_id(d, v, u)
         out[u] = (leaves, tuple(linking_numbers_by_path(d, v, w)[1] for w in leaves))
     return out
+
+
+def drop_one_indices(rows: Sequence[Sequence[int]], d: int) -> tuple[list[int], list[int]]:
+    """(e, m) for the span H in (Z/d)^t of the rows of a symmetric t-by-t
+    integer matrix G, from one Smith normal form U*G*V = diag(s) taken
+    mod d (U stays invertible mod d, so nothing below changes):
+
+    - with e_i = d / gcd(s_i, d), |H| = prod(e_i), H is the sum of cyclic
+      groups of orders e_i, and the rows e_i*U_i span the relations
+      c*G = 0 mod d (c = c'*U with e_i | c'_i);
+    - the gcd m_j of d and the j-th entries of those rows is the index in
+      H of the span without row j.
+    """
+    snf = smith_normal_form(rows, modulus=d)
+    steps = [d // gcd(s, d) for s in snf.diagonal]
+    indices = [
+        gcd(d, *(e * row[j] for e, row in zip(steps, snf.left))) for j in range(len(rows))
+    ]
+    return steps, indices
+
+
+def _span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
+    """The group checks on any symmetric block, from its drop-one indices:
+    drop-one holds when every |H| = d * m_j, and forgetting coordinate j
+    maps H onto the span of the columns of G but j, of order |H| / m_j as
+    G is symmetric, with kernel the elements non-zero only at j (no
+    pseudo-reflection: every m_j = 1). Both hold vacuously for t < 2."""
+    steps, indices = drop_one_indices(rows, d)
+    spanned, several = prod(steps), len(rows) >= 2
+    return GroupCheck(
+        order=d,
+        enumerated_order=spanned,
+        order_ok=spanned == d,
+        drop_one_ok=not several or all(spanned == d * m for m in indices),
+        no_pseudo_reflections=not several or all(m == 1 for m in indices),
+        invariant_factors=tuple(sorted(e for e in steps if e > 1)),
+    )
 
 
 def enumerated_group_check(group: DiscriminantGroup) -> GroupCheck:

@@ -3,16 +3,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from splicekit import discriminant
+from splicekit import discriminant, linalg, reporting
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import (
     DiscriminantGroup,
     _scaled_leaf_block,
-    _span_check,
     character_of_monomial,
     group_order_check,
     leaf_generators,
@@ -27,10 +26,16 @@ from splicekit.graph import (
     leaves_of,
     negated_intersection_matrix,
 )
-from splicekit.linalg import smith_normal_form
+from splicekit.linalg import smith_diagonal, smith_normal_form
 from splicekit.splice import linking_numbers, maximal_splice, splice_from_resolution
 
-from oracles import enumerated_group_check, smith_normal_form_rescan
+import oracles
+from oracles import (
+    _span_check,
+    drop_one_indices,
+    enumerated_group_check,
+    smith_normal_form_rescan,
+)
 
 
 def test_pairing_single_vertex():
@@ -158,26 +163,78 @@ def test_span_check_matches_enumeration():
 
 
 def test_bezout_smith_form_matches_rescan_oracle(monkeypatch, corpus, fixture_map):
-    # on the leaf block mod det, both forms give the same gcd(s_i, det)
-    # and the same group checks; on -A over the integers, the same diagonal
+    # on the leaf block mod det, both forms and the bare diagonal give the
+    # same gcd(s_i, det), and the diagonal route the oracle's group checks;
+    # on -A over the integers, the same diagonal
     trees = [dominant_tree(random.Random(seed), 25) for seed in range(12)]
     trees += [dominant_tree(random.Random(seed), 50) for seed in range(6)]
     for g in [*corpus, *trees]:
         _, block, det = _scaled_leaf_block(g)
         bezout = smith_normal_form(block, modulus=det)
         rescan = smith_normal_form_rescan(block, modulus=det)
-        assert sorted(gcd(s, det) for s in bezout.diagonal) == sorted(
-            gcd(s, det) for s in rescan.diagonal
-        )
-        check = _span_check(block, det)
+        expected = sorted(gcd(s, det) for s in rescan.diagonal)
+        assert sorted(gcd(s, det) for s in bezout.diagonal) == expected
+        diagonal = smith_diagonal(block, modulus=det)
+        assert diagonal == bezout.diagonal
+        assert sorted(gcd(s, det) for s in diagonal) == expected
+        check = group_order_check(g)
         with monkeypatch.context() as patch:
-            patch.setattr(discriminant, "smith_normal_form", smith_normal_form_rescan)
+            patch.setattr(oracles, "smith_normal_form", smith_normal_form_rescan)
             oracle = _span_check(block, det)
         assert check == oracle
         assert check.invariant_factors == oracle.invariant_factors
     for g in fixture_map.values():
         m = negated_intersection_matrix(g)
         assert smith_normal_form(m).diagonal == smith_normal_form_rescan(m).diagonal
+
+
+@st.composite
+def definite_trees(draw):
+    """Negative definite trees on 2 to 14 vertices with weights -1 to -4;
+    random parents make chains of degree-2 curves as well as nodes."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    parents = [draw(st.integers(min_value=0, max_value=j - 1)) for j in range(1, n)]
+    weights = [draw(st.integers(min_value=-4, max_value=-1)) for _ in range(n)]
+    g = ResolutionGraph.build(
+        vertices=[(f"v{i}", w) for i, w in enumerate(weights)],
+        edges=[(f"v{p}", f"v{j}") for j, p in enumerate(parents, start=1)],
+    )
+    assume(g.negative_definite)
+    return g
+
+
+def test_every_drop_one_index_is_one_on_a_tree():
+    # the lemma of group_order_check, checked by the transform oracle; the
+    # draws must reach -1 curves and strings
+    seen = {"minus_one_curve": 0, "string": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(definite_trees())
+    def compare(g):
+        _, block, det = _scaled_leaf_block(g)
+        _, indices = drop_one_indices(block, det)
+        assert indices == [1] * len(block)
+        oracle = _span_check(block, det)
+        assert oracle.drop_one_ok and oracle.no_pseudo_reflections
+        check = group_order_check(g)
+        assert check == oracle
+        assert check.invariant_factors == oracle.invariant_factors
+        seen["minus_one_curve"] += -1 in g.weights
+        seen["string"] += any(len(ns) == 2 for ns in g.tree.nbrs)
+
+    compare()
+    assert all(seen.values()), seen
+
+
+def test_group_checks_take_no_smith_transform(monkeypatch, fixture_map):
+    def refuse(*args, **kwargs):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    assert not hasattr(discriminant, "smith_normal_form")
+    for g in fixture_map.values():
+        assert group_order_check(g).ok
+        assert reporting.group_section(g)["order"] == graph_determinant(g)
 
 
 def test_character_trivial_cases(g17):

@@ -9,6 +9,7 @@ from splicekit.linalg import (
     identity_matrix,
     invert_rational,
     matmul,
+    smith_diagonal,
     smith_normal_form,
 )
 from splicekit.splice import tree_determinant
@@ -76,6 +77,7 @@ square_matrices = st.integers(min_value=1, max_value=5).flatmap(
 def test_snf_properties(m):
     snf = smith_normal_form(m)
     _check_decomposition(m, snf)
+    assert smith_diagonal(m) == snf.diagonal
     assert prod(snf.diagonal) == abs(determinant(m))
 
 
@@ -100,6 +102,8 @@ def test_snf_modulo_matches_integer_form(m, d):
         gcd(s, d) for s in integer.diagonal
     )
     _check_modular(m, d, modular)
+    assert smith_diagonal(m) == integer.diagonal
+    assert smith_diagonal(m, modulus=d) == modular.diagonal
 
 
 def test_snf_zero_leading_entry():
@@ -120,6 +124,8 @@ def test_snf_zero_matrix():
     assert snf.right == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert smith_normal_form(m, modulus=7).diagonal == (0, 0)
     assert smith_normal_form([]).diagonal == ()
+    assert smith_diagonal(m) == smith_diagonal(m, modulus=7) == (0, 0)
+    assert smith_diagonal([]) == ()
 
 
 def test_snf_single_row_and_column():
@@ -160,6 +166,8 @@ def test_snf_large_moduli(case):
     assert sorted(gcd(s, d) for s in modular.diagonal) == sorted(
         gcd(s, d) for s in integer.diagonal
     )
+    assert smith_diagonal(m) == integer.diagonal
+    assert smith_diagonal(m, modulus=d) == modular.diagonal
 
 
 def test_determinant_matches_tree_recursion(random_trees):
