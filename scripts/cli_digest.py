@@ -11,9 +11,11 @@ change in anything a user sees shows up as a differing line.
 Each graph gets validate, det, group, splice, maximal and ``check ideal``,
 and ``reduce`` at every node of its splice diagram in both modes. The
 commands that search exponent vectors (the other checks, ``equations`` and
-``report``) run only where the determinant is at most DET_CAP. Each command
-runs with and without --json. An uncaught exception is recorded as its type
-and message with exit code 1. The corpus is the default-seeded one of
+``report``) run only where the determinant is at most DET_CAP. Three fixed
+indefinite trees (INDEFINITE) get every command, the searching ones and
+``reduce --end-node c`` in both modes included, so each refusal path is
+digested. Each command runs with and without --json. An uncaught exception
+is recorded as its type and message with exit code 1. The corpus is the default-seeded one of
 ``splicekit.corpus``; --trees and --two-node take a prefix of it. One more
 line digests ``report --json`` on ``dominant_tree(random.Random(3), 25)``,
 the one seeded input whose searches run out of budget (one semigroup and
@@ -37,7 +39,7 @@ from splicekit.cli import main as cli_main
 from splicekit.corpus import dominant_tree, dominant_trees, two_node_graphs
 from splicekit.document import document_to_json, graph_to_document
 from splicekit.fixtures import fixture_graphs
-from splicekit.graph import graph_determinant, is_negative_definite
+from splicekit.graph import ResolutionGraph, graph_determinant, is_negative_definite
 from splicekit.splice import splice_from_resolution
 
 DET_CAP = 10**4
@@ -48,6 +50,15 @@ SEARCHING = (
     ("equations", "--equivariant"), ("report",),
 )
 RUNS_OUT = (3, 25)  # seed and size of the tree whose searches run out of budget
+PATH = (("a", "b"), ("b", "c"))
+# Each has a vertex c; the first has a zero subtree determinant at b toward a.
+INDEFINITE = (
+    ("indef_path", ResolutionGraph.build([("a", -2), ("b", -1), ("c", -1)], PATH)),
+    ("indef_ones", ResolutionGraph.build([("a", -1), ("b", -1), ("c", -1)], PATH)),
+    ("indef_star", ResolutionGraph.build(
+        [("c", -1), ("x", -1), ("y", -1), ("z", -2)], [("c", "x"), ("c", "y"), ("c", "z")]
+    )),
+)
 
 
 def run(argv: list[str]) -> str:
@@ -74,6 +85,10 @@ def commands(name: str, g):
             calls.append(("reduce", file, "--end-node", v, "--raw"))
         if graph_determinant(g) <= DET_CAP:
             calls += [(*cmd, file) for cmd in SEARCHING]
+    else:  # every command refuses, so none searches
+        calls += [(*cmd, file) for cmd in SEARCHING]
+        calls.append(("reduce", file, "--end-node", "c"))
+        calls.append(("reduce", file, "--end-node", "c", "--raw"))
     for call in calls:
         yield list(call)
         yield [*call, "--json"]
@@ -88,6 +103,7 @@ def main() -> int:
     graphs = list(fixture_graphs().items())
     graphs += [(f"tree{i:03d}", g) for i, g in enumerate(dominant_trees(args.trees))]
     graphs += [(f"pair{i:03d}", g) for i, g in enumerate(two_node_graphs(args.two_node))]
+    graphs += INDEFINITE
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:

@@ -68,12 +68,12 @@ def cmd_det(args) -> int:
 def cmd_group(args) -> int:
     g = _load_graph(args.file)
     section = reporting.group_section(g)
-    lines = [
+    lines = [] if args.json else [
         f"order: {int_text(section['order'])}",
         "invariant factors: " + ", ".join(map(int_text, section["invariant_factors"])),
+        *(f"generator at {leaf}: [" + ", ".join(gen) + "]"
+          for leaf, gen in section["generators"].items()),
     ]
-    for leaf, gen in section["generators"].items():
-        lines.append(f"generator at {leaf}: [" + ", ".join(gen) + "]")
     _emit(section, args.json, lines)
     return 0
 

@@ -309,14 +309,10 @@ def _solved_congruences(
     """Per-leaf single-variable congruences for an edge toward an end-node:
     the exponent at each leaf must be = -n*p_i modulo the leaf string
     determinant, n the central string determinant (1 for an empty string)."""
-    n, _ = _string_fraction(g, d.strings[(v, v_star)])
-    out = []
-    for w in d.adjacency[v_star]:
-        if w == v or not d.is_leaf(w):
-            continue
-        n_i, p_i = _string_fraction(g, list(d.strings[(v_star, w)]) + [w])
-        out.append(SolvedCongruence(leaf=w, residue=(-n * p_i) % n_i, modulus=n_i))
-    return tuple(out)
+    n, _, leaves = _end_node_fractions(g, d, v, v_star)
+    return tuple(
+        SolvedCongruence(leaf=w, residue=(-n * p_i) % n_i, modulus=n_i) for w, n_i, p_i in leaves
+    )
 
 
 def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
@@ -382,6 +378,17 @@ def _string_fraction(g: ResolutionGraph, chain: Sequence[str]) -> tuple[int, int
     return cf.numerator, cf.denominator
 
 
+def _end_node_fractions(
+    g: ResolutionGraph, d: SpliceDiagram, v: str, v_star: str
+) -> tuple[int, int, list[tuple[str, int, int]]]:
+    """n/p, the continued fraction of the string from the end-node v_star to
+    v, and (w, n_i, p_i) for that of the string from v_star out to each
+    leaf w != v, w included."""
+    n, p = _string_fraction(g, d.strings[(v_star, v)])
+    ends = [w for w in d.adjacency[v_star] if w != v]
+    return n, p, [(w, *_string_fraction(g, [*d.strings[(v_star, w)], w])) for w in ends]
+
+
 def end_node_criterion_slack(g: ResolutionGraph, v: str, v_star: str) -> int:
     """Integer slack of the end-node inequality for the edge from v to the
     end-node v_star: n*b - p - sum(ceil(n*p_i/n_i)) over the leaf strings."""
@@ -394,13 +401,9 @@ def end_node_criterion_slack(g: ResolutionGraph, v: str, v_star: str) -> int:
         raise NotEndNodeEdge(f"{v_star} is not an end-node seen from {v}")
     assert d.strings is not None
     b = -g.weight_of(v_star)
-    n, p = _string_fraction(g, d.strings[(v_star, v)])
+    n, p, leaves = _end_node_fractions(g, d, v, v_star)
     slack = n * b - p
-    for w in d.adjacency[v_star]:
-        if w == v:
-            continue
-        chain = list(d.strings[(v_star, w)]) + [w]
-        n_i, p_i = _string_fraction(g, chain)
+    for _, n_i, p_i in leaves:
         slack -= -(-(n * p_i) // n_i)  # ceil
     return slack
 

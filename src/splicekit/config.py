@@ -1,4 +1,4 @@
-"""Enumeration caps, overridable via the SPLICEKIT_ENUM_CAP env var."""
+"""Enumeration caps; the SPLICEKIT_ENUM_CAP env var overrides only the search cap."""
 
 from __future__ import annotations
 
@@ -32,10 +32,3 @@ def solution_limit(override: int | None = None) -> int:
     if override is not None:
         return override
     return _env_cap() or DEFAULT_SOLUTION_LIMIT
-
-
-def group_cap(override: int | None = None) -> int:
-    """Largest group order that element enumeration will attempt."""
-    if override is not None:
-        return override
-    return _env_cap() or DEFAULT_GROUP_CAP

@@ -8,7 +8,7 @@ of the leaf block, taken modulo the determinant, at any determinant, with
 no transform tracked: on a tree every drop-one index is 1 (the lemma in
 ``group_order_check``). That block is read from the leaves' linking rows
 alone, one walk per leaf. Element listing (``enumerate_elements``,
-capped) serves only test oracles.
+capped per call) serves only test oracles.
 """
 
 from __future__ import annotations
@@ -73,9 +73,10 @@ class DiscriminantGroup:
         """All elements of the subgroup spanned by the given leaf generators,
         as integer tuples scaled by the group order.
 
-        Raises CapExceeded when the group order is beyond the cap.
+        Raises CapExceeded when the group order is beyond the cap, by default
+        ``config.DEFAULT_GROUP_CAP``, which SPLICEKIT_ENUM_CAP does not change.
         """
-        limit = config.group_cap(cap)
+        limit = config.DEFAULT_GROUP_CAP if cap is None else cap
         if self.order > limit:
             raise CapExceeded(f"group order {self.order} exceeds cap {limit}")
         names = tuple(generators) if generators is not None else self.leaves

@@ -360,12 +360,6 @@ def _coeff_json(c: Coefficient):
     return c
 
 
-def _coeff_from_json(data) -> Coefficient:
-    if isinstance(data, list):
-        return Fraction(data[0], data[1])
-    return data
-
-
 def system_to_json(system: SpliceEquationSystem) -> dict:
     return {
         "variables": list(system.variables),
@@ -384,36 +378,6 @@ def system_to_json(system: SpliceEquationSystem) -> dict:
             for b in system.blocks
         ],
     }
-
-
-def system_from_json(data: Mapping) -> SpliceEquationSystem:
-    blocks = []
-    for b in data["blocks"]:
-        blocks.append(
-            NodeBlock(
-                node=b["node"],
-                edges=tuple(b["edges"]),
-                monomials=tuple(
-                    Monomial(tuple((w, a) for w, a in m)) for m in b["monomials"]
-                ),
-                coefficients=tuple(
-                    tuple(_coeff_from_json(c) for c in row)
-                    for row in b["coefficients"]
-                ),
-                higher_terms=tuple(
-                    tuple(
-                        (_coeff_from_json(c), Monomial(tuple((w, a) for w, a in m)))
-                        for c, m in eq
-                    )
-                    for eq in b["higher_terms"]
-                ),
-            )
-        )
-    return SpliceEquationSystem(
-        variables=tuple(data["variables"]),
-        blocks=tuple(blocks),
-        equivariant=bool(data["equivariant"]),
-    )
 
 
 def _render_terms(terms: Sequence[tuple[Coefficient, Monomial]]) -> str:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
@@ -84,10 +83,10 @@ class ResolutionGraph:
     subtree determinants (which gives the determinant and definiteness),
     the root-down pass, the linking rows, the reduced splice diagram and
     the maximal weights run on those arrays; the root-down pass runs only
-    when something reads the entries pointing away from vertex 0, and
-    ``fill_edge_table`` walks them too. The string-keyed view
-    ``adjacency`` is built from the arrays when a caller asks, and
-    ``subtree_determinants`` lists the whole table by vertex id.
+    on a negative-definite graph, when something reads the entries pointing
+    away from vertex 0, and ``fill_edge_table`` walks them too. The
+    string-keyed view ``adjacency`` is built from the arrays when a caller
+    asks, and ``subtree_determinants`` lists the whole table by vertex id.
     Everything derived (the passes, the linking numbers, one row per vertex
     on first use, the branch-cycle table and the reduced splice diagram) is
     computed once per instance and cached read-only.
@@ -177,10 +176,10 @@ class ResolutionGraph:
         vertex 0, so down[u] * rev[u] is F_u, the product of all entries at
         u. It is read off the edge-determinant identity det = D(u, x) *
         D(x, u) - (F_u / D(x, u)) * down(x), for x a child of u, as (det +
-        down(x) * (F_u // D(x, u))) // D(x, u): two exact divisions. Where
-        D(x, u) is 0, which a negative-definite graph never has,
-        ``_expand_row`` expands D(u, x) along u's row of the two passes.
-        Raises ValidationError when the graph is not a tree."""
+        down(x) * (F_u // D(x, u))) // D(x, u): two exact divisions, as
+        every D(x, u) is positive. Raises ValidationError when the graph is
+        not a tree, and NotNegativeDefinite when it is indefinite."""
+        require_negative_definite(self)
         up, down = self._leaves_up
         nbrs, order, parent = self.tree
         det, rev = self.det, [1] * len(order)
@@ -190,7 +189,7 @@ class ResolutionGraph:
                 if x == p:
                     continue
                 d = up[x]
-                rev[x] = (det + down[x] * (full // d)) // d if d else _expand_row(self, rev, u, x)
+                rev[x] = (det + down[x] * (full // d)) // d
         return rev
 
     @cached_property
@@ -384,23 +383,6 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     return table
 
 
-def _expand_row(g: ResolutionGraph, rev: list[int], u: int, x: int) -> int:
-    """D(u, x) along u's row: b_u times the product of the D(c, u) over u's
-    other neighbours c, minus, for each c, the other D(c', u) times the
-    product of the D(y, c), y != u; one pass keeps the product and the cross
-    sum so far. D(a, b) is up[a] when b is a's parent, else rev[b]."""
-    nbrs, parent = g.tree.nbrs, g.tree.parent
-    up = g._leaves_up[0]
-    below, cross = 1, 0
-    for c in nbrs[u]:
-        if c != x:
-            grand = prod(up[y] if parent[y] == c else rev[c] for y in nbrs[c] if y != u)
-            d = up[c] if parent[c] == u else rev[u]
-            cross = cross * d + below * grand
-            below *= d
-    return -g.weights[u] * below - cross
-
-
 def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     """det of the component of g minus `parent` containing `child`.
 
@@ -413,7 +395,7 @@ def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     big-int products plus two exact divisions per root-down entry. The
     splice and maximal weights read the two passes themselves; this table
     is for callers and tests that want every entry by vertex id. Raises
-    ValidationError when g is not a tree.
+    ValidationError or NotNegativeDefinite unless g is a negative-definite tree.
     """
     (up, _), rev = g._leaves_up, g._rev
     nbrs, order, parent = g.tree

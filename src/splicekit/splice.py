@@ -80,9 +80,6 @@ class SpliceDiagram:
     nodes = cached_property(nodes_of)
     leaves = cached_property(leaves_of)
 
-    def weight(self, at: str, toward: str) -> int | None:
-        return self.weights.get((at, toward))
-
     def _position(self, v: str) -> int:
         i = self.index.get(v)
         if i is None:

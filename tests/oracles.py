@@ -18,9 +18,9 @@ monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational`
 keeps the whole rational cycle. Non-negative solutions are listed with an
 explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
 The subtree-determinant table reads its root-down entries off the
-edge-determinant identity, and expands along a row of the integer tree only
-where a pivot is zero; ``subtree_determinants_direct`` expands every entry
-along its vertex's row by vertex id, re-reading the grandchild entries.
+edge-determinant identity, on negative-definite trees only;
+``subtree_determinants_direct`` expands every entry along its vertex's row
+by vertex id, re-reading the grandchild entries, on any tree.
 The reduced and maximal splice diagrams and the edge equations are read
 off the integer tree; ``reduced_diagram_by_id``, ``maximal_weights_by_id``
 and ``edge_equations_by_id`` build them by vertex id from

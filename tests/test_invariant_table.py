@@ -5,13 +5,12 @@ Gauss-Jordan inversion."""
 import random
 import sys
 import threading
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splicekit import fixtures, graph
+from splicekit import fixtures
 from splicekit.corpus import dominant_tree
 from splicekit.cycles import dual_cycle
 from splicekit.discriminant import pairing_matrix
@@ -72,25 +71,20 @@ def test_table_invariants_match_matrix_oracles(g):
         }
 
 
-def test_subtree_table_matches_direct_expansion():
-    # a zero entry toward the root leaves nothing to divide by, so the entry
-    # away from it is expanded along a row of the two passes by _expand_row;
-    # that must happen at least once here, and the example below forces it
-    # (a 0-weighted leaf)
-    expanded = []
-
-    @settings(max_examples=300, deadline=None)
-    @given(weighted_trees())
-    @example(ResolutionGraph.build([("a", -2), ("b", 0), ("c", -1)], [("a", "b"), ("a", "c")]))
-    def check(g):
-        with mock.patch.object(graph, "_expand_row", wraps=graph._expand_row) as step:
-            table = subtree_determinants(g)
-        expanded.extend(step.call_args_list)
-        direct = subtree_determinants_direct(g)
-        assert list(table.items()) == list(direct.items())
-
-    check()
-    assert expanded
+@settings(max_examples=300, deadline=None)
+@given(weighted_trees())
+@example(ResolutionGraph.build([("a", -2), ("b", 0), ("c", -1)], [("a", "b"), ("a", "c")]))
+@example(ResolutionGraph.build([("a", -2), ("b", -1), ("c", -1)], [("a", "b"), ("b", "c")]))
+def test_subtree_table_matches_direct_expansion(g):
+    # the root-down pass divides by the entries toward vertex 0, all positive
+    # only on a negative-definite tree; in the second example the entry at b
+    # toward a is 0, and both examples are indefinite
+    if is_negative_definite(g):
+        table = subtree_determinants(g)
+        assert list(table.items()) == list(subtree_determinants_direct(g).items())
+    else:
+        with pytest.raises(NotNegativeDefinite, match="^graph is not negative definite$"):
+            subtree_determinants(g)
 
 
 def test_group_invariant_factors_match_full_smith_form(corpus):

@@ -34,7 +34,7 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
             "verified 13 linking identities, 128 edge determinants and 20 end-node reductions in ",
         ),
         # one digest line per command on fixed file names, then the total
-        ("cli_digest.py", ("--trees", "2", "--two-node", "1"), "262 commands, digest "),
+        ("cli_digest.py", ("--trees", "2", "--two-node", "1"), "358 commands, digest "),
     ],
 )
 def test_sweep_script_runs(script, args, summary):
