@@ -4,21 +4,44 @@ One bounded search per edge, ``search_edge``, decides the semigroup test
 (its first vector) and the congruence test (its first vector meeting the
 integer congruence table, denominators cleared by the determinant), cached
 on the graph by ``congruence_edge`` for both reports and the 3.3 fallback.
+Each search tests at most ``solution_limit()`` vectors: 10^5, or the
+SPLICEKIT_ENUM_CAP environment variable, which only this module reads.
 The test oracles keep the exact-rational route; the suite asserts agreement.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-from . import config
 from .cfrac import continued_fraction_of_string
-from .errors import NotEndNodeEdge, NotTwoNode
+from .errors import NotEndNodeEdge, NotTwoNode, ValidationError
 from .graph import ResolutionGraph, graph_determinant
-from .splice import SpliceDiagram, splice_from_resolution
+from .splice import SpliceDiagram, is_end_node, splice_from_resolution
+
+DEFAULT_SOLUTION_LIMIT = 100_000
+
+_ENV_VAR = "SPLICEKIT_ENUM_CAP"
+
+
+def solution_limit(override: int | None = None) -> int:
+    """Per-edge cap on enumerated exponent solutions: the override, else
+    SPLICEKIT_ENUM_CAP, else ``DEFAULT_SOLUTION_LIMIT``. Raises
+    ValidationError when the variable is read and is not a positive integer."""
+    if override is not None:
+        return override
+    raw = os.environ.get(_ENV_VAR)
+    if raw is None:
+        return DEFAULT_SOLUTION_LIMIT
+    try:
+        if (value := int(raw)) > 0:
+            return value
+    except ValueError:
+        pass
+    raise ValidationError(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
 
 
 class SearchBudget:
@@ -114,15 +137,6 @@ class AdmissibleExponents:
         return tuple(w for w, a in self.exponents if a)
 
 
-def edge_equation(
-    d: SpliceDiagram, v: str, toward: str
-) -> tuple[tuple[str, ...], tuple[int, ...], int]:
-    """(leaves, reduced linking numbers, edge weight) for one node edge,
-    read from the diagram's one walk per vertex (``edge_leaves``)."""
-    leaves, values = d.edge_leaves(v, toward)
-    return leaves, values, d.weights[(v, toward)]
-
-
 @dataclass(frozen=True)
 class ExponentSolutions:
     node: str
@@ -155,8 +169,10 @@ def search_edge(
     without a test), the number of vectors tested, and whether the search
     was truncated: it stops after `cap` vectors, or when its node budget of
     max(16 * cap, 2^20) runs out. `accept` sees the raw exponents, aligned
-    with ``edge_equation``'s leaves; only the vectors returned are wrapped."""
-    leaves, values, target = edge_equation(d, v, toward)
+    with ``d.edge_leaves``; only the vectors returned are wrapped. Raises
+    UnknownEdge."""
+    leaves, values = d.edge_leaves(v, toward)
+    target = d.weights[(v, toward)]
     budget = SearchBudget(max(cap * 16, 1 << 20))
     solutions = iter_nonnegative_solutions(values, target, budget)
     first = witness = None
@@ -179,16 +195,17 @@ def admissible_exponents(
     """Complete bounded enumeration of admissible exponent vectors.
 
     Exceeding the limit is reported through the `truncated` flag; the
-    partial list is still returned.
+    partial list is still returned. Raises UnknownEdge.
     """
-    leaves, values, target = edge_equation(d, v, toward)
+    leaves, values = d.edge_leaves(v, toward)
+    target = d.weights[(v, toward)]
     out: list[AdmissibleExponents] = []
 
     def collect(alpha: tuple[int, ...]) -> bool:
         out.append(AdmissibleExponents(v, toward, tuple(zip(leaves, alpha))))
         return False  # every vector is wanted, so none ends the search
 
-    truncated = search_edge(d, v, toward, config.solution_limit(limit), collect)[3]
+    truncated = search_edge(d, v, toward, solution_limit(limit), collect)[3]
     return ExponentSolutions(
         node=v,
         toward=toward,
@@ -220,7 +237,7 @@ def check_semigroup(d: SpliceDiagram) -> SemigroupReport:
     truncated flag set means the search budget ran out before the space
     was exhausted. Each search stops at its first vector; on a resolution
     graph, ``check_congruence(g).semigroup`` reads the same report."""
-    cap = config.solution_limit()
+    cap = solution_limit()
     return SemigroupReport(edges=tuple(
         search_edge(d, v, u, cap)[0] for v in d.nodes for u in d.adjacency[v]
     ))
@@ -324,7 +341,7 @@ def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
     A failure carries the table and, toward an end-node, the solved
     single-variable congruences.
     """
-    cap = config.solution_limit()
+    cap = solution_limit()
     found = g._congruence_edge_cache.get((v, toward, cap))
     if found is not None:
         return found
@@ -334,9 +351,8 @@ def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
         d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
     )
     failed = witness is None
-    is_end_edge = d.is_node(toward) and all(
-        d.is_leaf(x) for x in d.adjacency[toward] if x != v
-    )
+    # v is a node, so toward is an end-node seen from v exactly when it is one at all
+    end_edge = failed and semigroup.ok and is_end_node(d, toward)
     found = g._congruence_edge_cache[(v, toward, cap)] = CongruenceEdge(
         node=v,
         toward=toward,
@@ -346,9 +362,7 @@ def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
         tested=tested,
         truncated=truncated,
         congruences=table if failed else (),
-        solved=(
-            _solved_congruences(g, d, v, toward) if failed and semigroup.ok and is_end_edge else ()
-        ),
+        solved=_solved_congruences(g, d, v, toward) if end_edge else (),
     )
     return found
 

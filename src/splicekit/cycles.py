@@ -24,6 +24,7 @@ from .graph import (
     bfs_tree,
     component_of,
     computation_sequence,
+    dot,
     leaves_of,
     nodes_of,
     require_negative_definite,
@@ -58,13 +59,7 @@ class QCycle:
 
 def cycle_pairing(g: ResolutionGraph, cycle: QCycle | Mapping[str, Fraction], v: str) -> Fraction:
     """Intersection number of the cycle with the curve at v."""
-    coeffs = cycle.coefficients if isinstance(cycle, QCycle) else cycle
-    total = Fraction(coeffs.get(v, 0)) * g.weight_of(v)
-    for u in g.adjacency[v]:
-        c = coeffs.get(u)
-        if c:
-            total += c
-    return total
+    return Fraction(dot(g, cycle.coefficients if isinstance(cycle, QCycle) else cycle, v))
 
 
 def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
@@ -105,14 +100,6 @@ def _fundamental_coefficients(g: ResolutionGraph, subset: Iterable[str]) -> dict
     if not sub:
         raise NotABranch("empty vertex set")
     return computation_sequence(g, dict.fromkeys(sub, 1), sub[::-1])
-
-
-def _dot(g: ResolutionGraph, coeff: Mapping[str, int], j: str) -> int:
-    """Intersection number of an integral cycle with the curve at j."""
-    total = coeff.get(j, 0) * g.weight_of(j)
-    for u in g.adjacency[j]:
-        total += coeff.get(u, 0)
-    return total
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ def _greedy_monomial(
     (steps at one distance touch disjoint sub-branches, so they commute)."""
     table = g.branch_cycles
     excess = dict(table[(attach, v)])  # W; v is not in the branch
-    pairs = {j: _dot(g, excess, j) for j in excess}
+    pairs = {j: dot(g, excess, j) for j in excess}
     iterations = 0
     for j in order:
         if j not in excess or j in leaf_set or pairs[j] >= 0:
@@ -209,12 +196,12 @@ def _greedy_monomial(
         for k, c in sub.items():
             excess[k] += scale * c
         for k in sub:
-            pairs[k] = _dot(g, excess, k)
+            pairs[k] = dot(g, excess, k)
 
     # W, so each pairing with it, vanishes off the branch and v: every
     # other curve passes both checks below
     curves = sorted([v, *excess], key=g.index.__getitem__)
-    meet = {j: _dot(g, excess, j) - (j == v) for j in curves}  # (dual(v) + W).E_j
+    meet = {j: dot(g, excess, j) - (j == v) for j in curves}  # (dual(v) + W).E_j
     nonzero = [j for j in curves if j not in leaf_set and meet[j]]
     negative = [k for k in curves if k in leaf_set and meet[k] > 0]
     problems = [f"nonzero pairing with non-leaf curve {j}" for j in nonzero[:1]]
@@ -319,7 +306,7 @@ def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
                 continue
             diagram = splice_from_resolution(g)
             t = next(
-                t for t in diagram.adjacency[v] if (diagram.strings[(v, t)] + (t,))[0] == u
+                t for t in diagram.adjacency[v] if (*diagram.strings[(v, t)], t)[0] == u
             )
             edge = congruence_edge(g, v, t)
             decisions.append(

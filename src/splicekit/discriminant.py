@@ -7,8 +7,8 @@ The group checks and the invariant factors come from the Smith diagonal
 of the leaf block, taken modulo the determinant, at any determinant, with
 no transform tracked: on a tree every drop-one index is 1 (the lemma in
 ``group_order_check``). That block is read from the leaves' linking rows
-alone, one walk per leaf. Element listing (``enumerate_elements``,
-capped per call) serves only test oracles.
+alone, one walk per leaf. Element listing (``enumerate_elements``, capped
+per call, at ``DEFAULT_GROUP_CAP`` by default) serves only test oracles.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from . import config
 from .errors import CapExceeded
 from .graph import ResolutionGraph, graph_determinant, leaves_of
 from .linalg import smith_diagonal
 
 QTuple = tuple[Fraction, ...]
+
+DEFAULT_GROUP_CAP = 1_000_000
 
 
 def qmod1(x: Fraction) -> Fraction:
@@ -74,9 +75,9 @@ class DiscriminantGroup:
         as integer tuples scaled by the group order.
 
         Raises CapExceeded when the group order is beyond the cap, by default
-        ``config.DEFAULT_GROUP_CAP``, which SPLICEKIT_ENUM_CAP does not change.
+        ``DEFAULT_GROUP_CAP``, which SPLICEKIT_ENUM_CAP does not change.
         """
-        limit = config.DEFAULT_GROUP_CAP if cap is None else cap
+        limit = DEFAULT_GROUP_CAP if cap is None else cap
         if self.order > limit:
             raise CapExceeded(f"group order {self.order} exceeds cap {limit}")
         names = tuple(generators) if generators is not None else self.leaves

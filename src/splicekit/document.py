@@ -106,7 +106,7 @@ def _parse_text(text: str) -> GraphDocument:
 
 
 def parse_document(text: str) -> GraphDocument:
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return _parse_json(text)
     return _parse_text(text)
 

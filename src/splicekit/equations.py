@@ -388,8 +388,9 @@ def _render_terms(terms: Sequence[tuple[Coefficient, Monomial]]) -> str:
             text = body
         elif coeff == -1:
             text = f"-{body}"
-        else:
-            text = f"{coeff}*{body}"
+        else:  # int_text writes numbers past the int-to-str digit limit
+            den = "" if coeff.denominator == 1 else "/" + int_text(coeff.denominator)
+            text = f"{int_text(coeff.numerator)}{den}*{body}"
         if not parts:
             parts.append(text)
         elif text.startswith("-"):

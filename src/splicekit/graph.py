@@ -318,33 +318,15 @@ def leaves_of(g) -> tuple[str, ...]:
     return tuple(v for v, ns in zip(g.ids, g.tree.nbrs) if len(ns) <= 1)
 
 
-def maximal_strings(g: ResolutionGraph) -> tuple[tuple[str, ...], ...]:
-    """Connected components of the graph minus its nodes."""
-    node_set = set(nodes_of(g))
-    seen: set[str] = set()
-    out: list[tuple[str, ...]] = []
-    for v in g.ids:
-        if v in node_set or v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            for w in g.adjacency[stack.pop()]:
-                if w not in node_set and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        out.append(tuple(comp))
-    return tuple(out)
-
-
 def is_quasi_minimal(g: ResolutionGraph) -> bool:
-    """No string contains a (-1)-vertex unless it is exactly one (-1)-vertex."""
-    for comp in maximal_strings(g):
-        if len(comp) != 1 and any(g.weight_of(v) == -1 for v in comp):
-            return False
-    return True
+    """No string contains a (-1)-vertex unless it is exactly one (-1)-vertex.
+    A (-1)-curve of valency <= 2 lies in a string of two or more curves
+    exactly when it has a neighbour of valency <= 2."""
+    nbrs = g.tree.nbrs
+    return not any(
+        w == -1 and len(ns) <= 2 and any(len(nbrs[x]) <= 2 for x in ns)
+        for w, ns in zip(g.weights, nbrs)
+    )
 
 
 def intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
@@ -409,6 +391,15 @@ def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     return table
 
 
+def dot(g: ResolutionGraph, coeff: Mapping[str, int], j: str) -> int:
+    """Intersection number of a cycle, by its coefficients (integers or
+    fractions), with the curve at j."""
+    total = coeff.get(j, 0) * g.weight_of(j)
+    for u in g.adjacency[j]:
+        total += coeff.get(u, 0)
+    return total
+
+
 def computation_sequence(
     g: ResolutionGraph, coeff: dict[str, int], pending: list[str]
 ) -> dict[str, int]:
@@ -420,14 +411,12 @@ def computation_sequence(
     fundamental cycle of a negative-definite support, it ends at that cycle
     whatever the order of bumps (Laufer, "On rational singularities", 1972).
     """
-    adj = g.adjacency
     while pending:
         j = pending.pop()
-        w = g.weight_of(j)
-        excess = coeff[j] * w + sum(coeff.get(x, 0) for x in adj[j])
+        excess = dot(g, coeff, j)
         if excess > 0:
-            coeff[j] -= excess // w  # ceil(excess / -w) bumps, as w < 0
-            pending.extend(x for x in adj[j] if x in coeff)
+            coeff[j] -= excess // g.weight_of(j)  # ceil(excess / -w) bumps, as w < 0
+            pending.extend(x for x in g.adjacency[j] if x in coeff)
     return coeff
 
 
@@ -511,18 +500,17 @@ def blow_up_edge(g: ResolutionGraph, edge: tuple[str, str]) -> ResolutionGraph:
 def component_of(g: ResolutionGraph, removed: str, start: str) -> tuple[str, ...]:
     """Vertices of the component of g minus `removed` containing `start`.
 
-    Result keeps the graph's vertex order.
+    Result keeps the graph's vertex order. One ``walk_tree`` from start over
+    ``g.tree``, with no neighbours listed at `removed`: it is reached but
+    never left, and then dropped.
     """
     if start == removed:
         raise ValueError("start vertex equals the removed vertex")
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w != removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return tuple(v for v in g.ids if v in seen)
+    nbrs, cut = list(g.tree.nbrs), g.index.get(removed)
+    if cut is not None:
+        nbrs[cut] = ()
+    order, _ = walk_tree(nbrs, g.index[start])
+    return tuple(g.ids[i] for i in sorted(order) if i != cut)
 
 
 def induced_subgraph(g: ResolutionGraph, keep: Iterable[str]) -> ResolutionGraph:

@@ -567,12 +567,7 @@ def end_node_reduce_graph(
     non_leaf = [x for x in d.adjacency[v_star] if not d.is_leaf(x)]
     if not non_leaf:
         raise NotEndNode(f"{v_star}: no remaining direction to keep")
-    star = g.index[v_star]
-    x = g.index[non_leaf[0]]
-    _, parent = walk_tree(g.tree.nbrs, star)
-    while parent[x] != star:
-        x = parent[x]
-    central_dir = g.ids[x]
+    central_dir = (*d.strings[(v_star, non_leaf[0])], non_leaf[0])[0]
     work = g
     if work.degree(central_dir) >= 3:
         work = blow_up_edge(work, (v_star, central_dir))

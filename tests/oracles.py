@@ -25,7 +25,11 @@ The reduced and maximal splice diagrams and the edge equations are read
 off the integer tree; ``reduced_diagram_by_id``, ``maximal_weights_by_id``
 and ``edge_equations_by_id`` build them by vertex id from
 ``subtree_determinants``, ``classify_vertices`` and
-``linking_numbers_by_path``. Paths and linking numbers read the one cached
+``linking_numbers_by_path``. A component is one integer walk that never
+leaves the removed vertex; ``component_by_search`` searches depth first
+over ``adjacency``. Quasi-minimality is read off the valencies of the
+(-1)-curves and their neighbours; ``maximal_strings`` lists the strings
+themselves. Paths and linking numbers read the one cached
 walk from v, its parent array and its reduced numbers; ``path_by_search``
 searches depth first over ``adjacency``, and ``linking_numbers_by_path``
 multiplies along its path.
@@ -71,6 +75,7 @@ from splicekit.graph import (
     graph_determinant,
     leaves_of,
     negated_intersection_matrix,
+    nodes_of,
     subtree_determinants,
 )
 from splicekit.linalg import (
@@ -80,6 +85,43 @@ from splicekit.linalg import (
     smith_normal_form,
 )
 from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
+
+
+def component_by_search(g: ResolutionGraph, removed: str, start: str) -> tuple[str, ...]:
+    """``component_of`` by a depth-first search from start over ``adjacency``
+    that never steps onto `removed`."""
+    if start == removed:
+        raise ValueError("start vertex equals the removed vertex")
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w != removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return tuple(v for v in g.ids if v in seen)
+
+
+def maximal_strings(g: ResolutionGraph) -> tuple[tuple[str, ...], ...]:
+    """Connected components of the graph minus its nodes, by a depth-first
+    search over ``adjacency`` from each vertex not yet seen."""
+    node_set = set(nodes_of(g))
+    seen: set[str] = set()
+    out: list[tuple[str, ...]] = []
+    for v in g.ids:
+        if v in node_set or v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for w in g.adjacency[stack.pop()]:
+                if w not in node_set and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        out.append(tuple(comp))
+    return tuple(out)
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -198,6 +198,17 @@ def test_overlong_and_deeply_nested_input_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: nested too deeply\n"
 
 
+def test_json_array_gets_the_json_message(tmp_path, capsys):
+    # a top-level JSON array is JSON, not a line of the text format
+    for text in ("[1, 2]", "  \n[]"):
+        with pytest.raises(ParseError, match="^top level: expected an object$"):
+            parse_document(text)
+    path = tmp_path / "graph.json"
+    path.write_text("[1, 2]\n")
+    assert main(["det", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: top level: expected an object\n"
+
+
 @pytest.mark.parametrize("first", ["a", "d"])
 def test_cli_disconnected_graph_with_tree_edge_count(tmp_path, first, capsys):
     # a triangle and a lone vertex: n - 1 edges, but not a tree, whichever

@@ -1,23 +1,23 @@
 import pytest
 
-from splicekit import config
+from splicekit import conditions
 from splicekit.errors import ValidationError
 
 
 def test_defaults():
-    assert config.solution_limit() == config.DEFAULT_SOLUTION_LIMIT
-    assert config.solution_limit(7) == 7
+    assert conditions.solution_limit() == conditions.DEFAULT_SOLUTION_LIMIT
+    assert conditions.solution_limit(7) == 7
 
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "123")
-    assert config.solution_limit() == 123
+    assert conditions.solution_limit() == 123
     for bad in ("not-a-number", "-5", "0"):
         monkeypatch.setenv("SPLICEKIT_ENUM_CAP", bad)
         with pytest.raises(ValidationError):
-            config.solution_limit()
+            conditions.solution_limit()
     # an explicit override never reads the variable
-    assert config.solution_limit(9) == 9
+    assert conditions.solution_limit(9) == 9
 
 
 def test_env_cap_leaves_group_enumeration_alone(monkeypatch, g90):
@@ -30,4 +30,4 @@ def test_env_cap_leaves_group_enumeration_alone(monkeypatch, g90):
     assert len(group.enumerate_elements()) == 90
     with pytest.raises(CapExceeded):
         group.enumerate_elements(cap=10)
-    assert config.solution_limit() == 10
+    assert conditions.solution_limit() == 10

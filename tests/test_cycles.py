@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from splicekit import conditions, config
+from splicekit import conditions
 from splicekit.conditions import check_congruence, check_semigroup, congruence_edge
 from splicekit.corpus import dominant_tree
 from splicekit.cycles import (
@@ -312,7 +312,7 @@ def test_condition_3_3_search_matches_cycle_oracle(monkeypatch, corpus):
     # cached on the graph, so each is a fresh copy.
     real = conditions.SearchBudget
     monkeypatch.setattr(conditions, "SearchBudget", lambda nodes: real(5000))
-    cap = config.solution_limit()
+    cap = conditions.solution_limit()
     seeded = [dominant_tree(random.Random(s), n) for n in (25, 40) for s in range(6)]
     fallbacks = truncated = 0
     for g in [*map(replace, corpus), *seeded]:

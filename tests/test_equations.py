@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,26 @@ def test_render_and_json_roundtrip(g17, star):
 def test_render_omits_empty_higher_terms(star):
     text = render_equations(build_equations(star))
     assert "+ 0" not in text and text.endswith("= 0")
+
+
+def test_render_writes_coefficients_of_any_length():
+    # past the 4300-digit int-to-str limit, for an int, a Fraction and a
+    # negative Fraction, in the text form as in the JSON form
+    big = 10**5000
+    a, b = Monomial((("a", 1),)), Monomial((("b", 2),))
+    system = SpliceEquationSystem(
+        variables=("a", "b"),
+        blocks=(NodeBlock(
+            node="n", edges=("a", "b"), monomials=(a, b),
+            coefficients=((big, Fraction(big, 3)), (1, Fraction(-big, 3))),
+        ),),
+    )
+    digits = "1" + "0" * 5000
+    assert render_equations(system).split("\n") == [
+        f"{digits}*z_a + {digits}/3*z_b^2 = 0",
+        f"z_a - {digits}/3*z_b^2 = 0",
+    ]
+    assert render_equations(system, format="json").count(digits) == 3
 
 
 def test_two_node_splice_relations(g1):

@@ -7,16 +7,16 @@ from splicekit.graph import (
     ResolutionGraph,
     blow_up_edge,
     classify_vertices,
+    component_of,
     graph_determinant,
     intersection_matrix,
     is_negative_definite,
     is_quasi_minimal,
-    maximal_strings,
     validate_graph,
 )
 from splicekit.splice import splice_from_resolution
 
-from oracles import is_negative_definite_matrix
+from oracles import component_by_search, is_negative_definite_matrix, maximal_strings
 
 
 def chain(*weights):
@@ -173,3 +173,39 @@ def test_dominant_rule_implies_definite(data):
     )
     assert is_negative_definite(g)
     assert graph_determinant(g) > 0
+
+
+@st.composite
+def simple_graphs(draw):
+    """Trees, forests and graphs with cycles, in any vertex order: a random
+    tree with some edges dropped and some extra edges added, weights in
+    [-3, -1], so that a third of the curves are (-1)-curves."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    order = draw(st.permutations(range(n)))
+    pairs = {(draw(st.integers(min_value=0, max_value=j - 1)), j) for j in range(1, n)}
+    pairs = {e for e in pairs if draw(st.sampled_from([True, True, True, False]))}
+    if n > 1:
+        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=3)) if a != b}
+    edges = {frozenset((order[a], order[b])) for a, b in pairs}
+    return ResolutionGraph.build(
+        vertices=[(f"v{i}", draw(st.integers(min_value=-3, max_value=-1))) for i in range(n)],
+        edges=[tuple(f"v{i}" for i in sorted(e)) for e in edges],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs())
+def test_component_and_quasi_minimality_match_the_searches(g):
+    # every ordered pair of vertices, and a removed vertex the graph lacks
+    strings = maximal_strings(g)
+    assert is_quasi_minimal(g) == all(
+        len(s) == 1 or all(g.weight_of(v) != -1 for v in s) for s in strings
+    )
+    for removed in (*g.ids, "no such vertex"):
+        for start in g.ids:
+            if start == removed:
+                with pytest.raises(ValueError, match="^start vertex equals the removed vertex$"):
+                    component_of(g, removed, start)
+            else:
+                assert component_of(g, removed, start) == component_by_search(g, removed, start)

@@ -33,8 +33,12 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
             "verify_identities.py", ("--trees", "8"),
             "verified 13 linking identities, 128 edge determinants and 20 end-node reductions in ",
         ),
-        # one digest line per command on fixed file names, then the total
-        ("cli_digest.py", ("--trees", "2", "--two-node", "1"), "358 commands, digest "),
+        # one digest line per command on fixed file names, then the total; a
+        # change to any CLI output changes the digest
+        (
+            "cli_digest.py", ("--trees", "2", "--two-node", "1"),
+            "358 commands, digest 1863a48ad9dc7e2f",
+        ),
     ],
 )
 def test_sweep_script_runs(script, args, summary):

@@ -7,7 +7,6 @@ import pytest
 
 from splicekit import graph, splice
 from splicekit.cfrac import continued_fraction_of_string
-from splicekit.conditions import edge_equation
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
 from splicekit.errors import (
@@ -320,7 +319,7 @@ def test_diagrams_off_the_integer_tree_match_the_tables_by_vertex_id():
                 leaves = {u: dmax.edge_leaves(v, u) for u in dmax.adjacency[v]}
                 assert leaves == edge_equations_by_id(dmax, v)
         with pytest.raises(UnknownEdge):
-            edge_equation(d, d.ids[0], d.ids[0])
+            d.edge_leaves(d.ids[0], d.ids[0])
         with pytest.raises(UnknownEdge):
             d.edge_leaves("no such vertex", d.ids[0])
 
@@ -564,6 +563,22 @@ def test_graph_and_diagram_reduction_agree(two_node_corpus):
             got = sorted(result.diagram.weights.values())
             want = sorted(d_tilde.weights.values())
             assert got == want
+
+
+def test_end_node_strings_name_the_step_toward_the_centre(corpus):
+    # the read of end_node_reduce_graph and check_condition_3_3: the first
+    # curve of the string from an end-node toward its central direction is
+    # the graph neighbour of the end-node on its path to the central node
+    seen = 0
+    for g in corpus:
+        d = splice_from_resolution(g)
+        for v_star in d.nodes:
+            central = [x for x in d.adjacency[v_star] if not d.is_leaf(x)]
+            if is_end_node(d, v_star) and central:
+                step = (*d.strings[(v_star, central[0])], central[0])[0]
+                assert path_by_search(maximal_splice(g), v_star, central[0])[1] == step
+                seen += 1
+    assert seen > 250  # 277 end-nodes with a central direction
 
 
 def test_extremal_string_lemma(g1, g17, g90, small_trees):
