@@ -9,7 +9,11 @@ Checks, with exact arithmetic throughout:
     trimmed graph's determinant (raw mode), and the reduced linking
     numbers of the reduced diagram are symmetric;
   - with two or more leaves, the leaf generators but any one span a group
-    of order det (every drop-one index is 1 on a tree).
+    of order det (every drop-one index is 1 on a tree);
+  - on every reduced branch B (each curve j of B has w_j + deg_B(j) <= 0)
+    the computation sequence from coefficient 1 on every curve makes no
+    bump, so that is the fundamental cycle, and every sub-branch of B is
+    reduced too: conditions 3.3 and 3.4 read no branch cycle there.
 
 Usage: python scripts/verify_identities.py [--trees 100] [--seed 20240917]
 """
@@ -36,6 +40,7 @@ from splicekit import (
 )
 from splicekit.corpus import dominant_trees
 from splicekit.fixtures import fixture_graphs
+from splicekit.graph import component_of, computation_sequence
 from splicekit.linalg import matmul
 from splicekit.splice import is_end_node
 
@@ -50,7 +55,7 @@ def main() -> int:
     graphs += dominant_trees(args.trees, seed=args.seed)
 
     started = time.perf_counter()
-    identities = edges = reductions = 0
+    identities = edges = reductions = reduced = 0
     for g in graphs:
         det = graph_determinant(g)
         a = intersection_matrix(g)
@@ -76,6 +81,20 @@ def main() -> int:
                 diagonal = smith_normal_form(others, modulus=det).diagonal
                 assert prod(det // gcd(s, det) for s in diagonal) == det
 
+        branches = {
+            (u, v): frozenset(component_of(g, v, u)) for v in g.ids for u in g.adjacency[v]
+        }
+        is_reduced = {
+            e: all(g.weight_of(j) + sum(x in b for x in g.adjacency[j]) <= 0 for j in b)
+            for e, b in branches.items()
+        }
+        for e, b in branches.items():
+            if is_reduced[e]:
+                ones = dict.fromkeys(b, 1)
+                assert computation_sequence(g, dict(ones), list(b)) == ones
+                assert all(is_reduced[s] for s, sub in branches.items() if sub < b)
+                reduced += 1
+
         d = splice_from_resolution(g)
         if len(d.nodes) < 2:
             continue
@@ -93,8 +112,9 @@ def main() -> int:
             reductions += 1
     elapsed = time.perf_counter() - started
     print(
-        f"verified {identities} linking identities, {edges} edge determinants "
-        f"and {reductions} end-node reductions in {elapsed:.1f}s"
+        f"verified {identities} linking identities, {edges} edge determinants, "
+        f"{reductions} end-node reductions and {reduced} reduced branches "
+        f"in {elapsed:.1f}s"
     )
     return 0
 

@@ -2,20 +2,26 @@
 branch-cycle conditions that mirror the semigroup and congruence conditions,
 decided on integral cycles; rational ``QCycle`` values are formed for the API.
 
-Conditions 3.3 and 3.4 read every branch and sub-branch cycle from the
-graph's cached branch-cycle table (``ResolutionGraph.branch_cycles``),
-built once in O(sum of branch sizes) coefficients: O(V^2) on a path or a
-caterpillar, about 120 MiB at 2202 vertices. The greedy monomial cycle of
-3.3 is one breadth-first sweep of each branch from its node: a step only
-changes pairings farther from the node, so the sweep steps the curves
-that "nearest first" would, each once.
+Call a branch B reduced when every curve j of B has w_j + deg_B(j) <= 0:
+then the computation sequence started from its reduced cycle, coefficient
+1 on every curve, makes no bump, so that cycle is Z_B, and the same holds
+on every sub-branch of B. Branches of a rational graph are reduced, and
+the test is O(1) per directed edge after one leaves-up count
+(``_branch_tests``). On a reduced branch condition 3.4 reads Z_B[u] = 1,
+and condition 3.3 runs the greedy monomial cycle as subtree adds on int
+arrays, one sweep of all reduced branches of a node (``_reduced_sweep``).
+Other branches read their cycles from ``ResolutionGraph.branch_cycle``, one
+computation sequence per directed edge asked for, cached on the graph. The
+greedy monomial cycle of 3.3 is one breadth-first sweep of each branch
+from its node: a step only changes pairings farther from the node, so the
+sweep steps the curves that "nearest first" would, each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .conditions import congruence_edge
 from .errors import NotABranch
@@ -28,6 +34,7 @@ from .graph import (
     leaves_of,
     nodes_of,
     require_negative_definite,
+    walk_tree,
 )
 from .splice import splice_from_resolution
 
@@ -126,17 +133,51 @@ class Condition34Report:
         return tuple(c for c in self.checks if not c.ok)
 
 
+def _branch_tests(
+    g: ResolutionGraph,
+) -> tuple[Callable[[int, int], bool], Callable[[int, int], bool]]:
+    """Two O(1) tests on the component B of g minus p containing x, for an
+    edge (x, p) by vertex index: ``reduced``, whether every curve j of B
+    has w_j + deg_B(j) <= 0, and ``negative``, whether some curve j of B
+    has w_j + deg(j) < 0. One leaves-up pass over ``g.tree`` counts the
+    curves with each sign below every vertex; B is the subtree at x when p
+    is the parent of x, and the rest of the tree otherwise. Only the attach
+    x has a neighbour outside B."""
+    nbrs, order, parent = g.tree
+    excess = [w + len(ns) for w, ns in zip(g.weights, nbrs)]
+    over = [int(r > 0) for r in excess]
+    under = [int(r < 0) for r in excess]
+    for j in reversed(order[1:]):
+        over[parent[j]] += over[j]
+        under[parent[j]] += under[j]
+
+    def reduced(x: int, p: int) -> bool:
+        r = excess[x]
+        inside = over[x] if parent[x] == p else over[0] - over[p]
+        return inside - (r > 0) + (r > 1) == 0
+
+    def negative(x: int, p: int) -> bool:
+        return (under[x] if parent[x] == p else under[0] - under[p]) > 0
+
+    return reduced, negative
+
+
 def check_condition_3_4(g: ResolutionGraph) -> Condition34Report:
     """Every branch of every non-leaf curve must have fundamental cycle
     meeting that curve exactly once. The branch B of v at u meets E_v only
-    through u, so Z_B.E_v = Z_B[u], read from ``g.branch_cycles``, which
-    refuses any indefinite graph."""
-    table = g.branch_cycles
+    through u, so Z_B.E_v = Z_B[u]: 1 when B is reduced, and otherwise read
+    from ``g.branch_cycle``. Refuses any indefinite graph."""
+    require_negative_definite(g)
+    reduced, _ = _branch_tests(g)
+    ids = g.ids
     return Condition34Report(checks=tuple(
-        BranchCheck(vertex=v, attach=u, value=table[(u, v)][u])
-        for v in g.ids
-        if g.degree(v) > 1
-        for u in g.adjacency[v]
+        BranchCheck(
+            vertex=ids[i], attach=ids[x],
+            value=1 if reduced(x, i) else g.branch_cycle(ids[x], ids[i])[ids[x]],
+        )
+        for i, ns in enumerate(g.tree.nbrs)
+        if len(ns) > 1
+        for x in ns
     ))
 
 
@@ -173,14 +214,13 @@ def _greedy_monomial(
     is None. ``order`` and ``parent`` are ``bfs_tree(g, v)``.
 
     A step at j adds -(W.E_j) times the cycle Z_S of a sub-branch S beyond
-    j, read from ``g.branch_cycles``. Z_S meets E_j at least once, so j is
+    j, read from ``g.branch_cycle``. Z_S meets E_j at least once, so j is
     then met non-negatively; only the pairings on S, all farther from v,
     change. A curve's pairing thus moves only when it or an ancestor is
     stepped: one pass in breadth-first order steps the curves that
     "nearest first" would, each once, with the same sub-branch choices
     (steps at one distance touch disjoint sub-branches, so they commute)."""
-    table = g.branch_cycles
-    excess = dict(table[(attach, v)])  # W; v is not in the branch
+    excess = dict(g.branch_cycle(attach, v))  # W; v is not in the branch
     pairs = {j: dot(g, excess, j) for j in excess}
     iterations = 0
     for j in order:
@@ -190,9 +230,9 @@ def _greedy_monomial(
         # sub-branches at j away from v: still met negatively first, then vertex order
         top = min(
             (x for x in g.adjacency[j] if x != parent[j]),
-            key=lambda x: (all(pairs[k] >= 0 for k in table[(x, j)]), g.index[x]),
+            key=lambda x: (all(pairs[k] >= 0 for k in g.branch_cycle(x, j)), g.index[x]),
         )
-        sub, scale = table[(top, j)], -pairs[j]
+        sub, scale = g.branch_cycle(top, j), -pairs[j]
         for k, c in sub.items():
             excess[k] += scale * c
         for k in sub:
@@ -214,6 +254,60 @@ def _greedy_monomial(
         reason="; ".join(problems) or None,
     )
     return found, excess
+
+
+def _reduced_sweep(
+    g: ResolutionGraph,
+    v: int,
+    reduced: Callable[[int, int], bool],
+    negative: Callable[[int, int], bool],
+) -> dict[int, MonomialCycleResult]:
+    """``_greedy_monomial`` on every reduced branch of v at once, by vertex
+    index, in one breadth-first walk from v that enters no other branch;
+    keyed by attach. ``reduced`` and ``negative`` are ``_branch_tests(g)``.
+
+    On a reduced branch every cycle read is a reduced cycle, so W is a sum
+    of subtree adds: W[v] = 0, W[u] = 1 at the attach u, and W[k] = W[p] +
+    add[k] below, p the parent of k and add[k] the scale of the step at p
+    when k is the sub-branch it stepped. When k is visited no step has
+    touched its children, so its pairing is W[k] (w_k + #children) + W[p];
+    before the step at k every curve below it sits at W[k], so a child's
+    sub-branch holds a curve met negatively exactly when it holds one with
+    w + deg < 0. Every pairing at a visit is <= 0 on a reduced branch, a
+    step brings it to 0, and the leaf pairings give the exponents: the
+    result always passes."""
+    ids, weights, nbrs = g.ids, g.weights, g.tree.nbrs
+    attaches = tuple(x for x in nbrs[v] if reduced(x, v))
+    cut = list(nbrs)
+    cut[v] = attaches  # the walk leaves v into the reduced branches alone
+    order, parent = walk_tree(cut, v)
+    home, w_of = [0] * len(ids), [0] * len(ids)  # attach of each curve, and W
+    add = dict.fromkeys(attaches, 1)
+    leaves, steps = {x: [] for x in attaches}, dict.fromkeys(attaches, 0)
+    for k in order[1:]:
+        p = parent[k]
+        b = home[k] = k if p == v else home[p]
+        wk = w_of[k] = w_of[p] + add.pop(k, 0)
+        kids = len(nbrs[k]) - 1
+        meet = wk * (weights[k] + kids) + w_of[p]
+        if not kids:
+            leaves[b].append((k, -meet))
+        elif meet < 0:
+            steps[b] += 1
+            for top in nbrs[k]:
+                if top != p and negative(top, k):
+                    break
+            else:
+                top = nbrs[k][nbrs[k][0] == p]  # the first child
+            add[top] = -meet
+    return {
+        b: MonomialCycleResult(
+            ok=True, node=ids[v], attach=ids[b], cycle=None,
+            exponents=tuple((ids[k], e) for k, e in sorted(leaves[b])),
+            iterations=steps[b],
+        )
+        for b in leaves
+    }
 
 
 def construct_monomial_cycle(
@@ -270,13 +364,15 @@ class Condition33Report:
 def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
     """Monomial-cycle condition at every node and branch of a definite graph.
 
-    The greedy construction is tried first. Where it does not settle the
-    branch B of v attached at u, the cached congruence search of the diagram
-    edge (v, t) whose string starts at u (t = u when the string is empty,
-    ``congruence_edge``) decides it. The leaves of that edge are the leaves
-    of B, and a vector passes the congruence table exactly when its Z is an
-    effective integral cycle supported on B, the test a monomial cycle asks
-    for. Here L is the linking matrix, e_j* = L[j] / det are the dual cycles and
+    The greedy construction is tried first: on the reduced branches of a
+    node as one ``_reduced_sweep``, which always passes and reads no branch
+    cycle, and on the others by ``_greedy_monomial``. Where it does not
+    settle the branch B of v attached at u, the cached congruence search of
+    the diagram edge (v, t) whose string starts at u (t = u when the string
+    is empty, ``congruence_edge``) decides it. The leaves of that edge are
+    the leaves of B, and a vector passes the congruence table exactly when
+    its Z is an effective integral cycle supported on B, the test a
+    monomial cycle asks for. Here L is the linking matrix, e_j* = L[j] / det are the dual cycles and
     Z = sum a_k e_k* - e_v* for a vector a that solves the edge equation.
 
     - For a leaf k in B and a vertex j outside it,
@@ -290,12 +386,18 @@ def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
       needs a non-negativity test.
     """
     require_negative_definite(g)
-    nodes, leaf_set = nodes_of(g), set(leaves_of(g))
+    reduced, negative = _branch_tests(g)
+    ids, nbrs, leaf_set = g.ids, g.tree.nbrs, set(leaves_of(g))
     decisions = []
-    for v in nodes:
-        order, parent = bfs_tree(g, v)
-        for u in g.adjacency[v]:
-            greedy, _ = _greedy_monomial(g, v, u, order, parent, leaf_set)
+    for v in nodes_of(g):
+        i, walk = g.index[v], None
+        swept = _reduced_sweep(g, i, reduced, negative)
+        for x in nbrs[i]:
+            u = ids[x]
+            greedy = swept.get(x)
+            if greedy is None:
+                walk = walk or bfs_tree(g, v)
+                greedy, _ = _greedy_monomial(g, v, u, *walk, leaf_set)
             if greedy.ok:
                 decisions.append(
                     BranchDecision(

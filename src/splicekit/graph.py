@@ -88,8 +88,9 @@ class ResolutionGraph:
     string-keyed view ``adjacency`` is built from the arrays when a caller
     asks, and ``subtree_determinants`` lists the whole table by vertex id.
     Everything derived (the passes, the linking numbers, one row per vertex
-    on first use, the branch-cycle table and the reduced splice diagram) is
-    computed once per instance and cached read-only.
+    on first use, the fundamental cycle of a branch, one directed edge at a
+    time on first use, and the reduced splice diagram) is computed once per
+    instance and cached read-only.
     """
 
     ids: tuple[str, ...]
@@ -129,11 +130,6 @@ class ResolutionGraph:
     index = cached_property(vertex_index)
     tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
-
-    @cached_property
-    def branch_cycles(self) -> Mapping[DirectedEdge, Mapping[str, int]]:
-        """Read-only ``branch_cycle_table``."""
-        return MappingProxyType(branch_cycle_table(self))
 
     @cached_property
     def splice_diagram(self) -> SpliceDiagram:
@@ -228,6 +224,11 @@ class ResolutionGraph:
         """``conditions.congruence_edge`` by (node, toward, cap)."""
         return {}
 
+    @cached_property
+    def _branch_cycle_cache(self) -> dict[DirectedEdge, Mapping[str, int]]:
+        """``branch_cycle`` by (child, parent)."""
+        return {}
+
     def linking_row(self, v: str) -> tuple[int, ...]:
         """Linking numbers of v with every vertex, in vertex order, cached
         per vertex. The entry at v is F_v, the product of all weights at v;
@@ -262,6 +263,25 @@ class ResolutionGraph:
                 walk[x] = walk[parent[x]] // up[x] * down[x]
         row = cache[v] = tuple(walk)
         return row
+
+    def branch_cycle(self, u: str, p: str) -> Mapping[str, int]:
+        """Fundamental cycle of the component of the graph minus p containing
+        u, for an edge (u, p), as read-only integer coefficients keyed by
+        that component's vertices in vertex order; computed on first use by
+        one ``computation_sequence`` from its reduced cycle, coefficient 1
+        on every curve, and cached per directed edge. Conditions 3.3 and 3.4
+        ask for it only on branches where that start meets some curve
+        positively, and on their sub-branches. Raises
+        NotNegativeDefinite, where a component may have no fundamental
+        cycle."""
+        cache = self._branch_cycle_cache
+        entry = cache.get((u, p))
+        if entry is None:
+            require_negative_definite(self)
+            sub = component_of(self, p, u)
+            coeff = computation_sequence(self, dict.fromkeys(sub, 1), list(sub[::-1]))
+            entry = cache[(u, p)] = MappingProxyType(coeff)
+        return entry
 
     def weight_of(self, v: str) -> int:
         try:
@@ -352,7 +372,7 @@ def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     reading entries (x, child), x != parent: first toward ids[0], leaves
     up, then away from it, root down, neighbours in vertex order, along the
     order and parent array of ``g.tree`` and without recursion. The
-    branch-cycle and ideal-generator tables are filled this way."""
+    ideal-generator table is filled this way."""
     ids = g.ids
     nbrs, order, parent = g.tree
     edges = [(u, parent[u]) for u in reversed(order[1:])]
@@ -418,38 +438,6 @@ def computation_sequence(
             coeff[j] -= excess // g.weight_of(j)  # ceil(excess / -w) bumps, as w < 0
             pending.extend(x for x in g.adjacency[j] if x in coeff)
     return coeff
-
-
-def _branch_cycle_step(
-    g: ResolutionGraph, table: Mapping[DirectedEdge, Mapping[str, int]], u: str, p: str
-) -> Mapping[str, int]:
-    """Fundamental cycle of the component at u away from p, by the
-    computation sequence started from E_u plus the cycles of the components
-    beyond u. Restricted to one of those, the answer is effective and meets
-    each of its curves non-positively, so it lies above that component's
-    cycle: the start is at or below the answer. Only u and the neighbours of
-    u can meet the start positively."""
-    kids = [x for x in g.adjacency[u] if x != p]
-    coeff = {u: 1}
-    for x in kids:
-        coeff.update(table[(x, u)])
-    kids.append(u)
-    return MappingProxyType(computation_sequence(g, coeff, kids))
-
-
-def branch_cycle_table(g: ResolutionGraph) -> dict[DirectedEdge, Mapping[str, int]]:
-    """Fundamental cycle of the component of g minus `parent` containing
-    `child`, as read-only integer coefficients keyed by that component's
-    vertices.
-
-    Keyed by (child, parent) for every directed edge; ``fill_edge_table``
-    with ``_branch_cycle_step``, leaves first. The entries hold the sum over
-    directed edges of the component sizes, O(V^2) coefficients on a path
-    or a caterpillar. ``ResolutionGraph.branch_cycles`` caches it. Raises
-    NotNegativeDefinite, where a component may have no fundamental cycle.
-    """
-    require_negative_definite(g)
-    return fill_edge_table(g, _branch_cycle_step)
 
 
 def is_negative_definite(g: ResolutionGraph) -> bool:

@@ -33,6 +33,9 @@ themselves. Paths and linking numbers read the one cached
 walk from v, its parent array and its reduced numbers; ``path_by_search``
 searches depth first over ``adjacency``, and ``linking_numbers_by_path``
 multiplies along its path.
+The fundamental cycle of a branch is computed when asked, from the branch's
+reduced cycle; ``branch_cycle_table`` fills every directed edge eagerly,
+leaves first, each entry from the entries beyond it.
 A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
@@ -40,6 +43,7 @@ each vector on every curve. Congruences are checked on integers mod det;
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 from math import gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -71,11 +75,13 @@ from splicekit.graph import (
     bfs_tree,
     classify_vertices,
     component_of,
+    computation_sequence,
     fill_edge_table,
     graph_determinant,
     leaves_of,
     negated_intersection_matrix,
     nodes_of,
+    require_negative_definite,
     subtree_determinants,
 )
 from splicekit.linalg import (
@@ -166,6 +172,32 @@ def subtree_determinants_direct(g: ResolutionGraph) -> dict[tuple[str, str], int
     """The subtree-determinant table of a tree, every entry by
     ``_subtree_step`` in the order of ``fill_edge_table``."""
     return fill_edge_table(g, _subtree_step)
+
+
+def _branch_cycle_step(
+    g: ResolutionGraph, table: Mapping[tuple[str, str], Mapping[str, int]], u: str, p: str
+) -> Mapping[str, int]:
+    """Fundamental cycle of the component at u away from p, by the
+    computation sequence started from E_u plus the cycles of the components
+    beyond u. Restricted to one of those, the answer is effective and meets
+    each of its curves non-positively, so it lies above that component's
+    cycle: the start is at or below the answer. Only u and the neighbours of
+    u can meet the start positively."""
+    kids = [x for x in g.adjacency[u] if x != p]
+    coeff = {u: 1}
+    for x in kids:
+        coeff.update(table[(x, u)])
+    kids.append(u)
+    return MappingProxyType(computation_sequence(g, coeff, kids))
+
+
+def branch_cycle_table(g: ResolutionGraph) -> Mapping[tuple[str, str], Mapping[str, int]]:
+    """Read-only fundamental cycle of the component of g minus `parent`
+    containing `child`, keyed by (child, parent) for every directed edge:
+    ``fill_edge_table`` with ``_branch_cycle_step``, leaves first, O(V^2)
+    coefficients on a path or a caterpillar. Raises NotNegativeDefinite."""
+    require_negative_definite(g)
+    return MappingProxyType(fill_edge_table(g, _branch_cycle_step))
 
 
 def _walk_string(

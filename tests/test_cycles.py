@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from splicekit import conditions
 from splicekit.conditions import check_congruence, check_semigroup, congruence_edge
-from splicekit.corpus import dominant_tree
+from splicekit.corpus import dominant_tree, dominant_trees, two_node_graphs, with_determinant_cap
 from splicekit.cycles import (
+    _branch_tests,
+    _greedy_monomial,
+    _reduced_sweep,
     branches,
     check_condition_3_3,
     check_condition_3_4,
@@ -20,17 +23,19 @@ from splicekit.cycles import (
     dual_cycles,
     fundamental_cycle,
 )
-from splicekit.errors import NotABranch
+from splicekit.errors import NotABranch, NotNegativeDefinite
 from splicekit.graph import (
     ResolutionGraph,
     bfs_tree,
     component_of,
     graph_determinant,
+    leaves_of,
     nodes_of,
 )
 from splicekit.splice import linking_matrix, splice_from_resolution
 
 from oracles import (
+    branch_cycle_table,
     construct_monomial_cycle_rational,
     fundamental_cycle_rescan,
     search_monomial_cycle,
@@ -117,28 +122,34 @@ def test_fundamental_cycle_worklist_matches_rescan(corpus):
 
 
 def _assert_branch_table(g):
-    table = g.branch_cycles
+    # the eager oracle table against both fundamental-cycle routes, and
+    # entry by entry against the cached entries of the graph
+    table = branch_cycle_table(g)
     assert len(table) == 2 * len(g.edges)
     for (u, p), cycle in table.items():
         comp = component_of(g, p, u)
         assert set(cycle) == set(comp)
         assert dict(cycle) == fundamental_cycle(g, comp).as_int_dict()
         assert dict(cycle) == fundamental_cycle_rescan(g, comp).as_int_dict()
+        assert dict(g.branch_cycle(u, p)) == dict(cycle)
+    assert len(g._branch_cycle_cache) == len(table)
 
 
 def test_branch_table_matches_fundamental_cycles(corpus):
     # every directed edge: the component's own computation sequence, from
     # all ones, and the rescanning oracle agree with the table entry
-    for g in corpus:
+    for g in map(replace, corpus):
         _assert_branch_table(g)
 
 
 def test_branch_table_is_read_only(g90):
-    table = g90.branch_cycles
+    table = branch_cycle_table(g90)
     with pytest.raises(TypeError):
         table[("nL", "nR")] = {}
     with pytest.raises(TypeError):
         table[("nL", "nR")]["nL"] = 5
+    with pytest.raises(TypeError):
+        g90.branch_cycle("nL", "nR")["nL"] = 5
 
 
 def test_branch_table_bumps_on_minus_two_curves():
@@ -149,7 +160,8 @@ def test_branch_table_bumps_on_minus_two_curves():
         [("c", "a"), ("c", "b"), ("c", "d"), ("a", "e")],
     )
     _assert_branch_table(g)
-    assert g.branch_cycles[("a", "e")] == {"c": 2, "a": 1, "b": 1, "d": 1}
+    assert branch_cycle_table(g)[("a", "e")] == {"c": 2, "a": 1, "b": 1, "d": 1}
+    assert g.branch_cycle("a", "e") == {"c": 2, "a": 1, "b": 1, "d": 1}
 
 
 @st.composite
@@ -168,6 +180,92 @@ def small_weighted_trees(draw):
 def test_branch_table_matches_fundamental_cycles_on_minus_two_trees(g):
     assume(g.negative_definite)
     _assert_branch_table(g)
+
+
+def _is_reduced(g, v, u):
+    """Every curve j of the branch of v at u has w_j + deg_B(j) <= 0, read
+    off the vertex ids."""
+    comp = set(component_of(g, v, u))
+    return all(g.weight_of(j) + sum(x in comp for x in g.adjacency[j]) <= 0 for j in comp)
+
+
+def _assert_reduced_route(g, seen):
+    """On every branch of every vertex: the O(1) tests equal the direct
+    ones; the sweep covers exactly the reduced branches and equals
+    ``_greedy_monomial`` run on the oracle table there; each 3.4 value is
+    the branch's fundamental cycle at its attach. Counts the reduced and
+    the other branches in ``seen``."""
+    reduced, negative = _branch_tests(g)
+    oracle = replace(g)
+    oracle._branch_cycle_cache.update(branch_cycle_table(oracle))
+    leaf_set = set(leaves_of(g))
+    for v in g.ids:
+        i = g.index[v]
+        for x in g.tree.nbrs[i]:
+            comp = component_of(g, v, g.ids[x])
+            assert negative(x, i) == any(g.weight_of(k) + g.degree(k) < 0 for k in comp)
+        swept = _reduced_sweep(g, i, reduced, negative)
+        walk = bfs_tree(oracle, v)
+        for x in g.tree.nbrs[i]:
+            u = g.ids[x]
+            assert reduced(x, i) == _is_reduced(g, v, u) == (x in swept)
+            seen[x in swept] += 1
+            if x in swept:
+                greedy, _ = _greedy_monomial(oracle, v, u, *walk, leaf_set)
+                assert swept[x] == greedy and greedy.ok
+    values = {(c.vertex, c.attach): c.value for c in check_condition_3_4(g).checks}
+    for v in g.ids:
+        if g.degree(v) > 1:
+            for u in g.adjacency[v]:
+                comp = component_of(g, v, u)
+                assert values[(v, u)] == fundamental_cycle(g, comp).get(u)
+
+
+def test_reduced_route_matches_table_oracle(corpus):
+    # the step at k adds to z's sub-branch, which holds a curve with
+    # w + deg < 0, and not to the first one, x - y, where every w + deg is 0
+    fork = ResolutionGraph.build(
+        [("v", -3), ("a", -2), ("b", -2), ("k", -3), ("x", -2), ("y", -1), ("z", -3)],
+        [("v", "a"), ("v", "b"), ("v", "k"), ("k", "x"), ("x", "y"), ("k", "z")],
+    )
+    decisions = {(d.node, d.attach): d.exponents for d in check_condition_3_3(fork).decisions}
+    assert decisions[("v", "k")] == (("y", 0), ("z", 5))
+    seen = [0, 0]  # branches that are not reduced, reduced
+    for g in [*map(replace, corpus), fork]:
+        _assert_reduced_route(g, seen)
+    assert all(seen)
+    refused = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_weighted_trees())
+    def on_weighted_tree(g):
+        if g.negative_definite:
+            _assert_reduced_route(g, seen)
+            return
+        for check in (check_condition_3_3, check_condition_3_4):
+            with pytest.raises(NotNegativeDefinite, match="^graph is not negative definite$"):
+                check(g)
+        refused.append(g)
+
+    before = list(seen)
+    on_weighted_tree()
+    assert seen[0] > before[0] and seen[1] > before[1] and refused
+
+
+def test_reduced_graphs_compute_no_branch_cycle(fixture_map):
+    # a branch cycle is computed only for a branch that is not reduced: none
+    # on the 28 small-corpus graphs whose every curve has w + deg <= 0, nor on
+    # the graphs whose non-leaf curves have only reduced branches
+    small = with_determinant_cap(dominant_trees(100) + two_node_graphs(50), 10**4)
+    reduced = [
+        g for g in small if all(w + len(ns) <= 0 for w, ns in zip(g.weights, g.tree.nbrs))
+    ]
+    assert len(reduced) == 28
+    for g in map(replace, [*fixture_map.values(), *small]):
+        check_condition_3_3(g)
+        check_condition_3_4(g)
+        every = all(_is_reduced(g, v, u) for v in g.ids if g.degree(v) > 1 for u in g.adjacency[v])
+        assert (not g._branch_cycle_cache) == every
 
 
 def _assert_matches_oracle(g, v):

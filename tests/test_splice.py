@@ -438,18 +438,35 @@ def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
 
 
 def test_check_okuma34_on_deep_caterpillar(tmp_path, capsys):
-    # the branch table is filled leaves first without recursion; it holds
-    # the sum of the branch sizes, about 4.8 million coefficients here
+    # every branch is reduced, so each value is read as 1 and no branch
+    # cycle is computed; the whole table would hold the sum of the branch
+    # sizes, about 4.8 million coefficients here
     path = tmp_path / "caterpillar.json"
     path.write_text(document_to_json(graph_to_document(_deep_caterpillar())))
     assert main(["check", "okuma34", str(path)]) == 0
     assert capsys.readouterr().out == "okuma34: pass\n"
 
 
+def test_check_okuma33_on_deep_caterpillar(tmp_path, capsys, monkeypatch):
+    # every branch is reduced: one subtree-add sweep per node on int arrays,
+    # with no branch cycle computed, although every spine curve steps and
+    # the exponents grow to hundreds of digits
+    computed = []
+    real = ResolutionGraph.branch_cycle
+    monkeypatch.setattr(
+        ResolutionGraph, "branch_cycle", lambda g, u, p: computed.append((u, p)) or real(g, u, p)
+    )
+    path = tmp_path / "caterpillar.json"
+    path.write_text(document_to_json(graph_to_document(_deep_caterpillar())))
+    for check in ("okuma33", "okuma34"):
+        assert main(["check", check, str(path)]) == 0
+        assert capsys.readouterr().out == f"{check}: pass\n"
+    assert not computed
+
+
 def test_check_okuma33_on_deep_string(tmp_path, capsys):
     # a node with two leaves and a string of 1100 curves, as deep as the
-    # caterpillar; on the caterpillar itself the greedy loop adds a multiple
-    # of the rest of the spine at every spine curve, cubic in its length
+    # caterpillar
     length = 1100
     vertices = [("c", -3), ("a", -2), ("b", -2)] + [(f"x{i}", -2) for i in range(length)]
     edges = [("c", "a"), ("c", "b"), ("c", "x0")]
