@@ -13,7 +13,14 @@ Checks, with exact arithmetic throughout:
   - on every reduced branch B (each curve j of B has w_j + deg_B(j) <= 0)
     the computation sequence from coefficient 1 on every curve makes no
     bump, so that is the fundamental cycle, and every sub-branch of B is
-    reduced too: conditions 3.3 and 3.4 read no branch cycle there.
+    reduced too: conditions 3.3 and 3.4 read no branch cycle there;
+  - every entry of the branch-cycle table, each filled from the entries
+    beyond it, is the fundamental cycle of its component;
+  - on every directed edge (x, k), k not a leaf, with S the component of
+    the graph minus k holding x and q = q(x, k) from the moduli table: the
+    least effective cycle Y on S with Y.E_j + c [j = x] <= 0 on S meets
+    every curve of S in 0 exactly when q divides c, for c = 1..2q (for
+    c in 1, 2, q - 1, q, q + 1, 2q - 1, 2q when q > 50).
 
 Usage: python scripts/verify_identities.py [--trees 100] [--seed 20240917]
 """
@@ -40,9 +47,30 @@ from splicekit import (
 )
 from splicekit.corpus import dominant_trees
 from splicekit.fixtures import fixture_graphs
-from splicekit.graph import component_of, computation_sequence
+from splicekit.cycles import cycle_pairing, fundamental_cycle
+from splicekit.graph import component_of, induced_subgraph
 from splicekit.linalg import matmul
 from splicekit.splice import is_end_node
+
+
+def _meets_in_zero(part, x: str, c: int) -> bool:
+    """Whether the least effective cycle Y on the tree part with Y.E_j + c
+    [j = x] <= 0 on every curve meets each curve in 0: a computation
+    sequence from the ceiling of c times column x of -A^-1, the rational
+    cycle meeting every curve in 0, which lies below Y."""
+    det, column = graph_determinant(part), linking_matrix(part)[part.index[x]]
+    coeff = {j: -(-c * a // det) for j, a in zip(part.ids, column)}
+
+    def meet(j: str) -> int:
+        return cycle_pairing(part, coeff, j) + (c if j == x else 0)
+
+    pending = list(part.ids)
+    while pending:
+        j = pending.pop()
+        if meet(j) > 0:
+            coeff[j] -= meet(j) // part.weight_of(j)
+            pending.extend(part.adjacency[j])
+    return all(meet(j) == 0 for j in part.ids)
 
 
 def main() -> int:
@@ -55,7 +83,7 @@ def main() -> int:
     graphs += dominant_trees(args.trees, seed=args.seed)
 
     started = time.perf_counter()
-    identities = edges = reductions = reduced = 0
+    identities = edges = reductions = reduced = cycles = moduli = 0
     for g in graphs:
         det = graph_determinant(g)
         a = intersection_matrix(g)
@@ -90,10 +118,22 @@ def main() -> int:
         }
         for e, b in branches.items():
             if is_reduced[e]:
-                ones = dict.fromkeys(b, 1)
-                assert computation_sequence(g, dict(ones), list(b)) == ones
+                assert fundamental_cycle(g, b).as_int_dict() == dict.fromkeys(b, 1)
                 assert all(is_reduced[s] for s, sub in branches.items() if sub < b)
                 reduced += 1
+
+        ids = g.ids
+        for (x, p), extra in g._branch_excess.items():
+            comp = branches[(ids[x], ids[p])]
+            cycle = {ids[j]: 1 + extra.get(j, 0) for j in sorted(map(g.index.get, comp))}
+            assert cycle == fundamental_cycle(g, comp).as_int_dict()
+            cycles += 1
+        for (x, k), q in g._branch_moduli.items():
+            part = induced_subgraph(g, branches[(ids[x], ids[k])])
+            cs = range(1, 2 * q + 1) if q <= 50 else (1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q)
+            for c in cs:
+                assert _meets_in_zero(part, ids[x], c) == (c % q == 0)
+            moduli += 1
 
         d = splice_from_resolution(g)
         if len(d.nodes) < 2:
@@ -113,8 +153,8 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     print(
         f"verified {identities} linking identities, {edges} edge determinants, "
-        f"{reductions} end-node reductions and {reduced} reduced branches "
-        f"in {elapsed:.1f}s"
+        f"{reductions} end-node reductions, {reduced} reduced branches, "
+        f"{cycles} branch cycles and {moduli} branch moduli in {elapsed:.1f}s"
     )
     return 0
 

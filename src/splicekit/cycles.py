@@ -3,35 +3,28 @@ branch-cycle conditions that mirror the semigroup and congruence conditions,
 decided on integral cycles; rational ``QCycle`` values are formed for the API.
 
 Call a branch B reduced when every curve j of B has w_j + deg_B(j) <= 0:
-then the computation sequence started from its reduced cycle, coefficient
-1 on every curve, makes no bump, so that cycle is Z_B, and the same holds
-on every sub-branch of B. Branches of a rational graph are reduced, and
-the test is O(1) per directed edge after one leaves-up count
-(``_branch_tests``). On a reduced branch condition 3.4 reads Z_B[u] = 1,
-and condition 3.3 runs the greedy monomial cycle as subtree adds on int
-arrays, one sweep of all reduced branches of a node (``_reduced_sweep``).
-Other branches read their cycles from ``ResolutionGraph.branch_cycle``, one
-computation sequence per directed edge asked for, cached on the graph. The
-greedy monomial cycle of 3.3 is one breadth-first sweep of each branch
-from its node: a step only changes pairings farther from the node, so the
-sweep steps the curves that "nearest first" would, each once.
+then its fundamental cycle Z_B is 1 on every curve, as on each sub-branch.
+Branches of a rational graph are reduced, and the test is O(1) per
+directed edge (``_branch_tests``). Once some branch is not reduced, one
+table per graph holds Z_B - 1_B by directed edge (``excess_table``). 3.4
+reads Z_B at the attach; 3.3 runs the greedy monomial cycle as one
+breadth-first sweep per node over int arrays (``_sweep``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .conditions import congruence_edge
-from .errors import NotABranch
+from .errors import NotABranch, UnknownVertex
 from .graph import (
     ResolutionGraph,
-    bfs_tree,
     component_of,
-    computation_sequence,
-    dot,
-    leaves_of,
+    edge_order,
+    induced_subgraph,
     nodes_of,
     require_negative_definite,
     walk_tree,
@@ -66,7 +59,8 @@ class QCycle:
 
 def cycle_pairing(g: ResolutionGraph, cycle: QCycle | Mapping[str, Fraction], v: str) -> Fraction:
     """Intersection number of the cycle with the curve at v."""
-    return Fraction(dot(g, cycle.coefficients if isinstance(cycle, QCycle) else cycle, v))
+    coeff = cycle.coefficients if isinstance(cycle, QCycle) else cycle
+    return Fraction(coeff.get(v, 0) * g.weight_of(v) + sum(coeff.get(u, 0) for u in g.adjacency[v]))
 
 
 def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
@@ -88,25 +82,106 @@ def dual_cycle(g: ResolutionGraph, v: str) -> QCycle:
     return QCycle({u: Fraction(x, g.det) for u, x in zip(g.ids, row) if x})
 
 
+def _neighbours(g: ResolutionGraph, v: str) -> tuple[str, ...]:
+    if v not in g.index:
+        raise UnknownVertex(v)
+    return g.adjacency[v]
+
+
 def branches(g: ResolutionGraph, v: str) -> tuple[tuple[str, ...], ...]:
-    """Connected components of the graph minus v, in vertex order."""
-    return tuple(component_of(g, v, u) for u in g.adjacency[v])
+    """Connected components of the graph minus v, in vertex order. Raises
+    UnknownVertex."""
+    return tuple(component_of(g, v, u) for u in _neighbours(g, v))
 
 
 def fundamental_cycle(g: ResolutionGraph, subset: Iterable[str]) -> QCycle:
     """Minimal effective cycle on a connected vertex set with non-positive
-    intersection against each of its curves."""
-    return QCycle({v: Fraction(c) for v, c in _fundamental_coefficients(g, subset).items()})
-
-
-def _fundamental_coefficients(g: ResolutionGraph, subset: Iterable[str]) -> dict[str, int]:
-    """Integer coefficients of ``fundamental_cycle``, in vertex order: the
-    computation sequence started from coefficient 1 everywhere."""
-    inside = set(subset)
-    sub = [v for v in g.ids if v in inside]
-    if not sub:
+    intersection against each of its curves: ``_laufer`` from coefficient 1
+    everywhere, in vertex order. Raises NotABranch on an empty set,
+    ValidationError on a disconnected one, and NotNegativeDefinite when the
+    set is not negative definite, where no such cycle need exist."""
+    h = induced_subgraph(g, subset)
+    if not h.ids:
         raise NotABranch("empty vertex set")
-    return computation_sequence(g, dict.fromkeys(sub, 1), sub[::-1])
+    require_negative_definite(h)
+    extra = _laufer(h, {}, list(range(len(h.ids))))
+    return QCycle({v: Fraction(1 + extra.get(i, 0)) for i, v in enumerate(h.ids)})
+
+
+def _laufer(g: ResolutionGraph, extra: dict[int, int], pending: list[int], cut: int = -1) -> dict:
+    """Laufer's computation sequence on the cycle 1 + extra by vertex index,
+    in place on extra, supported on the component of g minus cut (all of g
+    at -1) holding the pending curves: bump a curve met positively until it
+    is not. `pending` must hold every curve that may meet the start
+    positively; then only a bumped curve's neighbours can. From at or below
+    the fundamental cycle of a negative-definite support, it ends there in
+    any order of bumps (Laufer, "On rational singularities", 1972)."""
+    weights, nbrs, get = g.weights, g.tree.nbrs, extra.get
+    while pending:
+        j = pending.pop()
+        inside = nbrs[j] if cut not in nbrs[j] else [x for x in nbrs[j] if x != cut]
+        e = get(j, 0)
+        meet = (1 + e) * weights[j] + len(inside) + sum([get(x, 0) for x in inside])
+        if meet > 0:
+            extra[j] = e - meet // weights[j]  # ceil(meet / -w) bumps
+            pending.extend(inside)
+    return extra
+
+
+def excess_entry(
+    g: ResolutionGraph, table: Mapping[tuple[int, int], dict[int, int]], x: int, p: int
+) -> dict[int, int]:
+    """X(x, p) = Z_B - 1_B, sparse, for the component B of g minus p holding
+    x: ``_laufer`` from E_x plus the cycles Z_C of the components C beyond
+    x, read from ``table``. Z_B restricted to C meets C non-positively, so
+    it lies above Z_C; only x and its children can meet that start
+    positively."""
+    extra, pending = {}, [x]
+    for c in g.tree.nbrs[x]:
+        if c != p:
+            extra.update(table[(c, x)])
+            pending.append(c)
+    return _laufer(g, extra, pending, p)
+
+
+def excess_table(g: ResolutionGraph) -> dict[tuple[int, int], dict[int, int]]:
+    """``excess_entry`` on every directed edge (x, p) of a negative-definite
+    graph by vertex index, p not a leaf, in ``edge_order``: leaves first, so
+    each entry reads the entries beyond it. Empty on a reduced branch. Read
+    as ``g._branch_excess``, filled once per graph on first use."""
+    reduced, _ = _branch_tests(g)
+    nbrs, table = g.tree.nbrs, {}
+    for x, p in edge_order(g.tree):
+        if len(nbrs[p]) > 1:
+            table[(x, p)] = {} if reduced(x, p) else excess_entry(g, table, x, p)
+    return table
+
+
+def moduli_table(g: ResolutionGraph) -> dict[tuple[int, int], int]:
+    """q(x, k) = D / gcd(D, G) on every directed edge (x, k) of a
+    negative-definite graph by vertex index, k not a leaf: D = D(x, k) is
+    the det of the component S of g minus k holding x, and G the gcd of
+    column x of the adjugate of -A_S. Read as ``g._branch_moduli``.
+
+    A cycle on S and k that is c at k and meets S non-positively lies above
+    c col, col the column x of -A_S^-1, which meets S in 0. A fundamental
+    cycle Z covering S and k is least, so on S it is c col when that is
+    integral, exactly when q divides c = Z[k], and else meets S negatively.
+    The column is P = prod D(c', x) at x, over the children c' of x, and P
+    / D(c', x) times the column of the branch at c' on it: G(x, k) = gcd(P,
+    (P / D(c', x)) G(c', x)), filled leaves first in ``edge_order``."""
+    nbrs, _, parent = g.tree
+    (up, _), rev = g._leaves_up, g._rev
+    common, moduli = {}, {}
+    for x, k in edge_order(g.tree):
+        if len(nbrs[k]) < 2:
+            continue
+        kids = [(up[c] if parent[c] == x else rev[x], common[(c, x)]) for c in nbrs[x] if c != k]
+        whole = prod(d for d, _ in kids)
+        common[(x, k)] = shared = gcd(whole, *(whole // d * h for d, h in kids))
+        d = up[x] if parent[x] == k else rev[k]
+        moduli[(x, k)] = d // gcd(d, shared)
+    return moduli
 
 
 @dataclass(frozen=True)
@@ -133,9 +208,10 @@ class Condition34Report:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _branch_tests(
-    g: ResolutionGraph,
-) -> tuple[Callable[[int, int], bool], Callable[[int, int], bool]]:
+BranchTests = tuple[Callable[[int, int], bool], Callable[[int, int], bool]]
+
+
+def _branch_tests(g: ResolutionGraph) -> BranchTests:
     """Two O(1) tests on the component B of g minus p containing x, for an
     edge (x, p) by vertex index: ``reduced``, whether every curve j of B
     has w_j + deg_B(j) <= 0, and ``negative``, whether some curve j of B
@@ -165,15 +241,15 @@ def _branch_tests(
 def check_condition_3_4(g: ResolutionGraph) -> Condition34Report:
     """Every branch of every non-leaf curve must have fundamental cycle
     meeting that curve exactly once. The branch B of v at u meets E_v only
-    through u, so Z_B.E_v = Z_B[u]: 1 when B is reduced, and otherwise read
-    from ``g.branch_cycle``. Refuses any indefinite graph."""
+    through u, so Z_B.E_v = Z_B[u]: 1 when B is reduced, and otherwise 1 +
+    X(u, v)[u] from ``excess_table``. Refuses any indefinite graph."""
     require_negative_definite(g)
     reduced, _ = _branch_tests(g)
     ids = g.ids
     return Condition34Report(checks=tuple(
         BranchCheck(
             vertex=ids[i], attach=ids[x],
-            value=1 if reduced(x, i) else g.branch_cycle(ids[x], ids[i])[ids[x]],
+            value=1 if reduced(x, i) else 1 + g._branch_excess[(x, i)].get(x, 0),
         )
         for i, ns in enumerate(g.tree.nbrs)
         if len(ns) > 1
@@ -193,121 +269,106 @@ class MonomialCycleResult:
 
 
 def _branch_of(g: ResolutionGraph, v: str, branch: Sequence[str]) -> str:
-    """Attach vertex of a claimed branch; raises NotABranch on mismatch."""
+    """Attach vertex of a claimed branch; raises UnknownVertex, and
+    NotABranch on mismatch."""
     bset = set(branch)
-    attach = [u for u in g.adjacency[v] if u in bset]
+    attach = [u for u in _neighbours(g, v) if u in bset]
     if len(attach) != 1 or set(component_of(g, v, attach[0])) != bset:
         raise NotABranch(f"{sorted(bset)} is not a branch of {v}")
     return attach[0]
 
 
-def _greedy_monomial(
-    g: ResolutionGraph,
-    v: str,
-    attach: str,
-    order: Sequence[str],
-    parent: Mapping[str, str | None],
-    leaf_set: set[str],
-) -> tuple[MonomialCycleResult, dict[str, int]]:
-    """The sweep of ``construct_monomial_cycle`` on the branch of v at
-    attach, with the integral part W of its cycle; the result's ``cycle``
-    is None. ``order`` and ``parent`` are ``bfs_tree(g, v)``.
+def _sweep(
+    g: ResolutionGraph, v: int, attaches: Sequence[int], tests: BranchTests
+) -> tuple[dict[int, MonomialCycleResult], list[int], list[int] | None]:
+    """The greedy monomial cycle of ``construct_monomial_cycle`` on the
+    branches of v at the given attaches, by vertex index, in one
+    breadth-first walk from v that enters no other branch: the results by
+    attach, with cycle None, and the integral part W of the cycles as base
+    + extra (extra is None, so 0, when all those branches are reduced).
 
-    A step at j adds -(W.E_j) times the cycle Z_S of a sub-branch S beyond
-    j, read from ``g.branch_cycle``. Z_S meets E_j at least once, so j is
-    then met non-negatively; only the pairings on S, all farther from v,
-    change. A curve's pairing thus moves only when it or an ancestor is
-    stepped: one pass in breadth-first order steps the curves that
-    "nearest first" would, each once, with the same sub-branch choices
-    (steps at one distance touch disjoint sub-branches, so they commute)."""
-    excess = dict(g.branch_cycle(attach, v))  # W; v is not in the branch
-    pairs = {j: dot(g, excess, j) for j in excess}
-    iterations = 0
-    for j in order:
-        if j not in excess or j in leaf_set or pairs[j] >= 0:
-            continue
-        iterations += 1
-        # sub-branches at j away from v: still met negatively first, then vertex order
-        top = min(
-            (x for x in g.adjacency[j] if x != parent[j]),
-            key=lambda x: (all(pairs[k] >= 0 for k in g.branch_cycle(x, j)), g.index[x]),
-        )
-        sub, scale = g.branch_cycle(top, j), -pairs[j]
-        for k, c in sub.items():
-            excess[k] += scale * c
-        for k in sub:
-            pairs[k] = dot(g, excess, k)
-
-    # W, so each pairing with it, vanishes off the branch and v: every
-    # other curve passes both checks below
-    curves = sorted([v, *excess], key=g.index.__getitem__)
-    meet = {j: dot(g, excess, j) - (j == v) for j in curves}  # (dual(v) + W).E_j
-    nonzero = [j for j in curves if j not in leaf_set and meet[j]]
-    negative = [k for k in curves if k in leaf_set and meet[k] > 0]
-    problems = [f"nonzero pairing with non-leaf curve {j}" for j in nonzero[:1]]
-    problems += [f"leaf exponent at {k} is not a non-negative integer" for k in negative[:1]]
-    # a leaf v is checked but lies off the branch
-    exponents = tuple((k, -meet[k]) for k in curves if k in leaf_set and k != v)
-    found = MonomialCycleResult(
-        ok=not problems, node=v, attach=attach, cycle=None,
-        exponents=() if problems else exponents, iterations=iterations,
-        reason="; ".join(problems) or None,
-    )
-    return found, excess
-
-
-def _reduced_sweep(
-    g: ResolutionGraph,
-    v: int,
-    reduced: Callable[[int, int], bool],
-    negative: Callable[[int, int], bool],
-) -> dict[int, MonomialCycleResult]:
-    """``_greedy_monomial`` on every reduced branch of v at once, by vertex
-    index, in one breadth-first walk from v that enters no other branch;
-    keyed by attach. ``reduced`` and ``negative`` are ``_branch_tests(g)``.
-
-    On a reduced branch every cycle read is a reduced cycle, so W is a sum
-    of subtree adds: W[v] = 0, W[u] = 1 at the attach u, and W[k] = W[p] +
-    add[k] below, p the parent of k and add[k] the scale of the step at p
-    when k is the sub-branch it stepped. When k is visited no step has
-    touched its children, so its pairing is W[k] (w_k + #children) + W[p];
-    before the step at k every curve below it sits at W[k], so a child's
-    sub-branch holds a curve met negatively exactly when it holds one with
-    w + deg < 0. Every pairing at a visit is <= 0 on a reduced branch, a
-    step brings it to 0, and the leaf pairings give the exponents: the
-    result always passes."""
+    W starts at Z_B = 1_B + X(u, v) on the branch B at u, and a step at k
+    adds s = -(W.E_k) times Z_S = 1_S + X(t, k), S the sub-branch at a
+    child t (``excess_table``): 1_S as a subtree add, base[k] = base[p] +
+    add[k] for p the parent of k, and s X(t, k) into extra. A step changes
+    pairings in S alone, so when k is visited its children sit at base[k]
+    and its pairing is final but for its own step. Each cycle added so far
+    that covers k meets S non-positively, so W meets S negatively exactly
+    when one does: a reduced one when ``negative(t, k)``, a fundamental
+    cycle Z when q(t, k) does not divide Z[k] (``moduli_table``). Only v
+    and stepped curves can end met positively: in X(u, v)[u] at v, in s
+    X(t, k)[t] at k, the failures."""
     ids, weights, nbrs = g.ids, g.weights, g.tree.nbrs
-    attaches = tuple(x for x in nbrs[v] if reduced(x, v))
+    reduced, negative = tests
     cut = list(nbrs)
-    cut[v] = attaches  # the walk leaves v into the reduced branches alone
+    cut[v] = attaches  # the walk leaves v into these branches alone
     order, parent = walk_tree(cut, v)
-    home, w_of = [0] * len(ids), [0] * len(ids)  # attach of each curve, and W
+    n = len(ids)
+    home, base = [0] * n, [0] * n  # attach of each curve, and the 1_S parts of W
     add = dict.fromkeys(attaches, 1)
     leaves, steps = {x: [] for x in attaches}, dict.fromkeys(attaches, 0)
+    failed: dict[int, list[int]] = {}  # by attach
+    extra, meets = None, negative
+    if not all(reduced(x, v) for x in attaches):
+        # the X added at each step, by its child t until t is visited; the X
+        # of the non-reduced cycles covering each curve, and if a reduced one does
+        table, extra, pushed = g._branch_excess, [0] * n, {}
+        chain, plain = [()] * n, [False] * n
+        for x in attaches:
+            xs = pushed[x] = table[(x, v)] if len(nbrs[v]) > 1 else excess_entry(g, table, x, v)
+            for j, c in xs.items():
+                extra[j] += c
+            if xs.get(x):
+                failed[x] = [v]
+
+        def meets(t: int, k: int) -> bool:  # W meets S at t negatively
+            return plain[k] and negative(t, k) or any(
+                (1 + xs.get(k, 0)) % g._branch_moduli[(t, k)] for xs in chain[k])
+
     for k in order[1:]:
         p = parent[k]
         b = home[k] = k if p == v else home[p]
-        wk = w_of[k] = w_of[p] + add.pop(k, 0)
+        wk = base[k] = base[p] + add.pop(k, 0)
         kids = len(nbrs[k]) - 1
-        meet = wk * (weights[k] + kids) + w_of[p]
+        meet = wk * (weights[k] + kids) + base[p]
+        if extra is not None:
+            meet += extra[k] * weights[k] + sum(extra[x] for x in nbrs[k])
+            chain[k], plain[k] = chain[p], plain[p]
+            xs = pushed.pop(k, None)
+            if xs:
+                chain[k] += (xs,)
+            elif xs is not None:
+                plain[k] = True
         if not kids:
             leaves[b].append((k, -meet))
         elif meet < 0:
             steps[b] += 1
             for top in nbrs[k]:
-                if top != p and negative(top, k):
+                if top != p and (kids == 1 or meets(top, k)):
                     break
             else:
                 top = nbrs[k][nbrs[k][0] == p]  # the first child
             add[top] = -meet
-    return {
-        b: MonomialCycleResult(
-            ok=True, node=ids[v], attach=ids[b], cycle=None,
-            exponents=tuple((ids[k], e) for k, e in sorted(leaves[b])),
-            iterations=steps[b],
+            if extra is not None:
+                xs = pushed[top] = table[(top, k)]
+                for j, c in xs.items():
+                    extra[j] -= meet * c
+                if xs.get(top):
+                    failed.setdefault(b, []).append(k)
+    leaf, results = len(nbrs[v]) < 2, {}
+    for b in attaches:
+        bad, problems = failed.get(b), []
+        if bad:
+            nonzero = sorted(j for j in bad if j != v or not leaf)[:1]
+            problems = [f"nonzero pairing with non-leaf curve {ids[j]}" for j in nonzero]
+            if leaf and v in bad:
+                problems.append(f"leaf exponent at {ids[v]} is not a non-negative integer")
+        results[b] = MonomialCycleResult(
+            ok=not problems, node=ids[v], attach=ids[b], cycle=None,
+            exponents=() if problems else tuple((ids[k], e) for k, e in sorted(leaves[b])),
+            iterations=steps[b], reason="; ".join(problems) or None,
         )
-        for b in leaves
-    }
+    return results, base, extra
 
 
 def construct_monomial_cycle(
@@ -317,25 +378,23 @@ def construct_monomial_cycle(
 
     Starts from the dual cycle of the node plus the branch fundamental
     cycle, then absorbs negative intersections at non-leaf curves by adding
-    fundamental cycles of sub-branches, in one breadth-first sweep from the
-    node; a step only changes pairings farther out, so this is the "nearest
-    first" order. The result, when every check passes, pairs to zero with
-    every non-leaf curve and decomposes over the leaf duals of the branch.
-
-    The cycle is dual(v) + W, and only the integral W is kept: the branch
-    fundamental cycle plus positive multiples of those of sub-branches, so
-    the difference with the dual cycle is integral, effective and on the
-    branch by construction. dual(v) meets E_v in -1 and other curves in 0,
-    so each pairing read is the integer W.E_j - [j = v]. The rational cycle
-    is formed once, on success.
+    fundamental cycles of sub-branches, nearest the node first, in one
+    breadth-first ``_sweep``. The result, when every check passes, pairs to
+    zero with every non-leaf curve and decomposes over the leaf duals of
+    the branch. Only the integral part W of the cycle dual(v) + W is kept,
+    so the difference with the dual cycle is integral, effective and on the
+    branch by construction; the rational cycle is formed once, on success.
+    Raises UnknownVertex, NotABranch and NotNegativeDefinite.
     """
     attach = _branch_of(g, v, branch)
-    order, parent = bfs_tree(g, v)
-    found, excess = _greedy_monomial(g, v, attach, order, parent, set(leaves_of(g)))
-    if not found.ok:
-        return found
-    cycle = cycle_add(dual_cycle(g, v), QCycle({x: Fraction(c) for x, c in excess.items()}))
-    return replace(found, cycle=cycle)
+    require_negative_definite(g)
+    i, x = g.index[v], g.index[attach]
+    found, base, extra = _sweep(g, i, (x,), _branch_tests(g))
+    if not found[x].ok:
+        return found[x]
+    extra, index = extra or [0] * len(base), g.index
+    w = QCycle({u: Fraction(base[index[u]] + extra[index[u]]) for u in branch})
+    return replace(found[x], cycle=cycle_add(dual_cycle(g, v), w))
 
 
 @dataclass(frozen=True)
@@ -364,16 +423,15 @@ class Condition33Report:
 def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
     """Monomial-cycle condition at every node and branch of a definite graph.
 
-    The greedy construction is tried first: on the reduced branches of a
-    node as one ``_reduced_sweep``, which always passes and reads no branch
-    cycle, and on the others by ``_greedy_monomial``. Where it does not
-    settle the branch B of v attached at u, the cached congruence search of
-    the diagram edge (v, t) whose string starts at u (t = u when the string
-    is empty, ``congruence_edge``) decides it. The leaves of that edge are
-    the leaves of B, and a vector passes the congruence table exactly when
-    its Z is an effective integral cycle supported on B, the test a
-    monomial cycle asks for. Here L is the linking matrix, e_j* = L[j] / det are the dual cycles and
-    Z = sum a_k e_k* - e_v* for a vector a that solves the edge equation.
+    The greedy construction is tried first, on every branch of a node in
+    one ``_sweep``. Where it does not settle the branch B of v attached at
+    u, the cached congruence search of the diagram edge (v, t) whose string
+    starts at u (t = u when the string is empty, ``congruence_edge``)
+    decides it. The leaves of that edge are the leaves of B, and a vector
+    passes the congruence table exactly when its Z is an effective
+    integral cycle supported on B, the test a monomial cycle asks for. Here
+    L is the linking matrix, e_j* = L[j] / det are the dual cycles and Z =
+    sum a_k e_k* - e_v* for a vector a that solves the edge equation.
 
     - For a leaf k in B and a vertex j outside it,
       L[k][j] * L[v][v] = L[k][v] * L[v][j]. So Z vanishes outside B:
@@ -386,25 +444,19 @@ def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
       needs a non-negativity test.
     """
     require_negative_definite(g)
-    reduced, negative = _branch_tests(g)
-    ids, nbrs, leaf_set = g.ids, g.tree.nbrs, set(leaves_of(g))
+    tests = _branch_tests(g)
+    ids, nbrs = g.ids, g.tree.nbrs
     decisions = []
     for v in nodes_of(g):
-        i, walk = g.index[v], None
-        swept = _reduced_sweep(g, i, reduced, negative)
+        i = g.index[v]
+        swept, _, _ = _sweep(g, i, nbrs[i], tests)
         for x in nbrs[i]:
-            u = ids[x]
-            greedy = swept.get(x)
-            if greedy is None:
-                walk = walk or bfs_tree(g, v)
-                greedy, _ = _greedy_monomial(g, v, u, *walk, leaf_set)
+            u, greedy = ids[x], swept[x]
             if greedy.ok:
-                decisions.append(
-                    BranchDecision(
-                        node=v, attach=u, ok=True, method="constructive",
-                        exponents=greedy.exponents, truncated=False,
-                    )
-                )
+                decisions.append(BranchDecision(
+                    node=v, attach=u, ok=True, method="constructive",
+                    exponents=greedy.exponents, truncated=False,
+                ))
                 continue
             diagram = splice_from_resolution(g)
             t = next(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from . import linalg
@@ -76,21 +75,15 @@ class ResolutionGraph:
     Vertex order is the insertion order of the input and fixes the row
     order of every derived matrix, so minors and Smith transforms are
     reproducible. Instances are immutable; all operations on them are
-    pure functions. Vertex i is ids[i] in ``index``, which the edge checks
-    of the constructor build, and in the integer view ``tree``: int
-    adjacency lists, one breadth-first order from vertex 0 and its parent
-    array, built on first use. The tree test, the leaves-up pass of the
-    subtree determinants (which gives the determinant and definiteness),
-    the root-down pass, the linking rows, the reduced splice diagram and
-    the maximal weights run on those arrays; the root-down pass runs only
-    on a negative-definite graph, when something reads the entries pointing
-    away from vertex 0, and ``fill_edge_table`` walks them too. The
-    string-keyed view ``adjacency`` is built from the arrays when a caller
-    asks, and ``subtree_determinants`` lists the whole table by vertex id.
-    Everything derived (the passes, the linking numbers, one row per vertex
-    on first use, the fundamental cycle of a branch, one directed edge at a
-    time on first use, and the reduced splice diagram) is computed once per
-    instance and cached read-only.
+    pure functions. Vertex i is ids[i] in ``index`` and in the integer view
+    ``tree``: int adjacency lists, one breadth-first order from vertex 0
+    and its parent array. The tree test, both passes of the subtree
+    determinants (leaves up, which gives the determinant and definiteness,
+    and root down, on a negative-definite graph only), the linking rows,
+    the splice diagrams and the branch-cycle tables of ``cycles`` run on
+    those arrays; ``adjacency`` and ``subtree_determinants`` give views by
+    vertex id. Everything derived is computed once per instance, on first
+    use, and cached.
     """
 
     ids: tuple[str, ...]
@@ -225,9 +218,16 @@ class ResolutionGraph:
         return {}
 
     @cached_property
-    def _branch_cycle_cache(self) -> dict[DirectedEdge, Mapping[str, int]]:
-        """``branch_cycle`` by (child, parent)."""
-        return {}
+    def _branch_excess(self) -> dict[tuple[int, int], dict[int, int]]:
+        from .cycles import excess_table  # cycles imports this module
+
+        return excess_table(self)
+
+    @cached_property
+    def _branch_moduli(self) -> dict[tuple[int, int], int]:
+        from .cycles import moduli_table
+
+        return moduli_table(self)
 
     def linking_row(self, v: str) -> tuple[int, ...]:
         """Linking numbers of v with every vertex, in vertex order, cached
@@ -264,25 +264,6 @@ class ResolutionGraph:
         row = cache[v] = tuple(walk)
         return row
 
-    def branch_cycle(self, u: str, p: str) -> Mapping[str, int]:
-        """Fundamental cycle of the component of the graph minus p containing
-        u, for an edge (u, p), as read-only integer coefficients keyed by
-        that component's vertices in vertex order; computed on first use by
-        one ``computation_sequence`` from its reduced cycle, coefficient 1
-        on every curve, and cached per directed edge. Conditions 3.3 and 3.4
-        ask for it only on branches where that start meets some curve
-        positively, and on their sub-branches. Raises
-        NotNegativeDefinite, where a component may have no fundamental
-        cycle."""
-        cache = self._branch_cycle_cache
-        entry = cache.get((u, p))
-        if entry is None:
-            require_negative_definite(self)
-            sub = component_of(self, p, u)
-            coeff = computation_sequence(self, dict.fromkeys(sub, 1), list(sub[::-1]))
-            entry = cache[(u, p)] = MappingProxyType(coeff)
-        return entry
-
     def weight_of(self, v: str) -> int:
         try:
             return self.weights[self.index[v]]
@@ -294,15 +275,6 @@ class ResolutionGraph:
 
     def has_edge(self, a: str, b: str) -> bool:
         return b in self.adjacency.get(a, ())
-
-
-def bfs_tree(g: ResolutionGraph, root: str) -> tuple[list[str], dict[str, str | None]]:
-    """Vertices reachable from root in breadth-first order, with parents:
-    ``walk_tree`` over ``g.tree`` by vertex id."""
-    ids = g.ids
-    order, parent = walk_tree(g.tree.nbrs, g.index[root])
-    names = [ids[i] for i in order]
-    return names, {v: ids[parent[i]] if parent[i] >= 0 else None for v, i in zip(names, order)}
 
 
 def is_tree(g: ResolutionGraph) -> bool:
@@ -366,21 +338,25 @@ def negated_intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
     return [[-x for x in row] for row in intersection_matrix(g)]
 
 
+def edge_order(tree: IntTree) -> list[tuple[int, int]]:
+    """Every directed edge (child, parent) of a tree by vertex index: first
+    toward vertex 0, leaves up, then away from it, root down, neighbours in
+    vertex order. Each entry's edges (x, child), x != parent, come before it."""
+    nbrs, order, parent = tree
+    edges = [(u, parent[u]) for u in reversed(order[1:])]
+    return edges + [(u, x) for u in order for x in nbrs[u] if x != parent[u]]
+
+
 def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
     """table[(child, parent)] = step(g, table, child, parent) on every
-    directed edge of a tree (resolution graph or splice diagram), each step
-    reading entries (x, child), x != parent: first toward ids[0], leaves
-    up, then away from it, root down, neighbours in vertex order, along the
-    order and parent array of ``g.tree`` and without recursion. The
-    ideal-generator table is filled this way."""
+    directed edge of a tree (resolution graph or splice diagram) by vertex
+    id, in ``edge_order``, so each step may read the entries (x, child), x
+    != parent, and without recursion. The ideal-generator table is filled
+    this way."""
     ids = g.ids
-    nbrs, order, parent = g.tree
-    edges = [(u, parent[u]) for u in reversed(order[1:])]
-    edges += [(u, x) for u in order for x in nbrs[u] if x != parent[u]]
     table: dict[DirectedEdge, int] = {}
-    for u, x in edges:
-        a = ids[u]
-        b = ids[x]
+    for u, x in edge_order(g.tree):
+        a, b = ids[u], ids[x]
         table[(a, b)] = step(g, table, a, b)
     return table
 
@@ -409,35 +385,6 @@ def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
             if x != p:
                 table[(a, ids[x])] = rev[x]
     return table
-
-
-def dot(g: ResolutionGraph, coeff: Mapping[str, int], j: str) -> int:
-    """Intersection number of a cycle, by its coefficients (integers or
-    fractions), with the curve at j."""
-    total = coeff.get(j, 0) * g.weight_of(j)
-    for u in g.adjacency[j]:
-        total += coeff.get(u, 0)
-    return total
-
-
-def computation_sequence(
-    g: ResolutionGraph, coeff: dict[str, int], pending: list[str]
-) -> dict[str, int]:
-    """Laufer's computation sequence on the support of coeff, in place: while
-    a curve of the support meets the cycle positively, bump it until it no
-    longer does. `pending` must hold every curve that may meet the start
-    positively; after that only the neighbours of a bumped curve can, so
-    they join the worklist. Started from an effective cycle at or below the
-    fundamental cycle of a negative-definite support, it ends at that cycle
-    whatever the order of bumps (Laufer, "On rational singularities", 1972).
-    """
-    while pending:
-        j = pending.pop()
-        excess = dot(g, coeff, j)
-        if excess > 0:
-            coeff[j] -= excess // g.weight_of(j)  # ceil(excess / -w) bumps, as w < 0
-            pending.extend(x for x in g.adjacency[j] if x in coeff)
-    return coeff
 
 
 def is_negative_definite(g: ResolutionGraph) -> bool:

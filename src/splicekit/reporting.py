@@ -1,9 +1,9 @@
 """Structured analysis reports with stable key order (byte-stable JSON).
 
 Every section reads the graph's one cached splice diagram, whose edges and
-weights come in vertex order, as do the maximal diagram's, and conditions
-3.3 and 3.4 its one branch-cycle table, which holds O(sum of branch sizes)
-coefficients. ``render_json`` writes with ``document.indented_json``, the
+weights come in vertex order, as do the maximal diagram's; conditions 3.3
+and 3.4 read branch cycles from one table per graph, built only once some
+branch is not reduced. ``render_json`` writes with ``document.indented_json``, the
 bytes of ``json.dumps(payload, indent=2)`` without its pure-Python encoder.
 """
 

@@ -33,9 +33,13 @@ themselves. Paths and linking numbers read the one cached
 walk from v, its parent array and its reduced numbers; ``path_by_search``
 searches depth first over ``adjacency``, and ``linking_numbers_by_path``
 multiplies along its path.
-The fundamental cycle of a branch is computed when asked, from the branch's
-reduced cycle; ``branch_cycle_table`` fills every directed edge eagerly,
-leaves first, each entry from the entries beyond it.
+The fundamental cycles of branches are kept as their excess over the
+reduced cycle, by vertex index, only once some branch is not reduced;
+``branch_cycle_table`` keeps every whole cycle by vertex id, on every
+directed edge, with ``computation_sequence`` by vertex id. The monomial
+cycle is one sweep over int arrays that chooses sub-branches by a
+divisibility test; ``greedy_monomial`` reads whole branch cycles from that
+table and tests every curve of each sub-branch.
 A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
@@ -72,10 +76,8 @@ from splicekit.discriminant import (
 from splicekit.errors import SameVertex, UnknownEdge, UnknownVertex
 from splicekit.graph import (
     ResolutionGraph,
-    bfs_tree,
     classify_vertices,
     component_of,
-    computation_sequence,
     fill_edge_table,
     graph_determinant,
     leaves_of,
@@ -83,6 +85,7 @@ from splicekit.graph import (
     nodes_of,
     require_negative_definite,
     subtree_determinants,
+    walk_tree,
 )
 from splicekit.linalg import (
     SmithDecomposition,
@@ -172,6 +175,38 @@ def subtree_determinants_direct(g: ResolutionGraph) -> dict[tuple[str, str], int
     """The subtree-determinant table of a tree, every entry by
     ``_subtree_step`` in the order of ``fill_edge_table``."""
     return fill_edge_table(g, _subtree_step)
+
+
+def dot(g: ResolutionGraph, coeff: Mapping[str, int], j: str) -> int:
+    """Intersection number of a cycle, by its integer coefficients, with the
+    curve at j."""
+    return coeff.get(j, 0) * g.weight_of(j) + sum(coeff.get(u, 0) for u in g.adjacency[j])
+
+
+def bfs_tree(g: ResolutionGraph, root: str) -> tuple[list[str], dict[str, str | None]]:
+    """Vertices reachable from root in breadth-first order, with parents:
+    ``walk_tree`` over ``g.tree`` by vertex id."""
+    ids = g.ids
+    order, parent = walk_tree(g.tree.nbrs, g.index[root])
+    names = [ids[i] for i in order]
+    return names, {v: ids[parent[i]] if parent[i] >= 0 else None for v, i in zip(names, order)}
+
+
+def computation_sequence(
+    g: ResolutionGraph, coeff: dict[str, int], pending: list[str]
+) -> dict[str, int]:
+    """Laufer's computation sequence on the support of coeff, by vertex id, in
+    place: while a curve of the support meets the cycle positively, bump it
+    until it no longer does. `pending` must hold every curve that may meet
+    the start positively; after that only the neighbours of a bumped curve
+    can, so they join the worklist."""
+    while pending:
+        j = pending.pop()
+        excess = dot(g, coeff, j)
+        if excess > 0:
+            coeff[j] -= excess // g.weight_of(j)  # ceil(excess / -w) bumps, as w < 0
+            pending.extend(x for x in g.adjacency[j] if x in coeff)
+    return coeff
 
 
 def _branch_cycle_step(
@@ -538,6 +573,57 @@ def invariant_factors_full(g: ResolutionGraph) -> list[int]:
     """Diagonal of the n-by-n integer Smith form of -A, by the rescanning
     pivot search."""
     return list(smith_normal_form_rescan(negated_intersection_matrix(g)).diagonal)
+
+
+def greedy_monomial(
+    g: ResolutionGraph,
+    v: str,
+    attach: str,
+    table: Mapping[tuple[str, str], Mapping[str, int]],
+) -> MonomialCycleResult:
+    """The greedy monomial cycle on the branch of v at attach by vertex id,
+    every branch cycle read from ``table`` (``branch_cycle_table(g)``), with
+    cycle None: one breadth-first pass from v over ``bfs_tree``.
+
+    A step at j adds -(W.E_j) times the cycle Z_S of a sub-branch S beyond
+    j, the first in vertex order holding a curve met negatively, else the
+    first. Z_S meets E_j at least once, so j is then met non-negatively;
+    only the pairings on S, all farther from v, change. A curve's pairing
+    thus moves only when it or an ancestor is stepped: one pass in
+    breadth-first order steps the curves that "nearest first" would, each
+    once, with the same sub-branch choices (steps at one distance touch
+    disjoint sub-branches, so they commute). Every pairing of the final W
+    is read with ``dot``."""
+    order, parent = bfs_tree(g, v)
+    leaf_set = set(leaves_of(g))
+    excess = dict(table[(attach, v)])  # W; v is not in the branch
+    pairs = {j: dot(g, excess, j) for j in excess}
+    iterations = 0
+    for j in order:
+        if j not in excess or j in leaf_set or pairs[j] >= 0:
+            continue
+        iterations += 1
+        top = min(
+            (x for x in g.adjacency[j] if x != parent[j]),
+            key=lambda x: (all(pairs[k] >= 0 for k in table[(x, j)]), g.index[x]),
+        )
+        sub, scale = table[(top, j)], -pairs[j]
+        for k, c in sub.items():
+            excess[k] += scale * c
+        for k in sub:
+            pairs[k] = dot(g, excess, k)
+    curves = sorted([v, *excess], key=g.index.__getitem__)
+    meet = {j: dot(g, excess, j) - (j == v) for j in curves}  # (dual(v) + W).E_j
+    nonzero = [j for j in curves if j not in leaf_set and meet[j]]
+    negative = [k for k in curves if k in leaf_set and meet[k] > 0]
+    problems = [f"nonzero pairing with non-leaf curve {j}" for j in nonzero[:1]]
+    problems += [f"leaf exponent at {k} is not a non-negative integer" for k in negative[:1]]
+    exponents = tuple((k, -meet[k]) for k in curves if k in leaf_set and k != v)
+    return MonomialCycleResult(
+        ok=not problems, node=v, attach=attach, cycle=None,
+        exponents=() if problems else exponents, iterations=iterations,
+        reason="; ".join(problems) or None,
+    )
 
 
 def construct_monomial_cycle_rational(

@@ -12,8 +12,7 @@ from splicekit.conditions import check_congruence, check_semigroup, congruence_e
 from splicekit.corpus import dominant_tree, dominant_trees, two_node_graphs, with_determinant_cap
 from splicekit.cycles import (
     _branch_tests,
-    _greedy_monomial,
-    _reduced_sweep,
+    _sweep,
     branches,
     check_condition_3_3,
     check_condition_3_4,
@@ -21,23 +20,24 @@ from splicekit.cycles import (
     cycle_pairing,
     dual_cycle,
     dual_cycles,
+    excess_entry,
     fundamental_cycle,
 )
-from splicekit.errors import NotABranch, NotNegativeDefinite
+from splicekit.errors import NotABranch, NotNegativeDefinite, UnknownVertex
 from splicekit.graph import (
     ResolutionGraph,
-    bfs_tree,
     component_of,
     graph_determinant,
-    leaves_of,
     nodes_of,
 )
 from splicekit.splice import linking_matrix, splice_from_resolution
 
 from oracles import (
+    bfs_tree,
     branch_cycle_table,
     construct_monomial_cycle_rational,
     fundamental_cycle_rescan,
+    greedy_monomial,
     search_monomial_cycle,
 )
 
@@ -123,16 +123,21 @@ def test_fundamental_cycle_worklist_matches_rescan(corpus):
 
 def _assert_branch_table(g):
     # the eager oracle table against both fundamental-cycle routes, and
-    # entry by entry against the cached entries of the graph
+    # entry by entry against the excess table of the graph, which skips the
+    # entries toward a leaf
     table = branch_cycle_table(g)
     assert len(table) == 2 * len(g.edges)
+    excess, ids = g._branch_excess, g.ids
+    assert len(excess) == sum(g.degree(p) > 1 for _, p in table)
     for (u, p), cycle in table.items():
         comp = component_of(g, p, u)
         assert set(cycle) == set(comp)
         assert dict(cycle) == fundamental_cycle(g, comp).as_int_dict()
         assert dict(cycle) == fundamental_cycle_rescan(g, comp).as_int_dict()
-        assert dict(g.branch_cycle(u, p)) == dict(cycle)
-    assert len(g._branch_cycle_cache) == len(table)
+        x, i = g.index[u], g.index[p]
+        xs = excess.get((x, i)) if g.degree(p) > 1 else excess_entry(g, excess, x, i)
+        assert {ids[j]: 1 + xs.get(j, 0) for j in sorted(map(g.index.get, comp))} == dict(cycle)
+        assert all(xs.values())
 
 
 def test_branch_table_matches_fundamental_cycles(corpus):
@@ -148,8 +153,6 @@ def test_branch_table_is_read_only(g90):
         table[("nL", "nR")] = {}
     with pytest.raises(TypeError):
         table[("nL", "nR")]["nL"] = 5
-    with pytest.raises(TypeError):
-        g90.branch_cycle("nL", "nR")["nL"] = 5
 
 
 def test_branch_table_bumps_on_minus_two_curves():
@@ -161,7 +164,31 @@ def test_branch_table_bumps_on_minus_two_curves():
     )
     _assert_branch_table(g)
     assert branch_cycle_table(g)[("a", "e")] == {"c": 2, "a": 1, "b": 1, "d": 1}
-    assert g.branch_cycle("a", "e") == {"c": 2, "a": 1, "b": 1, "d": 1}
+    assert excess_entry(g, g._branch_excess, 1, 4) == {0: 1}
+
+
+def test_fundamental_cycle_refuses_an_indefinite_set():
+    # the star of four (-1)-curves is indefinite, and so is every connected
+    # part of it but a single curve: the computation sequence would bump
+    # forever or stop at a cycle meeting every curve in 0. A single curve,
+    # definite, still has its cycle
+    g = ResolutionGraph.build(
+        [("c", -1), ("a", -1), ("b", -1), ("d", -1)], [("c", "a"), ("c", "b"), ("c", "d")]
+    )
+    assert not g.negative_definite
+    for subset in (g.ids, ["c", "a", "b"], ["c", "a"]):
+        with pytest.raises(NotNegativeDefinite, match="^graph is not negative definite$"):
+            fundamental_cycle(g, subset)
+    assert fundamental_cycle(g, ["a"]).as_int_dict() == {"a": 1}
+
+
+def test_unknown_vertex_is_refused(g17):
+    for call in (
+        lambda: branches(g17, "zz"),
+        lambda: construct_monomial_cycle(g17, "zz", ("ul",)),
+    ):
+        with pytest.raises(UnknownVertex):
+            call()
 
 
 @st.composite
@@ -190,35 +217,27 @@ def _is_reduced(g, v, u):
 
 
 def _assert_reduced_route(g, seen):
-    """On every branch of every vertex: the O(1) tests equal the direct
-    ones; the sweep covers exactly the reduced branches and equals
-    ``_greedy_monomial`` run on the oracle table there; each 3.4 value is
-    the branch's fundamental cycle at its attach. Counts the reduced and
-    the other branches in ``seen``."""
-    reduced, negative = _branch_tests(g)
-    oracle = replace(g)
-    oracle._branch_cycle_cache.update(branch_cycle_table(oracle))
-    leaf_set = set(leaves_of(g))
+    """On every branch of every non-leaf vertex: the O(1) tests equal the
+    direct ones; the sweep equals ``greedy_monomial`` on the oracle table in
+    every field; each 3.4 value is the branch's fundamental cycle at its
+    attach. Counts the reduced and the other branches in ``seen``."""
+    reduced, negative = tests = _branch_tests(g)
+    table = branch_cycle_table(g)
+    values = {(c.vertex, c.attach): c.value for c in check_condition_3_4(g).checks}
     for v in g.ids:
         i = g.index[v]
         for x in g.tree.nbrs[i]:
             comp = component_of(g, v, g.ids[x])
             assert negative(x, i) == any(g.weight_of(k) + g.degree(k) < 0 for k in comp)
-        swept = _reduced_sweep(g, i, reduced, negative)
-        walk = bfs_tree(oracle, v)
+            assert reduced(x, i) == _is_reduced(g, v, g.ids[x])
+        if g.degree(v) < 2:
+            continue
+        swept, _, _ = _sweep(g, i, g.tree.nbrs[i], tests)
         for x in g.tree.nbrs[i]:
             u = g.ids[x]
-            assert reduced(x, i) == _is_reduced(g, v, u) == (x in swept)
-            seen[x in swept] += 1
-            if x in swept:
-                greedy, _ = _greedy_monomial(oracle, v, u, *walk, leaf_set)
-                assert swept[x] == greedy and greedy.ok
-    values = {(c.vertex, c.attach): c.value for c in check_condition_3_4(g).checks}
-    for v in g.ids:
-        if g.degree(v) > 1:
-            for u in g.adjacency[v]:
-                comp = component_of(g, v, u)
-                assert values[(v, u)] == fundamental_cycle(g, comp).get(u)
+            seen[reduced(x, i)] += 1
+            assert swept[x] == greedy_monomial(g, v, u, table)
+            assert values[(v, u)] == table[(u, v)][u]
 
 
 def test_reduced_route_matches_table_oracle(corpus):
@@ -230,8 +249,19 @@ def test_reduced_route_matches_table_oracle(corpus):
     )
     decisions = {(d.node, d.attach): d.exponents for d in check_condition_3_3(fork).decisions}
     assert decisions[("v", "k")] == (("y", 0), ("z", 5))
+    # the branch of v2 at v0 is not reduced (v3 has w + deg = 1), and its
+    # cycle, 2 at v3 and 1 elsewhere, meets v1, v3 and v5 in 0: the step at
+    # v0 adds to the first sub-branch, v1's, though v5 has w + deg < 0
+    chain = ResolutionGraph.build(
+        [(f"v{i}", w) for i, w in enumerate((-4, -1, -2, -1, -4, -2, -2))],
+        [("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v2", "v4"), ("v3", "v5"), ("v2", "v6")],
+    )
+    (found,) = [d for d in check_condition_3_3(chain).decisions if d.attach == "v0"]
+    assert (found.node, found.method, found.exponents) == (
+        "v2", "constructive", (("v1", 1), ("v5", 0)),
+    )
     seen = [0, 0]  # branches that are not reduced, reduced
-    for g in [*map(replace, corpus), fork]:
+    for g in [*map(replace, corpus), fork, chain]:
         _assert_reduced_route(g, seen)
     assert all(seen)
     refused = []
@@ -253,9 +283,10 @@ def test_reduced_route_matches_table_oracle(corpus):
 
 
 def test_reduced_graphs_compute_no_branch_cycle(fixture_map):
-    # a branch cycle is computed only for a branch that is not reduced: none
-    # on the 28 small-corpus graphs whose every curve has w + deg <= 0, nor on
-    # the graphs whose non-leaf curves have only reduced branches
+    # the excess table and the moduli are built only where some branch is
+    # not reduced: never on the 28 small-corpus graphs whose every curve
+    # has w + deg <= 0, nor on the graphs whose non-leaf curves have only
+    # reduced branches
     small = with_determinant_cap(dominant_trees(100) + two_node_graphs(50), 10**4)
     reduced = [
         g for g in small if all(w + len(ns) <= 0 for w, ns in zip(g.weights, g.tree.nbrs))
@@ -265,7 +296,9 @@ def test_reduced_graphs_compute_no_branch_cycle(fixture_map):
         check_condition_3_3(g)
         check_condition_3_4(g)
         every = all(_is_reduced(g, v, u) for v in g.ids if g.degree(v) > 1 for u in g.adjacency[v])
-        assert (not g._branch_cycle_cache) == every
+        assert ("_branch_excess" not in g.__dict__) == every
+        if every:
+            assert "_branch_moduli" not in g.__dict__
 
 
 def _assert_matches_oracle(g, v):

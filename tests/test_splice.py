@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from splicekit import graph, splice
+from splicekit import cycles, graph, splice
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
@@ -449,13 +449,11 @@ def test_check_okuma34_on_deep_caterpillar(tmp_path, capsys):
 
 def test_check_okuma33_on_deep_caterpillar(tmp_path, capsys, monkeypatch):
     # every branch is reduced: one subtree-add sweep per node on int arrays,
-    # with no branch cycle computed, although every spine curve steps and
-    # the exponents grow to hundreds of digits
+    # with no branch-cycle excess and no modulus computed, although every
+    # spine curve steps and the exponents grow to hundreds of digits
     computed = []
-    real = ResolutionGraph.branch_cycle
-    monkeypatch.setattr(
-        ResolutionGraph, "branch_cycle", lambda g, u, p: computed.append((u, p)) or real(g, u, p)
-    )
+    for name in ("excess_table", "moduli_table"):
+        monkeypatch.setattr(cycles, name, lambda g, name=name: computed.append(name) or {})
     path = tmp_path / "caterpillar.json"
     path.write_text(document_to_json(graph_to_document(_deep_caterpillar())))
     for check in ("okuma33", "okuma34"):
