@@ -71,11 +71,14 @@ def iter_nonnegative_solutions(
     budget: SearchBudget | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """All non-negative integer vectors a with sum(a_i * values_i) == target,
-    in lexicographically ascending order. values must be positive.
+    in lexicographically ascending order.
 
     A budget bounds the number of visited search nodes; when it runs out the
-    generator stops early with budget.exhausted set.
+    generator stops early with budget.exhausted set. Raises ValueError, on
+    the first step, unless every value is positive.
     """
+    if not all(x > 0 for x in values):
+        raise ValueError(f"values must be positive: {list(values)}")
     k = len(values)
     if k <= 1:
         if k == 0 and target == 0:

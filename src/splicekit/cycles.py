@@ -97,9 +97,10 @@ def branches(g: ResolutionGraph, v: str) -> tuple[tuple[str, ...], ...]:
 def fundamental_cycle(g: ResolutionGraph, subset: Iterable[str]) -> QCycle:
     """Minimal effective cycle on a connected vertex set with non-positive
     intersection against each of its curves: ``_laufer`` from coefficient 1
-    everywhere, in vertex order. Raises NotABranch on an empty set,
-    ValidationError on a disconnected one, and NotNegativeDefinite when the
-    set is not negative definite, where no such cycle need exist."""
+    everywhere, in vertex order. Raises UnknownVertex for a vertex g lacks,
+    NotABranch on an empty set, ValidationError on a disconnected one, and
+    NotNegativeDefinite when the set is not negative definite, where no
+    such cycle need exist."""
     h = induced_subgraph(g, subset)
     if not h.ids:
         raise NotABranch("empty vertex set")
@@ -170,16 +171,15 @@ def moduli_table(g: ResolutionGraph) -> dict[tuple[int, int], int]:
     The column is P = prod D(c', x) at x, over the children c' of x, and P
     / D(c', x) times the column of the branch at c' on it: G(x, k) = gcd(P,
     (P / D(c', x)) G(c', x)), filled leaves first in ``edge_order``."""
-    nbrs, _, parent = g.tree
-    (up, _), rev = g._leaves_up, g._rev
+    nbrs, det = g.tree.nbrs, g.branch_det
     common, moduli = {}, {}
     for x, k in edge_order(g.tree):
         if len(nbrs[k]) < 2:
             continue
-        kids = [(up[c] if parent[c] == x else rev[x], common[(c, x)]) for c in nbrs[x] if c != k]
+        kids = [(det(c, x), common[(c, x)]) for c in nbrs[x] if c != k]
         whole = prod(d for d, _ in kids)
         common[(x, k)] = shared = gcd(whole, *(whole // d * h for d, h in kids))
-        d = up[x] if parent[x] == k else rev[k]
+        d = det(x, k)
         moduli[(x, k)] = d // gcd(d, shared)
     return moduli
 

@@ -79,11 +79,11 @@ class ResolutionGraph:
     ``tree``: int adjacency lists, one breadth-first order from vertex 0
     and its parent array. The tree test, both passes of the subtree
     determinants (leaves up, which gives the determinant and definiteness,
-    and root down, on a negative-definite graph only), the linking rows,
-    the splice diagrams and the branch-cycle tables of ``cycles`` run on
-    those arrays; ``adjacency`` and ``subtree_determinants`` give views by
-    vertex id. Everything derived is computed once per instance, on first
-    use, and cached.
+    and root down, on a negative-definite graph only) and the linking rows
+    run on those arrays; everything else reads the passes through
+    ``branch_det``, and ``adjacency`` and ``subtree_determinants`` give
+    views by vertex id. Everything derived is computed once per instance,
+    on first use, and cached.
     """
 
     ids: tuple[str, ...]
@@ -182,6 +182,16 @@ class ResolutionGraph:
         return rev
 
     @cached_property
+    def branch_det(self) -> Callable[[int, int], int]:
+        """D(x, p) by vertex index, for neighbours x and p in ``tree``: the
+        det of the component of the graph minus p holding x, x's leaves-up
+        entry when p is x's parent, else p's root-down entry, with the arrays
+        bound once. Raises ValidationError or NotNegativeDefinite unless the
+        graph is a negative-definite tree."""
+        parent, up, rev = self.tree.parent, self._leaves_up[0], self._rev
+        return lambda x, p: up[x] if parent[x] == p else rev[p]
+
+    @cached_property
     def det(self) -> int:
         """det of the negated intersection matrix: the value at vertex 0 of
         the leaves-up pass; 1 on the empty graph. No definiteness gate.
@@ -271,7 +281,10 @@ class ResolutionGraph:
             raise UnknownVertex(v) from None
 
     def degree(self, v: str) -> int:
-        return len(self.tree.nbrs[self.index[v]])
+        try:
+            return len(self.tree.nbrs[self.index[v]])
+        except KeyError:
+            raise UnknownVertex(v) from None
 
     def has_edge(self, a: str, b: str) -> bool:
         return b in self.adjacency.get(a, ())
@@ -341,50 +354,27 @@ def negated_intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
 def edge_order(tree: IntTree) -> list[tuple[int, int]]:
     """Every directed edge (child, parent) of a tree by vertex index: first
     toward vertex 0, leaves up, then away from it, root down, neighbours in
-    vertex order. Each entry's edges (x, child), x != parent, come before it."""
+    vertex order. Each entry's edges (x, child), x != parent, come before it,
+    so a per-edge table filled in this order may read the entries beyond each
+    edge: ``subtree_determinants``, the ideal generators of ``splice`` and the
+    branch tables of ``cycles`` are."""
     nbrs, order, parent = tree
     edges = [(u, parent[u]) for u in reversed(order[1:])]
     return edges + [(u, x) for u in order for x in nbrs[u] if x != parent[u]]
 
 
-def fill_edge_table(g, step: Callable[..., int]) -> dict[DirectedEdge, int]:
-    """table[(child, parent)] = step(g, table, child, parent) on every
-    directed edge of a tree (resolution graph or splice diagram) by vertex
-    id, in ``edge_order``, so each step may read the entries (x, child), x
-    != parent, and without recursion. The ideal-generator table is filled
-    this way."""
-    ids = g.ids
-    table: dict[DirectedEdge, int] = {}
-    for u, x in edge_order(g.tree):
-        a, b = ids[u], ids[x]
-        table[(a, b)] = step(g, table, a, b)
-    return table
-
-
 def subtree_determinants(g: ResolutionGraph) -> dict[DirectedEdge, int]:
     """det of the component of g minus `parent` containing `child`.
 
-    Keyed by (child, parent) for every directed edge, in the order of
-    ``fill_edge_table``: the entries toward vertex 0, leaves first, then
-    those away from it, root first. A view by vertex id of the two passes
-    that ``ResolutionGraph`` caches on its integer view ``tree``: the
-    leaves-up pass (``_leaves_up``, which alone gives the determinant and
-    definiteness) and the root-down pass (``_rev``), O(sum of degrees)
-    big-int products plus two exact divisions per root-down entry. The
-    splice and maximal weights read the two passes themselves; this table
-    is for callers and tests that want every entry by vertex id. Raises
-    ValidationError or NotNegativeDefinite unless g is a negative-definite tree.
+    Keyed by (child, parent) for every directed edge, in ``edge_order``:
+    the entries toward vertex 0, leaves first, then those away from it,
+    root first. A view by vertex id of ``ResolutionGraph.branch_det``, which
+    the library reads by vertex index, for callers and tests that want
+    every entry by vertex id. Raises ValidationError or NotNegativeDefinite
+    unless g is a negative-definite tree.
     """
-    (up, _), rev = g._leaves_up, g._rev
-    nbrs, order, parent = g.tree
-    ids = g.ids
-    table = {(ids[u], ids[parent[u]]): up[u] for u in reversed(order[1:])}
-    for u in order:
-        p, a = parent[u], ids[u]
-        for x in nbrs[u]:
-            if x != p:
-                table[(a, ids[x])] = rev[x]
-    return table
+    ids, det = g.ids, g.branch_det
+    return {(ids[x], ids[p]): det(x, p) for x, p in edge_order(g.tree)}
 
 
 def is_negative_definite(g: ResolutionGraph) -> bool:
@@ -437,19 +427,27 @@ def component_of(g: ResolutionGraph, removed: str, start: str) -> tuple[str, ...
 
     Result keeps the graph's vertex order. One ``walk_tree`` from start over
     ``g.tree``, with no neighbours listed at `removed`: it is reached but
-    never left, and then dropped.
+    never left, and then dropped. A `removed` vertex g lacks cuts nothing.
+    Raises UnknownVertex for an unknown start.
     """
     if start == removed:
         raise ValueError("start vertex equals the removed vertex")
+    root = g.index.get(start)
+    if root is None:
+        raise UnknownVertex(start)
     nbrs, cut = list(g.tree.nbrs), g.index.get(removed)
     if cut is not None:
         nbrs[cut] = ()
-    order, _ = walk_tree(nbrs, g.index[start])
+    order, _ = walk_tree(nbrs, root)
     return tuple(g.ids[i] for i in sorted(order) if i != cut)
 
 
 def induced_subgraph(g: ResolutionGraph, keep: Iterable[str]) -> ResolutionGraph:
+    """The curves in `keep` and the edges between them, in the order of g.
+    Raises UnknownVertex."""
     keep_set = set(keep)
+    if not keep_set <= g.index.keys():
+        raise UnknownVertex(min(keep_set - g.index.keys()))
     return ResolutionGraph(
         ids=tuple(v for v in g.ids if v in keep_set),
         weights=tuple(w for v, w in zip(g.ids, g.weights) if v in keep_set),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import linalg
 from .cfrac import continued_fraction_of_string
@@ -31,14 +31,13 @@ from .graph import (
     ResolutionGraph,
     blow_up_edge,
     component_of,
-    fill_edge_table,
+    edge_order,
     fresh_id,
     graph_determinant,
     induced_subgraph,
     int_tree,
     leaves_of,
     nodes_of,
-    require_negative_definite,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
     vertex_adjacency,
     vertex_index,
@@ -62,9 +61,9 @@ class SpliceDiagram:
     In a reduced diagram only nodes carry weights; leaf ends are bare.
     ``strings`` optionally maps each directed edge back to the interior
     vertices of the resolution string it came from (ordered from the
-    first endpoint). One walk from each vertex is cached on first use
-    (``walk``); the paths, linking numbers, edge equations and end-node
-    reduction read it.
+    first endpoint). The last walk from a vertex is cached (``walk``); the
+    paths, linking numbers, edge equations and end-node reduction read it,
+    each from one vertex at a time.
     """
 
     ids: tuple[str, ...]
@@ -109,18 +108,28 @@ class SpliceDiagram:
 
     @cached_property
     def ideal_generators(self) -> Mapping[DirectedEdge, int]:
-        """Read-only ``fill_edge_table(self, _ideal_step)``, keyed (toward, v),
-        which the ideal generators, leaf knot orders and ideal check read."""
-        return MappingProxyType(fill_edge_table(self, _ideal_step))
+        """Read-only generator of the edge from v toward u, keyed (u, v), which
+        the ideal generators, leaf knot orders and ideal check read. Filled
+        by vertex index in ``edge_order``, leaves first: 1 at a leaf u, else
+        the gcd over the other edges (u, x) of the entry beyond x times the
+        weights at u on the rest (positive, so // is exact)."""
+        ids, nbrs, weights, table = self.ids, self.tree.nbrs, self.weights, {}
+        for u, p in edge_order(self.tree):
+            a = ids[u]
+            at = {ids[x]: weights[(a, ids[x])] for x in nbrs[u] if x != p}
+            rest = prod(at.values())
+            table[(a, ids[p])] = gcd(*(table[(x, a)] * (rest // w) for x, w in at.items())) or 1
+        return MappingProxyType(table)
 
     @cached_property
     def _walks(self) -> dict[str, Walk]:
         return {}
 
     def walk(self, v: str) -> Walk:
-        """The walk from v, cached per v. One ``walk_tree`` from v, then one
-        product pass along its order: the reduced number at a vertex is the
-        one at its parent y times the weights at y toward y's other
+        """The walk from v, cached until a walk from another vertex replaces
+        it, as each holds a big integer per vertex. One ``walk_tree`` from v,
+        then one product pass along its order: the reduced number at a vertex
+        is the one at its parent y times the weights at y toward y's other
         children, the weights off the path at y, and 1 next to v; a missing
         weight counts as 1. Raises UnknownVertex."""
         found = self._walks.get(v)
@@ -149,6 +158,7 @@ class SpliceDiagram:
                 values.append(value[x])
         leaves = {ids[u]: (tuple(ls), tuple(vs)) for u, (ls, vs) in out.items()}
         found = Walk(tuple(parent), tuple(branch), tuple(value), MappingProxyType(leaves))
+        self._walks.clear()
         self._walks[v] = found
         return found
 
@@ -199,19 +209,11 @@ def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
     return g.splice_diagram
 
 
-def _toward(g: ResolutionGraph) -> Callable[[int, int], int]:
-    """D(j, i), the weight at vertex i toward its neighbour j in ``g.tree``:
-    j's leaves-up entry when i is j's parent, else i's root-down entry."""
-    parent, up, rev = g.tree.parent, g._leaves_up[0], g._rev
-    return lambda i, j: up[j] if parent[j] == i else rev[i]
-
-
 def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
     """The vertices of valency other than 2, each string walked over int
     neighbours from both ends; the ends at each vertex are taken in vertex
     order, so edges and weights come out in vertex order, as ``tree``."""
-    require_negative_definite(g)
-    nbrs, ids, toward = g.tree.nbrs, g.ids, _toward(g)
+    nbrs, ids, det = g.tree.nbrs, g.ids, g.branch_det
     keep = [i for i, ns in enumerate(nbrs) if len(ns) != 2]
     edges: list[tuple[str, str]] = []
     weights: dict[DirectedEdge, int] = {}
@@ -232,7 +234,7 @@ def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
                 edges.append(key)
             strings[key] = tuple(interior)
             if len(ends) > 2:
-                weights[key] = toward(i, j)
+                weights[key] = det(j, i)
     return SpliceDiagram(
         ids=tuple(ids[i] for i in keep), edges=tuple(edges),
         weights=MappingProxyType(weights), strings=MappingProxyType(strings),
@@ -242,9 +244,8 @@ def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
 def maximal_splice(g: ResolutionGraph) -> MaximalSpliceDiagram:
     """Splice diagram keeping every vertex, with weights at both edge ends,
     in (at, toward) vertex order."""
-    require_negative_definite(g)
-    ids, toward = g.ids, _toward(g)
-    weights = {(ids[i], ids[j]): toward(i, j) for i, ns in enumerate(g.tree.nbrs) for j in ns}
+    ids, det = g.ids, g.branch_det
+    weights = {(ids[i], ids[j]): det(j, i) for i, ns in enumerate(g.tree.nbrs) for j in ns}
     return MaximalSpliceDiagram(ids=g.ids, edges=g.edges, weights=weights, strings=None)
 
 
@@ -347,19 +348,6 @@ def verify_edge_det_theorem(g: ResolutionGraph) -> EdgeDetReport:
             )
         )
     return EdgeDetReport(entries=tuple(entries))
-
-
-def _ideal_step(
-    d: SpliceDiagram, table: Mapping[DirectedEdge, int], u: str, p: str
-) -> int:
-    """Generator on the edge from p toward u: 1 at a leaf u, else the gcd
-    over the other edges at u of (generator beyond it times the product of
-    the weights at u on the rest; weights are positive, so // is exact)."""
-    if d.is_leaf(u):
-        return 1
-    others = [x for x in d.adjacency[u] if x != p]
-    rest = prod(d.weights[(u, x)] for x in others)
-    return gcd(*(table[(x, u)] * (rest // d.weights[(u, x)]) for x in others))
 
 
 def ideal_generator(d: SpliceDiagram, v: str, toward: str) -> int:

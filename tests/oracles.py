@@ -7,10 +7,10 @@ that every drop-one index is 1 on a tree; ``_span_check`` reads the
 drop-one indices of any symmetric block off the left transform of its
 Smith normal form, ``enumerated_group_check`` lists the elements, and
 ``full_group_character_oracle`` tests witnesses against every element, not
-only the leaf generators. It fills the ideal generators in one table;
-``ideal_generator_recursive`` recurses per edge. It finds fundamental
-cycles with a worklist; ``fundamental_cycle_rescan`` rescans the whole set
-after every bump. The invariant factors come from the leaf block;
+only the leaf generators. It fills the ideal generators in one table by
+vertex index over ``edge_order``; ``ideal_generator_recursive`` recurses
+per edge. It finds fundamental cycles with a worklist;
+``fundamental_cycle_rescan`` rescans the whole set after every bump. The invariant factors come from the leaf block;
 ``invariant_factors_full`` takes the n-by-n Smith form of -A. The Smith
 form is built by Bezout steps; ``smith_normal_form_rescan`` rescans the
 whole block for the smallest pivot on every round. The
@@ -18,9 +18,12 @@ monomial cycle is built on integral cycles; ``construct_monomial_cycle_rational`
 keeps the whole rational cycle. Non-negative solutions are listed with an
 explicit stack; ``iter_nonnegative_solutions_recursive`` recurses per value.
 The subtree-determinant table reads its root-down entries off the
-edge-determinant identity, on negative-definite trees only;
+edge-determinant identity, on negative-definite trees only, and the library
+reads every entry through ``ResolutionGraph.branch_det``;
 ``subtree_determinants_direct`` expands every entry along its vertex's row
-by vertex id, re-reading the grandchild entries, on any tree.
+by vertex id, re-reading the grandchild entries, on any tree. It and
+``branch_cycle_table`` are filled by ``fill_edge_table``, one step per
+directed edge by vertex id, leaves first.
 The reduced and maximal splice diagrams and the edge equations are read
 off the integer tree; ``reduced_diagram_by_id``, ``maximal_weights_by_id``
 and ``edge_equations_by_id`` build them by vertex id from
@@ -49,7 +52,7 @@ each vector on every curve. Congruences are checked on integers mod det;
 from fractions import Fraction
 from types import MappingProxyType
 from math import gcd, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from splicekit.conditions import (
     SearchBudget,
@@ -78,7 +81,7 @@ from splicekit.graph import (
     ResolutionGraph,
     classify_vertices,
     component_of,
-    fill_edge_table,
+    edge_order,
     graph_determinant,
     leaves_of,
     negated_intersection_matrix,
@@ -147,6 +150,19 @@ def is_negative_definite_matrix(matrix: Sequence[Sequence[int]]) -> bool:
         if k % 2 == 0 and minor <= 0:
             return False
     return True
+
+
+def fill_edge_table(g, step: Callable[..., int]) -> dict[tuple[str, str], int]:
+    """table[(child, parent)] = step(g, table, child, parent) on every
+    directed edge of a tree (resolution graph or splice diagram) by vertex
+    id, in ``edge_order``, so each step may read the entries (x, child), x
+    != parent, and without recursion."""
+    ids = g.ids
+    table: dict[tuple[str, str], int] = {}
+    for u, x in edge_order(g.tree):
+        a, b = ids[u], ids[x]
+        table[(a, b)] = step(g, table, a, b)
+    return table
 
 
 def _subtree_step(

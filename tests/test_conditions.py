@@ -58,6 +58,13 @@ def test_solutions_match_recursion(values, target, nodes, take):
         assert states[0] == states[1]
 
 
+@pytest.mark.parametrize("values", [(0, 3), (3, 0)])
+def test_solutions_refuse_non_positive_values(values):
+    # a zero value would list vectors without end, or divide by zero
+    with pytest.raises(ValueError, match="values must be positive"):
+        next(iter_nonnegative_solutions(values, 6))
+
+
 def test_solutions_with_thousands_of_values():
     assert list(iter_nonnegative_solutions([1] * 3000, 0)) == [(0,) * 3000]
 

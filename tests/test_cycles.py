@@ -186,6 +186,9 @@ def test_unknown_vertex_is_refused(g17):
     for call in (
         lambda: branches(g17, "zz"),
         lambda: construct_monomial_cycle(g17, "zz", ("ul",)),
+        lambda: fundamental_cycle(g17, ["ul", "zz"]),
+        lambda: g17.degree("zz"),
+        lambda: component_of(g17, "ul", "zz"),
     ):
         with pytest.raises(UnknownVertex):
             call()

@@ -344,9 +344,10 @@ def test_paths_and_linking_numbers_match_the_search_on_every_pair(fixture_map, t
         if v == w:
             with pytest.raises(SameVertex):
                 linking_numbers(d, v, w)
-        else:
-            assert linking_numbers(d, v, w) == linking_numbers_by_path(d, v, w)
-            assert linking_numbers(d, v, w) == linking_numbers(d, w, v)
+            return None
+        numbers = linking_numbers(d, v, w)
+        assert numbers == linking_numbers_by_path(d, v, w)
+        return numbers
 
     def reductions(d):
         for v_star in d.nodes:
@@ -358,12 +359,14 @@ def test_paths_and_linking_numbers_match_the_search_on_every_pair(fixture_map, t
     for g in [*fixture_map.values(), *trees, *paths, *two_node_corpus]:
         for d in (splice_from_resolution(g), maximal_splice(g)):
             for dd in (d, *reductions(d)):
-                for v, w in itertools.product(dd.ids, repeat=2):
-                    agree(dd, v, w)
+                # all pairs from one vertex first, as the diagram keeps one walk
+                seen = {(v, w): agree(dd, v, w) for v, w in itertools.product(dd.ids, repeat=2)}
+                assert all(n == seen[(w, v)] for (v, w), n in seen.items())
     g = _deep_caterpillar()
     for d in (splice_from_resolution(g), maximal_splice(g)):
         for _ in range(200):
-            agree(d, *rng.sample(d.ids, 2))
+            v, w = rng.sample(d.ids, 2)
+            assert agree(d, v, w) == linking_numbers(d, w, v)
 
 
 def test_each_consumer_walks_the_diagram_once(fixture_map, monkeypatch):
@@ -404,6 +407,14 @@ def test_each_consumer_walks_the_diagram_once(fixture_map, monkeypatch):
         system = build_equations_from_diagram(d)
         for v in d.nodes:
             assert walks(d, lambda d: leading_form_check(d, v, system)) == (1, 0)
+
+
+def test_diagram_holds_one_walk(g17):
+    # a walk holds a big integer per vertex, so only the last one is kept
+    for d in (splice_from_resolution(g17), maximal_splice(g17)):
+        for v in d.ids:
+            d.walk(v)
+            assert list(d._walks) == [v]
 
 
 def test_unknown_and_unreachable_vertices_are_library_errors(g1):
@@ -498,15 +509,15 @@ def test_leaf_knot_orders(g1, g17, g90):
 
 def test_ideal_generators_fill_one_table(monkeypatch):
     # every leaf knot order, ideal generator and ideal check of a diagram
-    # reads its one cached table
+    # reads its one cached table, filled in one pass over the directed edges
     calls = []
-    real = splice.fill_edge_table
+    real = splice.edge_order
 
-    def counted(d, step):
-        calls.append(step)
-        return real(d, step)
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
 
-    monkeypatch.setattr(splice, "fill_edge_table", counted)
+    monkeypatch.setattr(splice, "edge_order", counted)
     g = dominant_tree(random.Random(7), 60)
     d = splice_from_resolution(g)
     orders = [leaf_knot_order(g, w) for w in d.leaves]
@@ -514,7 +525,7 @@ def test_ideal_generators_fill_one_table(monkeypatch):
     assert [ideal_generator(d, e.node, e.toward) for e in report.entries] == [
         e.generator for e in report.entries
     ]
-    assert calls == [splice._ideal_step] and len(orders) == len(d.leaves)
+    assert calls == [d.tree] and len(orders) == len(d.leaves)
     with pytest.raises(TypeError):
         d.ideal_generators[next(iter(d.ideal_generators))] = 1
 
