@@ -178,13 +178,17 @@ def cmd_report(args) -> int:
 
 
 def cmd_emit_fixtures(args) -> int:
-    out = Path(args.dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, g in fixture_graphs().items():
-        doc = graph_to_document(g, metadata={"name": name})
-        (out / f"{name}.json").write_text(document_to_json(doc))
-        report = reporting.analysis_report(g, name=name)
-        (out / f"{name}_report.json").write_text(reporting.render_json(report))
+    out, graphs, files = Path(args.dir), fixture_graphs(), {}
+    for name, g in graphs.items():
+        files[f"{name}.json"] = document_to_json(graph_to_document(g, metadata={"name": name}))
+        files[f"{name}_report.json"] = reporting.render_json(reporting.analysis_report(g, name=name))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for file, text in files.items():
+            (out / file).write_text(text)
+    except OSError as exc:  # the target is a file, or not writable
+        raise ParseError(str(exc)) from exc
+    for name in graphs:
         print(f"wrote {out / (name + '.json')}")
     return 0
 

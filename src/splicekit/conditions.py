@@ -4,9 +4,12 @@ One bounded search per edge, ``search_edge``, decides the semigroup test
 (its first vector) and the congruence test (its first vector meeting the
 integer congruence table, denominators cleared by the determinant), cached
 on the graph by ``congruence_edge`` for both reports and the 3.3 fallback.
+The table holds integer rows read off the leaves' linking rows alone; the
+name-keyed ``LeafCongruence`` certificate is built for a failing edge only.
 Each search tests at most ``solution_limit()`` vectors: 10^5, or the
 SPLICEKIT_ENUM_CAP environment variable, which only this module reads.
-The test oracles keep the exact-rational route; the suite asserts agreement.
+The test oracles keep the exact-rational route and the name-keyed table
+read off a node's row; the suite asserts agreement.
 """
 
 from __future__ import annotations
@@ -30,9 +33,12 @@ _ENV_VAR = "SPLICEKIT_ENUM_CAP"
 def solution_limit(override: int | None = None) -> int:
     """Per-edge cap on enumerated exponent solutions: the override, else
     SPLICEKIT_ENUM_CAP, else ``DEFAULT_SOLUTION_LIMIT``. Raises
-    ValidationError when the variable is read and is not a positive integer."""
+    ValidationError when the override, or the variable where it is read, is
+    not a positive integer."""
     if override is not None:
-        return override
+        if override > 0:
+            return override
+        raise ValidationError(f"search limit must be a positive integer, got {override!r}")
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_SOLUTION_LIMIT
@@ -79,6 +85,8 @@ def iter_nonnegative_solutions(
     """
     if not all(x > 0 for x in values):
         raise ValueError(f"values must be positive: {list(values)}")
+    if target < 0:  # positive values make no negative sum
+        return
     k = len(values)
     if k <= 1:
         if k == 0 and target == 0:
@@ -165,7 +173,7 @@ def search_edge(
     v: str,
     toward: str,
     cap: int,
-    accept: Callable[[tuple[int, ...]], bool] | None = None,
+    accept: Callable[[tuple[int, ...]], object] | None = None,
 ) -> tuple[SemigroupEdge, AdmissibleExponents | None, int, bool]:
     """The edge's semigroup verdict (from the first vector found), the first
     admissible vector on the edge that passes `accept` (the first one at all
@@ -178,17 +186,20 @@ def search_edge(
     target = d.weights[(v, toward)]
     budget = SearchBudget(max(cap * 16, 1 << 20))
     solutions = iter_nonnegative_solutions(values, target, budget)
-    first = witness = None
+    first = found = None
     tested = 0
     for tested, alpha in enumerate(islice(solutions, cap), 1):
+        if first is None:
+            first = alpha
         if accept is None or accept(alpha):
-            witness = AdmissibleExponents(v, toward, tuple(zip(leaves, alpha)))
-        first = first or witness or AdmissibleExponents(v, toward, tuple(zip(leaves, alpha)))
-        if witness is not None:
+            found = alpha
             break
     # past the cap, one more vector means truncated, as does a spent budget
-    truncated = witness is None and (next(solutions, None) is not None or budget.exhausted)
-    semigroup = SemigroupEdge(v, toward, first is not None, first, first is None and truncated)
+    truncated = found is None and (next(solutions, None) is not None or budget.exhausted)
+    # each vector returned is wrapped once; first is None only when found is
+    witness = None if found is None else AdmissibleExponents(v, toward, tuple(zip(leaves, found)))
+    head = witness if first is found else AdmissibleExponents(v, toward, tuple(zip(leaves, first)))
+    semigroup = SemigroupEdge(v, toward, head is not None, head, head is None and truncated)
     return semigroup, witness, tested, truncated
 
 
@@ -201,21 +212,15 @@ def admissible_exponents(
     partial list is still returned. Raises UnknownEdge.
     """
     leaves, values = d.edge_leaves(v, toward)
-    target = d.weights[(v, toward)]
-    out: list[AdmissibleExponents] = []
-
-    def collect(alpha: tuple[int, ...]) -> bool:
-        out.append(AdmissibleExponents(v, toward, tuple(zip(leaves, alpha))))
-        return False  # every vector is wanted, so none ends the search
-
-    truncated = search_edge(d, v, toward, solution_limit(limit), collect)[3]
+    out: list[tuple[int, ...]] = []  # append returns None: every vector is kept, none accepted
+    truncated = search_edge(d, v, toward, solution_limit(limit), out.append)[3]
     return ExponentSolutions(
         node=v,
         toward=toward,
         leaves=leaves,
         values=values,
-        target=target,
-        solutions=tuple(out),
+        target=d.weights[(v, toward)],
+        solutions=tuple(AdmissibleExponents(v, toward, tuple(zip(leaves, a))) for a in out),
         truncated=truncated,
     )
 
@@ -296,29 +301,27 @@ class CongruenceReport:
         return SemigroupReport(edges=tuple(e.semigroup for e in self.edges))
 
 
-def _congruence_table(
-    g: ResolutionGraph, v: str, leaves: tuple[str, ...]
-) -> tuple[LeafCongruence, ...]:
-    node_row = g.linking_row(v)  # raises NotNegativeDefinite
-    idx, det, rows = g.index, g.det, [g.linking_row(w) for w in leaves]
-    out = []
-    for wp in leaves:
-        j = idx[wp]
-        coeffs = tuple((w, row[j] % det) for w, row in zip(leaves, rows))
-        out.append(
-            LeafCongruence(
-                leaf=wp, coefficients=coeffs, target=node_row[j] % det, modulus=det
-            )
-        )
-    return tuple(out)
+CongruenceTable = tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
 
 
-def _satisfies(table: tuple[LeafCongruence, ...], alpha: Sequence[int]) -> bool:
-    """Whether the exponents alpha, aligned with the leaves of the table's
-    rows, meet every congruence of the table."""
-    for row in table:
-        total = sum(c * a for (_, c), a in zip(row.coefficients, alpha))
-        if (total - row.target) % row.modulus:
+def _congruence_table(g: ResolutionGraph, v: str, leaves: tuple[str, ...]) -> CongruenceTable:
+    """(det, rows): for each leaf j of the edge, the row (L[j][v] mod det,
+    (L[w][j] mod det for each leaf w of the edge)). L is symmetric, so the
+    leaves' linking rows hold every entry and no node's row is walked."""
+    rows = [g.linking_row(w) for w in leaves]  # raises NotNegativeDefinite
+    i, det = g.index[v], g.det
+    cols = [g.index[w] for w in leaves]
+    return det, tuple(
+        (row_j[i] % det, tuple(row[j] % det for row in rows)) for row_j, j in zip(rows, cols)
+    )
+
+
+def _satisfies(table: CongruenceTable, alpha: Sequence[int]) -> bool:
+    """Whether the exponents alpha, aligned with the table's leaves, meet
+    every congruence of the table."""
+    det, rows = table
+    for target, coeffs in rows:
+        if (sum(c * a for c, a in zip(coeffs, alpha)) - target) % det:
             return False
     return True
 
@@ -349,7 +352,8 @@ def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
     if found is not None:
         return found
     d = splice_from_resolution(g)
-    table = _congruence_table(g, v, d.edge_leaves(v, toward)[0])
+    leaves = d.edge_leaves(v, toward)[0]
+    table = _congruence_table(g, v, leaves)
     semigroup, witness, tested, truncated = search_edge(
         d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
     )
@@ -364,7 +368,10 @@ def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
         witness=witness,
         tested=tested,
         truncated=truncated,
-        congruences=table if failed else (),
+        congruences=tuple(
+            LeafCongruence(w, tuple(zip(leaves, coeffs)), target, table[0])
+            for w, (target, coeffs) in zip(leaves, table[1])
+        ) if failed else (),
         solved=_solved_congruences(g, d, v, toward) if end_edge else (),
     )
     return found

@@ -112,7 +112,9 @@ def parse_document(text: str) -> GraphDocument:
 
 
 def load_document(path: str | Path) -> GraphDocument:
-    return parse_document(Path(path).read_text())
+    """The document in a UTF-8 file, whatever the locale, a leading BOM
+    skipped. Raises OSError, UnicodeDecodeError and ParseError."""
+    return parse_document(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def document_to_graph(doc: GraphDocument) -> ResolutionGraph:

@@ -212,8 +212,8 @@ class ResolutionGraph:
     def linking_rows(self) -> tuple[tuple[int, ...], ...]:
         """Linking numbers of the maximal splice diagram: ``linking_row`` of
         every vertex, in vertex order. Callers that need a few rows (the
-        group section needs the leaves', the congruence table the leaves'
-        and a node's) ask ``linking_row`` for those alone. Raises
+        group section and the congruence table need the leaves' alone) ask
+        ``linking_row`` for those alone. Raises
         NotNegativeDefinite, where some weight may be zero.
         """
         return tuple(self.linking_row(v) for v in self.ids)

@@ -47,6 +47,9 @@ A branch where the greedy monomial cycle fails is decided by the congruence
 search of one diagram edge; ``search_monomial_cycle`` tests the cycle of
 each vector on every curve. Congruences are checked on integers mod det;
 ``congruence_equalities_rational`` compares the characters as fractions.
+The congruence table is read off the leaves' linking rows alone, as integer
+rows; ``congruence_table_by_name`` reads its targets off the node's row and
+keeps every row as a name-keyed ``LeafCongruence``.
 """
 
 from fractions import Fraction
@@ -55,6 +58,7 @@ from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from splicekit.conditions import (
+    LeafCongruence,
     SearchBudget,
     check_congruence,
     iter_nonnegative_solutions,
@@ -763,7 +767,7 @@ def iter_nonnegative_solutions_recursive(
             if budget is not None and budget.exhausted:
                 return
 
-    if target % suffix[0] == 0:
+    if target >= 0 and target % suffix[0] == 0:
         yield from rec(0, target, ())
 
 
@@ -827,3 +831,30 @@ def congruence_equalities_rational(
         rhs = qmod1(-pm[idx[v]][idx[wp]])
         out[wp] = (lhs, rhs)
     return out
+
+
+def congruence_table_by_name(
+    g: ResolutionGraph, v: str, leaves: tuple[str, ...]
+) -> tuple[LeafCongruence, ...]:
+    """The per-leaf congruence table of the edge from v, as name-keyed
+    ``LeafCongruence`` rows whose targets are read off the node's own
+    linking row."""
+    node_row = g.linking_row(v)
+    idx, det, rows = g.index, g.det, [g.linking_row(w) for w in leaves]
+    out = []
+    for wp in leaves:
+        j = idx[wp]
+        coeffs = tuple((w, row[j] % det) for w, row in zip(leaves, rows))
+        out.append(
+            LeafCongruence(leaf=wp, coefficients=coeffs, target=node_row[j] % det, modulus=det)
+        )
+    return tuple(out)
+
+
+def satisfies_by_name(table: tuple[LeafCongruence, ...], alpha: Sequence[int]) -> bool:
+    """Whether alpha, aligned with the leaves of the rows, meets every row."""
+    for row in table:
+        total = sum(c * a for (_, c), a in zip(row.coefficients, alpha))
+        if (total - row.target) % row.modulus:
+            return False
+    return True

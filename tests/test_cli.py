@@ -8,6 +8,7 @@ import pytest
 
 from splicekit import conditions, corpus, discriminant, fixtures, graph, reporting, splice
 from splicekit.cli import build_parser, main
+from splicekit.corpus import with_determinant_cap
 from splicekit.document import (
     document_to_graph,
     document_to_json,
@@ -221,6 +222,66 @@ def test_cli_disconnected_graph_with_tree_edge_count(tmp_path, first, capsys):
         assert capsys.readouterr().err == "input error: graph is not a tree\n"
     with pytest.raises(ValidationError, match="not a tree"):
         graph.is_negative_definite(g)
+
+
+def test_graph_files_are_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale a vertex named in UTF-8 is read, and a UTF-8
+    # JSON file that starts with a byte-order mark is JSON
+    import os
+    import subprocess
+
+    named = tmp_path / "named.txt"
+    named.write_bytes("v \u00e9 -2\nv b -2\ne \u00e9 b\n".encode())
+    marked = tmp_path / "marked.json"
+    text = '{"version": 1, "vertices": [{"id": "a", "weight": -2}], "edges": []}'
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for path, summary in ((named, "ok: 2 vertices, 1 edges"), (marked, "ok: 1 vertices, 0 edges")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "splicekit.cli", "validate", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, summary + "\n", "")
+
+
+def test_emit_fixtures_into_a_file_is_input_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(["emit-fixtures", "--dir", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_walks_no_linking_row_but_the_leaves(monkeypatch, tmp_path, capsys, corpus):
+    # every command, text and --json, runs with linking_row refused on any
+    # vertex but a leaf
+    real = graph.ResolutionGraph.linking_row
+
+    def leaves_only(g, v):
+        if v not in graph.leaves_of(g):
+            raise AssertionError(f"linking row of the non-leaf {v}")
+        return real(g, v)
+
+    monkeypatch.setattr(graph.ResolutionGraph, "linking_row", leaves_only)
+    monkeypatch.chdir(tmp_path)
+    commands = (
+        ["validate"], ["det"], ["group"], ["splice"], ["maximal"], ["report"],
+        *(["check", name] for name in (*reporting.SECTIONS, "all")),
+        ["equations"], ["equations", "--equivariant"],
+    )
+    codes = []
+    for i, g in enumerate(with_determinant_cap(corpus, 10**4)):
+        path = write_graph(tmp_path, g, name=f"g{i}.json")
+        calls = [[*cmd, path] for cmd in commands]
+        for v in splice.splice_from_resolution(g).nodes:
+            calls += [["reduce", path, "--end-node", v], ["reduce", path, "--end-node", v, "--raw"]]
+        codes += [main(argv) for call in calls for argv in (call, [*call, "--json"])]
+    assert main(["emit-fixtures", "--dir", "emitted"]) == 0
+    capsys.readouterr()
+    assert set(codes) == {0, 1}
 
 
 def test_cli_invalid_env_cap_is_input_error(tmp_path, g90, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splicekit import conditions, fixtures
@@ -18,15 +18,18 @@ from splicekit.conditions import (
     two_node_criterion,
 )
 from splicekit.corpus import dominant_tree, with_determinant_cap
-from splicekit.errors import NotEndNodeEdge, NotTwoNode
+from splicekit.errors import NotEndNodeEdge, NotTwoNode, ValidationError
 from splicekit.graph import blow_up_edge, graph_determinant
 from splicekit.splice import linking_numbers, splice_from_resolution
 
 from oracles import (
     congruence_equalities_rational,
+    congruence_table_by_name,
     full_group_character_oracle,
     iter_nonnegative_solutions_recursive,
+    satisfies_by_name,
 )
+from test_discriminant import definite_trees
 
 
 def test_knapsack_order():
@@ -42,9 +45,12 @@ def test_knapsack_order():
     st.one_of(st.none(), st.integers(0, 60)),
     st.one_of(st.none(), st.integers(0, 4)),
 )
+@example([3], -3, None, None)
+@example([3], -3, 5, None)
 def test_solutions_match_recursion(values, target, nodes, take):
     # same vectors in the same order, and the same spends, under budgets
-    # that run out and when the consumer stops early
+    # that run out and when the consumer stops early; a negative target has
+    # no vector
     budgets = [None if nodes is None else SearchBudget(nodes) for _ in range(2)]
     runs = [
         list(itertools.islice(route(values, target, budget), take))
@@ -53,6 +59,7 @@ def test_solutions_match_recursion(values, target, nodes, take):
         )
     ]
     assert runs[0] == runs[1]
+    assert all(a >= 0 for alpha in runs[0] for a in alpha)
     if nodes is not None:
         states = [(b.remaining, b.exhausted) for b in budgets]
         assert states[0] == states[1]
@@ -77,6 +84,15 @@ def test_admissible_g90(g90):
         (0, 1), (1, 0),
     ]
     assert not sols.truncated
+
+
+@pytest.mark.parametrize("limit", [-1, 0])
+def test_search_limit_must_be_positive(g90, limit):
+    d = splice_from_resolution(g90)
+    with pytest.raises(ValidationError, match="search limit must be a positive integer"):
+        admissible_exponents(d, "nL", "nR", limit=limit)
+    with pytest.raises(ValidationError):
+        conditions.solution_limit(limit)
 
 
 def test_admissible_leaf_edge(g1):
@@ -124,6 +140,9 @@ def test_congruence_g90_obstruction(g90):
     edge = failures[0]
     assert (edge.node, edge.toward) == ("nL", "nR")
     assert edge.semigroup.ok
+    # the certificate is the name-keyed table read off the node's row
+    leaves = splice_from_resolution(g90).edge_leaves("nL", "nR")[0]
+    assert edge.congruences == congruence_table_by_name(g90, "nL", leaves)
     solved = {s.leaf: (s.residue, s.modulus) for s in edge.solved}
     assert solved == {"u": (2, 3), "v": (2, 3)}
     # incompatible with the admissibility equation a + b = 1
@@ -197,6 +216,59 @@ def test_rational_and_integer_paths_agree(g17, g90):
 
                 table = _congruence_table(g, edge.node, d.edge_leaves(edge.node, edge.toward)[0])
                 assert _satisfies(table, [a for _, a in adm.exponents]) == ok_rational
+
+
+def _assert_table_matches_oracle(g):
+    # the integer table, with det carried once, holds the name-keyed rows of
+    # the oracle, and both tests agree on the first vectors of each node edge
+    # and on a few more
+    d = splice_from_resolution(g)
+    for v in d.nodes:
+        for u in d.adjacency[v]:
+            leaves, values = d.edge_leaves(v, u)
+            table = conditions._congruence_table(g, v, leaves)
+            oracle = congruence_table_by_name(g, v, leaves)
+            det, rows = table
+            assert [
+                conditions.LeafCongruence(w, tuple(zip(leaves, coeffs)), target, det)
+                for w, (target, coeffs) in zip(leaves, rows)
+            ] == list(oracle)
+            solutions = iter_nonnegative_solutions(values, d.weights[(v, u)], SearchBudget(10**4))
+            vectors = [*itertools.islice(solutions, 20)]
+            vectors += [tuple(range(i, i + len(leaves))) for i in range(3)]
+            for alpha in vectors:
+                assert conditions._satisfies(table, alpha) == satisfies_by_name(oracle, alpha)
+
+
+def test_integer_table_matches_name_keyed_oracle(corpus):
+    for g in corpus:
+        _assert_table_matches_oracle(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(definite_trees())
+def test_integer_table_matches_name_keyed_oracle_on_random_trees(g):
+    _assert_table_matches_oracle(g)
+
+
+def test_certificates_are_built_for_failing_edges_only(monkeypatch, corpus):
+    # only a failing edge prints its certificate, so only it builds one; a
+    # budget of 3000 nodes lets the whole corpus run
+    built = []
+    real, budget = conditions.LeafCongruence, SearchBudget
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "LeafCongruence", counted)
+    monkeypatch.setattr(conditions, "SearchBudget", lambda _: budget(3000))
+    expected = 0
+    for g in map(replace, corpus):
+        report = check_congruence(g)
+        assert all(not e.congruences for e in report.edges if e.ok)
+        expected += sum(len(e.congruences) for e in report.failures)
+    assert expected and len(built) == expected
 
 
 def test_congruence_invariant_under_blow_up(g90, g17):

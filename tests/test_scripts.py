@@ -40,6 +40,8 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
             "cli_digest.py", ("--trees", "2", "--two-node", "1"),
             "358 commands, digest 1863a48ad9dc7e2f",
         ),
+        # the whole default corpus: all 155 graphs and the indefinite trees
+        ("cli_digest.py", (), "4338 commands, digest 0c335b0e36c8f26e"),
     ],
 )
 def test_sweep_script_runs(script, args, summary):
