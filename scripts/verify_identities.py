@@ -47,9 +47,8 @@ from splicekit import (
 )
 from splicekit.corpus import dominant_trees
 from splicekit.fixtures import fixture_graphs
-from splicekit.cycles import cycle_pairing, fundamental_cycle
+from splicekit.cycles import fundamental_cycle
 from splicekit.graph import component_of, induced_subgraph
-from splicekit.linalg import matmul
 from splicekit.splice import is_end_node
 
 
@@ -62,7 +61,8 @@ def _meets_in_zero(part, x: str, c: int) -> bool:
     coeff = {j: -(-c * a // det) for j, a in zip(part.ids, column)}
 
     def meet(j: str) -> int:
-        return cycle_pairing(part, coeff, j) + (c if j == x else 0)
+        pairing = coeff[j] * part.weight_of(j) + sum(coeff[u] for u in part.adjacency[j])
+        return pairing + (c if j == x else 0)
 
     pending = list(part.ids)
     while pending:
@@ -88,7 +88,7 @@ def main() -> int:
         det = graph_determinant(g)
         a = intersection_matrix(g)
         lmat = linking_matrix(g)
-        product = matmul(a, lmat)
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*lmat)] for row in a]
         n = len(a)
         assert all(
             product[i][j] == (-det if i == j else 0)

@@ -8,19 +8,23 @@ removed. The empty string is 1/0 and the single (-1)-vertex string is 1/1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .errors import NonReducedFraction
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Frozen):
+    """The fraction n/p of a string, n >= 1 and p >= 0 coprime; checked on
+    construction, which every route to an instance goes through."""
+
+    __slots__ = _fields = _compared = ("numerator", "denominator")
     numerator: int
     denominator: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self._init(numerator=numerator, denominator=denominator)
         if self.numerator < 1:
             raise ValueError(f"numerator must be positive, got {self.numerator}")
         if self.denominator < 0:

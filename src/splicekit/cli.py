@@ -44,11 +44,20 @@ def _load_graph(path: str) -> ResolutionGraph:
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+    """Write the payload as JSON, which is ASCII, or the text lines as UTF-8
+    whatever the locale, as graph files are read: to the byte stream under
+    sys.stdout, or as str to a stream without one, such as io.StringIO."""
+    out = sys.stdout
     if as_json:
-        sys.stdout.write(reporting.render_json(payload))
+        out.write(reporting.render_json(payload))
+        return
+    text = "".join(f"{line}\n" for line in lines)
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
     else:
-        for line in lines:
-            print(line)
+        out.flush()
+        binary.write(text.encode())
 
 
 def cmd_validate(args) -> int:

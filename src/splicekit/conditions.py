@@ -15,10 +15,9 @@ read off a node's row; the suite asserts agreement.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cfrac import continued_fraction_of_string
 from .errors import NotEndNodeEdge, NotTwoNode, ValidationError
@@ -131,8 +130,7 @@ def iter_nonnegative_solutions(
         counts[i], rests[i] = 0, rest
 
 
-@dataclass(frozen=True)
-class AdmissibleExponents:
+class AdmissibleExponents(NamedTuple):
     """Exponent vector witnessing that an edge weight lies in the semigroup
     spanned by the reduced linking numbers toward that edge."""
 
@@ -148,8 +146,7 @@ class AdmissibleExponents:
         return tuple(w for w, a in self.exponents if a)
 
 
-@dataclass(frozen=True)
-class ExponentSolutions:
+class ExponentSolutions(NamedTuple):
     node: str
     toward: str
     leaves: tuple[str, ...]
@@ -159,8 +156,7 @@ class ExponentSolutions:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class SemigroupEdge:
+class SemigroupEdge(NamedTuple):
     node: str
     toward: str
     ok: bool
@@ -225,8 +221,7 @@ def admissible_exponents(
     )
 
 
-@dataclass(frozen=True)
-class SemigroupReport:
+class SemigroupReport(NamedTuple):
     edges: tuple[SemigroupEdge, ...]
 
     @property
@@ -251,8 +246,7 @@ def check_semigroup(d: SpliceDiagram) -> SemigroupReport:
     ))
 
 
-@dataclass(frozen=True)
-class LeafCongruence:
+class LeafCongruence(NamedTuple):
     """One per-leaf integer congruence sum(coeff_w * a_w) = target (mod m)."""
 
     leaf: str
@@ -261,8 +255,7 @@ class LeafCongruence:
     modulus: int
 
 
-@dataclass(frozen=True)
-class SolvedCongruence:
+class SolvedCongruence(NamedTuple):
     """Single-variable form a = residue (mod modulus) at an end-node edge."""
 
     leaf: str
@@ -270,8 +263,7 @@ class SolvedCongruence:
     modulus: int
 
 
-@dataclass(frozen=True)
-class CongruenceEdge:
+class CongruenceEdge(NamedTuple):
     node: str
     toward: str
     semigroup: SemigroupEdge
@@ -283,8 +275,7 @@ class CongruenceEdge:
     solved: tuple[SolvedCongruence, ...]
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     determinant: int
     edges: tuple[CongruenceEdge, ...]
 

@@ -13,10 +13,9 @@ breadth-first sweep per node over int arrays (``_sweep``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, prod
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .conditions import congruence_edge
 from .errors import NotABranch, UnknownVertex
@@ -32,8 +31,7 @@ from .graph import (
 from .splice import splice_from_resolution
 
 
-@dataclass(frozen=True)
-class QCycle:
+class QCycle(NamedTuple):
     """Rational linear combination of exceptional curves, stored sparsely."""
 
     coefficients: Mapping[str, Fraction]
@@ -55,12 +53,6 @@ class QCycle:
         if not self.is_integral():
             raise ValueError("cycle is not integral")
         return {v: int(c) for v, c in self.coefficients.items() if c}
-
-
-def cycle_pairing(g: ResolutionGraph, cycle: QCycle | Mapping[str, Fraction], v: str) -> Fraction:
-    """Intersection number of the cycle with the curve at v."""
-    coeff = cycle.coefficients if isinstance(cycle, QCycle) else cycle
-    return Fraction(coeff.get(v, 0) * g.weight_of(v) + sum(coeff.get(u, 0) for u in g.adjacency[v]))
 
 
 def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
@@ -184,8 +176,7 @@ def moduli_table(g: ResolutionGraph) -> dict[tuple[int, int], int]:
     return moduli
 
 
-@dataclass(frozen=True)
-class BranchCheck:
+class BranchCheck(NamedTuple):
     vertex: str
     attach: str
     value: int
@@ -195,8 +186,7 @@ class BranchCheck:
         return self.value == 1
 
 
-@dataclass(frozen=True)
-class Condition34Report:
+class Condition34Report(NamedTuple):
     checks: tuple[BranchCheck, ...]
 
     @property
@@ -257,8 +247,7 @@ def check_condition_3_4(g: ResolutionGraph) -> Condition34Report:
     ))
 
 
-@dataclass(frozen=True)
-class MonomialCycleResult:
+class MonomialCycleResult(NamedTuple):
     ok: bool
     node: str
     attach: str
@@ -394,11 +383,10 @@ def construct_monomial_cycle(
         return found[x]
     extra, index = extra or [0] * len(base), g.index
     w = QCycle({u: Fraction(base[index[u]] + extra[index[u]]) for u in branch})
-    return replace(found[x], cycle=cycle_add(dual_cycle(g, v), w))
+    return found[x]._replace(cycle=cycle_add(dual_cycle(g, v), w))
 
 
-@dataclass(frozen=True)
-class BranchDecision:
+class BranchDecision(NamedTuple):
     node: str
     attach: str
     ok: bool
@@ -407,8 +395,7 @@ class BranchDecision:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class Condition33Report:
+class Condition33Report(NamedTuple):
     decisions: tuple[BranchDecision, ...]
 
     @property

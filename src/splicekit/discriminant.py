@@ -13,10 +13,9 @@ per call, at ``DEFAULT_GROUP_CAP`` by default) serves only test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .graph import ResolutionGraph, graph_determinant, leaves_of
@@ -38,8 +37,7 @@ def pairing_matrix(g: ResolutionGraph) -> list[list[Fraction]]:
     return [[Fraction(-x, g.det) for x in row] for row in rows]
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """Finite abelian group presented by its leaf generators in (Q/Z)^t."""
 
     leaves: tuple[str, ...]
@@ -116,8 +114,7 @@ def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
     return DiscriminantGroup(leaves=leaves, order=det, generators=gens)
 
 
-@dataclass(frozen=True)
-class GroupCheck:
+class GroupCheck(NamedTuple):
     """The three checks on the span of the leaf generators in (Q/Z)^t.
     ``enumerated_order`` is the order of that span, read off the Smith
     diagonal of the scaled leaf block: prod(d / gcd(s_i, d)), d = det."""
@@ -128,7 +125,7 @@ class GroupCheck:
     drop_one_ok: bool
     no_pseudo_reflections: bool
     # invariant factors > 1 of the span, ascending (each divides the next)
-    invariant_factors: tuple[int, ...] = field(default=(), compare=False)
+    invariant_factors: tuple[int, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -14,17 +14,15 @@ A compact text front-end is also accepted: lines of the form
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import ParseError
 from .graph import ResolutionGraph, validate_graph
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     version: int
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]

@@ -9,10 +9,9 @@ invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .conditions import AdmissibleExponents, SemigroupReport, check_congruence, check_semigroup
 from .discriminant import DiscriminantGroup, leaf_character, leaf_generators
@@ -29,8 +28,7 @@ from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
 Coefficient = int | Fraction
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Product of leaf variables with non-negative exponents."""
 
     exponents: tuple[tuple[str, int], ...]
@@ -67,21 +65,19 @@ def v_weight(d: SpliceDiagram, v: str, monomial: Monomial | Mapping[str, int]) -
 HigherTerm = tuple[Coefficient, Monomial]
 
 
-@dataclass(frozen=True)
-class NodeBlock:
+class NodeBlock(NamedTuple):
     node: str
     edges: tuple[str, ...]
     monomials: tuple[Monomial, ...]
     coefficients: tuple[tuple[Coefficient, ...], ...]
-    higher_terms: tuple[tuple[HigherTerm, ...], ...] = field(default=())
+    higher_terms: tuple[tuple[HigherTerm, ...], ...] = ()
 
     @property
     def equation_count(self) -> int:
         return len(self.coefficients)
 
 
-@dataclass(frozen=True)
-class SpliceEquationSystem:
+class SpliceEquationSystem(NamedTuple):
     variables: tuple[str, ...]
     blocks: tuple[NodeBlock, ...]
     equivariant: bool = False
@@ -253,13 +249,12 @@ def normalize_coefficients(system: SpliceEquationSystem) -> SpliceEquationSystem
                         f"node {block.node}: rows {i} and {j} are proportional"
                     )
         new_blocks.append(
-            replace(block, coefficients=tuple(tuple(row) for row in rows))
+            block._replace(coefficients=tuple(tuple(row) for row in rows))
         )
-    return replace(system, blocks=tuple(new_blocks))
+    return system._replace(blocks=tuple(new_blocks))
 
 
-@dataclass(frozen=True)
-class LeadingFormEntry:
+class LeadingFormEntry(NamedTuple):
     node: str
     expected_weight: int
     away_edges: tuple[str, ...]
@@ -276,8 +271,7 @@ class LeadingFormEntry:
         return True
 
 
-@dataclass(frozen=True)
-class LeadingFormReport:
+class LeadingFormReport(NamedTuple):
     node: str
     entries: tuple[LeadingFormEntry, ...]
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .conditions import CongruenceEdge
@@ -68,8 +68,7 @@ def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
     return {v: tuple(map(ids.__getitem__, ns)) for v, ns in zip(ids, g.tree.nbrs)}
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(Frozen):
     """A tree whose vertices carry self-intersection weights.
 
     Vertex order is the insertion order of the input and fixes the row
@@ -86,11 +85,19 @@ class ResolutionGraph:
     on first use, and cached.
     """
 
+    __slots__ = ("ids", "weights", "edges", "__dict__")
+    _fields = _compared = ("ids", "weights", "edges")
     ids: tuple[str, ...]
     weights: tuple[int, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        weights: tuple[int, ...],
+        edges: tuple[tuple[str, str], ...],
+    ) -> None:
+        self._init(ids=ids, weights=weights, edges=edges)
         if len(self.ids) != len(self.weights):
             raise ValidationError("ids and weights differ in length")
         if len(self.index) != len(self.ids):
@@ -345,10 +352,6 @@ def intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
         m[i][j] = 1
         m[j][i] = 1
     return m
-
-
-def negated_intersection_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
-    return [[-x for x in row] for row in intersection_matrix(g)]
 
 
 def edge_order(tree: IntTree) -> list[tuple[int, int]]:

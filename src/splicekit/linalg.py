@@ -14,31 +14,15 @@ that table against these two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 IntMatrix = list[list[int]]
 
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            x = row[t]
-            if x:
-                brow = b[t]
-                for j in range(m):
-                    acc[j] += x * brow[j]
-    return out
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -89,8 +73,7 @@ def invert_rational(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U * M * V = diag(d1..dk), k = min(rows, cols), with U and V
     unimodular and d_i >= 0. Over the integers d1 | d2 | ... (zeros last).
     Taken modulo N, every entry is reduced below N, U and V are invertible

@@ -10,7 +10,6 @@ passes of its subtree determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from types import MappingProxyType
@@ -26,6 +25,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
+from .frozen import Frozen
 from .graph import (
     DirectedEdge,
     ResolutionGraph,
@@ -54,24 +54,33 @@ class Walk(NamedTuple):
     leaves: Mapping[str, tuple[tuple[str, ...], tuple[int, ...]]]  # edge_leaves by toward
 
 
-@dataclass(frozen=True)
-class SpliceDiagram:
+class SpliceDiagram(Frozen):
     """Weighted tree; ``weights[(v, u)]`` is the weight at v on edge {v, u}.
 
     In a reduced diagram only nodes carry weights; leaf ends are bare.
     ``strings`` optionally maps each directed edge back to the interior
     vertices of the resolution string it came from (ordered from the
-    first endpoint). The last walk from a vertex is cached (``walk``); the
-    paths, linking numbers, edge equations and end-node reduction read it,
-    each from one vertex at a time.
+    first endpoint); equality and hash leave it out. The last walk from a
+    vertex is cached (``walk``); the paths, linking numbers, edge equations
+    and end-node reduction read it, each from one vertex at a time.
     """
 
+    __slots__ = ("ids", "edges", "weights", "strings", "__dict__")
+    _fields = ("ids", "edges", "weights", "strings")
+    _compared = ("ids", "edges", "weights")
     ids: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     weights: Mapping[DirectedEdge, int]
-    strings: Mapping[DirectedEdge, tuple[str, ...]] | None = field(
-        default=None, compare=False
-    )
+    strings: Mapping[DirectedEdge, tuple[str, ...]] | None
+
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        edges: tuple[tuple[str, str], ...],
+        weights: Mapping[DirectedEdge, int],
+        strings: Mapping[DirectedEdge, tuple[str, ...]] | None = None,
+    ) -> None:
+        self._init(ids=ids, edges=edges, weights=weights, strings=strings)
 
     index = cached_property(vertex_index)
     tree = cached_property(int_tree)
@@ -186,9 +195,10 @@ class SpliceDiagram:
         return tuple(self.ids[k] for k in reversed(path))
 
 
-@dataclass(frozen=True)
 class MaximalSpliceDiagram(SpliceDiagram):
     """Splice diagram on all resolution vertices, weighted at both ends."""
+
+    __slots__ = ()
 
 
 def tree_determinant(g: ResolutionGraph) -> int:
@@ -302,8 +312,7 @@ def edge_determinant(d: SpliceDiagram, edge: tuple[str, str]) -> int:
     return wv * ww - adjacent
 
 
-@dataclass(frozen=True)
-class EdgeDetEntry:
+class EdgeDetEntry(NamedTuple):
     edge: tuple[str, str]
     edge_det: int
     string_det: int
@@ -314,8 +323,7 @@ class EdgeDetEntry:
         return self.edge_det == self.string_det * self.graph_det
 
 
-@dataclass(frozen=True)
-class EdgeDetReport:
+class EdgeDetReport(NamedTuple):
     entries: tuple[EdgeDetEntry, ...]
 
     @property
@@ -359,8 +367,7 @@ def ideal_generator(d: SpliceDiagram, v: str, toward: str) -> int:
     return d.ideal_generators[(toward, v)]
 
 
-@dataclass(frozen=True)
-class IdealEntry:
+class IdealEntry(NamedTuple):
     node: str
     toward: str
     generator: int
@@ -371,8 +378,7 @@ class IdealEntry:
         return self.weight % self.generator == 0
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(NamedTuple):
     entries: tuple[IdealEntry, ...]
 
     @property
@@ -419,16 +425,14 @@ def leaf_knot_order(g: ResolutionGraph, leaf: str) -> int:
 # --- end-node reduction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonIntegralWeight:
+class NonIntegralWeight(NamedTuple):
     at: str
     toward: str
     raw: int
     divisor: int
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     diagram: SpliceDiagram | None
     new_leaf: str | None
     problems: tuple[NonIntegralWeight, ...]

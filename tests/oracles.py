@@ -50,6 +50,8 @@ each vector on every curve. Congruences are checked on integers mod det;
 The congruence table is read off the leaves' linking rows alone, as integer
 rows; ``congruence_table_by_name`` reads its targets off the node's row and
 keeps every row as a name-keyed ``LeafCongruence``.
+``matmul``, ``negated_intersection_matrix`` and ``cycle_pairing`` (a cycle
+met with a curve, as a Fraction) serve the tests alone.
 """
 
 from fractions import Fraction
@@ -68,7 +70,6 @@ from splicekit.cycles import (
     QCycle,
     _branch_of,
     cycle_add,
-    cycle_pairing,
     dual_cycle,
     fundamental_cycle,
 )
@@ -87,20 +88,46 @@ from splicekit.graph import (
     component_of,
     edge_order,
     graph_determinant,
+    intersection_matrix,
     leaves_of,
-    negated_intersection_matrix,
     nodes_of,
     require_negative_definite,
     subtree_determinants,
     walk_tree,
 )
 from splicekit.linalg import (
+    IntMatrix,
     SmithDecomposition,
     determinant,
     identity_matrix,
     smith_normal_form,
 )
 from splicekit.splice import SpliceDiagram, linking_matrix, splice_from_resolution
+
+
+def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        row = a[i]
+        acc = out[i]
+        for t in range(k):
+            x = row[t]
+            if x:
+                brow = b[t]
+                for j in range(m):
+                    acc[j] += x * brow[j]
+    return out
+
+
+def negated_intersection_matrix(g: ResolutionGraph) -> IntMatrix:
+    return [[-x for x in row] for row in intersection_matrix(g)]
+
+
+def cycle_pairing(g: ResolutionGraph, cycle: QCycle | Mapping[str, Fraction], v: str) -> Fraction:
+    """Intersection number of the cycle with the curve at v."""
+    coeff = cycle.coefficients if isinstance(cycle, QCycle) else cycle
+    return Fraction(coeff.get(v, 0) * g.weight_of(v) + sum(coeff.get(u, 0) for u in g.adjacency[v]))
 
 
 def component_by_search(g: ResolutionGraph, removed: str, start: str) -> tuple[str, ...]:

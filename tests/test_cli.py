@@ -246,6 +246,27 @@ def test_graph_files_are_utf8_whatever_the_locale(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, summary + "\n", "")
 
 
+def test_text_output_is_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale the text of `splice` and `group` names a vertex
+    # written in UTF-8, in the bytes a UTF-8 locale writes
+    import os
+    import subprocess
+
+    named = tmp_path / "named.txt"
+    named.write_bytes("v n -2\nv \u00e9 -2\nv b -2\nv c -2\ne n \u00e9\ne n b\ne n c\n".encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    ascii_env = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    for command in ("splice", "group"):
+        argv = [sys.executable, "-m", "splicekit.cli", command, str(named)]
+        ascii_run = subprocess.run(argv, capture_output=True, env=ascii_env)
+        utf8_run = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONUTF8="1"))
+        assert (ascii_run.returncode, ascii_run.stderr) == (0, b""), command
+        assert "\u00e9" in ascii_run.stdout.decode("utf-8"), command
+        assert ascii_run.stdout == utf8_run.stdout, command
+
+
 def test_emit_fixtures_into_a_file_is_input_error(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("")

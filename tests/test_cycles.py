@@ -1,6 +1,6 @@
+import copy
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +17,6 @@ from splicekit.cycles import (
     check_condition_3_3,
     check_condition_3_4,
     construct_monomial_cycle,
-    cycle_pairing,
     dual_cycle,
     dual_cycles,
     excess_entry,
@@ -36,6 +35,7 @@ from oracles import (
     bfs_tree,
     branch_cycle_table,
     construct_monomial_cycle_rational,
+    cycle_pairing,
     fundamental_cycle_rescan,
     greedy_monomial,
     search_monomial_cycle,
@@ -143,7 +143,7 @@ def _assert_branch_table(g):
 def test_branch_table_matches_fundamental_cycles(corpus):
     # every directed edge: the component's own computation sequence, from
     # all ones, and the rescanning oracle agree with the table entry
-    for g in map(replace, corpus):
+    for g in map(copy.copy, corpus):
         _assert_branch_table(g)
 
 
@@ -264,7 +264,7 @@ def test_reduced_route_matches_table_oracle(corpus):
         "v2", "constructive", (("v1", 1), ("v5", 0)),
     )
     seen = [0, 0]  # branches that are not reduced, reduced
-    for g in [*map(replace, corpus), fork, chain]:
+    for g in [*map(copy.copy, corpus), fork, chain]:
         _assert_reduced_route(g, seen)
     assert all(seen)
     refused = []
@@ -295,7 +295,7 @@ def test_reduced_graphs_compute_no_branch_cycle(fixture_map):
         g for g in small if all(w + len(ns) <= 0 for w, ns in zip(g.weights, g.tree.nbrs))
     ]
     assert len(reduced) == 28
-    for g in map(replace, [*fixture_map.values(), *small]):
+    for g in map(copy.copy, [*fixture_map.values(), *small]):
         check_condition_3_3(g)
         check_condition_3_4(g)
         every = all(_is_reduced(g, v, u) for v in g.ids if g.degree(v) > 1 for u in g.adjacency[v])
@@ -449,7 +449,7 @@ def test_condition_3_3_search_matches_cycle_oracle(monkeypatch, corpus):
     cap = conditions.solution_limit()
     seeded = [dominant_tree(random.Random(s), n) for n in (25, 40) for s in range(6)]
     fallbacks = truncated = 0
-    for g in [*map(replace, corpus), *seeded]:
+    for g in [*map(copy.copy, corpus), *seeded]:
         d = splice_from_resolution(g)
         decisions = {(b.node, b.attach): b for b in check_condition_3_3(g).decisions}
         for v in nodes_of(g):

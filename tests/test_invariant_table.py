@@ -20,7 +20,6 @@ from splicekit.graph import (
     graph_determinant,
     intersection_matrix,
     is_negative_definite,
-    negated_intersection_matrix,
     subtree_determinants,
     validate_graph,
 )
@@ -31,6 +30,7 @@ from splicekit.splice import linking_matrix, tree_determinant
 from oracles import (
     invariant_factors_full,
     is_negative_definite_matrix,
+    negated_intersection_matrix,
     subtree_determinants_direct,
 )
 

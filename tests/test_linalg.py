@@ -3,18 +3,16 @@ from math import gcd, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splicekit.graph import negated_intersection_matrix
 from splicekit.linalg import (
     determinant,
     identity_matrix,
     invert_rational,
-    matmul,
     smith_diagonal,
     smith_normal_form,
 )
 from splicekit.splice import tree_determinant
 
-from oracles import leading_principal_minors
+from oracles import leading_principal_minors, matmul, negated_intersection_matrix
 
 
 def test_snf_single_negative_entry():

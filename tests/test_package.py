@@ -1,18 +1,28 @@
 """The package's public surface."""
 
 import ast
+import copy
 import importlib
 import importlib.util
+import os
+import pickle
+import pkgutil
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import splicekit
+from splicekit.cfrac import ContinuedFraction
 from splicekit.cycles import branches
 from splicekit.discriminant import leaf_generators
-from splicekit.graph import nodes_of
-from splicekit.splice import splice_from_resolution
+from splicekit.errors import NonReducedFraction
+from splicekit.graph import ResolutionGraph, nodes_of
+from splicekit.splice import MaximalSpliceDiagram, SpliceDiagram, maximal_splice, splice_from_resolution
 
 
 def test_all_names_symbols_not_modules():
@@ -79,9 +89,6 @@ def test_trace_observers_read_real_results(g17):
 # Unreferenced in src/, in __all__ and under perfbench/ at the time this
 # guard was added: the backlog of moving oracle-only code into the tests.
 UNCALLED_BACKLOG = {
-    "linalg.matmul",
-    "cycles.cycle_pairing",
-    "graph.negated_intersection_matrix",
     "cycles.QCycle.is_effective",
     "cycles.QCycle.as_int_dict",
     "discriminant.DiscriminantGroup.element_order",
@@ -128,3 +135,97 @@ def test_every_function_has_a_caller():
     }
     assert len(defs) > 150
     assert uncalled == UNCALLED_BACKLOG
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each costs milliseconds of every one-shot command's start-up
+    src = Path(splicekit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for module in ("splicekit", "splicekit.cli"):
+        code = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", ""), module
+
+
+def _record_classes() -> list[type]:
+    # the NamedTuple records and the Frozen classes of every module
+    found = set()
+    for info in pkgutil.iter_modules(splicekit.__path__):
+        module = importlib.import_module(f"splicekit.{info.name}")
+        found.update(
+            cls for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and getattr(cls, "_fields", ())
+        )
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+def _sample_fields(cls: type, g) -> tuple:
+    d, m = splice_from_resolution(g), maximal_splice(g)
+    return {
+        ContinuedFraction: (7, 3),
+        ResolutionGraph: (g.ids, g.weights, g.edges),
+        SpliceDiagram: (d.ids, d.edges, d.weights, d.strings),
+        MaximalSpliceDiagram: (m.ids, m.edges, m.weights, None),
+    }.get(cls, tuple(range(len(cls._fields))))
+
+
+@pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__qualname__)
+def test_records_are_immutable_values(cls, g17):
+    values = _sample_fields(cls, g17)
+    a, b = cls(*values), cls(**dict(zip(cls._fields, values)))
+    for name in (*cls._fields, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+    assert repr(a) == f"{cls.__name__}({shown})"
+    assert a == b and not a != b and copy.copy(a) == a
+    if issubclass(cls, tuple):  # a NamedTuple unpacks and compares as a tuple
+        assert a == values and tuple(a) == values and a._replace() == a
+    else:
+        assert a != values
+    if cls in (SpliceDiagram, MaximalSpliceDiagram):  # weights are a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_graphs_and_diagrams_equal_only_their_own_class(g17):
+    g, d = g17, splice_from_resolution(g17)
+    assert g == ResolutionGraph(g.ids, g.weights, g.edges)
+    assert g != tuple(_sample_fields(ResolutionGraph, g))
+    assert d != MaximalSpliceDiagram(d.ids, d.edges, d.weights, d.strings)
+    assert MaximalSpliceDiagram(d.ids, d.edges, d.weights) != d
+    # strings are left out of equality, not of the repr
+    bare = SpliceDiagram(d.ids, d.edges, d.weights)
+    assert bare == d and repr(bare) != repr(d)
+    # a fresh copy caches nothing; the cached values cannot be assigned
+    assert g.det and "det" in vars(g) and "det" not in vars(copy.copy(g))
+    with pytest.raises(AttributeError):
+        g.det = 0
+    with pytest.raises(AttributeError):
+        del g.ids
+
+
+@pytest.mark.parametrize(
+    "n, p, error",
+    [(0, 1, ValueError), (-3, 1, ValueError), (3, -1, ValueError), (6, 4, NonReducedFraction)],
+)
+def test_continued_fraction_is_checked_on_every_route(n, p, error):
+    with pytest.raises(error):
+        ContinuedFraction(n, p)
+    with pytest.raises(error):
+        ContinuedFraction(numerator=n, denominator=p)
+    # copies and pickles are rebuilt through the constructor, and there is
+    # no unchecked NamedTuple route
+    unchecked = object.__new__(ContinuedFraction)
+    unchecked._init(numerator=n, denominator=p)
+    with pytest.raises(error):
+        copy.copy(unchecked)
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(unchecked))
+    assert not hasattr(ContinuedFraction, "_replace") and not hasattr(ContinuedFraction, "_make")

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import itertools
 import random
 from math import gcd
@@ -24,9 +24,8 @@ from splicekit.graph import (
     graph_determinant,
     induced_subgraph,
     intersection_matrix,
-    negated_intersection_matrix,
 )
-from splicekit.linalg import determinant, matmul
+from splicekit.linalg import determinant
 from splicekit.cli import main
 from splicekit.document import document_to_json, graph_to_document
 from splicekit.equations import (
@@ -56,7 +55,9 @@ from oracles import (
     edge_equations_by_id,
     ideal_generator_recursive,
     linking_numbers_by_path,
+    matmul,
     maximal_weights_by_id,
+    negated_intersection_matrix,
     path_by_search,
     reduced_diagram_by_id,
     subtree_determinants_direct,
@@ -385,7 +386,7 @@ def test_each_consumer_walks_the_diagram_once(fixture_map, monkeypatch):
     monkeypatch.setattr(splice, "walk_tree", counted)
 
     def walks(d, call):
-        d = dataclasses.replace(d)  # no cached walks
+        d = copy.copy(d)  # no cached walks
         d.tree  # its integer view walks once from vertex 0, not counted
         calls.clear()
         call(d)
