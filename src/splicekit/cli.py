@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
     g = _load_graph(args.file)
     wanted = CHECKS[:-1] if args.condition == "all" else (args.condition,)
     sections = reporting.condition_sections(g, wanted)
-    ok = all(s["ok"] for s in sections.values())
+    ok = reporting.report_conditions_ok(sections)
     lines = []
     for name, section in sections.items():
         lines.append(f"{name}: {'pass' if section['ok'] else 'FAIL'}")
@@ -170,7 +170,7 @@ def cmd_reduce(args) -> int:
         "mode": mode,
         "new_leaf": result.new_leaf,
         "vertices": list(result.diagram.ids),
-        "edges": [[a, b] for a, b in result.diagram.edges],
+        "edges": reporting._pairs(result.diagram.edges),
         "weights": weights,
     }
     lines = [f"new leaf: {result.new_leaf}", *_weight_lines(weights)]
@@ -183,7 +183,7 @@ def cmd_report(args) -> int:
     name = Path(args.file).stem
     report = reporting.analysis_report(g, name=name)
     sys.stdout.write(reporting.render_json(report))  # JSON with or without --json
-    return 0 if reporting.report_conditions_ok(report) else 1
+    return 0 if reporting.report_conditions_ok(report.get("conditions", {})) else 1
 
 
 def cmd_emit_fixtures(args) -> int:

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cfrac import continued_fraction_of_string
 from .errors import NotEndNodeEdge, NotTwoNode, ValidationError
+from .frozen import report_failures, report_ok
 from .graph import ResolutionGraph, graph_determinant
 from .splice import SpliceDiagram, is_end_node, splice_from_resolution
 
@@ -224,13 +225,7 @@ def admissible_exponents(
 class SemigroupReport(NamedTuple):
     edges: tuple[SemigroupEdge, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.edges)
-
-    @property
-    def failures(self) -> tuple[SemigroupEdge, ...]:
-        return tuple(e for e in self.edges if not e.ok)
+    ok, failures = report_ok, report_failures
 
 
 def check_semigroup(d: SpliceDiagram) -> SemigroupReport:
@@ -279,13 +274,7 @@ class CongruenceReport(NamedTuple):
     determinant: int
     edges: tuple[CongruenceEdge, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.edges)
-
-    @property
-    def failures(self) -> tuple[CongruenceEdge, ...]:
-        return tuple(e for e in self.edges if not e.ok)
+    ok, failures = report_ok, report_failures
 
     @property
     def semigroup(self) -> SemigroupReport:

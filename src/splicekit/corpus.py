@@ -54,27 +54,18 @@ def two_node_graph(rng: random.Random) -> ResolutionGraph | None:
         counter += 1
         return f"s{counter}"
 
-    def add_string(anchor: str, length: int) -> None:
+    def add_string(anchor: str, length: int) -> str:
         prev = anchor
         for _ in range(length):
             vid = fresh()
             vertices.append((vid, -rng.randint(2, 4)))
             edges.append((prev, vid))
             prev = vid
+        return prev
 
     vertices.append(("nL", -rng.randint(1, 4)))
     vertices.append(("nR", -rng.randint(1, 4)))
-    central = rng.randint(0, 2)
-    if central == 0:
-        edges.append(("nL", "nR"))
-    else:
-        prev = "nL"
-        for _ in range(central):
-            vid = fresh()
-            vertices.append((vid, -rng.randint(2, 4)))
-            edges.append((prev, vid))
-            prev = vid
-        edges.append((prev, "nR"))
+    edges.append((add_string("nL", rng.randint(0, 2)), "nR"))
     for node in ("nL", "nR"):
         for _ in range(rng.randint(2, 3)):
             add_string(node, rng.randint(1, 3))

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .conditions import congruence_edge
 from .errors import NotABranch, UnknownVertex
+from .frozen import report_failures, report_ok
 from .graph import (
     ResolutionGraph,
     component_of,
@@ -189,13 +190,7 @@ class BranchCheck(NamedTuple):
 class Condition34Report(NamedTuple):
     checks: tuple[BranchCheck, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[BranchCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+    ok, failures = report_ok, report_failures
 
 
 BranchTests = tuple[Callable[[int, int], bool], Callable[[int, int], bool]]
@@ -398,13 +393,7 @@ class BranchDecision(NamedTuple):
 class Condition33Report(NamedTuple):
     decisions: tuple[BranchDecision, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(d.ok for d in self.decisions)
-
-    @property
-    def failures(self) -> tuple[BranchDecision, ...]:
-        return tuple(d for d in self.decisions if not d.ok)
+    ok, failures = report_ok, report_failures
 
 
 def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:

@@ -13,7 +13,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
-from .conditions import AdmissibleExponents, SemigroupReport, check_congruence, check_semigroup
+from .conditions import (
+    AdmissibleExponents, CongruenceReport, SemigroupReport, check_congruence, check_semigroup,
+)
 from .discriminant import DiscriminantGroup, leaf_character, leaf_generators
 from .errors import (
     CongruenceFails,
@@ -22,6 +24,7 @@ from .errors import (
     SemigroupFails,
 )
 from .document import indented_json, int_text
+from .frozen import report_ok
 from .graph import ResolutionGraph
 from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
 
@@ -136,12 +139,18 @@ def _validate_higher_terms(
     return tuple(out)
 
 
-def semigroup_witnesses(report: SemigroupReport) -> dict[tuple[str, str], AdmissibleExponents]:
-    """The witness at every node edge; SemigroupFails names those without."""
+def _witnesses(report: SemigroupReport | CongruenceReport, fails: type[Exception], kind: str):
+    """The witness at every edge of the report; ``fails`` names the edges
+    without one, as (node, toward), ..."""
     if not report.ok:
         bad = ", ".join(f"({e.node}, {e.toward})" for e in report.failures)
-        raise SemigroupFails(f"no admissible monomial at {bad}")
-    return {(e.node, e.toward): e.witness for e in report.edges}  # type: ignore[misc]
+        raise fails(f"no {kind} monomial at {bad}")
+    return {(e.node, e.toward): e.witness for e in report.edges}
+
+
+def semigroup_witnesses(report: SemigroupReport) -> dict[tuple[str, str], AdmissibleExponents]:
+    """The witness at every node edge; SemigroupFails names those without."""
+    return _witnesses(report, SemigroupFails, "admissible")
 
 
 def build_equations_from_diagram(
@@ -201,16 +210,9 @@ def build_equations(
         return build_equations_from_diagram(d, higher_terms=higher_terms)
     congruence = check_congruence(g)
     semigroup_witnesses(congruence.semigroup)  # raises SemigroupFails
-    if not congruence.ok:
-        bad = ", ".join(f"({e.node}, {e.toward})" for e in congruence.failures)
-        raise CongruenceFails(f"no equivariant monomial at {bad}")
-    witnesses = {(e.node, e.toward): e.witness for e in congruence.edges}
-    group = leaf_generators(g)
+    witnesses = _witnesses(congruence, CongruenceFails, "equivariant")
     return build_equations_from_diagram(
-        d,
-        higher_terms=higher_terms,
-        witnesses=witnesses,  # type: ignore[arg-type]
-        group=group,
+        d, higher_terms=higher_terms, witnesses=witnesses, group=leaf_generators(g)
     )
 
 
@@ -275,9 +277,7 @@ class LeadingFormReport(NamedTuple):
     node: str
     entries: tuple[LeadingFormEntry, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+    ok = report_ok
 
 
 def leading_form_check(
@@ -294,19 +294,10 @@ def leading_form_check(
     for block in system.blocks:
         vp = block.node
         if vp == v:
-            weights = tuple(v_weight(d, v, m) for m in block.monomials)
-            entries.append(
-                LeadingFormEntry(
-                    node=vp,
-                    expected_weight=d.weight_product(v),
-                    away_edges=block.edges,
-                    away_weights=weights,
-                    toward_edge=None,
-                    toward_weight=None,
-                )
-            )
-            continue
-        toward = d.path(v, vp)[-2]  # vp's parent in the walk from v
+            toward, expected = None, d.weight_product(v)
+        else:
+            toward = d.path(v, vp)[-2]  # vp's parent in the walk from v
+            expected = linking_numbers(d, v, vp)[0]
         away, away_weights = [], []
         toward_weight = None
         for edge, mon in zip(block.edges, block.monomials):
@@ -319,7 +310,7 @@ def leading_form_check(
         entries.append(
             LeadingFormEntry(
                 node=vp,
-                expected_weight=linking_numbers(d, v, vp)[0],
+                expected_weight=expected,
                 away_edges=tuple(away),
                 away_weights=tuple(away_weights),
                 toward_edge=toward,

@@ -1,9 +1,13 @@
-"""Base of the immutable value classes that validate or cache.
+"""Base of the immutable value classes, and the pass rule of the reports.
 
 The plain result records are ``typing.NamedTuple``s. The classes that
 check their fields on construction or cache derived values (continued
 fractions, resolution graphs, splice diagrams) derive from ``Frozen``
 instead, so that no route builds one unchecked.
+
+A condition report holds its entries, each with its own ``ok``, in its
+last field; every report takes its ``ok`` and ``failures`` from
+``report_ok`` and ``report_failures``, so the rule is stated once.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ class Frozen:
     ``__dict__`` slot for its cached properties) and are set once, by
     ``_init``; assigning or deleting any attribute raises AttributeError.
     An instance equals only an instance of its own class whose ``_compared``
-    fields are equal, hashes those fields, reads as ``Name(field=value,
-    ...)`` over ``_fields``, and copies and pickles through its constructor.
+    fields are equal, hashes those fields (a class whose fields include a
+    mapping sets ``__hash__ = None``), reads as ``Name(field=value, ...)``
+    over ``_fields``, and copies and pickles through its constructor.
     """
 
     __slots__ = ()
@@ -49,3 +54,15 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+@property
+def report_ok(report) -> bool:
+    """Whether every entry of the report, its last field, passes."""
+    return all(e.ok for e in report[-1])
+
+
+@property
+def report_failures(report) -> tuple:
+    """The entries of the report, its last field, that fail, in order."""
+    return tuple(e for e in report[-1] if not e.ok)

@@ -1,10 +1,11 @@
 """Structured analysis reports with stable key order (byte-stable JSON).
 
 Every section reads the graph's one cached splice diagram, whose edges and
-weights come in vertex order, as do the maximal diagram's; conditions 3.3
-and 3.4 read branch cycles from one table per graph, built only once some
-branch is not reduced. ``render_json`` writes with ``document.indented_json``, the
-bytes of ``json.dumps(payload, indent=2)`` without its pure-Python encoder.
+weights come in vertex order, as do the maximal diagram's. A condition
+section carries its report's ``ok``; the semigroup and congruence sections
+write each edge with ``_edge_entry``. ``render_json`` writes with
+``document.indented_json``, the bytes of ``json.dumps(payload, indent=2)``
+without its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def splice_section(g: ResolutionGraph) -> dict:
     d = splice.splice_from_resolution(g)
     return {
         "vertices": list(d.ids),
-        "edges": [[a, b] for a, b in d.edges],
+        "edges": _pairs(d.edges),
         "weights": [[at, to, w] for (at, to), w in d.weights.items()],
     }
 
@@ -94,30 +95,23 @@ def group_section(g: ResolutionGraph) -> dict:
     }
 
 
-def _witness(w: conditions.AdmissibleExponents | None) -> list | None:
-    if w is None:
-        return None
-    return [[leaf, a] for leaf, a in w.exponents]
+def _pairs(pairs) -> list[list]:
+    return [[a, b] for a, b in pairs]
 
 
 def _truncated(flag: bool) -> dict:  # a search that ran out of budget says so
     return {"truncated": True} if flag else {}
 
 
+def _edge_entry(e: conditions.SemigroupEdge | conditions.CongruenceEdge) -> dict:
+    """A searched edge: its verdict and the exponents found, if any."""
+    witness = None if e.witness is None else _pairs(e.witness.exponents)
+    entry = {"node": e.node, "toward": e.toward, "ok": e.ok, "witness": witness}
+    return entry | _truncated(e.truncated)
+
+
 def _semigroup_payload(report: conditions.SemigroupReport) -> dict:
-    return {
-        "ok": report.ok,
-        "edges": [
-            {
-                "node": e.node,
-                "toward": e.toward,
-                "ok": e.ok,
-                "witness": _witness(e.witness),
-            }
-            | _truncated(e.truncated)
-            for e in report.edges
-        ],
-    }
+    return {"ok": report.ok, "edges": [_edge_entry(e) for e in report.edges]}
 
 
 def semigroup_section(g: ResolutionGraph) -> dict:
@@ -128,17 +122,12 @@ def congruence_section(g: ResolutionGraph) -> dict:
     report = conditions.check_congruence(g)
     edges = []
     for e in report.edges:
-        entry: dict[str, Any] = {
-            "node": e.node,
-            "toward": e.toward,
-            "ok": e.ok,
-            "witness": _witness(e.witness),
-        } | _truncated(e.truncated)
+        entry = _edge_entry(e)
         if not e.ok:
             entry["congruences"] = [
                 {
                     "leaf": c.leaf,
-                    "coefficients": [[w, x] for w, x in c.coefficients],
+                    "coefficients": _pairs(c.coefficients),
                     "target": c.target,
                     "modulus": c.modulus,
                 }
@@ -191,7 +180,7 @@ def okuma33_section(g: ResolutionGraph) -> dict:
                 "attach": d.attach,
                 "ok": d.ok,
                 "method": d.method,
-                "exponents": [[w, a] for w, a in d.exponents],
+                "exponents": _pairs(d.exponents),
             }
             | _truncated(d.truncated)
             for d in report.decisions
@@ -250,9 +239,10 @@ def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
     return report
 
 
-def report_conditions_ok(report: dict) -> bool:
-    sections = report.get("conditions", {})
-    return all(sections[k].get("ok", True) for k in sections)
+def report_conditions_ok(sections: dict[str, dict]) -> bool:
+    """Whether every condition section passes; ``check`` and ``report``
+    read their exit codes from it."""
+    return all(s["ok"] for s in sections.values())
 
 
 def render_json(payload: dict) -> str:

@@ -5,7 +5,8 @@ positive weight on every incident edge, equal to the determinant of the
 piece of the resolution graph cut off in that direction. The maximal
 variant keeps all vertices of the resolution graph and weights both ends
 of every edge. Both are read off the graph's integer tree and the two
-passes of its subtree determinants.
+passes of its subtree determinants. Every diagram, however built, holds
+read-only copies of its weights and strings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .frozen import Frozen
+from .frozen import Frozen, report_failures, report_ok
 from .graph import (
     DirectedEdge,
     ResolutionGraph,
@@ -60,9 +61,12 @@ class SpliceDiagram(Frozen):
     In a reduced diagram only nodes carry weights; leaf ends are bare.
     ``strings`` optionally maps each directed edge back to the interior
     vertices of the resolution string it came from (ordered from the
-    first endpoint); equality and hash leave it out. The last walk from a
-    vertex is cached (``walk``); the paths, linking numbers, edge equations
-    and end-node reduction read it, each from one vertex at a time.
+    first endpoint); equality leaves it out. Every route stores read-only
+    copies of both mappings, so a diagram is not changed through them or
+    through the caller's dicts; copies and pickles rebuild it from plain
+    dict copies, and it has no hash. The last walk from a vertex is cached
+    (``walk``); the paths, linking numbers, edge equations and end-node
+    reduction read it, each from one vertex at a time.
     """
 
     __slots__ = ("ids", "edges", "weights", "strings", "__dict__")
@@ -80,7 +84,14 @@ class SpliceDiagram(Frozen):
         weights: Mapping[DirectedEdge, int],
         strings: Mapping[DirectedEdge, tuple[str, ...]] | None = None,
     ) -> None:
-        self._init(ids=ids, edges=edges, weights=weights, strings=strings)
+        strings = None if strings is None else MappingProxyType(dict(strings))
+        self._init(ids=ids, edges=edges, weights=MappingProxyType(dict(weights)), strings=strings)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        strings = None if self.strings is None else dict(self.strings)
+        return type(self), (self.ids, self.edges, dict(self.weights), strings)
 
     index = cached_property(vertex_index)
     tree = cached_property(int_tree)
@@ -246,8 +257,7 @@ def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
             if len(ends) > 2:
                 weights[key] = det(j, i)
     return SpliceDiagram(
-        ids=tuple(ids[i] for i in keep), edges=tuple(edges),
-        weights=MappingProxyType(weights), strings=MappingProxyType(strings),
+        ids=tuple(ids[i] for i in keep), edges=tuple(edges), weights=weights, strings=strings
     )
 
 
@@ -326,13 +336,7 @@ class EdgeDetEntry(NamedTuple):
 class EdgeDetReport(NamedTuple):
     entries: tuple[EdgeDetEntry, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def failures(self) -> tuple[EdgeDetEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
+    ok, failures = report_ok, report_failures
 
 
 def verify_edge_det_theorem(g: ResolutionGraph) -> EdgeDetReport:
@@ -381,13 +385,7 @@ class IdealEntry(NamedTuple):
 class IdealReport(NamedTuple):
     entries: tuple[IdealEntry, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def failures(self) -> tuple[IdealEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
+    ok, failures = report_ok, report_failures
 
 
 def check_ideal_condition(d: SpliceDiagram) -> IdealReport:

@@ -18,7 +18,7 @@ from splicekit.equations import (
     v_weight,
 )
 from splicekit.errors import CongruenceFails, DegenerateMatrix, InvalidHigherTerm
-from splicekit.equations import NodeBlock, SpliceEquationSystem
+from splicekit.equations import LeadingFormEntry, NodeBlock, SpliceEquationSystem
 from splicekit.linalg import determinant
 from splicekit.graph import ResolutionGraph
 from splicekit.splice import linking_numbers, splice_from_resolution
@@ -182,6 +182,13 @@ def test_leading_form_check(g1, star, small_trees):
     system = build_equations(g1)
     report = leading_form_check(d, "nL", system)
     assert report.ok
+    # at v itself every edge points away, and each monomial has weight d_v
+    own = [e for e in report.entries if e.node == "nL"][0]
+    block = [b for b in system.blocks if b.node == "nL"][0]
+    assert own == LeadingFormEntry(
+        node="nL", expected_weight=d.weight_product("nL"), away_edges=block.edges,
+        away_weights=(d.weight_product("nL"),) * 3, toward_edge=None, toward_weight=None,
+    )
     other = [e for e in report.entries if e.node == "nR"][0]
     assert other.toward_edge == "nL"
     assert all(w == other.expected_weight for w in other.away_weights)

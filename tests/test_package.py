@@ -18,11 +18,21 @@ import pytest
 
 import splicekit
 from splicekit.cfrac import ContinuedFraction
-from splicekit.cycles import branches
+from splicekit.conditions import CongruenceReport, SemigroupReport
+from splicekit.cycles import Condition33Report, Condition34Report, branches
 from splicekit.discriminant import leaf_generators
+from splicekit.equations import LeadingFormReport
 from splicekit.errors import NonReducedFraction
+from splicekit.frozen import report_failures, report_ok
 from splicekit.graph import ResolutionGraph, nodes_of
-from splicekit.splice import MaximalSpliceDiagram, SpliceDiagram, maximal_splice, splice_from_resolution
+from splicekit.splice import (
+    EdgeDetReport,
+    IdealReport,
+    MaximalSpliceDiagram,
+    SpliceDiagram,
+    maximal_splice,
+    splice_from_resolution,
+)
 
 
 def test_all_names_symbols_not_modules():
@@ -135,6 +145,48 @@ def test_every_function_has_a_caller():
     }
     assert len(defs) > 150
     assert uncalled == UNCALLED_BACKLOG
+
+
+REPORTS = (
+    SemigroupReport, CongruenceReport, EdgeDetReport, IdealReport,
+    Condition34Report, Condition33Report, LeadingFormReport,
+)
+
+
+@pytest.mark.parametrize("cls", REPORTS, ids=lambda cls: cls.__name__)
+def test_reports_pass_when_every_entry_passes(cls):
+    # the entries are the last field; the fields before it are not read
+    def report(*entries):
+        return cls(*[None] * (len(cls._fields) - 1), entries)
+
+    entries = [types.SimpleNamespace(ok=ok, i=i) for i, ok in enumerate((False, True, False))]
+    assert cls.ok is report_ok and report().ok and not report(*entries).ok
+    assert report(entries[1], entries[1]).ok
+    if cls is not LeadingFormReport:  # it lists no failures
+        assert cls.failures is report_failures and report().failures == ()
+        assert report(*entries).failures == (entries[0], entries[2])
+
+
+def test_no_report_restates_the_pass_rule():
+    # every report binds frozen.report_ok and report_failures, so a change
+    # to the rule is made in one place; no class may define an ok that
+    # reads all(... .ok ...) or a failures that filters on .ok
+    restated = []
+    for path in (Path(__file__).resolve().parents[1] / "src" / "splicekit").glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            for f in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                calls_all = [
+                    n for n in ast.walk(f)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "all"
+                ]
+                filters = [c for n in ast.walk(f) if isinstance(n, ast.comprehension) for c in n.ifs]
+                if (f.name == "ok" and any(_names(n)["ok"] for n in calls_all)) or (
+                    f.name == "failures" and any(_names(c)["ok"] for c in filters)
+                ):
+                    restated.append(f"{path.stem}.{cls.name}.{f.name}")
+    assert restated == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

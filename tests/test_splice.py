@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 import random
 from math import gcd
 
@@ -416,6 +417,41 @@ def test_diagram_holds_one_walk(g17):
         for v in d.ids:
             d.walk(v)
             assert list(d._walks) == [v]
+
+
+def _diagram_routes(g):
+    # reduced, maximal, end-node-reduced and user-built diagrams of g
+    d = splice_from_resolution(g)
+    reduced = [end_node_reduce(d, v, mode="raw").diagram for v in d.nodes if is_end_node(d, v)]
+    user = SpliceDiagram(d.ids, d.edges, dict(d.weights), dict(d.strings))
+    return [d, maximal_splice(g), *reduced, user]
+
+
+def test_diagrams_are_read_only_and_pickle_on_every_route(fixture_map):
+    # every route stores read-only copies of weights and strings, which a
+    # pickle or a deep copy rebuilds through the constructor
+    for g in fixture_map.values():
+        for d in _diagram_routes(g):
+            for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+                assert type(copied) is type(d) and copied == d
+                assert copied.strings == d.strings and copied.weights is not d.weights
+            for mapping in (d.weights, d.strings or {}):
+                for key in list(mapping)[:1]:
+                    with pytest.raises(TypeError):
+                        mapping[key] = mapping[key]
+            with pytest.raises(TypeError):
+                hash(d)
+    # the caller's dicts are copied: changing them after construction
+    # changes neither the diagram nor what it has cached
+    edges = (("0", "1"), ("0", "2"), ("0", "3"))
+    weights = {("0", "1"): 2, ("0", "2"): 3, ("0", "3"): 5}
+    strings = {e: () for e in edges}
+    d = SpliceDiagram(("0", "1", "2", "3"), edges, weights, strings)
+    assert linking_numbers(d, "1", "2") == (5, 5)
+    weights[("0", "3")], strings[edges[0]] = 7, ("x",)
+    assert d.weights[("0", "3")] == 5 and d.strings[edges[0]] == ()
+    assert linking_numbers(d, "1", "2") == (5, 5)
+    assert linking_numbers(SpliceDiagram(d.ids, edges, weights), "1", "2") == (7, 7)
 
 
 def test_unknown_and_unreachable_vertices_are_library_errors(g1):
