@@ -10,6 +10,9 @@ Checks, with exact arithmetic throughout:
     numbers of the reduced diagram are symmetric;
   - with two or more leaves, the leaf generators but any one span a group
     of order det (every drop-one index is 1 on a tree);
+  - the invariant factors of ``group_order_check``, from the Smith diagonal
+    of the leaf block mod the part of det built from the primes of the
+    block's gcd with det, are those read off its Smith form mod det;
   - on every reduced branch B (each curve j of B has w_j + deg_B(j) <= 0)
     the computation sequence from coefficient 1 on every curve makes no
     bump, so that is the fundamental cycle, and every sub-branch of B is
@@ -36,6 +39,7 @@ from splicekit import (
     edge_determinant,
     end_node_reduce,
     graph_determinant,
+    group_order_check,
     intersection_matrix,
     leaf_generators,
     linking_matrix,
@@ -103,6 +107,9 @@ def main() -> int:
         assert verify_edge_det_theorem(g).ok
 
         scaled = list(leaf_generators(g).scaled_generators().values())
+        diagonal = smith_normal_form(scaled, modulus=det).diagonal
+        factors = sorted(e for e in (det // gcd(s, det) for s in diagonal) if e > 1)
+        assert list(group_order_check(g).invariant_factors) == factors
         if len(scaled) >= 2:
             for j in range(len(scaled)):
                 others = scaled[:j] + scaled[j + 1:]

@@ -4,8 +4,9 @@ Elements live in (Q/Z)^t, t the number of leaves; each leaf contributes a
 generator whose entries are the pairings of its dual basis vector with the
 other leaf duals. All values are exact rationals mod 1, never floats.
 The group checks and the invariant factors come from the Smith diagonal
-of the leaf block, taken modulo the determinant, at any determinant, with
-no transform tracked: on a tree every drop-one index is 1 (the lemma in
+of the leaf block, with no transform tracked, taken modulo the part of the
+determinant built from the primes that divide every entry of the block
+(``_tree_span_check``): on a tree every drop-one index is 1 (the lemma in
 ``group_order_check``). That block is read from the leaves' linking rows
 alone, one walk per leaf. Element listing (``enumerate_elements``, capped
 per call, at ``DEFAULT_GROUP_CAP`` by default) serves only test oracles.
@@ -116,8 +117,9 @@ def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
 
 class GroupCheck(NamedTuple):
     """The three checks on the span of the leaf generators in (Q/Z)^t.
-    ``enumerated_order`` is the order of that span, read off the Smith
-    diagonal of the scaled leaf block: prod(d / gcd(s_i, d)), d = det."""
+    ``enumerated_order`` is the order of that span, the product of its
+    invariant factors, read off the Smith diagonal of the scaled leaf block
+    mod the g0-smooth part M of det (``_tree_span_check``) times det / M."""
 
     order: int
     enumerated_order: int
@@ -134,11 +136,23 @@ class GroupCheck(NamedTuple):
 
 def _tree_span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
     """The checks on the span H in (Z/d)^t of the rows of a tree's scaled
-    leaf block, from its Smith diagonal s taken mod d: with
-    e_i = d / gcd(s_i, d), H is the sum of cyclic groups of orders e_i and
-    |H| = prod(e_i). Drop-one and pseudo-reflections follow from |H| by
-    the lemma in ``group_order_check``."""
-    steps = [d // gcd(s, d) for s in smith_diagonal(rows, modulus=d)]
+    leaf block. Let g0 = gcd(d, every entry) and M the largest divisor of
+    d whose primes all divide g0. With s the Smith diagonal of the block
+    taken mod M, the M / gcd(s_i, M) are the M-parts of the invariant
+    factors of H; the rest of d, d / M, is cyclic in H and joins the
+    largest factor. That, drop-one and pseudo-reflections follow from
+    |H| = d by the lemma in ``group_order_check``. When g0 = 1, M = 1 and
+    H is cyclic of order d."""
+    g0 = d
+    for i, row in enumerate(rows):  # the block is symmetric
+        g0 = gcd(g0, *row[i:])
+    smooth, rest = 1, d
+    while (f := gcd(rest, g0)) > 1:
+        smooth, rest = smooth * f, rest // f
+    diagonal = smith_diagonal(rows, modulus=smooth)
+    # a graph with no leaves is empty, with d = 1
+    *steps, top = sorted(smooth // gcd(s, smooth) for s in diagonal) or [1]
+    steps.append(top * rest)
     spanned = prod(steps)
     return GroupCheck(
         order=d,
@@ -146,7 +160,7 @@ def _tree_span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
         order_ok=spanned == d,
         drop_one_ok=len(rows) < 2 or spanned == d,
         no_pseudo_reflections=True,
-        invariant_factors=tuple(sorted(e for e in steps if e > 1)),
+        invariant_factors=tuple(e for e in steps if e > 1),
     )
 
 
@@ -173,6 +187,13 @@ def group_order_check(g: ResolutionGraph) -> GroupCheck:
     columns of the block but j, of order |H_j| = |H| as the block is
     symmetric, and its kernel is the elements non-zero only at j, so no
     pseudo-reflection is left.
+
+    Since |H| = det, a prime p of det that does not divide
+    g0 = gcd(det, every entry of the scaled block) gives H a cyclic p-part:
+    some entry x of some generator is prime to p, so that generator has
+    order divisible by p^v_p(det), which is already the p-part of |H|.
+    Only the primes of g0 need the Smith diagonal, taken mod the part M of
+    det they build; the rest, det / M, joins the largest invariant factor.
     """
     _, block, det = _scaled_leaf_block(g)
     return _tree_span_check(block, det)

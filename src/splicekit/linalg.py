@@ -3,8 +3,8 @@
 Everything here works over arbitrary-precision ints or Fractions; there is
 no floating point anywhere in the package. One Smith elimination, by 2x2
 Bezout row and column steps, serves both ``smith_diagonal``, which tracks
-no transform and, taken modulo the determinant, gives the discriminant
-group its checks and invariant factors, and ``smith_normal_form``, which
+no transform and, taken modulo a divisor of the determinant, gives the
+discriminant group its checks and invariant factors, and ``smith_normal_form``, which
 tracks both transforms. ``determinant`` (Bareiss) and ``invert_rational``
 (Gauss-Jordan) are general-matrix reference oracles with no caller in the
 package: definiteness, determinants, linking and pairing matrices are all

@@ -49,15 +49,16 @@ def maximal_section(g: ResolutionGraph) -> dict:
     return {"weights": [[at, to, w] for (at, to), w in weights.items()]}
 
 
-def _residue_str(x: int, det: int) -> str:
-    """str(Fraction(x, det)) for 0 <= x < det, without the Fraction."""
+def _residue_str(x: int, det: int, denominators: dict[int, str]) -> str:
+    """str(Fraction(x, det)) for 0 <= x < det, without the Fraction; each
+    denominator det // gcd(x, det) is written once, kept in denominators
+    under its gcd."""
     if not x:
         return "0"
     common = gcd(x, det)
-    try:
-        return f"{x // common}/{det // common}"
-    except ValueError:  # past sys.get_int_max_str_digits() digits
-        return int_text(x // common) + "/" + int_text(det // common)
+    if common not in denominators:
+        denominators[common] = int_text(det // common)
+    return int_text(x // common) + "/" + denominators[common]
 
 
 def group_section(g: ResolutionGraph) -> dict:
@@ -67,8 +68,10 @@ def group_section(g: ResolutionGraph) -> dict:
     ``group_order_check``, from one leaf block built once from the leaves'
     linking rows alone; each generator entry is written from its integer
     x in that block as the reduced x/det, or "0", once per unordered leaf
-    pair, as the block is symmetric. The invariant factors are those of
-    the leaf span, read from the Smith diagonal that the checks take,
+    pair, as the block is symmetric, and each distinct denominator once.
+    The invariant factors are those of the leaf span that the checks read
+    off the Smith diagonal of the block mod the g0-smooth part M of det,
+    det / M joining the largest (``discriminant._tree_span_check``),
     padded with 1s to n entries. This is exact on any tree,
     because the leaf duals generate D(G): going inward from the leaves,
     the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0 gives the class
@@ -80,9 +83,11 @@ def group_section(g: ResolutionGraph) -> dict:
     leaves, block, det = discriminant._scaled_leaf_block(g)  # built once for both
     check = discriminant._tree_span_check(block, det)
     factors = check.invariant_factors
+    denominators: dict[int, str] = {}
     text: list[list[str]] = []
     for i, row in enumerate(block):
-        text.append([text[j][i] for j in range(i)] + [_residue_str(x, det) for x in row[i:]])
+        residues = [_residue_str(x, det, denominators) for x in row[i:]]
+        text.append([text[j][i] for j in range(i)] + residues)
     return {
         "order": det,
         "invariant_factors": [1] * (len(g.ids) - len(factors)) + list(factors),

@@ -238,6 +238,58 @@ def test_group_checks_take_no_smith_transform(monkeypatch, fixture_map):
         assert reporting.group_section(g)["order"] == graph_determinant(g)
 
 
+def _smooth_part(block, det):
+    """(g0, M): g0 = gcd(det, every entry of the block) and M the largest
+    divisor of det whose primes all divide g0, as gcd(det, g0^k) with
+    k >= every exponent of det."""
+    g0 = gcd(det, *(x for row in block for x in row))
+    return g0, gcd(det, g0 ** det.bit_length())
+
+
+def test_group_factors_eliminate_mod_the_smooth_part(monkeypatch, corpus):
+    # both routes take one Smith diagonal, mod M and never mod det when
+    # M < det; a cyclic group (g0 = 1, det > 1) is eliminated mod M = 1
+    moduli = []
+
+    def record(rows, modulus=None):
+        moduli.append(modulus)
+        return smith_diagonal(rows, modulus=modulus)
+
+    monkeypatch.setattr(discriminant, "smith_diagonal", record)
+    trees = [dominant_tree(random.Random(seed), n) for n in (25, 50) for seed in range(12)]
+    below_det = cyclic = 0
+    for g in [*corpus, *trees]:
+        _, block, det = _scaled_leaf_block(g)
+        g0, smooth = _smooth_part(block, det)
+        for route in (group_order_check, reporting.group_section):
+            moduli.clear()
+            route(g)
+            assert moduli == [smooth]
+        below_det += smooth < det
+        cyclic += g0 == 1 < det
+    assert below_det and cyclic
+
+
+def test_group_section_factors_match_the_full_smith_form():
+    # the draws must reach a cyclic group (g0 = 1), primes of det outside
+    # g0 (1 < g0, M < det) and det = 1
+    seen = {"cyclic": 0, "smooth_below_det": 0, "det_one": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(definite_trees())
+    def compare(g):
+        factors = reporting.group_section(g)["invariant_factors"]
+        assert factors == oracles.invariant_factors_full(g)
+        _, block, det = _scaled_leaf_block(g)
+        g0, smooth = _smooth_part(block, det)
+        seen["cyclic"] += g0 == 1
+        seen["smooth_below_det"] += g0 > 1 and smooth < det
+        seen["det_one"] += det == 1
+
+    compare()
+    assert all(seen.values()), seen
+
+
 def test_character_trivial_cases(g17):
     group = leaf_generators(g17)
     gen = group.generator(group.leaves[0])
