@@ -51,7 +51,7 @@ from splicekit import (
 )
 from splicekit.corpus import dominant_trees
 from splicekit.fixtures import fixture_graphs
-from splicekit.cycles import fundamental_cycle
+from splicekit.cycles import excess_table, fundamental_cycle, moduli_table
 from splicekit.graph import component_of, induced_subgraph
 from splicekit.splice import is_end_node
 
@@ -130,12 +130,12 @@ def main() -> int:
                 reduced += 1
 
         ids = g.ids
-        for (x, p), extra in g._branch_excess.items():
+        for (x, p), extra in excess_table(g).items():
             comp = branches[(ids[x], ids[p])]
             cycle = {ids[j]: 1 + extra.get(j, 0) for j in sorted(map(g.index.get, comp))}
             assert cycle == fundamental_cycle(g, comp).as_int_dict()
             cycles += 1
-        for (x, k), q in g._branch_moduli.items():
+        for (x, k), q in moduli_table(g).items():
             part = induced_subgraph(g, branches[(ids[x], ids[k])])
             cs = range(1, 2 * q + 1) if q <= 50 else (1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q)
             for c in cs:

@@ -2,12 +2,12 @@
 
 One bounded search per edge, ``search_edge``, decides the semigroup test
 (its first vector) and the congruence test (its first vector meeting the
-integer congruence table, denominators cleared by the determinant), cached
-on the graph by ``congruence_edge`` for both reports and the 3.3 fallback.
-The table holds integer rows read off the leaves' linking rows alone; the
-name-keyed ``LeafCongruence`` certificate is built for a failing edge only.
-Each search tests at most ``solution_limit()`` vectors: 10^5, or the
-SPLICEKIT_ENUM_CAP environment variable, which only this module reads.
+integer congruence table, denominators cleared by the determinant), made
+once per ``Analysis`` by ``congruence_edge`` for both reports and the 3.3
+fallback. The table holds integer rows read off the leaves' linking rows;
+the name-keyed ``LeafCongruence`` certificate is built for a failing edge
+only. Each search tests at most ``solution_limit()`` vectors: 10^5, or
+SPLICEKIT_ENUM_CAP, which only this module reads, once per analysis.
 The test oracles keep the exact-rational route and the name-keyed table
 read off a node's row; the suite asserts agreement.
 """
@@ -19,6 +19,7 @@ from itertools import islice
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from .analysis import Analysis, analysis_of, linking_row
 from .cfrac import continued_fraction_of_string
 from .errors import NotEndNodeEdge, NotTwoNode, ValidationError
 from .frozen import report_failures, report_ok
@@ -284,13 +285,13 @@ class CongruenceReport(NamedTuple):
 CongruenceTable = tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
 
 
-def _congruence_table(g: ResolutionGraph, v: str, leaves: tuple[str, ...]) -> CongruenceTable:
+def _congruence_table(a: Analysis, v: str, leaves: tuple[str, ...]) -> CongruenceTable:
     """(det, rows): for each leaf j of the edge, the row (L[j][v] mod det,
     (L[w][j] mod det for each leaf w of the edge)). L is symmetric, so the
     leaves' linking rows hold every entry and no node's row is walked."""
-    rows = [g.linking_row(w) for w in leaves]  # raises NotNegativeDefinite
-    i, det = g.index[v], g.det
-    cols = [g.index[w] for w in leaves]
+    rows = [a.memo(linking_row, w) for w in leaves]  # raises NotNegativeDefinite
+    index, det = a.graph.index, a.graph.det
+    i, cols = index[v], [index[w] for w in leaves]
     return det, tuple(
         (row_j[i] % det, tuple(row[j] % det for row in rows)) for row_j, j in zip(rows, cols)
     )
@@ -318,29 +319,30 @@ def _solved_congruences(
     )
 
 
-def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
-    """Congruence search on one node edge of the splice diagram of g: the
-    first admissible vector that meets the per-leaf congruence table, and
-    the edge's semigroup verdict from the same search, cached on g per
-    edge and enumeration cap.
+def _search_cap(a: Analysis) -> int:
+    return solution_limit()
+
+
+def congruence_edge(a: Analysis, v: str, toward: str) -> CongruenceEdge:
+    """Congruence search on one node edge of the splice diagram: the first
+    admissible vector that meets the per-leaf congruence table, and the
+    edge's semigroup verdict from the same search, under the cap read on the
+    first search of a. Made once per analysis: ``a.memo(congruence_edge, v, t)``.
 
     A failure carries the table and, toward an end-node, the solved
     single-variable congruences.
     """
-    cap = solution_limit()
-    found = g._congruence_edge_cache.get((v, toward, cap))
-    if found is not None:
-        return found
+    g, cap = a.graph, a.memo(_search_cap)
     d = splice_from_resolution(g)
     leaves = d.edge_leaves(v, toward)[0]
-    table = _congruence_table(g, v, leaves)
+    table = _congruence_table(a, v, leaves)
     semigroup, witness, tested, truncated = search_edge(
         d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
     )
     failed = witness is None
     # v is a node, so toward is an end-node seen from v exactly when it is one at all
     end_edge = failed and semigroup.ok and is_end_node(d, toward)
-    found = g._congruence_edge_cache[(v, toward, cap)] = CongruenceEdge(
+    return CongruenceEdge(
         node=v,
         toward=toward,
         semigroup=semigroup,
@@ -354,10 +356,9 @@ def congruence_edge(g: ResolutionGraph, v: str, toward: str) -> CongruenceEdge:
         ) if failed else (),
         solved=_solved_congruences(g, d, v, toward) if end_edge else (),
     )
-    return found
 
 
-def check_congruence(g: ResolutionGraph) -> CongruenceReport:
+def check_congruence(g: ResolutionGraph | Analysis) -> CongruenceReport:
     """Search each node edge for an admissible exponent vector whose
     per-leaf characters match the required ones.
 
@@ -369,9 +370,9 @@ def check_congruence(g: ResolutionGraph) -> CongruenceReport:
     the determinant) and, for edges toward an end-node, the solved
     single-variable congruences. ``semigroup`` reads the same searches.
     """
-    d = splice_from_resolution(g)
-    edges = tuple(congruence_edge(g, v, u) for v in d.nodes for u in d.adjacency[v])
-    return CongruenceReport(determinant=graph_determinant(g), edges=edges)
+    d = splice_from_resolution((a := analysis_of(g)).graph)
+    edges = tuple(a.memo(congruence_edge, v, u) for v in d.nodes for u in d.adjacency[v])
+    return CongruenceReport(determinant=graph_determinant(a.graph), edges=edges)
 
 
 # --- closed-form criteria -------------------------------------------------

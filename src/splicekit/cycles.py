@@ -6,7 +6,7 @@ Call a branch B reduced when every curve j of B has w_j + deg_B(j) <= 0:
 then its fundamental cycle Z_B is 1 on every curve, as on each sub-branch.
 Branches of a rational graph are reduced, and the test is O(1) per
 directed edge (``_branch_tests``). Once some branch is not reduced, one
-table per graph holds Z_B - 1_B by directed edge (``excess_table``). 3.4
+table per analysis holds Z_B - 1_B by directed edge (``excess_table``). 3.4
 reads Z_B at the attach; 3.3 runs the greedy monomial cycle as one
 breadth-first sweep per node over int arrays (``_sweep``).
 """
@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .analysis import Analysis, analysis_of
 from .conditions import congruence_edge
 from .errors import NotABranch, UnknownVertex
 from .frozen import report_failures, report_ok
@@ -138,11 +139,12 @@ def excess_entry(
     return _laufer(g, extra, pending, p)
 
 
-def excess_table(g: ResolutionGraph) -> dict[tuple[int, int], dict[int, int]]:
+def excess_table(g: ResolutionGraph | Analysis) -> dict[tuple[int, int], dict[int, int]]:
     """``excess_entry`` on every directed edge (x, p) of a negative-definite
     graph by vertex index, p not a leaf, in ``edge_order``: leaves first, so
     each entry reads the entries beyond it. Empty on a reduced branch. Read
-    as ``g._branch_excess``, filled once per graph on first use."""
+    as ``a.memo(excess_table)``, once per analysis a."""
+    g = analysis_of(g).graph
     reduced, _ = _branch_tests(g)
     nbrs, table = g.tree.nbrs, {}
     for x, p in edge_order(g.tree):
@@ -151,11 +153,11 @@ def excess_table(g: ResolutionGraph) -> dict[tuple[int, int], dict[int, int]]:
     return table
 
 
-def moduli_table(g: ResolutionGraph) -> dict[tuple[int, int], int]:
+def moduli_table(g: ResolutionGraph | Analysis) -> dict[tuple[int, int], int]:
     """q(x, k) = D / gcd(D, G) on every directed edge (x, k) of a
     negative-definite graph by vertex index, k not a leaf: D = D(x, k) is
     the det of the component S of g minus k holding x, and G the gcd of
-    column x of the adjugate of -A_S. Read as ``g._branch_moduli``.
+    column x of the adjugate of -A_S. Read as ``a.memo(moduli_table)``.
 
     A cycle on S and k that is c at k and meets S non-positively lies above
     c col, col the column x of -A_S^-1, which meets S in 0. A fundamental
@@ -164,6 +166,7 @@ def moduli_table(g: ResolutionGraph) -> dict[tuple[int, int], int]:
     The column is P = prod D(c', x) at x, over the children c' of x, and P
     / D(c', x) times the column of the branch at c' on it: G(x, k) = gcd(P,
     (P / D(c', x)) G(c', x)), filled leaves first in ``edge_order``."""
+    g = analysis_of(g).graph
     nbrs, det = g.tree.nbrs, g.branch_det
     common, moduli = {}, {}
     for x, k in edge_order(g.tree):
@@ -223,18 +226,19 @@ def _branch_tests(g: ResolutionGraph) -> BranchTests:
     return reduced, negative
 
 
-def check_condition_3_4(g: ResolutionGraph) -> Condition34Report:
+def check_condition_3_4(g: ResolutionGraph | Analysis) -> Condition34Report:
     """Every branch of every non-leaf curve must have fundamental cycle
     meeting that curve exactly once. The branch B of v at u meets E_v only
     through u, so Z_B.E_v = Z_B[u]: 1 when B is reduced, and otherwise 1 +
     X(u, v)[u] from ``excess_table``. Refuses any indefinite graph."""
+    g = (a := analysis_of(g)).graph
     require_negative_definite(g)
     reduced, _ = _branch_tests(g)
     ids = g.ids
     return Condition34Report(checks=tuple(
         BranchCheck(
             vertex=ids[i], attach=ids[x],
-            value=1 if reduced(x, i) else 1 + g._branch_excess[(x, i)].get(x, 0),
+            value=1 if reduced(x, i) else 1 + a.memo(excess_table)[(x, i)].get(x, 0),
         )
         for i, ns in enumerate(g.tree.nbrs)
         if len(ns) > 1
@@ -263,7 +267,7 @@ def _branch_of(g: ResolutionGraph, v: str, branch: Sequence[str]) -> str:
 
 
 def _sweep(
-    g: ResolutionGraph, v: int, attaches: Sequence[int], tests: BranchTests
+    a: Analysis, v: int, attaches: Sequence[int], tests: BranchTests
 ) -> tuple[dict[int, MonomialCycleResult], list[int], list[int] | None]:
     """The greedy monomial cycle of ``construct_monomial_cycle`` on the
     branches of v at the given attaches, by vertex index, in one
@@ -281,9 +285,9 @@ def _sweep(
     when one does: a reduced one when ``negative(t, k)``, a fundamental
     cycle Z when q(t, k) does not divide Z[k] (``moduli_table``). Only v
     and stepped curves can end met positively: in X(u, v)[u] at v, in s
-    X(t, k)[t] at k, the failures."""
+    X(t, k)[t] at k, the failures. The tables are those of the analysis a."""
+    g, (reduced, negative) = a.graph, tests
     ids, weights, nbrs = g.ids, g.weights, g.tree.nbrs
-    reduced, negative = tests
     cut = list(nbrs)
     cut[v] = attaches  # the walk leaves v into these branches alone
     order, parent = walk_tree(cut, v)
@@ -296,7 +300,7 @@ def _sweep(
     if not all(reduced(x, v) for x in attaches):
         # the X added at each step, by its child t until t is visited; the X
         # of the non-reduced cycles covering each curve, and if a reduced one does
-        table, extra, pushed = g._branch_excess, [0] * n, {}
+        table, extra, pushed = a.memo(excess_table), [0] * n, {}
         chain, plain = [()] * n, [False] * n
         for x in attaches:
             xs = pushed[x] = table[(x, v)] if len(nbrs[v]) > 1 else excess_entry(g, table, x, v)
@@ -307,7 +311,7 @@ def _sweep(
 
         def meets(t: int, k: int) -> bool:  # W meets S at t negatively
             return plain[k] and negative(t, k) or any(
-                (1 + xs.get(k, 0)) % g._branch_moduli[(t, k)] for xs in chain[k])
+                (1 + xs.get(k, 0)) % a.memo(moduli_table)[(t, k)] for xs in chain[k])
 
     for k in order[1:]:
         p = parent[k]
@@ -373,7 +377,7 @@ def construct_monomial_cycle(
     attach = _branch_of(g, v, branch)
     require_negative_definite(g)
     i, x = g.index[v], g.index[attach]
-    found, base, extra = _sweep(g, i, (x,), _branch_tests(g))
+    found, base, extra = _sweep(Analysis(g), i, (x,), _branch_tests(g))
     if not found[x].ok:
         return found[x]
     extra, index = extra or [0] * len(base), g.index
@@ -396,13 +400,13 @@ class Condition33Report(NamedTuple):
     ok, failures = report_ok, report_failures
 
 
-def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
+def check_condition_3_3(g: ResolutionGraph | Analysis) -> Condition33Report:
     """Monomial-cycle condition at every node and branch of a definite graph.
 
     The greedy construction is tried first, on every branch of a node in
     one ``_sweep``. Where it does not settle the branch B of v attached at
-    u, the cached congruence search of the diagram edge (v, t) whose string
-    starts at u (t = u when the string is empty, ``congruence_edge``)
+    u, the analysis's congruence search of the diagram edge (v, t) whose
+    string starts at u (t = u when the string is empty, ``congruence_edge``)
     decides it. The leaves of that edge are the leaves of B, and a vector
     passes the congruence table exactly when its Z is an effective
     integral cycle supported on B, the test a monomial cycle asks for. Here
@@ -419,13 +423,14 @@ def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
       leaf j, in 0 elsewhere). As -A_B^-1 >= 0, Z is effective, so no vector
       needs a non-negativity test.
     """
+    g = (a := analysis_of(g)).graph
     require_negative_definite(g)
     tests = _branch_tests(g)
     ids, nbrs = g.ids, g.tree.nbrs
     decisions = []
     for v in nodes_of(g):
         i = g.index[v]
-        swept, _, _ = _sweep(g, i, nbrs[i], tests)
+        swept, _, _ = _sweep(a, i, nbrs[i], tests)
         for x in nbrs[i]:
             u, greedy = ids[x], swept[x]
             if greedy.ok:
@@ -438,7 +443,7 @@ def check_condition_3_3(g: ResolutionGraph) -> Condition33Report:
             t = next(
                 t for t in diagram.adjacency[v] if (*diagram.strings[(v, t)], t)[0] == u
             )
-            edge = congruence_edge(g, v, t)
+            edge = a.memo(congruence_edge, v, t)
             decisions.append(
                 BranchDecision(
                     node=v, attach=u, ok=edge.ok, method="search",

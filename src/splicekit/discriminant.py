@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
+from .analysis import Analysis, analysis_of, linking_row
 from .errors import CapExceeded
 from .graph import ResolutionGraph, graph_determinant, leaves_of
 from .linalg import smith_diagonal
@@ -34,8 +35,7 @@ def qmod1(x: Fraction) -> Fraction:
 def pairing_matrix(g: ResolutionGraph) -> list[list[Fraction]]:
     """Exact inverse of the intersection matrix (dual-basis pairings): -L/det
     with L the linking matrix, since A * L = -det * I."""
-    rows = g.linking_rows  # raises NotNegativeDefinite
-    return [[Fraction(-x, g.det) for x in row] for row in rows]
+    return [[Fraction(-x, g.det) for x in g.linking_row(v)] for v in g.ids]
 
 
 class DiscriminantGroup(NamedTuple):
@@ -93,24 +93,24 @@ class DiscriminantGroup(NamedTuple):
         return frozenset(span)
 
 
-def _scaled_leaf_block(g: ResolutionGraph) -> tuple[tuple[str, ...], list[list[int]], int]:
+def _scaled_leaf_block(a: Analysis) -> tuple[tuple[str, ...], list[list[int]], int]:
     """(leaves, G, det), G = (-L) mod det on the leaf block of the linking
     matrix: row w is the generator at w scaled by det. Only the leaves'
-    linking rows are walked."""
-    leaves = leaves_of(g)
-    rows = [g.linking_row(w) for w in leaves]  # raises NotNegativeDefinite
+    linking rows are walked, through the analysis."""
+    leaves = leaves_of(g := a.graph)
+    rows = [a.memo(linking_row, w) for w in leaves]  # raises NotNegativeDefinite
     det, idx = graph_determinant(g), [g.index[w] for w in leaves]
     return leaves, [[-row[j] % det for j in idx] for row in rows], det
 
 
-def leaf_generators(g: ResolutionGraph) -> DiscriminantGroup:
+def leaf_generators(g: ResolutionGraph | Analysis) -> DiscriminantGroup:
     """Leaf generators read off the leaf block of the pairing matrix -L/det.
 
     Sign convention: the entry of the generator at leaf j against leaf i
     is the raw dual pairing (non-positive before mod-1 reduction), so the
     character formulas downstream match without extra signs.
     """
-    leaves, block, det = _scaled_leaf_block(g)
+    leaves, block, det = _scaled_leaf_block(analysis_of(g))
     gens = {w: tuple(Fraction(x, det) for x in row) for w, row in zip(leaves, block)}
     return DiscriminantGroup(leaves=leaves, order=det, generators=gens)
 
@@ -164,7 +164,7 @@ def _tree_span_check(rows: Sequence[Sequence[int]], d: int) -> GroupCheck:
     )
 
 
-def group_order_check(g: ResolutionGraph) -> GroupCheck:
+def group_order_check(g: ResolutionGraph | Analysis) -> GroupCheck:
     """The leaf generators span a group of order det (``enumerated_order``
     is the order of their span); with two or more leaves, any one of them
     can be dropped, and no non-zero element has a single non-zero entry
@@ -195,7 +195,7 @@ def group_order_check(g: ResolutionGraph) -> GroupCheck:
     Only the primes of g0 need the Smith diagonal, taken mod the part M of
     det they build; the rest, det / M, joins the largest invariant factor.
     """
-    _, block, det = _scaled_leaf_block(g)
+    _, block, det = _scaled_leaf_block(analysis_of(g))
     return _tree_span_check(block, det)
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
+from .analysis import Analysis, analysis_of
 from .conditions import (
     AdmissibleExponents, CongruenceReport, SemigroupReport, check_congruence, check_semigroup,
 )
@@ -194,7 +195,7 @@ def build_equations_from_diagram(
 
 
 def build_equations(
-    g: ResolutionGraph,
+    g: ResolutionGraph | Analysis,
     *,
     equivariant: bool = False,
     higher_terms: Mapping[str, Sequence[Sequence[HigherTerm]]] | None = None,
@@ -205,14 +206,14 @@ def build_equations(
     the congruence condition and picks monomials sharing a character, so
     the discriminant group acts on the system.
     """
-    d = splice_from_resolution(g)
+    d = splice_from_resolution((a := analysis_of(g)).graph)
     if not equivariant:
         return build_equations_from_diagram(d, higher_terms=higher_terms)
-    congruence = check_congruence(g)
+    congruence = check_congruence(a)
     semigroup_witnesses(congruence.semigroup)  # raises SemigroupFails
     witnesses = _witnesses(congruence, CongruenceFails, "equivariant")
     return build_equations_from_diagram(
-        d, higher_terms=higher_terms, witnesses=witnesses, group=leaf_generators(g)
+        d, higher_terms=higher_terms, witnesses=witnesses, group=leaf_generators(a)
     )
 
 

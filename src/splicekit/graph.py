@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import linalg
 from .errors import NotNegativeDefinite, UnknownEdge, UnknownVertex, ValidationError
 from .frozen import Frozen
-
-if TYPE_CHECKING:
-    from .conditions import CongruenceEdge
-    from .splice import SpliceDiagram
 
 VertexKind = str  # "leaf" | "string" | "node"
 DirectedEdge = tuple[str, str]
@@ -81,8 +77,8 @@ class ResolutionGraph(Frozen):
     and root down, on a negative-definite graph only) and the linking rows
     run on those arrays; everything else reads the passes through
     ``branch_det``, and ``adjacency`` and ``subtree_determinants`` give
-    views by vertex id. Everything derived is computed once per instance,
-    on first use, and cached.
+    views by vertex id. Each is cached on first use; what the layers above
+    derive from them is kept by an ``analysis.Analysis``.
     """
 
     __slots__ = ("ids", "weights", "edges", "__dict__")
@@ -132,9 +128,9 @@ class ResolutionGraph(Frozen):
     adjacency = cached_property(vertex_adjacency)
 
     @cached_property
-    def splice_diagram(self) -> SpliceDiagram:
-        """The reduced splice diagram with read-only weights and strings,
-        returned by ``splice.splice_from_resolution``. Raises
+    def splice_diagram(self):
+        """The reduced ``splice.SpliceDiagram`` with read-only weights and
+        strings, returned by ``splice.splice_from_resolution``. Raises
         NotNegativeDefinite."""
         from .splice import _reduced_diagram  # splice imports this module
 
@@ -215,40 +211,9 @@ class ResolutionGraph(Frozen):
         graph is not a tree."""
         return all(d > 0 for d in self._leaves_up[0])
 
-    @cached_property
-    def linking_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Linking numbers of the maximal splice diagram: ``linking_row`` of
-        every vertex, in vertex order. Callers that need a few rows (the
-        group section and the congruence table need the leaves' alone) ask
-        ``linking_row`` for those alone. Raises
-        NotNegativeDefinite, where some weight may be zero.
-        """
-        return tuple(self.linking_row(v) for v in self.ids)
-
-    @cached_property
-    def _linking_row_cache(self) -> dict[str, tuple[int, ...]]:
-        return {}
-
-    @cached_property
-    def _congruence_edge_cache(self) -> dict[tuple[str, str, int], CongruenceEdge]:
-        """``conditions.congruence_edge`` by (node, toward, cap)."""
-        return {}
-
-    @cached_property
-    def _branch_excess(self) -> dict[tuple[int, int], dict[int, int]]:
-        from .cycles import excess_table  # cycles imports this module
-
-        return excess_table(self)
-
-    @cached_property
-    def _branch_moduli(self) -> dict[tuple[int, int], int]:
-        from .cycles import moduli_table
-
-        return moduli_table(self)
-
     def linking_row(self, v: str) -> tuple[int, ...]:
-        """Linking numbers of v with every vertex, in vertex order, cached
-        per vertex. The entry at v is F_v, the product of all weights at v;
+        """Linking numbers of v with every vertex, in vertex order, walked on
+        each call. The entry at v is F_v, the product of all weights at v;
         a step from u to a neighbour x divides out the weight at u toward x,
         D(x, u), and multiplies in F_x / D(u, x). The walk steps from v up to
         vertex 0, to each parent p of u multiplying in (down[p] * rev[p]) //
@@ -257,10 +222,6 @@ class ResolutionGraph(Frozen):
         Raises UnknownVertex, and NotNegativeDefinite, where some weight may
         be zero.
         """
-        cache = self._linking_row_cache
-        row = cache.get(v)
-        if row is not None:
-            return row
         i = self.index.get(v)
         if i is None:
             raise UnknownVertex(v)
@@ -278,8 +239,7 @@ class ResolutionGraph(Frozen):
         for x in order:
             if x not in path:
                 walk[x] = walk[parent[x]] // up[x] * down[x]
-        row = cache[v] = tuple(walk)
-        return row
+        return tuple(walk)
 
     def weight_of(self, v: str) -> int:
         try:

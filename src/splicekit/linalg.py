@@ -115,12 +115,14 @@ def _eliminate(
     With a modulus N, the copy and every step are reduced mod N, and
     divisibility is that of the reduced representatives.
     """
+    n = len(matrix)
+    m = len(matrix[0]) if n else 0
+    if modulus == 1:  # every entry is 0 mod 1, so no step is taken
+        return (0,) * min(n, m)
     if modulus:
         a = [[x % modulus for x in row] for row in matrix]
     else:
         a = [list(row) for row in matrix]
-    n = len(a)
-    m = len(a[0]) if n else 0
     row_mats = (a,) if left is None else (a, left)
 
     def combine(rk: list[int], ri: list[int], x: int, y: int) -> list[int]:

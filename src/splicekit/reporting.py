@@ -1,9 +1,10 @@
 """Structured analysis reports with stable key order (byte-stable JSON).
 
 Every section reads the graph's one cached splice diagram, whose edges and
-weights come in vertex order, as do the maximal diagram's. A condition
-section carries its report's ``ok``; the semigroup and congruence sections
-write each edge with ``_edge_entry``. ``render_json`` writes with
+weights come in vertex order, as do the maximal diagram's, and takes a
+graph or an ``Analysis`` that a report shares. A condition section carries
+its report's ``ok``; the semigroup and congruence sections write each edge
+with ``_edge_entry``. ``render_json`` writes with
 ``document.indented_json``, the bytes of ``json.dumps(payload, indent=2)``
 without its pure-Python encoder.
 """
@@ -14,6 +15,7 @@ from math import gcd
 from typing import Any
 
 from . import conditions, cycles, discriminant, equations, splice
+from .analysis import Analysis, analysis_of
 from .document import indented_json, int_text
 from .errors import SemigroupFails
 from .graph import (
@@ -35,8 +37,8 @@ def _weights_list(d: splice.SpliceDiagram) -> list[list[Any]]:
     return [[at, to, w] for at, to, w in triples]
 
 
-def splice_section(g: ResolutionGraph) -> dict:
-    d = splice.splice_from_resolution(g)
+def splice_section(g: ResolutionGraph | Analysis) -> dict:
+    d = splice.splice_from_resolution(analysis_of(g).graph)
     return {
         "vertices": list(d.ids),
         "edges": _pairs(d.edges),
@@ -44,8 +46,8 @@ def splice_section(g: ResolutionGraph) -> dict:
     }
 
 
-def maximal_section(g: ResolutionGraph) -> dict:
-    weights = splice.maximal_splice(g).weights
+def maximal_section(g: ResolutionGraph | Analysis) -> dict:
+    weights = splice.maximal_splice(analysis_of(g).graph).weights
     return {"weights": [[at, to, w] for (at, to), w in weights.items()]}
 
 
@@ -61,7 +63,7 @@ def _residue_str(x: int, det: int, denominators: dict[int, str]) -> str:
     return int_text(x // common) + "/" + denominators[common]
 
 
-def group_section(g: ResolutionGraph) -> dict:
+def group_section(g: ResolutionGraph | Analysis) -> dict:
     """Order, invariant factors, leaf generators and checks of D(G) = Z^n/AZ^n.
 
     The generators and checks are those of ``leaf_generators`` and
@@ -80,7 +82,7 @@ def group_section(g: ResolutionGraph) -> dict:
     pairings with the leaf duals) span a copy of D(G) itself, ``order_ok``
     always holds, and the factors equal the n-by-n Smith diagonal of -A.
     """
-    leaves, block, det = discriminant._scaled_leaf_block(g)  # built once for both
+    leaves, block, det = discriminant._scaled_leaf_block(a := analysis_of(g))  # once for both
     check = discriminant._tree_span_check(block, det)
     factors = check.invariant_factors
     denominators: dict[int, str] = {}
@@ -90,7 +92,7 @@ def group_section(g: ResolutionGraph) -> dict:
         text.append([text[j][i] for j in range(i)] + residues)
     return {
         "order": det,
-        "invariant_factors": [1] * (len(g.ids) - len(factors)) + list(factors),
+        "invariant_factors": [1] * (len(a.graph.ids) - len(factors)) + list(factors),
         "generators": dict(zip(leaves, text)),
         "checks": {
             "order_ok": check.order_ok,
@@ -119,11 +121,11 @@ def _semigroup_payload(report: conditions.SemigroupReport) -> dict:
     return {"ok": report.ok, "edges": [_edge_entry(e) for e in report.edges]}
 
 
-def semigroup_section(g: ResolutionGraph) -> dict:
-    return _semigroup_payload(conditions.check_semigroup(splice.splice_from_resolution(g)))
+def semigroup_section(g: ResolutionGraph | Analysis) -> dict:
+    return _semigroup_payload(conditions.check_semigroup(analysis_of(g).graph.splice_diagram))
 
 
-def congruence_section(g: ResolutionGraph) -> dict:
+def congruence_section(g: ResolutionGraph | Analysis) -> dict:
     report = conditions.check_congruence(g)
     edges = []
     for e in report.edges:
@@ -147,8 +149,8 @@ def congruence_section(g: ResolutionGraph) -> dict:
     return {"ok": report.ok, "determinant": report.determinant, "edges": edges}
 
 
-def ideal_section(g: ResolutionGraph) -> dict:
-    report = splice.check_ideal_condition(splice.splice_from_resolution(g))
+def ideal_section(g: ResolutionGraph | Analysis) -> dict:
+    report = splice.check_ideal_condition(analysis_of(g).graph.splice_diagram)
     return {
         "ok": report.ok,
         "edges": [
@@ -164,7 +166,7 @@ def ideal_section(g: ResolutionGraph) -> dict:
     }
 
 
-def okuma34_section(g: ResolutionGraph) -> dict:
+def okuma34_section(g: ResolutionGraph | Analysis) -> dict:
     report = cycles.check_condition_3_4(g)
     return {
         "ok": report.ok,
@@ -175,7 +177,7 @@ def okuma34_section(g: ResolutionGraph) -> dict:
     }
 
 
-def okuma33_section(g: ResolutionGraph) -> dict:
+def okuma33_section(g: ResolutionGraph | Analysis) -> dict:
     report = cycles.check_condition_3_3(g)
     return {
         "ok": report.ok,
@@ -199,19 +201,19 @@ SECTIONS = {  # the order of ``check all``
 }
 
 
-def condition_sections(g: ResolutionGraph, names: tuple[str, ...]) -> dict[str, dict]:
-    """The named condition sections in the order given. Where congruence is
-    named too, the semigroup section is read off its searches, which are
-    cached on g; alone, each semigroup edge stops at its first vector."""
-    builders = dict(SECTIONS)
+def condition_sections(g: ResolutionGraph | Analysis, names: tuple[str, ...]) -> dict[str, dict]:
+    """The named condition sections in the order given, all from one
+    analysis. Where congruence is named too, the semigroup section is read
+    off its searches; alone, each semigroup edge stops at its first vector."""
+    a, builders = analysis_of(g), dict(SECTIONS)
     if "congruence" in names:
         congruence = conditions.check_congruence
-        builders["semigroup"] = lambda g: _semigroup_payload(congruence(g).semigroup)
-    return {name: builders[name](g) for name in names}
+        builders["semigroup"] = lambda a: _semigroup_payload(congruence(a).semigroup)
+    return {name: builders[name](a) for name in names}
 
 
-def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
-    report: dict[str, Any] = {}
+def analysis_report(g: ResolutionGraph | Analysis, name: str | None = None) -> dict:
+    g, report = (a := analysis_of(g)).graph, {}
     if name:
         report["name"] = name
     report["vertices"] = len(g.ids)
@@ -223,14 +225,14 @@ def analysis_report(g: ResolutionGraph, name: str | None = None) -> dict:
     report["determinant"] = graph_determinant(g)
     report["nodes"] = list(nodes_of(g))
     report["leaves"] = list(leaves_of(g))
-    report["group"] = group_section(g)
+    report["group"] = group_section(a)
     report["splice"] = splice_section(g)
     report["maximal"] = maximal_section(g)
     report["conditions"] = condition_sections(
-        g, ("ideal", "semigroup", "congruence", "okuma34", "okuma33")
+        a, ("ideal", "semigroup", "congruence", "okuma34", "okuma33")
     )
     try:  # the witnesses of the congruence searches make the equations
-        witnesses = equations.semigroup_witnesses(conditions.check_congruence(g).semigroup)
+        witnesses = equations.semigroup_witnesses(conditions.check_congruence(a).semigroup)
     except SemigroupFails as exc:
         report["equations"] = {"error": "SemigroupFails", "detail": str(exc)}
         return report

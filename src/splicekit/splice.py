@@ -295,11 +295,11 @@ def linking_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
     """Matrix of pairwise linking numbers over all resolution vertices.
 
     Entries are the path products of the maximal splice diagram (see
-    ``ResolutionGraph.linking_rows``); the diagonal entry is the product of
+    ``ResolutionGraph.linking_row``); the diagonal entry is the product of
     all weights at the vertex. Satisfies A * L = -det * I, which the test
     suite checks exactly. Returns a fresh list; raises NotNegativeDefinite.
     """
-    return [list(row) for row in g.linking_rows]
+    return [list(g.linking_row(v)) for v in g.ids]
 
 
 def edge_determinant(d: SpliceDiagram, edge: tuple[str, str]) -> int:

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 
@@ -7,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splicekit import conditions, fixtures
+from splicekit.analysis import Analysis
 from splicekit.conditions import (
     SearchBudget,
     admissible_exponents,
@@ -162,7 +162,7 @@ def test_failing_congruence_report_is_hashable(g90):
 def test_congruence_pass_gives_the_semigroup_report(monkeypatch, corpus, nodes):
     # the semigroup verdict read off each edge's congruence search is the
     # one of the search that stops at the first vector, truncation included.
-    # The searches are cached on the graph, so each is a fresh copy. At the
+    # Each call makes a fresh analysis, so it searches under this budget. At the
     # default budget the corpus graphs of det > 10^4 are left out: their
     # congruence searches take over a minute
     real = SearchBudget
@@ -170,7 +170,7 @@ def test_congruence_pass_gives_the_semigroup_report(monkeypatch, corpus, nodes):
         monkeypatch.setattr(conditions, "SearchBudget", lambda _: real(nodes))
     graphs = corpus if nodes else with_determinant_cap(corpus, 10**4)
     truncated = 0
-    for g in [*map(copy.copy, graphs), *(dominant_tree(random.Random(s), 25) for s in range(3))]:
+    for g in [*graphs, *(dominant_tree(random.Random(s), 25) for s in range(3))]:
         report = check_congruence(g).semigroup
         assert report == check_semigroup(g.splice_diagram)
         truncated += sum(e.truncated for e in report.edges)
@@ -178,14 +178,23 @@ def test_congruence_pass_gives_the_semigroup_report(monkeypatch, corpus, nodes):
 
 
 def test_congruence_searches_are_cached_per_cap(monkeypatch):
+    # an analysis reads the cap once, on its first search, and keeps its
+    # searches; a later call handed the graph makes a fresh analysis and
+    # gets the result of the cap set then
+    reads = []
+    real = conditions.solution_limit
+    monkeypatch.setattr(conditions, "solution_limit", lambda: reads.append(1) or real())
     g = fixtures.g90()
-    full = check_congruence(g)
+    a = Analysis(g)
+    full = check_congruence(a)
+    assert len(reads) == 1
     monkeypatch.setenv("SPLICEKIT_ENUM_CAP", "1")
+    assert check_congruence(a) == full and len(reads) == 1
     capped = check_congruence(g)
-    assert capped == check_congruence(fixtures.g90())
+    assert capped == check_congruence(fixtures.g90()) and len(reads) == 3
     assert capped != full and any(e.truncated for e in capped.edges)
     monkeypatch.delenv("SPLICEKIT_ENUM_CAP")
-    assert all(a is b for a, b in zip(check_congruence(g).edges, full.edges))
+    assert check_congruence(g) == full
 
 
 def test_congruence_g1_trivial(g1):
@@ -214,7 +223,8 @@ def test_rational_and_integer_paths_agree(g17, g90):
                 # integer path: re-run the table check via the report machinery
                 from splicekit.conditions import _congruence_table, _satisfies
 
-                table = _congruence_table(g, edge.node, d.edge_leaves(edge.node, edge.toward)[0])
+                leaves = d.edge_leaves(edge.node, edge.toward)[0]
+                table = _congruence_table(Analysis(g), edge.node, leaves)
                 assert _satisfies(table, [a for _, a in adm.exponents]) == ok_rational
 
 
@@ -222,11 +232,11 @@ def _assert_table_matches_oracle(g):
     # the integer table, with det carried once, holds the name-keyed rows of
     # the oracle, and both tests agree on the first vectors of each node edge
     # and on a few more
-    d = splice_from_resolution(g)
+    d, a = splice_from_resolution(g), Analysis(g)
     for v in d.nodes:
         for u in d.adjacency[v]:
             leaves, values = d.edge_leaves(v, u)
-            table = conditions._congruence_table(g, v, leaves)
+            table = conditions._congruence_table(a, v, leaves)
             oracle = congruence_table_by_name(g, v, leaves)
             det, rows = table
             assert [
@@ -264,7 +274,7 @@ def test_certificates_are_built_for_failing_edges_only(monkeypatch, corpus):
     monkeypatch.setattr(conditions, "LeafCongruence", counted)
     monkeypatch.setattr(conditions, "SearchBudget", lambda _: budget(3000))
     expected = 0
-    for g in map(copy.copy, corpus):
+    for g in corpus:
         report = check_congruence(g)
         assert all(not e.congruences for e in report.edges if e.ok)
         expected += sum(len(e.congruences) for e in report.failures)

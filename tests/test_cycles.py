@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from splicekit import conditions
+from splicekit import conditions, cycles
+from splicekit.analysis import Analysis
 from splicekit.conditions import check_congruence, check_semigroup, congruence_edge
 from splicekit.corpus import dominant_tree, dominant_trees, two_node_graphs, with_determinant_cap
 from splicekit.cycles import (
@@ -20,6 +20,7 @@ from splicekit.cycles import (
     dual_cycle,
     dual_cycles,
     excess_entry,
+    excess_table,
     fundamental_cycle,
 )
 from splicekit.errors import NotABranch, NotNegativeDefinite, UnknownVertex
@@ -127,7 +128,7 @@ def _assert_branch_table(g):
     # entries toward a leaf
     table = branch_cycle_table(g)
     assert len(table) == 2 * len(g.edges)
-    excess, ids = g._branch_excess, g.ids
+    excess, ids = excess_table(g), g.ids
     assert len(excess) == sum(g.degree(p) > 1 for _, p in table)
     for (u, p), cycle in table.items():
         comp = component_of(g, p, u)
@@ -143,7 +144,7 @@ def _assert_branch_table(g):
 def test_branch_table_matches_fundamental_cycles(corpus):
     # every directed edge: the component's own computation sequence, from
     # all ones, and the rescanning oracle agree with the table entry
-    for g in map(copy.copy, corpus):
+    for g in corpus:
         _assert_branch_table(g)
 
 
@@ -164,7 +165,7 @@ def test_branch_table_bumps_on_minus_two_curves():
     )
     _assert_branch_table(g)
     assert branch_cycle_table(g)[("a", "e")] == {"c": 2, "a": 1, "b": 1, "d": 1}
-    assert excess_entry(g, g._branch_excess, 1, 4) == {0: 1}
+    assert excess_entry(g, excess_table(g), 1, 4) == {0: 1}
 
 
 def test_fundamental_cycle_refuses_an_indefinite_set():
@@ -225,8 +226,8 @@ def _assert_reduced_route(g, seen):
     every field; each 3.4 value is the branch's fundamental cycle at its
     attach. Counts the reduced and the other branches in ``seen``."""
     reduced, negative = tests = _branch_tests(g)
-    table = branch_cycle_table(g)
-    values = {(c.vertex, c.attach): c.value for c in check_condition_3_4(g).checks}
+    table, a = branch_cycle_table(g), Analysis(g)
+    values = {(c.vertex, c.attach): c.value for c in check_condition_3_4(a).checks}
     for v in g.ids:
         i = g.index[v]
         for x in g.tree.nbrs[i]:
@@ -235,7 +236,7 @@ def _assert_reduced_route(g, seen):
             assert reduced(x, i) == _is_reduced(g, v, g.ids[x])
         if g.degree(v) < 2:
             continue
-        swept, _, _ = _sweep(g, i, g.tree.nbrs[i], tests)
+        swept, _, _ = _sweep(a, i, g.tree.nbrs[i], tests)
         for x in g.tree.nbrs[i]:
             u = g.ids[x]
             seen[reduced(x, i)] += 1
@@ -264,7 +265,7 @@ def test_reduced_route_matches_table_oracle(corpus):
         "v2", "constructive", (("v1", 1), ("v5", 0)),
     )
     seen = [0, 0]  # branches that are not reduced, reduced
-    for g in [*map(copy.copy, corpus), fork, chain]:
+    for g in [*corpus, fork, chain]:
         _assert_reduced_route(g, seen)
     assert all(seen)
     refused = []
@@ -285,23 +286,30 @@ def test_reduced_route_matches_table_oracle(corpus):
     assert seen[0] > before[0] and seen[1] > before[1] and refused
 
 
-def test_reduced_graphs_compute_no_branch_cycle(fixture_map):
+def test_reduced_graphs_compute_no_branch_cycle(monkeypatch, fixture_map):
     # the excess table and the moduli are built only where some branch is
     # not reduced: never on the 28 small-corpus graphs whose every curve
     # has w + deg <= 0, nor on the graphs whose non-leaf curves have only
     # reduced branches
+    built = []
+    for name in ("excess_table", "moduli_table"):
+        real = getattr(cycles, name)
+        monkeypatch.setattr(
+            cycles, name, lambda g, name=name, real=real: built.append(name) or real(g)
+        )
     small = with_determinant_cap(dominant_trees(100) + two_node_graphs(50), 10**4)
     reduced = [
         g for g in small if all(w + len(ns) <= 0 for w, ns in zip(g.weights, g.tree.nbrs))
     ]
     assert len(reduced) == 28
-    for g in map(copy.copy, [*fixture_map.values(), *small]):
+    for g in [*fixture_map.values(), *small]:
+        built.clear()
         check_condition_3_3(g)
         check_condition_3_4(g)
         every = all(_is_reduced(g, v, u) for v in g.ids if g.degree(v) > 1 for u in g.adjacency[v])
-        assert ("_branch_excess" not in g.__dict__) == every
+        assert ("excess_table" not in built) == every
         if every:
-            assert "_branch_moduli" not in g.__dict__
+            assert not built
 
 
 def _assert_matches_oracle(g, v):
@@ -442,22 +450,22 @@ def test_condition_3_3_search_matches_cycle_oracle(monkeypatch, corpus):
     # the 3.3 fallback is the congruence search of the matching diagram
     # edge; on every branch that search and the oracle, which tests each
     # vector's cycle on every curve, agree on the witness and on truncation.
-    # A 5000-node budget makes some branches run out; the searches are
-    # cached on the graph, so each is a fresh copy.
+    # A 5000-node budget makes some branches run out; the check and the
+    # edges read one analysis's searches.
     real = conditions.SearchBudget
     monkeypatch.setattr(conditions, "SearchBudget", lambda nodes: real(5000))
     cap = conditions.solution_limit()
     seeded = [dominant_tree(random.Random(s), n) for n in (25, 40) for s in range(6)]
     fallbacks = truncated = 0
-    for g in [*map(copy.copy, corpus), *seeded]:
-        d = splice_from_resolution(g)
-        decisions = {(b.node, b.attach): b for b in check_condition_3_3(g).decisions}
+    for g in [*corpus, *seeded]:
+        d, a = splice_from_resolution(g), Analysis(g)
+        decisions = {(b.node, b.attach): b for b in check_condition_3_3(a).decisions}
         for v in nodes_of(g):
             for u in g.adjacency[v]:
                 branch = component_of(g, v, u)
                 expected = search_monomial_cycle(g, v, branch, cap, real(5000))
                 t = next(t for t in d.adjacency[v] if t in branch)
-                edge = congruence_edge(g, v, t)
+                edge = a.memo(congruence_edge, v, t)
                 assert (edge.witness and edge.witness.exponents, edge.truncated) == expected
                 decision = decisions[(v, u)]
                 if decision.method == "search":

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splicekit import discriminant, linalg, reporting
+from splicekit.analysis import Analysis
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import (
@@ -170,7 +171,7 @@ def test_bezout_smith_form_matches_rescan_oracle(monkeypatch, corpus, fixture_ma
     trees = [dominant_tree(random.Random(seed), 25) for seed in range(12)]
     trees += [dominant_tree(random.Random(seed), 50) for seed in range(6)]
     for g in [*corpus, *trees]:
-        _, block, det = _scaled_leaf_block(g)
+        _, block, det = _scaled_leaf_block(Analysis(g))
         bezout = smith_normal_form(block, modulus=det)
         rescan = smith_normal_form_rescan(block, modulus=det)
         expected = sorted(gcd(s, det) for s in rescan.diagonal)
@@ -212,7 +213,7 @@ def test_every_drop_one_index_is_one_on_a_tree():
     @settings(max_examples=300, deadline=None)
     @given(definite_trees())
     def compare(g):
-        _, block, det = _scaled_leaf_block(g)
+        _, block, det = _scaled_leaf_block(Analysis(g))
         _, indices = drop_one_indices(block, det)
         assert indices == [1] * len(block)
         oracle = _span_check(block, det)
@@ -259,7 +260,7 @@ def test_group_factors_eliminate_mod_the_smooth_part(monkeypatch, corpus):
     trees = [dominant_tree(random.Random(seed), n) for n in (25, 50) for seed in range(12)]
     below_det = cyclic = 0
     for g in [*corpus, *trees]:
-        _, block, det = _scaled_leaf_block(g)
+        _, block, det = _scaled_leaf_block(Analysis(g))
         g0, smooth = _smooth_part(block, det)
         for route in (group_order_check, reporting.group_section):
             moduli.clear()
@@ -280,7 +281,7 @@ def test_group_section_factors_match_the_full_smith_form():
     def compare(g):
         factors = reporting.group_section(g)["invariant_factors"]
         assert factors == oracles.invariant_factors_full(g)
-        _, block, det = _scaled_leaf_block(g)
+        _, block, det = _scaled_leaf_block(Analysis(g))
         g0, smooth = _smooth_part(block, det)
         seen["cyclic"] += g0 == 1
         seen["smooth_below_det"] += g0 > 1 and smooth < det

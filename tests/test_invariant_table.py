@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splicekit import fixtures
+from splicekit import fixtures, graph
+from splicekit.analysis import Analysis, linking_row
 from splicekit.corpus import dominant_tree
 from splicekit.cycles import dual_cycle
 from splicekit.discriminant import pairing_matrix
@@ -136,26 +137,39 @@ def test_returned_matrices_do_not_alias_the_cache(g17):
 
 
 def test_linking_row_is_the_row_of_linking_rows(corpus):
+    # the linking matrix lists the rows by vertex; an analysis walks each
+    # row once and hands the same row on every later read
     for g in corpus:
+        a, rows = Analysis(g), linking_matrix(g)
         for v in g.ids:
-            assert g.linking_row(v) == g.linking_rows[g.index[v]]
+            row = a.memo(linking_row, v)
+            assert list(row) == rows[g.index[v]] and a.memo(linking_row, v) is row
 
 
-def test_group_and_report_walk_only_the_rows_they_read():
-    # the group section reads the leaves' rows and the congruence table the
-    # leaves' and the nodes'; neither may walk from every vertex
+def test_group_and_report_walk_only_the_rows_they_read(monkeypatch):
+    # the group section and the congruence tables read the leaves' rows
+    # alone; neither may walk from any other vertex
+    walked = []
+    real = graph.ResolutionGraph.linking_row
+    monkeypatch.setattr(
+        graph.ResolutionGraph, "linking_row", lambda g, v: walked.append(v) or real(g, v)
+    )
     fresh = [*fixtures.fixture_graphs().values()]
     fresh += [dominant_tree(random.Random(seed), 12) for seed in range(3)]
     for g in fresh:
+        leaves = set(graph.leaves_of(g))
+        walked.clear()
         group_section(g)
-        assert "linking_rows" not in vars(g)
+        assert set(walked) == leaves
+        walked.clear()
         analysis_report(g)
-        assert "linking_rows" not in vars(g)
+        assert set(walked) <= leaves
 
 
 def test_linking_rows_under_concurrent_first_use():
-    # threads fill one fresh graph's per-vertex cache in different orders;
-    # every row each of them reads must be the row a lone caller gets
+    # threads read one fresh graph's rows in different orders, so its lazy
+    # passes are first built concurrently; every row each of them reads
+    # must be the row a lone caller gets
     expected = linking_matrix(dominant_tree(random.Random(4), 40))
     g = dominant_tree(random.Random(4), 40)
     errors = []
@@ -178,7 +192,7 @@ def test_linking_rows_under_concurrent_first_use():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert [list(row) for row in g.linking_rows] == expected
+    assert linking_matrix(g) == expected
 
 
 def test_linking_row_rejects_unknown_and_indefinite(g17):

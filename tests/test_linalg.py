@@ -1,8 +1,12 @@
+import random
 from math import gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicekit.analysis import Analysis
+from splicekit.corpus import dominant_tree
+from splicekit.discriminant import _scaled_leaf_block
 from splicekit.linalg import (
     determinant,
     identity_matrix,
@@ -142,6 +146,23 @@ def test_snf_modulus_one():
     snf = smith_normal_form(m, modulus=1)
     assert snf.diagonal == (0, 0)
     _check_modular(m, 1, snf)
+
+
+def test_snf_modulus_one_takes_no_step():
+    # mod 1 every entry is 0: the diagonal is all zeros and both transforms
+    # stay the identity, on seeded rectangular matrices and leaf blocks
+    trees = [dominant_tree(random.Random(seed), 60) for seed in range(4)]
+    blocks = [_scaled_leaf_block(Analysis(g))[1] for g in trees]
+    for seed in range(8):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        blocks.append([[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(rows)])
+    for m in blocks:
+        snf = smith_normal_form(m, modulus=1)
+        assert snf.diagonal == (0,) * min(len(m), len(m[0]))
+        assert snf.left == tuple(map(tuple, identity_matrix(len(m))))
+        assert snf.right == tuple(map(tuple, identity_matrix(len(m[0]))))
+        assert smith_diagonal(m, modulus=1) == snf.diagonal
 
 
 @st.composite

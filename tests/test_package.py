@@ -147,6 +147,50 @@ def test_every_function_has_a_caller():
     assert uncalled == UNCALLED_BACKLOG
 
 
+# every module of the package, lowest first; each may import only the
+# modules before it
+LAYERS = (
+    "errors", "frozen", "linalg", "cfrac", "graph", "analysis", "corpus", "fixtures",
+    "document", "splice", "conditions", "discriminant", "cycles", "equations",
+    "reporting", "cli", "__init__",
+)
+# (importer, imported module, name): the graph builds its cached splice
+# diagram through splice, which imports graph
+UPWARD_IMPORTS = {("graph", "splice", "_reduced_diagram")}
+
+
+def _package_imports(tree):
+    """(module, name) for each name that tree imports from the package, in
+    function bodies and TYPE_CHECKING blocks too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # from . import m, from .m import name, and their absolute forms
+            parts = (("splicekit." if node.level else "") + (node.module or "")).split(".")
+            if parts[0] == "splicekit":
+                for alias in node.names:
+                    yield (parts[1] if parts[1:] and parts[1] else alias.name), alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("splicekit."):
+                    yield alias.name.split(".")[1], alias.name
+
+
+def test_imports_point_down_the_layers():
+    # no module imports one above it, not even lazily or for typing alone,
+    # but for the one import in UPWARD_IMPORTS
+    src = Path(__file__).resolve().parents[1] / "src" / "splicekit"
+    modules = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    rank = {module: i for i, module in enumerate(LAYERS)}
+    assert modules.keys() <= rank.keys()  # a new module takes its place in LAYERS
+    upward = {
+        (module, target, name)
+        for module, tree in modules.items()
+        for target, name in _package_imports(tree)
+        if rank[target] >= rank[module]
+    }
+    assert upward == UPWARD_IMPORTS
+
+
 REPORTS = (
     SemigroupReport, CongruenceReport, EdgeDetReport, IdealReport,
     Condition34Report, Condition33Report, LeadingFormReport,
