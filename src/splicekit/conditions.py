@@ -4,12 +4,13 @@ One bounded search per edge, ``search_edge``, decides the semigroup test
 (its first vector) and the congruence test (its first vector meeting the
 integer congruence table, denominators cleared by the determinant), made
 once per ``Analysis`` by ``congruence_edge`` for both reports and the 3.3
-fallback. The table holds integer rows read off the leaves' linking rows;
-the name-keyed ``LeafCongruence`` certificate is built for a failing edge
-only. Each search tests at most ``solution_limit()`` vectors: 10^5, or
-SPLICEKIT_ENUM_CAP, which only this module reads, once per analysis.
-The test oracles keep the exact-rational route and the name-keyed table
-read off a node's row; the suite asserts agreement.
+fallback. Every verdict is a ``Decision``: pass, fail or undecided. The
+table holds integer rows read off the leaves' linking rows; the name-keyed
+``LeafCongruence`` certificate is built for a failing edge only. Each
+search tests at most ``solution_limit()`` vectors: 10^5, or
+SPLICEKIT_ENUM_CAP, which only this module reads, once per analysis. The
+test oracles keep the exact-rational route and the name-keyed table read
+off a node's row; the suite asserts agreement.
 """
 
 from __future__ import annotations
@@ -158,90 +159,6 @@ class ExponentSolutions(NamedTuple):
     truncated: bool
 
 
-class SemigroupEdge(NamedTuple):
-    node: str
-    toward: str
-    ok: bool
-    witness: AdmissibleExponents | None
-    truncated: bool = False
-
-
-def search_edge(
-    d: SpliceDiagram,
-    v: str,
-    toward: str,
-    cap: int,
-    accept: Callable[[tuple[int, ...]], object] | None = None,
-) -> tuple[SemigroupEdge, AdmissibleExponents | None, int, bool]:
-    """The edge's semigroup verdict (from the first vector found), the first
-    admissible vector on the edge that passes `accept` (the first one at all
-    without a test), the number of vectors tested, and whether the search
-    was truncated: it stops after `cap` vectors, or when its node budget of
-    max(16 * cap, 2^20) runs out. `accept` sees the raw exponents, aligned
-    with ``d.edge_leaves``; only the vectors returned are wrapped. Raises
-    UnknownEdge."""
-    leaves, values = d.edge_leaves(v, toward)
-    target = d.weights[(v, toward)]
-    budget = SearchBudget(max(cap * 16, 1 << 20))
-    solutions = iter_nonnegative_solutions(values, target, budget)
-    first = found = None
-    tested = 0
-    for tested, alpha in enumerate(islice(solutions, cap), 1):
-        if first is None:
-            first = alpha
-        if accept is None or accept(alpha):
-            found = alpha
-            break
-    # past the cap, one more vector means truncated, as does a spent budget
-    truncated = found is None and (next(solutions, None) is not None or budget.exhausted)
-    # each vector returned is wrapped once; first is None only when found is
-    witness = None if found is None else AdmissibleExponents(v, toward, tuple(zip(leaves, found)))
-    head = witness if first is found else AdmissibleExponents(v, toward, tuple(zip(leaves, first)))
-    semigroup = SemigroupEdge(v, toward, head is not None, head, head is None and truncated)
-    return semigroup, witness, tested, truncated
-
-
-def admissible_exponents(
-    d: SpliceDiagram, v: str, toward: str, limit: int | None = None
-) -> ExponentSolutions:
-    """Complete bounded enumeration of admissible exponent vectors.
-
-    Exceeding the limit is reported through the `truncated` flag; the
-    partial list is still returned. Raises UnknownEdge.
-    """
-    leaves, values = d.edge_leaves(v, toward)
-    out: list[tuple[int, ...]] = []  # append returns None: every vector is kept, none accepted
-    truncated = search_edge(d, v, toward, solution_limit(limit), out.append)[3]
-    return ExponentSolutions(
-        node=v,
-        toward=toward,
-        leaves=leaves,
-        values=values,
-        target=d.weights[(v, toward)],
-        solutions=tuple(AdmissibleExponents(v, toward, tuple(zip(leaves, a))) for a in out),
-        truncated=truncated,
-    )
-
-
-class SemigroupReport(NamedTuple):
-    edges: tuple[SemigroupEdge, ...]
-
-    ok, failures = report_ok, report_failures
-
-
-def check_semigroup(d: SpliceDiagram) -> SemigroupReport:
-    """Each node-edge weight must lie in the semigroup spanned by the
-    reduced linking numbers toward that edge. Edges to leaves always pass
-    (the single exponent is the weight itself). A failing edge with the
-    truncated flag set means the search budget ran out before the space
-    was exhausted. Each search stops at its first vector; on a resolution
-    graph, ``check_congruence(g).semigroup`` reads the same report."""
-    cap = solution_limit()
-    return SemigroupReport(edges=tuple(
-        search_edge(d, v, u, cap)[0] for v in d.nodes for u in d.adjacency[v]
-    ))
-
-
 class LeafCongruence(NamedTuple):
     """One per-leaf integer congruence sum(coeff_w * a_w) = target (mod m)."""
 
@@ -259,27 +176,117 @@ class SolvedCongruence(NamedTuple):
     modulus: int
 
 
-class CongruenceEdge(NamedTuple):
+class Decision(NamedTuple):
+    """The verdict on one searched diagram edge (node, toward) or 3.3 branch
+    (node, attach). A search passes with its witness, fails when it ran
+    through every vector and undecided when it ran out first (``_status``);
+    a greedy 3.3 branch passes with method "constructive". A failing
+    congruence decision carries the table and, toward an end-node, the
+    solved single-variable congruences."""
+
     node: str
     toward: str
-    semigroup: SemigroupEdge
-    ok: bool
+    status: str  # "pass" | "fail" | "undecided"
+    method: str  # "search" | "constructive"
     witness: AdmissibleExponents | None
-    tested: int
-    truncated: bool
-    congruences: tuple[LeafCongruence, ...]
-    solved: tuple[SolvedCongruence, ...]
+    tested: int = 0
+    congruences: tuple[LeafCongruence, ...] = ()
+    solved: tuple[SolvedCongruence, ...] = ()
+
+    ok = property(lambda self: self.status == "pass")
+    truncated = property(lambda self: self.status == "undecided")  # the search ran out
+
+
+def _status(witness: AdmissibleExponents | None, ran_out: bool) -> str:
+    """A search's status: pass with a witness, else undecided when it ran
+    out of vectors or nodes before the space did, else fail."""
+    return "pass" if witness is not None else "undecided" if ran_out else "fail"
+
+
+def search_edge(
+    d: SpliceDiagram,
+    v: str,
+    toward: str,
+    cap: int,
+    accept: Callable[[tuple[int, ...]], object] | None = None,
+) -> tuple[Decision, Decision]:
+    """The edge's semigroup decision (from the first vector found) and the
+    decision of the same search for the first vector that passes `accept`
+    (the first one at all without a test), with the vectors tested. The
+    search runs out after `cap` vectors, or when its node budget of
+    max(16 * cap, 2^20) does (``_status``). `accept` sees the raw exponents,
+    aligned with ``d.edge_leaves``; only the vectors returned are wrapped.
+    Raises UnknownEdge."""
+    leaves, values = d.edge_leaves(v, toward)
+    target = d.weights[(v, toward)]
+    budget = SearchBudget(max(cap * 16, 1 << 20))
+    solutions = iter_nonnegative_solutions(values, target, budget)
+    first = found = None
+    tested = 0
+    for tested, alpha in enumerate(islice(solutions, cap), 1):
+        if first is None:
+            first = alpha
+        if accept is None or accept(alpha):
+            found = alpha
+            break
+    # past the cap, one more vector means it ran out, as does a spent budget
+    ran_out = found is None and (next(solutions, None) is not None or budget.exhausted)
+    # each vector returned is wrapped once; first is None only when found is
+    witness = None if found is None else AdmissibleExponents(v, toward, tuple(zip(leaves, found)))
+    head = witness if first is found else AdmissibleExponents(v, toward, tuple(zip(leaves, first)))
+    return (
+        Decision(v, toward, _status(head, ran_out), "search", head, int(head is not None)),
+        Decision(v, toward, _status(witness, ran_out), "search", witness, tested),
+    )
+
+
+def admissible_exponents(
+    d: SpliceDiagram, v: str, toward: str, limit: int | None = None
+) -> ExponentSolutions:
+    """Complete bounded enumeration of admissible exponent vectors.
+
+    Exceeding the limit is reported through the `truncated` flag; the
+    partial list is still returned. Raises UnknownEdge.
+    """
+    leaves, values = d.edge_leaves(v, toward)
+    out: list[tuple[int, ...]] = []  # append returns None: every vector is kept, none accepted
+    truncated = search_edge(d, v, toward, solution_limit(limit), out.append)[1].truncated
+    return ExponentSolutions(
+        node=v,
+        toward=toward,
+        leaves=leaves,
+        values=values,
+        target=d.weights[(v, toward)],
+        solutions=tuple(AdmissibleExponents(v, toward, tuple(zip(leaves, a))) for a in out),
+        truncated=truncated,
+    )
+
+
+class SemigroupReport(NamedTuple):
+    edges: tuple[Decision, ...]
+
+    ok, failures = report_ok, report_failures
+
+
+def check_semigroup(d: SpliceDiagram) -> SemigroupReport:
+    """Each node-edge weight must lie in the semigroup spanned by the
+    reduced linking numbers toward that edge. Edges to leaves always pass
+    (the single exponent is the weight itself). An edge whose search ran
+    out before the space did is undecided, not failed. Each search stops
+    at its first vector; on a resolution
+    graph, ``check_congruence(g).semigroup`` reads the same report."""
+    cap = solution_limit()
+    return SemigroupReport(edges=tuple(
+        search_edge(d, v, u, cap)[0] for v in d.nodes for u in d.adjacency[v]
+    ))
 
 
 class CongruenceReport(NamedTuple):
     determinant: int
-    edges: tuple[CongruenceEdge, ...]
+    semigroup: SemigroupReport  # the semigroup decisions of the same searches
+    edges: tuple[Decision, ...]
 
     ok, failures = report_ok, report_failures
-
-    @property
-    def semigroup(self) -> SemigroupReport:
-        return SemigroupReport(edges=tuple(e.semigroup for e in self.edges))
 
 
 CongruenceTable = tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
@@ -323,37 +330,26 @@ def _search_cap(a: Analysis) -> int:
     return solution_limit()
 
 
-def congruence_edge(a: Analysis, v: str, toward: str) -> CongruenceEdge:
-    """Congruence search on one node edge of the splice diagram: the first
-    admissible vector that meets the per-leaf congruence table, and the
-    edge's semigroup verdict from the same search, under the cap read on the
-    first search of a. Made once per analysis: ``a.memo(congruence_edge, v, t)``.
-
-    A failure carries the table and, toward an end-node, the solved
-    single-variable congruences.
+def congruence_edge(a: Analysis, v: str, toward: str) -> tuple[Decision, Decision]:
+    """The semigroup and congruence decisions of one search on a node edge
+    of the splice diagram, the second for the first admissible vector that
+    meets the per-leaf congruence table, under the cap read on the first
+    search of a. Made once per analysis: ``a.memo(congruence_edge, v, t)``.
     """
     g, cap = a.graph, a.memo(_search_cap)
     d = splice_from_resolution(g)
     leaves = d.edge_leaves(v, toward)[0]
     table = _congruence_table(a, v, leaves)
-    semigroup, witness, tested, truncated = search_edge(
-        d, v, toward, cap, lambda alpha: _satisfies(table, alpha)
-    )
-    failed = witness is None
+    semigroup, congruence = search_edge(d, v, toward, cap, lambda alpha: _satisfies(table, alpha))
+    if congruence.ok:
+        return semigroup, congruence
     # v is a node, so toward is an end-node seen from v exactly when it is one at all
-    end_edge = failed and semigroup.ok and is_end_node(d, toward)
-    return CongruenceEdge(
-        node=v,
-        toward=toward,
-        semigroup=semigroup,
-        ok=not failed,
-        witness=witness,
-        tested=tested,
-        truncated=truncated,
+    end_edge = semigroup.ok and is_end_node(d, toward)
+    return semigroup, congruence._replace(
         congruences=tuple(
             LeafCongruence(w, tuple(zip(leaves, coeffs)), target, table[0])
             for w, (target, coeffs) in zip(leaves, table[1])
-        ) if failed else (),
+        ),
         solved=_solved_congruences(g, d, v, toward) if end_edge else (),
     )
 
@@ -368,11 +364,16 @@ def check_congruence(g: ResolutionGraph | Analysis) -> CongruenceReport:
 
     Failures carry the per-leaf congruence table (denominators cleared by
     the determinant) and, for edges toward an end-node, the solved
-    single-variable congruences. ``semigroup`` reads the same searches.
+    single-variable congruences. ``semigroup`` holds the semigroup
+    decisions of the same searches.
     """
     d = splice_from_resolution((a := analysis_of(g)).graph)
-    edges = tuple(a.memo(congruence_edge, v, u) for v in d.nodes for u in d.adjacency[v])
-    return CongruenceReport(determinant=graph_determinant(a.graph), edges=edges)
+    pairs = [a.memo(congruence_edge, v, u) for v in d.nodes for u in d.adjacency[v]]
+    return CongruenceReport(
+        determinant=graph_determinant(a.graph),
+        semigroup=SemigroupReport(edges=tuple(s for s, _ in pairs)),
+        edges=tuple(c for _, c in pairs),
+    )
 
 
 # --- closed-form criteria -------------------------------------------------

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import Analysis, analysis_of
-from .conditions import congruence_edge
+from .analysis import Analysis, analysis_of, linking_row
+from .conditions import AdmissibleExponents, Decision, congruence_edge
 from .errors import NotABranch, UnknownVertex
 from .frozen import report_failures, report_ok
 from .graph import (
@@ -64,15 +64,17 @@ def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
     return QCycle({v: c for v, c in out.items() if c})
 
 
-def dual_cycles(g: ResolutionGraph) -> dict[str, QCycle]:
+def dual_cycles(g: ResolutionGraph | Analysis) -> dict[str, QCycle]:
     """All cycles dual to the curves: the i-th pairs to -1 with curve i and
     to 0 with every other curve (rows of the negated inverse pairing)."""
-    return {v: dual_cycle(g, v) for v in g.ids}
+    a = analysis_of(g)
+    return {v: dual_cycle(a, v) for v in a.graph.ids}
 
 
-def dual_cycle(g: ResolutionGraph, v: str) -> QCycle:
-    """Row v of the negated pairing matrix, L[v] / det."""
-    row = g.linking_row(v)  # raises NotNegativeDefinite
+def dual_cycle(g: ResolutionGraph | Analysis, v: str) -> QCycle:
+    """Row v of the negated pairing matrix, L[v] / det, read as
+    ``a.memo(linking_row, v)``."""
+    g, row = (a := analysis_of(g)).graph, a.memo(linking_row, v)  # raises NotNegativeDefinite
     return QCycle({u: Fraction(x, g.det) for u, x in zip(g.ids, row) if x})
 
 
@@ -385,17 +387,8 @@ def construct_monomial_cycle(
     return found[x]._replace(cycle=cycle_add(dual_cycle(g, v), w))
 
 
-class BranchDecision(NamedTuple):
-    node: str
-    attach: str
-    ok: bool
-    method: str  # "constructive" | "search"
-    exponents: tuple[tuple[str, int], ...]
-    truncated: bool
-
-
 class Condition33Report(NamedTuple):
-    decisions: tuple[BranchDecision, ...]
+    decisions: tuple[Decision, ...]  # toward the attach of each branch
 
     ok, failures = report_ok, report_failures
 
@@ -407,7 +400,11 @@ def check_condition_3_3(g: ResolutionGraph | Analysis) -> Condition33Report:
     one ``_sweep``. Where it does not settle the branch B of v attached at
     u, the analysis's congruence search of the diagram edge (v, t) whose
     string starts at u (t = u when the string is empty, ``congruence_edge``)
-    decides it. The leaves of that edge are the leaves of B, and a vector
+    decides it. Each branch gets a ``Decision`` toward u: the greedy one
+    passes, "constructive", with its exponents as the witness at (v, t);
+    the searched one is that edge's congruence decision.
+
+    The leaves of that edge are the leaves of B, and a vector
     passes the congruence table exactly when its Z is an effective
     integral cycle supported on B, the test a monomial cycle asks for. Here
     L is the linking matrix, e_j* = L[j] / det are the dual cycles and Z =
@@ -425,30 +422,19 @@ def check_condition_3_3(g: ResolutionGraph | Analysis) -> Condition33Report:
     """
     g = (a := analysis_of(g)).graph
     require_negative_definite(g)
-    tests = _branch_tests(g)
+    tests, diagram = _branch_tests(g), splice_from_resolution(g)
     ids, nbrs = g.ids, g.tree.nbrs
     decisions = []
     for v in nodes_of(g):
         i = g.index[v]
         swept, _, _ = _sweep(a, i, nbrs[i], tests)
+        # the diagram edge (v, t) whose string starts at each attach
+        edge_at = {(diagram.strings[(v, t)] or (t,))[0]: t for t in diagram.adjacency[v]}
         for x in nbrs[i]:
             u, greedy = ids[x], swept[x]
-            if greedy.ok:
-                decisions.append(BranchDecision(
-                    node=v, attach=u, ok=True, method="constructive",
-                    exponents=greedy.exponents, truncated=False,
-                ))
-                continue
-            diagram = splice_from_resolution(g)
-            t = next(
-                t for t in diagram.adjacency[v] if (*diagram.strings[(v, t)], t)[0] == u
-            )
-            edge = a.memo(congruence_edge, v, t)
+            t = edge_at[u]
             decisions.append(
-                BranchDecision(
-                    node=v, attach=u, ok=edge.ok, method="search",
-                    exponents=edge.witness.exponents if edge.witness else (),
-                    truncated=edge.truncated,
-                )
+                Decision(v, u, "pass", "constructive", AdmissibleExponents(v, t, greedy.exponents))
+                if greedy.ok else a.memo(congruence_edge, v, t)[1]._replace(toward=u)
             )
     return Condition33Report(decisions=tuple(decisions))

@@ -32,10 +32,12 @@ def qmod1(x: Fraction) -> Fraction:
     return x - (x // 1)
 
 
-def pairing_matrix(g: ResolutionGraph) -> list[list[Fraction]]:
+def pairing_matrix(g: ResolutionGraph | Analysis) -> list[list[Fraction]]:
     """Exact inverse of the intersection matrix (dual-basis pairings): -L/det
-    with L the linking matrix, since A * L = -det * I."""
-    return [[Fraction(-x, g.det) for x in g.linking_row(v)] for v in g.ids]
+    with L the linking matrix, since A * L = -det * I; rows as in
+    ``splice.linking_matrix``."""
+    g = (a := analysis_of(g)).graph
+    return [[Fraction(-x, g.det) for x in a.memo(linking_row, v)] for v in g.ids]
 
 
 class DiscriminantGroup(NamedTuple):

@@ -106,15 +106,18 @@ def _pairs(pairs) -> list[list]:
     return [[a, b] for a, b in pairs]
 
 
-def _truncated(flag: bool) -> dict:  # a search that ran out of budget says so
-    return {"truncated": True} if flag else {}
+def _truncated(d: conditions.Decision) -> dict:  # an undecided search says so
+    return {"truncated": True} if d.truncated else {}
 
 
-def _edge_entry(e: conditions.SemigroupEdge | conditions.CongruenceEdge) -> dict:
+def _witness(d: conditions.Decision) -> list | None:
+    return None if d.witness is None else _pairs(d.witness.exponents)
+
+
+def _edge_entry(e: conditions.Decision) -> dict:
     """A searched edge: its verdict and the exponents found, if any."""
-    witness = None if e.witness is None else _pairs(e.witness.exponents)
-    entry = {"node": e.node, "toward": e.toward, "ok": e.ok, "witness": witness}
-    return entry | _truncated(e.truncated)
+    entry = {"node": e.node, "toward": e.toward, "ok": e.ok, "witness": _witness(e)}
+    return entry | _truncated(e)
 
 
 def _semigroup_payload(report: conditions.SemigroupReport) -> dict:
@@ -184,12 +187,12 @@ def okuma33_section(g: ResolutionGraph | Analysis) -> dict:
         "branches": [
             {
                 "node": d.node,
-                "attach": d.attach,
+                "attach": d.toward,
                 "ok": d.ok,
                 "method": d.method,
-                "exponents": _pairs(d.exponents),
+                "exponents": _witness(d) or [],
             }
-            | _truncated(d.truncated)
+            | _truncated(d)
             for d in report.decisions
         ],
     }

@@ -17,6 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import linalg
+from .analysis import Analysis, analysis_of, linking_row
 from .cfrac import continued_fraction_of_string
 from .errors import (
     LeafEdgeInReducedDiagram,
@@ -291,15 +292,18 @@ def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
     return full, reduced
 
 
-def linking_matrix(g: ResolutionGraph) -> linalg.IntMatrix:
+def linking_matrix(g: ResolutionGraph | Analysis) -> linalg.IntMatrix:
     """Matrix of pairwise linking numbers over all resolution vertices.
 
     Entries are the path products of the maximal splice diagram (see
     ``ResolutionGraph.linking_row``); the diagonal entry is the product of
     all weights at the vertex. Satisfies A * L = -det * I, which the test
-    suite checks exactly. Returns a fresh list; raises NotNegativeDefinite.
+    suite checks exactly. Rows are read as ``a.memo(linking_row, v)``, so
+    an analysis walks each once. Returns a fresh list; raises
+    NotNegativeDefinite.
     """
-    return [list(g.linking_row(v)) for v in g.ids]
+    a = analysis_of(g)
+    return [list(a.memo(linking_row, v)) for v in a.graph.ids]
 
 
 def edge_determinant(d: SpliceDiagram, edge: tuple[str, str]) -> int:

@@ -13,7 +13,9 @@ from splicekit import conditions, cycles, fixtures, graph, reporting
 from splicekit.analysis import Analysis, analysis_of
 from splicekit.cli import main
 from splicekit.corpus import dominant_tree
+from splicekit.discriminant import pairing_matrix
 from splicekit.document import document_to_json, graph_to_document
+from splicekit.splice import linking_matrix
 
 # what a graph caches: its integer views, its two passes and what they give
 PASSES = {
@@ -113,3 +115,23 @@ def test_an_analysis_shares_the_searches_of_its_sections(monkeypatch):
     assert once and sorted(searched) == once
     reporting.congruence_section(g)
     assert sorted(searched) == sorted(once * 2)
+
+
+def test_matrices_read_the_rows_of_one_analysis(monkeypatch):
+    # the linking and pairing matrices and the dual cycles walk each row
+    # once per analysis; a second call on it walks none, and a graph still
+    # gets the same value from a fresh analysis
+    walked = []
+    real = graph.ResolutionGraph.linking_row
+    monkeypatch.setattr(
+        graph.ResolutionGraph, "linking_row", lambda g, v: walked.append(v) or real(g, v)
+    )
+    g = dominant_tree(random.Random(2), 20)
+    for route in (linking_matrix, pairing_matrix, cycles.dual_cycles):
+        a = Analysis(g)
+        walked.clear()
+        first = route(a)
+        assert sorted(walked) == sorted(g.ids), route.__name__
+        walked.clear()
+        assert route(a) == first and not walked, route.__name__
+        assert route(g) == first and len(walked) == len(g.ids), route.__name__

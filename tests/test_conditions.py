@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,8 @@ from splicekit.conditions import (
 )
 from splicekit.corpus import dominant_tree, with_determinant_cap
 from splicekit.errors import NotEndNodeEdge, NotTwoNode, ValidationError
-from splicekit.graph import blow_up_edge, graph_determinant
+from splicekit.cycles import check_condition_3_3
+from splicekit.graph import blow_up_edge, graph_determinant, is_negative_definite
 from splicekit.splice import linking_numbers, splice_from_resolution
 
 from oracles import (
@@ -139,7 +142,7 @@ def test_congruence_g90_obstruction(g90):
     assert len(failures) == 1
     edge = failures[0]
     assert (edge.node, edge.toward) == ("nL", "nR")
-    assert edge.semigroup.ok
+    assert report.semigroup.edges[report.edges.index(edge)].ok
     # the certificate is the name-keyed table read off the node's row
     leaves = splice_from_resolution(g90).edge_leaves("nL", "nR")[0]
     assert edge.congruences == congruence_table_by_name(g90, "nL", leaves)
@@ -343,7 +346,10 @@ def test_end_node_criterion_matches_search(two_node_corpus, small_trees):
         report = check_congruence(g)
         if any(e.truncated for e in report.edges):
             continue
-        per_edge = {(e.node, e.toward): (e.semigroup.ok and e.ok) for e in report.edges}
+        per_edge = {
+            (e.node, e.toward): s.ok and e.ok
+            for s, e in zip(report.semigroup.edges, report.edges)
+        }
         for v in d.nodes:
             for u in d.adjacency[v]:
                 if not d.is_node(u):
@@ -375,3 +381,54 @@ def test_full_group_oracle(g17, g1, star, small_trees):
         assert result in (True, None)
         if check_congruence(g).ok:
             assert result is True
+
+
+def test_searches_that_run_out_are_undecided_never_failed(monkeypatch, corpus):
+    # with no node to spend every search runs out at once: no decision may
+    # read fail, every searched one is undecided, and a greedy 3.3 branch
+    # still passes, "constructive"
+    real = SearchBudget
+    monkeypatch.setattr(conditions, "SearchBudget", lambda _: real(0))
+    seen = {"search": 0, "constructive": 0}
+    for g in filter(is_negative_definite, corpus):
+        congruence = check_congruence(g)
+        for d in (
+            *check_semigroup(g.splice_diagram).edges, *congruence.semigroup.edges,
+            *congruence.edges, *check_condition_3_3(g).decisions,
+        ):
+            seen[d.method] += 1
+            if d.method == "search":
+                assert (d.status, d.ok, d.truncated, d.witness) == ("undecided", False, True, None)
+            else:
+                assert (d.status, d.ok, d.truncated) == ("pass", True, False) and d.witness
+    assert all(seen.values())
+
+
+def test_benchmark_observers_read_the_reports():
+    # perfbench/tracing.py, loaded by its path, counts the checks, undecided
+    # searches, vectors tested, witnesses and 3.3 fallbacks off the reports;
+    # its counts must be the ones read here, on a tree whose searches run out
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    undecided = 0
+    for g in (fixtures.g1(), dominant_tree(random.Random(3), 25)):
+        a = Analysis(g)
+        semigroup, congruence = check_semigroup(g.splice_diagram), check_congruence(a)
+        fallbacks = [d for d in check_condition_3_3(a).decisions if d.method == "search"]
+        counts = [sum(d.status == "undecided" for d in report)
+                  for report in (semigroup.edges, congruence.edges, fallbacks)]
+        assert tracing._semigroup(semigroup) == {
+            "checks": len(semigroup.edges), "undecided": counts[0],
+        }
+        assert tracing._congruence(congruence) == {
+            "checks": len(congruence.edges), "undecided": counts[1],
+            "tested": sum(d.tested for d in congruence.edges),
+            "witnesses": sum(d.status == "pass" for d in congruence.edges),
+        }
+        assert tracing._condition_3_3(check_condition_3_3(a)) == {
+            "checks": len(fallbacks), "undecided": counts[2], "fallbacks": len(fallbacks),
+        }
+        undecided += sum(counts)
+    assert undecided

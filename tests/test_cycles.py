@@ -251,7 +251,7 @@ def test_reduced_route_matches_table_oracle(corpus):
         [("v", -3), ("a", -2), ("b", -2), ("k", -3), ("x", -2), ("y", -1), ("z", -3)],
         [("v", "a"), ("v", "b"), ("v", "k"), ("k", "x"), ("x", "y"), ("k", "z")],
     )
-    decisions = {(d.node, d.attach): d.exponents for d in check_condition_3_3(fork).decisions}
+    decisions = {(d.node, d.toward): d.witness.exponents for d in check_condition_3_3(fork).decisions}
     assert decisions[("v", "k")] == (("y", 0), ("z", 5))
     # the branch of v2 at v0 is not reduced (v3 has w + deg = 1), and its
     # cycle, 2 at v3 and 1 elsewhere, meets v1, v3 and v5 in 0: the step at
@@ -260,8 +260,8 @@ def test_reduced_route_matches_table_oracle(corpus):
         [(f"v{i}", w) for i, w in enumerate((-4, -1, -2, -1, -4, -2, -2))],
         [("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v2", "v4"), ("v3", "v5"), ("v2", "v6")],
     )
-    (found,) = [d for d in check_condition_3_3(chain).decisions if d.attach == "v0"]
-    assert (found.node, found.method, found.exponents) == (
+    (found,) = [d for d in check_condition_3_3(chain).decisions if d.toward == "v0"]
+    assert (found.node, found.method, found.witness.exponents) == (
         "v2", "constructive", (("v1", 1), ("v5", 0)),
     )
     seen = [0, 0]  # branches that are not reduced, reduced
@@ -418,7 +418,7 @@ def test_condition_3_3_fixtures(g1, g17, g90, star, fat_branch):
     assert check_condition_3_3(fat_branch).ok
     report = check_condition_3_3(g90)
     assert not report.ok
-    assert [(f.node, f.attach) for f in report.failures] == [("nL", "nR")]
+    assert [(f.node, f.toward) for f in report.failures] == [("nL", "nR")]
 
 
 def test_condition_3_3_exponents_are_admissible(g17):
@@ -428,7 +428,7 @@ def test_condition_3_3_exponents_are_admissible(g17):
     idx = g17.index
     for decision in report.decisions:
         assert decision.ok
-        total = sum(a * lmat[idx[k]][idx[decision.node]] for k, a in decision.exponents)
+        total = sum(a * lmat[idx[k]][idx[decision.node]] for k, a in decision.witness.exponents)
         assert total == lmat[idx[decision.node]][idx[decision.node]]
 
 
@@ -459,17 +459,17 @@ def test_condition_3_3_search_matches_cycle_oracle(monkeypatch, corpus):
     fallbacks = truncated = 0
     for g in [*corpus, *seeded]:
         d, a = splice_from_resolution(g), Analysis(g)
-        decisions = {(b.node, b.attach): b for b in check_condition_3_3(a).decisions}
+        decisions = {(b.node, b.toward): b for b in check_condition_3_3(a).decisions}
         for v in nodes_of(g):
             for u in g.adjacency[v]:
                 branch = component_of(g, v, u)
                 expected = search_monomial_cycle(g, v, branch, cap, real(5000))
                 t = next(t for t in d.adjacency[v] if t in branch)
-                edge = a.memo(congruence_edge, v, t)
+                edge = a.memo(congruence_edge, v, t)[1]
                 assert (edge.witness and edge.witness.exponents, edge.truncated) == expected
                 decision = decisions[(v, u)]
                 if decision.method == "search":
                     fallbacks += 1
-                    assert (decision.exponents or None, decision.truncated) == expected
+                    assert decision == edge._replace(toward=u)
                 truncated += expected[1]
     assert fallbacks and truncated
