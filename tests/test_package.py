@@ -17,9 +17,16 @@ from pathlib import Path
 import pytest
 
 import splicekit
+from splicekit import fixtures
 from splicekit.cfrac import ContinuedFraction
-from splicekit.conditions import CongruenceReport, SemigroupReport
-from splicekit.cycles import Condition33Report, Condition34Report, branches
+from splicekit.conditions import (
+    CongruenceReport,
+    Decision,
+    SemigroupReport,
+    check_congruence,
+    check_semigroup,
+)
+from splicekit.cycles import Condition33Report, Condition34Report, branches, check_condition_3_3
 from splicekit.discriminant import leaf_generators
 from splicekit.equations import LeadingFormReport
 from splicekit.errors import NonReducedFraction
@@ -269,9 +276,23 @@ def _sample_fields(cls: type, g) -> tuple:
     }.get(cls, tuple(range(len(cls._fields))))
 
 
-@pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__qualname__)
-def test_records_are_immutable_values(cls, g17):
-    values = _sample_fields(cls, g17)
+# Decision stands for three records it replaced; each case under their
+# names samples the fields of the decision one search builds: a semigroup
+# edge, a failing congruence edge with its table and solved congruences,
+# and a constructive 3.3 branch
+_DECISIONS = {
+    "SemigroupEdge": lambda: check_semigroup(splice_from_resolution(fixtures.g17())).edges[0],
+    "CongruenceEdge": lambda: check_congruence(fixtures.g90()).failures[0],
+    "BranchDecision": lambda: check_condition_3_3(fixtures.g17()).decisions[0],
+}
+
+
+@pytest.mark.parametrize("cls, decision", [
+    *(pytest.param(cls, None, id=cls.__qualname__) for cls in _record_classes()),
+    *(pytest.param(Decision, made, id=name) for name, made in _DECISIONS.items()),
+])
+def test_records_are_immutable_values(cls, decision, g17):
+    values = tuple(decision()) if decision else _sample_fields(cls, g17)
     a, b = cls(*values), cls(**dict(zip(cls._fields, values)))
     for name in (*cls._fields, "unknown"):
         with pytest.raises(AttributeError):
