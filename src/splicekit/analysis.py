@@ -1,5 +1,6 @@
 """What one command derives from one graph, beyond the graph's own passes:
-its linking rows, branch tables, congruence searches and search cap."""
+its reduced splice diagram, linking rows, leaf block, branch tests and
+tables, congruence searches and search cap."""
 
 from __future__ import annotations
 

@@ -165,12 +165,12 @@ def cmd_reduce(args) -> int:
         ])
         return 1
     assert result.diagram is not None
-    weights = reporting._weights_list(result.diagram)
+    weights = reporting.weights_list(result.diagram)
     payload = {
         "mode": mode,
         "new_leaf": result.new_leaf,
         "vertices": list(result.diagram.ids),
-        "edges": reporting._pairs(result.diagram.edges),
+        "edges": reporting.pairs_list(result.diagram.edges),
         "weights": weights,
     }
     lines = [f"new leaf: {result.new_leaf}", *_weight_lines(weights)]

@@ -336,8 +336,7 @@ def congruence_edge(a: Analysis, v: str, toward: str) -> tuple[Decision, Decisio
     meets the per-leaf congruence table, under the cap read on the first
     search of a. Made once per analysis: ``a.memo(congruence_edge, v, t)``.
     """
-    g, cap = a.graph, a.memo(_search_cap)
-    d = splice_from_resolution(g)
+    g, cap, d = a.graph, a.memo(_search_cap), splice_from_resolution(a)
     leaves = d.edge_leaves(v, toward)[0]
     table = _congruence_table(a, v, leaves)
     semigroup, congruence = search_edge(d, v, toward, cap, lambda alpha: _satisfies(table, alpha))
@@ -367,7 +366,7 @@ def check_congruence(g: ResolutionGraph | Analysis) -> CongruenceReport:
     single-variable congruences. ``semigroup`` holds the semigroup
     decisions of the same searches.
     """
-    d = splice_from_resolution((a := analysis_of(g)).graph)
+    d = splice_from_resolution(a := analysis_of(g))
     pairs = [a.memo(congruence_edge, v, u) for v in d.nodes for u in d.adjacency[v]]
     return CongruenceReport(
         determinant=graph_determinant(a.graph),
@@ -395,10 +394,10 @@ def _end_node_fractions(
     return n, p, [(w, *_string_fraction(g, [*d.strings[(v_star, w)], w])) for w in ends]
 
 
-def end_node_criterion_slack(g: ResolutionGraph, v: str, v_star: str) -> int:
+def end_node_criterion_slack(g: ResolutionGraph | Analysis, v: str, v_star: str) -> int:
     """Integer slack of the end-node inequality for the edge from v to the
     end-node v_star: n*b - p - sum(ceil(n*p_i/n_i)) over the leaf strings."""
-    d = splice_from_resolution(g)
+    d, g = splice_from_resolution(a := analysis_of(g)), a.graph
     if v_star not in d.adjacency.get(v, ()):
         raise NotEndNodeEdge(f"({v}, {v_star}) is not a diagram edge")
     if not d.is_node(v_star):
@@ -414,18 +413,18 @@ def end_node_criterion_slack(g: ResolutionGraph, v: str, v_star: str) -> int:
     return slack
 
 
-def end_node_criterion(g: ResolutionGraph, v: str, v_star: str) -> bool:
+def end_node_criterion(g: ResolutionGraph | Analysis, v: str, v_star: str) -> bool:
     """True when the semigroup and congruence conditions hold at the edge
     from v toward the end-node v_star (closed form)."""
     return end_node_criterion_slack(g, v, v_star) >= 0
 
 
-def two_node_criterion(g: ResolutionGraph) -> bool:
+def two_node_criterion(g: ResolutionGraph | Analysis) -> bool:
     """Closed-form conjunction of the two end-node criteria of a two-node
-    graph; equivalent to semigroup plus congruence."""
-    d = splice_from_resolution(g)
-    nodes = d.nodes
+    graph; equivalent to semigroup plus congruence. Both read the diagram
+    of one analysis."""
+    nodes = splice_from_resolution(a := analysis_of(g)).nodes
     if len(nodes) != 2:
         raise NotTwoNode(f"graph has {len(nodes)} nodes")
-    a, b = nodes
-    return end_node_criterion(g, a, b) and end_node_criterion(g, b, a)
+    v, w = nodes
+    return end_node_criterion(a, v, w) and end_node_criterion(a, w, v)

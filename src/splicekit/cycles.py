@@ -48,9 +48,6 @@ class QCycle(NamedTuple):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coefficients.values())
 
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coefficients.values())
-
     def as_int_dict(self) -> dict[str, int]:
         if not self.is_integral():
             raise ValueError("cycle is not integral")
@@ -146,8 +143,7 @@ def excess_table(g: ResolutionGraph | Analysis) -> dict[tuple[int, int], dict[in
     graph by vertex index, p not a leaf, in ``edge_order``: leaves first, so
     each entry reads the entries beyond it. Empty on a reduced branch. Read
     as ``a.memo(excess_table)``, once per analysis a."""
-    g = analysis_of(g).graph
-    reduced, _ = _branch_tests(g)
+    g, (reduced, _) = (a := analysis_of(g)).graph, a.memo(_branch_tests)
     nbrs, table = g.tree.nbrs, {}
     for x, p in edge_order(g.tree):
         if len(nbrs[p]) > 1:
@@ -201,15 +197,16 @@ class Condition34Report(NamedTuple):
 BranchTests = tuple[Callable[[int, int], bool], Callable[[int, int], bool]]
 
 
-def _branch_tests(g: ResolutionGraph) -> BranchTests:
+def _branch_tests(a: Analysis) -> BranchTests:
     """Two O(1) tests on the component B of g minus p containing x, for an
     edge (x, p) by vertex index: ``reduced``, whether every curve j of B
     has w_j + deg_B(j) <= 0, and ``negative``, whether some curve j of B
     has w_j + deg(j) < 0. One leaves-up pass over ``g.tree`` counts the
     curves with each sign below every vertex; B is the subtree at x when p
     is the parent of x, and the rest of the tree otherwise. Only the attach
-    x has a neighbour outside B."""
-    nbrs, order, parent = g.tree
+    x has a neighbour outside B. Read as ``a.memo(_branch_tests)``, g the
+    graph of the analysis a."""
+    nbrs, order, parent = (g := a.graph).tree
     excess = [w + len(ns) for w, ns in zip(g.weights, nbrs)]
     over = [int(r > 0) for r in excess]
     under = [int(r < 0) for r in excess]
@@ -235,7 +232,7 @@ def check_condition_3_4(g: ResolutionGraph | Analysis) -> Condition34Report:
     X(u, v)[u] from ``excess_table``. Refuses any indefinite graph."""
     g = (a := analysis_of(g)).graph
     require_negative_definite(g)
-    reduced, _ = _branch_tests(g)
+    reduced, _ = a.memo(_branch_tests)
     ids = g.ids
     return Condition34Report(checks=tuple(
         BranchCheck(
@@ -269,7 +266,7 @@ def _branch_of(g: ResolutionGraph, v: str, branch: Sequence[str]) -> str:
 
 
 def _sweep(
-    a: Analysis, v: int, attaches: Sequence[int], tests: BranchTests
+    a: Analysis, v: int, attaches: Sequence[int]
 ) -> tuple[dict[int, MonomialCycleResult], list[int], list[int] | None]:
     """The greedy monomial cycle of ``construct_monomial_cycle`` on the
     branches of v at the given attaches, by vertex index, in one
@@ -287,8 +284,9 @@ def _sweep(
     when one does: a reduced one when ``negative(t, k)``, a fundamental
     cycle Z when q(t, k) does not divide Z[k] (``moduli_table``). Only v
     and stepped curves can end met positively: in X(u, v)[u] at v, in s
-    X(t, k)[t] at k, the failures. The tables are those of the analysis a."""
-    g, (reduced, negative) = a.graph, tests
+    X(t, k)[t] at k, the failures. The tests and tables are those of the
+    analysis a."""
+    g, (reduced, negative) = a.graph, a.memo(_branch_tests)
     ids, weights, nbrs = g.ids, g.weights, g.tree.nbrs
     cut = list(nbrs)
     cut[v] = attaches  # the walk leaves v into these branches alone
@@ -379,7 +377,7 @@ def construct_monomial_cycle(
     attach = _branch_of(g, v, branch)
     require_negative_definite(g)
     i, x = g.index[v], g.index[attach]
-    found, base, extra = _sweep(Analysis(g), i, (x,), _branch_tests(g))
+    found, base, extra = _sweep(Analysis(g), i, (x,))
     if not found[x].ok:
         return found[x]
     extra, index = extra or [0] * len(base), g.index
@@ -422,12 +420,11 @@ def check_condition_3_3(g: ResolutionGraph | Analysis) -> Condition33Report:
     """
     g = (a := analysis_of(g)).graph
     require_negative_definite(g)
-    tests, diagram = _branch_tests(g), splice_from_resolution(g)
-    ids, nbrs = g.ids, g.tree.nbrs
+    ids, nbrs, diagram = g.ids, g.tree.nbrs, splice_from_resolution(a)
     decisions = []
     for v in nodes_of(g):
         i = g.index[v]
-        swept, _, _ = _sweep(a, i, nbrs[i], tests)
+        swept, _, _ = _sweep(a, i, nbrs[i])
         # the diagram edge (v, t) whose string starts at each attach
         edge_at = {(diagram.strings[(v, t)] or (t,))[0]: t for t in diagram.adjacency[v]}
         for x in nbrs[i]:

@@ -15,7 +15,7 @@ per call, at ``DEFAULT_GROUP_CAP`` by default) serves only test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .analysis import Analysis, analysis_of, linking_row
@@ -49,10 +49,6 @@ class DiscriminantGroup(NamedTuple):
 
     def generator(self, leaf: str) -> QTuple:
         return self.generators[leaf]
-
-    def element_order(self, element: QTuple) -> int:
-        """Order in (Q/Z)^t: lcm of the entry denominators."""
-        return lcm(*(q.denominator for q in element)) if element else 1
 
     def scaled_generators(self) -> dict[str, tuple[int, ...]]:
         """Generators as integer tuples scaled by the group order."""
@@ -95,11 +91,14 @@ class DiscriminantGroup(NamedTuple):
         return frozenset(span)
 
 
-def _scaled_leaf_block(a: Analysis) -> tuple[tuple[str, ...], list[list[int]], int]:
+def scaled_leaf_block(
+    g: ResolutionGraph | Analysis,
+) -> tuple[tuple[str, ...], list[list[int]], int]:
     """(leaves, G, det), G = (-L) mod det on the leaf block of the linking
     matrix: row w is the generator at w scaled by det. Only the leaves'
-    linking rows are walked, through the analysis."""
-    leaves = leaves_of(g := a.graph)
+    linking rows are walked, through the analysis. Read as
+    ``a.memo(scaled_leaf_block)``, once per analysis a."""
+    leaves = leaves_of(g := (a := analysis_of(g)).graph)
     rows = [a.memo(linking_row, w) for w in leaves]  # raises NotNegativeDefinite
     det, idx = graph_determinant(g), [g.index[w] for w in leaves]
     return leaves, [[-row[j] % det for j in idx] for row in rows], det
@@ -112,7 +111,7 @@ def leaf_generators(g: ResolutionGraph | Analysis) -> DiscriminantGroup:
     is the raw dual pairing (non-positive before mod-1 reduction), so the
     character formulas downstream match without extra signs.
     """
-    leaves, block, det = _scaled_leaf_block(analysis_of(g))
+    leaves, block, det = analysis_of(g).memo(scaled_leaf_block)
     gens = {w: tuple(Fraction(x, det) for x in row) for w, row in zip(leaves, block)}
     return DiscriminantGroup(leaves=leaves, order=det, generators=gens)
 
@@ -197,7 +196,7 @@ def group_order_check(g: ResolutionGraph | Analysis) -> GroupCheck:
     Only the primes of g0 need the Smith diagonal, taken mod the part M of
     det they build; the rest, det / M, joins the largest invariant factor.
     """
-    _, block, det = _scaled_leaf_block(analysis_of(g))
+    _, block, det = analysis_of(g).memo(scaled_leaf_block)
     return _tree_span_check(block, det)
 
 

@@ -204,17 +204,19 @@ def build_equations(
 
     Plain mode needs the semigroup condition; equivariant mode also needs
     the congruence condition and picks monomials sharing a character, so
-    the discriminant group acts on the system.
+    the discriminant group acts on the system. The group is built only to
+    check higher terms, which alone read it.
     """
-    d = splice_from_resolution((a := analysis_of(g)).graph)
+    d = splice_from_resolution(a := analysis_of(g))
     if not equivariant:
         return build_equations_from_diagram(d, higher_terms=higher_terms)
     congruence = check_congruence(a)
     semigroup_witnesses(congruence.semigroup)  # raises SemigroupFails
     witnesses = _witnesses(congruence, CongruenceFails, "equivariant")
+    group = leaf_generators(a) if higher_terms else None
     return build_equations_from_diagram(
-        d, higher_terms=higher_terms, witnesses=witnesses, group=leaf_generators(a)
-    )
+        d, higher_terms=higher_terms, witnesses=witnesses, group=group
+    )._replace(equivariant=True)
 
 
 def normalize_coefficients(system: SpliceEquationSystem) -> SpliceEquationSystem:

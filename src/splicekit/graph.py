@@ -77,8 +77,9 @@ class ResolutionGraph(Frozen):
     and root down, on a negative-definite graph only) and the linking rows
     run on those arrays; everything else reads the passes through
     ``branch_det``, and ``adjacency`` and ``subtree_determinants`` give
-    views by vertex id. Each is cached on first use; what the layers above
-    derive from them is kept by an ``analysis.Analysis``.
+    views by vertex id. Each is cached on first use, and nothing else is:
+    what the layers above derive from them, the splice diagram included,
+    is kept by an ``analysis.Analysis``.
     """
 
     __slots__ = ("ids", "weights", "edges", "__dict__")
@@ -126,15 +127,6 @@ class ResolutionGraph(Frozen):
     index = cached_property(vertex_index)
     tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
-
-    @cached_property
-    def splice_diagram(self):
-        """The reduced ``splice.SpliceDiagram`` with read-only weights and
-        strings, returned by ``splice.splice_from_resolution``. Raises
-        NotNegativeDefinite."""
-        from .splice import _reduced_diagram  # splice imports this module
-
-        return _reduced_diagram(self)
 
     @cached_property
     def _leaves_up(self) -> tuple[list[int], list[int]]:

@@ -1,10 +1,10 @@
 """Structured analysis reports with stable key order (byte-stable JSON).
 
-Every section reads the graph's one cached splice diagram, whose edges and
-weights come in vertex order, as do the maximal diagram's, and takes a
-graph or an ``Analysis`` that a report shares. A condition section carries
-its report's ``ok``; the semigroup and congruence sections write each edge
-with ``_edge_entry``. ``render_json`` writes with
+Every section takes a graph or an ``Analysis`` that a report shares, and
+reads the one splice diagram of that analysis, whose edges and weights
+come in vertex order, as do the maximal diagram's. A condition section
+carries its report's ``ok``; the semigroup and congruence sections write
+each edge with ``_edge_entry``. ``render_json`` writes with
 ``document.indented_json``, the bytes of ``json.dumps(payload, indent=2)``
 without its pure-Python encoder.
 """
@@ -28,7 +28,8 @@ from .graph import (
 )
 
 
-def _weights_list(d: splice.SpliceDiagram) -> list[list[Any]]:
+def weights_list(d: splice.SpliceDiagram) -> list[list[Any]]:
+    """[at, toward, weight] for every weight of d, in vertex order."""
     order = d.index
     triples = sorted(
         ((at, to, w) for (at, to), w in d.weights.items()),
@@ -38,10 +39,10 @@ def _weights_list(d: splice.SpliceDiagram) -> list[list[Any]]:
 
 
 def splice_section(g: ResolutionGraph | Analysis) -> dict:
-    d = splice.splice_from_resolution(analysis_of(g).graph)
+    d = splice.splice_from_resolution(g)
     return {
         "vertices": list(d.ids),
-        "edges": _pairs(d.edges),
+        "edges": pairs_list(d.edges),
         "weights": [[at, to, w] for (at, to), w in d.weights.items()],
     }
 
@@ -73,7 +74,7 @@ def group_section(g: ResolutionGraph | Analysis) -> dict:
     pair, as the block is symmetric, and each distinct denominator once.
     The invariant factors are those of the leaf span that the checks read
     off the Smith diagonal of the block mod the g0-smooth part M of det,
-    det / M joining the largest (``discriminant._tree_span_check``),
+    det / M joining the largest (``discriminant.group_order_check``),
     padded with 1s to n entries. This is exact on any tree,
     because the leaf duals generate D(G): going inward from the leaves,
     the relation w_v*[e_v*] + sum over u ~ v of [e_u*] = 0 gives the class
@@ -82,8 +83,8 @@ def group_section(g: ResolutionGraph | Analysis) -> dict:
     pairings with the leaf duals) span a copy of D(G) itself, ``order_ok``
     always holds, and the factors equal the n-by-n Smith diagonal of -A.
     """
-    leaves, block, det = discriminant._scaled_leaf_block(a := analysis_of(g))  # once for both
-    check = discriminant._tree_span_check(block, det)
+    leaves, block, det = (a := analysis_of(g)).memo(discriminant.scaled_leaf_block)
+    check = discriminant.group_order_check(a)  # reads the same block
     factors = check.invariant_factors
     denominators: dict[int, str] = {}
     text: list[list[str]] = []
@@ -102,7 +103,8 @@ def group_section(g: ResolutionGraph | Analysis) -> dict:
     }
 
 
-def _pairs(pairs) -> list[list]:
+def pairs_list(pairs) -> list[list]:
+    """Each pair as a two-item JSON list."""
     return [[a, b] for a, b in pairs]
 
 
@@ -111,7 +113,7 @@ def _truncated(d: conditions.Decision) -> dict:  # an undecided search says so
 
 
 def _witness(d: conditions.Decision) -> list | None:
-    return None if d.witness is None else _pairs(d.witness.exponents)
+    return None if d.witness is None else pairs_list(d.witness.exponents)
 
 
 def _edge_entry(e: conditions.Decision) -> dict:
@@ -125,7 +127,7 @@ def _semigroup_payload(report: conditions.SemigroupReport) -> dict:
 
 
 def semigroup_section(g: ResolutionGraph | Analysis) -> dict:
-    return _semigroup_payload(conditions.check_semigroup(analysis_of(g).graph.splice_diagram))
+    return _semigroup_payload(conditions.check_semigroup(splice.splice_from_resolution(g)))
 
 
 def congruence_section(g: ResolutionGraph | Analysis) -> dict:
@@ -137,7 +139,7 @@ def congruence_section(g: ResolutionGraph | Analysis) -> dict:
             entry["congruences"] = [
                 {
                     "leaf": c.leaf,
-                    "coefficients": _pairs(c.coefficients),
+                    "coefficients": pairs_list(c.coefficients),
                     "target": c.target,
                     "modulus": c.modulus,
                 }
@@ -153,7 +155,7 @@ def congruence_section(g: ResolutionGraph | Analysis) -> dict:
 
 
 def ideal_section(g: ResolutionGraph | Analysis) -> dict:
-    report = splice.check_ideal_condition(analysis_of(g).graph.splice_diagram)
+    report = splice.check_ideal_condition(splice.splice_from_resolution(g))
     return {
         "ok": report.ok,
         "edges": [
@@ -229,8 +231,8 @@ def analysis_report(g: ResolutionGraph | Analysis, name: str | None = None) -> d
     report["nodes"] = list(nodes_of(g))
     report["leaves"] = list(leaves_of(g))
     report["group"] = group_section(a)
-    report["splice"] = splice_section(g)
-    report["maximal"] = maximal_section(g)
+    report["splice"] = splice_section(a)
+    report["maximal"] = maximal_section(a)
     report["conditions"] = condition_sections(
         a, ("ideal", "semigroup", "congruence", "okuma34", "okuma33")
     )
@@ -240,7 +242,7 @@ def analysis_report(g: ResolutionGraph | Analysis, name: str | None = None) -> d
         report["equations"] = {"error": "SemigroupFails", "detail": str(exc)}
         return report
     system = equations.build_equations_from_diagram(
-        splice.splice_from_resolution(g), witnesses=witnesses
+        splice.splice_from_resolution(a), witnesses=witnesses
     )
     report["equations"] = {
         "text": equations.render_equations(system).splitlines(),

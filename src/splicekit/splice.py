@@ -224,18 +224,19 @@ def tree_determinant(g: ResolutionGraph) -> int:
     return g.det
 
 
-def splice_from_resolution(g: ResolutionGraph) -> SpliceDiagram:
-    """Reduced splice diagram of a negative-definite resolution graph, built
-    once per graph and cached read-only (``ResolutionGraph.splice_diagram``).
+def splice_from_resolution(g: ResolutionGraph | Analysis) -> SpliceDiagram:
+    """Reduced splice diagram of a negative-definite resolution graph, with
+    read-only weights and strings, built once per analysis as
+    ``a.memo(_reduced_diagram)``; handed a graph, it builds a fresh one.
     Raises NotNegativeDefinite."""
-    return g.splice_diagram
+    return analysis_of(g).memo(_reduced_diagram)
 
 
-def _reduced_diagram(g: ResolutionGraph) -> SpliceDiagram:
+def _reduced_diagram(a: Analysis) -> SpliceDiagram:
     """The vertices of valency other than 2, each string walked over int
     neighbours from both ends; the ends at each vertex are taken in vertex
     order, so edges and weights come out in vertex order, as ``tree``."""
-    nbrs, ids, det = g.tree.nbrs, g.ids, g.branch_det
+    nbrs, ids, det = (g := a.graph).tree.nbrs, g.ids, g.branch_det
     keep = [i for i, ns in enumerate(nbrs) if len(ns) != 2]
     edges: list[tuple[str, str]] = []
     weights: dict[DirectedEdge, int] = {}
@@ -412,10 +413,10 @@ def leaf_ideal_generator(d: SpliceDiagram, leaf: str) -> int:
     return ideal_generator(d, leaf, nbrs[0])
 
 
-def leaf_knot_order(g: ResolutionGraph, leaf: str) -> int:
+def leaf_knot_order(g: ResolutionGraph | Analysis, leaf: str) -> int:
     """Homology order of the knot at a leaf: graph det / ideal generator."""
-    det = graph_determinant(g)
-    d = splice_from_resolution(g)
+    det = graph_determinant((a := analysis_of(g)).graph)
+    d = splice_from_resolution(a)
     if leaf not in d.index or not d.is_leaf(leaf):
         raise UnknownVertex(f"{leaf} is not a leaf of the splice diagram")
     gen = leaf_ideal_generator(d, leaf)

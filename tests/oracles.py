@@ -50,13 +50,14 @@ each vector on every curve. Congruences are checked on integers mod det;
 The congruence table is read off the leaves' linking rows alone, as integer
 rows; ``congruence_table_by_name`` reads its targets off the node's row and
 keeps every row as a name-keyed ``LeafCongruence``.
-``matmul``, ``negated_intersection_matrix`` and ``cycle_pairing`` (a cycle
-met with a curve, as a Fraction) serve the tests alone.
+``matmul``, ``negated_intersection_matrix``, ``cycle_pairing`` (a cycle
+met with a curve, as a Fraction) and ``element_order`` (of an element of
+(Q/Z)^t) serve the tests alone.
 """
 
 from fractions import Fraction
 from types import MappingProxyType
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from splicekit.conditions import (
@@ -128,6 +129,11 @@ def cycle_pairing(g: ResolutionGraph, cycle: QCycle | Mapping[str, Fraction], v:
     """Intersection number of the cycle with the curve at v."""
     coeff = cycle.coefficients if isinstance(cycle, QCycle) else cycle
     return Fraction(coeff.get(v, 0) * g.weight_of(v) + sum(coeff.get(u, 0) for u in g.adjacency[v]))
+
+
+def element_order(element: Sequence[Fraction]) -> int:
+    """Order in (Q/Z)^t: lcm of the entry denominators."""
+    return lcm(*(q.denominator for q in element)) if element else 1
 
 
 def component_by_search(g: ResolutionGraph, removed: str, start: str) -> tuple[str, ...]:
@@ -729,7 +735,7 @@ def construct_monomial_cycle_rational(
     problems = []
     if not diff.is_integral():
         problems.append("difference with the dual cycle is not integral")
-    if not diff.is_effective():
+    if any(c < 0 for c in diff.coefficients.values()):
         problems.append("difference with the dual cycle is not effective")
     if any(x not in bset for x in diff.support):
         problems.append("difference is not supported on the branch")

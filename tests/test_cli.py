@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from splicekit import conditions, corpus, discriminant, fixtures, graph, reporting, splice
+from splicekit import (
+    conditions, corpus, discriminant, equations, fixtures, graph, reporting, splice,
+)
+from splicekit.analysis import Analysis
 from splicekit.cli import build_parser, main
 from splicekit.corpus import with_determinant_cap
 from splicekit.document import (
@@ -430,6 +433,28 @@ def test_cli_equations(tmp_path, g90, star, capsys):
     assert "z_1^3 + z_2^3 + z_3^3 = 0" in capsys.readouterr().out
 
 
+def test_equivariant_equations_build_no_group(monkeypatch, tmp_path, fixture_map, capsys):
+    # only higher terms read the discriminant group, and the command passes
+    # none: with leaf_generators made to raise, `equations --equivariant`
+    # prints the same wherever the congruence condition holds
+    passing = [name for name, g in fixture_map.items() if conditions.check_congruence(g).ok]
+    assert len(passing) >= 3
+    printed = {}
+    for name in passing:
+        path = write_graph(tmp_path, fixture_map[name], name=f"{name}.json")
+        for argv in (["equations", "--equivariant", path], ["equations", "--equivariant", path, "--json"]):
+            assert main(argv) == 0
+            printed[tuple(argv)] = capsys.readouterr().out
+        assert json.loads(printed[tuple(argv)])["equivariant"] is True
+
+    def refuse(g):
+        raise AssertionError("the discriminant group was built")
+
+    monkeypatch.setattr(equations, "leaf_generators", refuse)
+    for argv, out in printed.items():
+        assert main(list(argv)) == 0 and capsys.readouterr().out == out
+
+
 def test_cli_splice_and_group(tmp_path, g90, capsys):
     path = write_graph(tmp_path, g90)
     assert main(["splice", path, "--json"]) == 0
@@ -601,21 +626,30 @@ def test_report_searches_each_edge_once(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_report_builds_splice_diagram_once(monkeypatch):
-    # every section reads the one cached, read-only diagram of the graph
+def test_report_builds_splice_diagram_once(monkeypatch, tmp_path, capsys):
+    # every section reads the one read-only diagram of the report's
+    # analysis, which later calls handed that analysis share; each command
+    # builds one diagram
     calls = []
     real = splice._reduced_diagram
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(a):
+        calls.append(a)
+        return real(a)
 
     monkeypatch.setattr(splice, "_reduced_diagram", counted)
     g = corpus.dominant_tree(random.Random(1), 12)
-    reporting.analysis_report(g)
+    a = Analysis(g)
+    reporting.analysis_report(a)
     assert len(calls) == 1
-    d = splice.splice_from_resolution(g)
-    assert d is splice.splice_from_resolution(g) and len(calls) == 1
+    d = splice.splice_from_resolution(a)
+    assert d is splice.splice_from_resolution(a) and len(calls) == 1
+    path = write_graph(tmp_path, g)
+    for argv in (["report"], ["check", "all"], ["equations", "--equivariant"], ["splice"]):
+        calls.clear()
+        main([*argv, path])
+        assert len(calls) == 1, argv
+    capsys.readouterr()
     edge = next(iter(d.weights))
     with pytest.raises(TypeError):
         d.weights[edge] = 1
@@ -627,13 +661,13 @@ def test_group_section_builds_leaf_block_once(monkeypatch, fixture_map, random_t
     # one leaf block feeds both the generators and the checks, which agree
     # with the public routes that build it for themselves
     calls = []
-    real = discriminant._scaled_leaf_block
+    real = discriminant.scaled_leaf_block
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(discriminant, "_scaled_leaf_block", counted)
+    monkeypatch.setattr(discriminant, "scaled_leaf_block", counted)
     for g in [*fixture_map.values(), *random_trees[:40]]:
         calls.clear()
         section = reporting.group_section(g)

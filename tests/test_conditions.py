@@ -175,7 +175,7 @@ def test_congruence_pass_gives_the_semigroup_report(monkeypatch, corpus, nodes):
     truncated = 0
     for g in [*graphs, *(dominant_tree(random.Random(s), 25) for s in range(3))]:
         report = check_congruence(g).semigroup
-        assert report == check_semigroup(g.splice_diagram)
+        assert report == check_semigroup(splice_from_resolution(g))
         truncated += sum(e.truncated for e in report.edges)
     assert truncated
 
@@ -393,7 +393,7 @@ def test_searches_that_run_out_are_undecided_never_failed(monkeypatch, corpus):
     for g in filter(is_negative_definite, corpus):
         congruence = check_congruence(g)
         for d in (
-            *check_semigroup(g.splice_diagram).edges, *congruence.semigroup.edges,
+            *check_semigroup(splice_from_resolution(g)).edges, *congruence.semigroup.edges,
             *congruence.edges, *check_condition_3_3(g).decisions,
         ):
             seen[d.method] += 1
@@ -415,7 +415,7 @@ def test_benchmark_observers_read_the_reports():
     undecided = 0
     for g in (fixtures.g1(), dominant_tree(random.Random(3), 25)):
         a = Analysis(g)
-        semigroup, congruence = check_semigroup(g.splice_diagram), check_congruence(a)
+        semigroup, congruence = check_semigroup(splice_from_resolution(a)), check_congruence(a)
         fallbacks = [d for d in check_condition_3_3(a).decisions if d.method == "search"]
         counts = [sum(d.status == "undecided" for d in report)
                   for report in (semigroup.edges, congruence.edges, fallbacks)]

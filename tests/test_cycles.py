@@ -225,8 +225,8 @@ def _assert_reduced_route(g, seen):
     direct ones; the sweep equals ``greedy_monomial`` on the oracle table in
     every field; each 3.4 value is the branch's fundamental cycle at its
     attach. Counts the reduced and the other branches in ``seen``."""
-    reduced, negative = tests = _branch_tests(g)
     table, a = branch_cycle_table(g), Analysis(g)
+    reduced, negative = a.memo(_branch_tests)
     values = {(c.vertex, c.attach): c.value for c in check_condition_3_4(a).checks}
     for v in g.ids:
         i = g.index[v]
@@ -236,7 +236,7 @@ def _assert_reduced_route(g, seen):
             assert reduced(x, i) == _is_reduced(g, v, g.ids[x])
         if g.degree(v) < 2:
             continue
-        swept, _, _ = _sweep(a, i, g.tree.nbrs[i], tests)
+        swept, _, _ = _sweep(a, i, g.tree.nbrs[i])
         for x in g.tree.nbrs[i]:
             u = g.ids[x]
             seen[reduced(x, i)] += 1

@@ -7,17 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splicekit import discriminant, linalg, reporting
-from splicekit.analysis import Analysis
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import (
     DiscriminantGroup,
-    _scaled_leaf_block,
     character_of_monomial,
     group_order_check,
     leaf_generators,
     pairing_matrix,
     qmod1,
+    scaled_leaf_block,
 )
 from splicekit.errors import CapExceeded
 from splicekit.graph import (
@@ -33,6 +32,7 @@ import oracles
 from oracles import (
     _span_check,
     drop_one_indices,
+    element_order,
     enumerated_group_check,
     negated_intersection_matrix,
     smith_normal_form_rescan,
@@ -107,7 +107,7 @@ def test_g17_cyclic_of_order_17(g17):
     group = leaf_generators(g17)
     assert group.order == 17
     for leaf in group.leaves:
-        assert group.element_order(group.generator(leaf)) == 17
+        assert element_order(group.generator(leaf)) == 17
     sub = group.enumerate_elements(generators=group.leaves[:1])
     assert len(sub) == 17
 
@@ -171,7 +171,7 @@ def test_bezout_smith_form_matches_rescan_oracle(monkeypatch, corpus, fixture_ma
     trees = [dominant_tree(random.Random(seed), 25) for seed in range(12)]
     trees += [dominant_tree(random.Random(seed), 50) for seed in range(6)]
     for g in [*corpus, *trees]:
-        _, block, det = _scaled_leaf_block(Analysis(g))
+        _, block, det = scaled_leaf_block(g)
         bezout = smith_normal_form(block, modulus=det)
         rescan = smith_normal_form_rescan(block, modulus=det)
         expected = sorted(gcd(s, det) for s in rescan.diagonal)
@@ -213,7 +213,7 @@ def test_every_drop_one_index_is_one_on_a_tree():
     @settings(max_examples=300, deadline=None)
     @given(definite_trees())
     def compare(g):
-        _, block, det = _scaled_leaf_block(Analysis(g))
+        _, block, det = scaled_leaf_block(g)
         _, indices = drop_one_indices(block, det)
         assert indices == [1] * len(block)
         oracle = _span_check(block, det)
@@ -260,7 +260,7 @@ def test_group_factors_eliminate_mod_the_smooth_part(monkeypatch, corpus):
     trees = [dominant_tree(random.Random(seed), n) for n in (25, 50) for seed in range(12)]
     below_det = cyclic = 0
     for g in [*corpus, *trees]:
-        _, block, det = _scaled_leaf_block(Analysis(g))
+        _, block, det = scaled_leaf_block(g)
         g0, smooth = _smooth_part(block, det)
         for route in (group_order_check, reporting.group_section):
             moduli.clear()
@@ -281,7 +281,7 @@ def test_group_section_factors_match_the_full_smith_form():
     def compare(g):
         factors = reporting.group_section(g)["invariant_factors"]
         assert factors == oracles.invariant_factors_full(g)
-        _, block, det = _scaled_leaf_block(Analysis(g))
+        _, block, det = scaled_leaf_block(g)
         g0, smooth = _smooth_part(block, det)
         seen["cyclic"] += g0 == 1
         seen["smooth_below_det"] += g0 > 1 and smooth < det
@@ -363,7 +363,7 @@ def test_element_order_matches_repeated_addition(g17, g90, star):
             while acc != zero:
                 acc = tuple((a + b) % det for a, b in zip(acc, gen))
                 k += 1
-            assert k == group.element_order(group.generator(leaf))
+            assert k == element_order(group.generator(leaf))
 
 
 def test_scaled_generators_match_maximal_diagonal(g90):

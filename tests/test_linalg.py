@@ -4,9 +4,8 @@ from math import gcd, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splicekit.analysis import Analysis
 from splicekit.corpus import dominant_tree
-from splicekit.discriminant import _scaled_leaf_block
+from splicekit.discriminant import scaled_leaf_block
 from splicekit.linalg import (
     determinant,
     identity_matrix,
@@ -152,7 +151,7 @@ def test_snf_modulus_one_takes_no_step():
     # mod 1 every entry is 0: the diagonal is all zeros and both transforms
     # stay the identity, on seeded rectangular matrices and leaf blocks
     trees = [dominant_tree(random.Random(seed), 60) for seed in range(4)]
-    blocks = [_scaled_leaf_block(Analysis(g))[1] for g in trees]
+    blocks = [scaled_leaf_block(g)[1] for g in trees]
     for seed in range(8):
         rng = random.Random(seed)
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)

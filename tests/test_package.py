@@ -103,13 +103,10 @@ def test_trace_observers_read_real_results(g17):
         assert fields and all(isinstance(x, int) for x in fields.values()), name
 
 
-# Unreferenced in src/, in __all__ and under perfbench/ at the time this
-# guard was added: the backlog of moving oracle-only code into the tests.
-UNCALLED_BACKLOG = {
-    "cycles.QCycle.is_effective",
-    "cycles.QCycle.as_int_dict",
-    "discriminant.DiscriminantGroup.element_order",
-}
+# Unreferenced in src/, in __all__ and under perfbench/: the backlog of
+# moving oracle-only code into the tests. as_int_dict stays in src/, as
+# scripts/verify_identities.py calls it.
+UNCALLED_BACKLOG = {"cycles.QCycle.as_int_dict"}
 
 
 def _names(node) -> Counter:
@@ -161,9 +158,6 @@ LAYERS = (
     "document", "splice", "conditions", "discriminant", "cycles", "equations",
     "reporting", "cli", "__init__",
 )
-# (importer, imported module, name): the graph builds its cached splice
-# diagram through splice, which imports graph
-UPWARD_IMPORTS = {("graph", "splice", "_reduced_diagram")}
 
 
 def _package_imports(tree):
@@ -183,8 +177,7 @@ def _package_imports(tree):
 
 
 def test_imports_point_down_the_layers():
-    # no module imports one above it, not even lazily or for typing alone,
-    # but for the one import in UPWARD_IMPORTS
+    # no module imports one above it, not even lazily or for typing alone
     src = Path(__file__).resolve().parents[1] / "src" / "splicekit"
     modules = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
     rank = {module: i for i, module in enumerate(LAYERS)}
@@ -195,7 +188,34 @@ def test_imports_point_down_the_layers():
         for target, name in _package_imports(tree)
         if rank[target] >= rank[module]
     }
-    assert upward == UPWARD_IMPORTS
+    assert upward == set()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_modules_meet_through_public_names():
+    # no module imports another module's _private name, nor reads one as
+    # module._name; docstrings are strings, so they do not count
+    src = Path(__file__).resolve().parents[1] / "src" / "splicekit"
+    crossings = set()
+    for path in src.glob("*.py"):
+        tree, module = ast.parse(path.read_text()), path.stem
+        # from . import m binds the module m: its target is its own name
+        modules = {name for target, name in _package_imports(tree) if target == name}
+        crossings |= {
+            (module, target, name)
+            for target, name in _package_imports(tree)
+            if target != name and target != module and _private(name)
+        }
+        crossings |= {
+            (module, node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        }
+    assert crossings == set()
 
 
 REPORTS = (

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from splicekit import cycles, graph, splice
+from splicekit.analysis import Analysis
 from splicekit.cfrac import continued_fraction_of_string
 from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
@@ -54,6 +55,7 @@ from splicekit.splice import (
 
 from oracles import (
     edge_equations_by_id,
+    element_order,
     ideal_generator_recursive,
     linking_numbers_by_path,
     matmul,
@@ -534,11 +536,11 @@ def test_leaf_knot_orders(g1, g17, g90):
     group17 = leaf_generators(g17)
     d17 = splice_from_resolution(g17)
     for w in d17.leaves:
-        order = group17.element_order(group17.generator(w))
+        order = element_order(group17.generator(w))
         assert leaf_knot_order(g17, w) == order
     group90 = leaf_generators(g90)
     for w in splice_from_resolution(g90).leaves:
-        order = group90.element_order(group90.generator(w))
+        order = element_order(group90.generator(w))
         assert leaf_knot_order(g90, w) == 90 // leaf_ideal_generator(
             splice_from_resolution(g90), w
         ) == order
@@ -546,7 +548,8 @@ def test_leaf_knot_orders(g1, g17, g90):
 
 def test_ideal_generators_fill_one_table(monkeypatch):
     # every leaf knot order, ideal generator and ideal check of a diagram
-    # reads its one cached table, filled in one pass over the directed edges
+    # reads its one cached table, filled in one pass over the directed edges;
+    # the knot orders read the diagram of the analysis they share
     calls = []
     real = splice.edge_order
 
@@ -555,9 +558,9 @@ def test_ideal_generators_fill_one_table(monkeypatch):
         return real(tree)
 
     monkeypatch.setattr(splice, "edge_order", counted)
-    g = dominant_tree(random.Random(7), 60)
-    d = splice_from_resolution(g)
-    orders = [leaf_knot_order(g, w) for w in d.leaves]
+    a = Analysis(dominant_tree(random.Random(7), 60))
+    d = splice_from_resolution(a)
+    orders = [leaf_knot_order(a, w) for w in d.leaves]
     report = check_ideal_condition(d)
     assert [ideal_generator(d, e.node, e.toward) for e in report.entries] == [
         e.generator for e in report.entries
