@@ -1,5 +1,11 @@
 """Command-line interface.
 
+Each ``cmd_*`` is a function of the loaded graph and the parsed arguments
+and returns ``(payload, text lines, exit code)``, the lines None where only
+JSON is written (``report`` always, ``group``, ``splice`` and ``maximal``
+under --json). ``main`` is the one place that reads the graph file and
+writes the output. ``emit-fixtures`` reads no graph file and writes its own.
+
 Exit codes: 0 all requested checks pass, 1 a checked condition fails,
 2 invalid input. Condition failures are results, not program errors.
 """
@@ -43,12 +49,13 @@ def _load_graph(path: str) -> ResolutionGraph:
     return document_to_graph(doc)
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    """Write the payload as JSON, which is ASCII, or the text lines as UTF-8
-    whatever the locale, as graph files are read: to the byte stream under
-    sys.stdout, or as str to a stream without one, such as io.StringIO."""
+def _emit(payload: dict, lines: list[str] | None) -> None:
+    """Write the payload as JSON, which is ASCII, when there are no text
+    lines, else the lines as UTF-8 whatever the locale, as graph files are
+    read: to the byte stream under sys.stdout, or as str to a stream
+    without one, such as io.StringIO."""
     out = sys.stdout
-    if as_json:
+    if lines is None:
         out.write(reporting.render_json(payload))
         return
     text = "".join(f"{line}\n" for line in lines)
@@ -60,55 +67,47 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
         binary.write(text.encode())
 
 
-def cmd_validate(args) -> int:
-    g = _load_graph(args.file)
+# What a command returns: the JSON payload, the text lines (None for JSON
+# alone) and the exit code.
+Output = tuple[dict, list[str] | None, int]
+
+
+def cmd_validate(g: ResolutionGraph, args) -> Output:
     payload = {"ok": True, "vertices": len(g.ids), "edges": len(g.edges)}
-    _emit(payload, args.json, [f"ok: {len(g.ids)} vertices, {len(g.edges)} edges"])
-    return 0
+    return payload, [f"ok: {len(g.ids)} vertices, {len(g.edges)} edges"], 0
 
 
-def cmd_det(args) -> int:
-    g = _load_graph(args.file)
+def cmd_det(g: ResolutionGraph, args) -> Output:
     det = graph_determinant(g)
-    _emit({"determinant": det}, args.json, [int_text(det)])
-    return 0
+    return {"determinant": det}, [int_text(det)], 0
 
 
-def cmd_group(args) -> int:
-    g = _load_graph(args.file)
+def cmd_group(g: ResolutionGraph, args) -> Output:
     section = reporting.group_section(g)
-    lines = [] if args.json else [
+    return section, None if args.json else [
         f"order: {int_text(section['order'])}",
         "invariant factors: " + ", ".join(map(int_text, section["invariant_factors"])),
         *(f"generator at {leaf}: [" + ", ".join(gen) + "]"
           for leaf, gen in section["generators"].items()),
-    ]
-    _emit(section, args.json, lines)
-    return 0
+    ], 0
 
 
 def _weight_lines(weights: list) -> list[str]:
     return [f"weight at {at} toward {to}: {int_text(w)}" for at, to, w in weights]
 
 
-def cmd_splice(args) -> int:
-    g = _load_graph(args.file)
+def cmd_splice(g: ResolutionGraph, args) -> Output:
     section = reporting.splice_section(g)
     vertices = "vertices: " + " ".join(section["vertices"])
-    lines = [] if args.json else [vertices, *_weight_lines(section["weights"])]
-    _emit(section, args.json, lines)
-    return 0
+    return section, None if args.json else [vertices, *_weight_lines(section["weights"])], 0
 
 
-def cmd_maximal(args) -> int:
-    g = _load_graph(args.file)
+def cmd_maximal(g: ResolutionGraph, args) -> Output:
     section = reporting.maximal_section(g)
-    _emit(section, args.json, [] if args.json else _weight_lines(section["weights"]))
-    return 0
+    return section, None if args.json else _weight_lines(section["weights"]), 0
 
 
-def cmd_check(args) -> int:
-    g = _load_graph(args.file)
+def cmd_check(g: ResolutionGraph, args) -> Output:
     wanted = CHECKS[:-1] if args.condition == "all" else (args.condition,)
     sections = reporting.condition_sections(g, wanted)
     ok = reporting.report_conditions_ok(sections)
@@ -127,43 +126,29 @@ def cmd_check(args) -> int:
                         f"    needs exponent at {solved['leaf']} = "
                         f"{solved['residue']} (mod {solved['modulus']})"
                     )
-    _emit({"ok": ok, "checks": sections}, args.json, lines)
-    return 0 if ok else 1
+    return {"ok": ok, "checks": sections}, lines, 0 if ok else 1
 
 
-def cmd_equations(args) -> int:
-    g = _load_graph(args.file)
+def cmd_equations(g: ResolutionGraph, args) -> Output:
     try:
         system = equations.build_equations(g, equivariant=args.equivariant)
     except (SemigroupFails, CongruenceFails) as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        _emit(payload, args.json, [f"{type(exc).__name__}: {exc}"])
-        return 1
-    payload = equations.system_to_json(system)
-    _emit(payload, args.json, equations.render_equations(system).splitlines())
-    return 0
+        error = type(exc).__name__
+        return {"error": error, "detail": str(exc)}, [f"{error}: {exc}"], 1
+    return equations.system_to_json(system), equations.render_equations(system).splitlines(), 0
 
 
-def cmd_reduce(args) -> int:
-    g = _load_graph(args.file)
-    d = splice.splice_from_resolution(g)
+def cmd_reduce(g: ResolutionGraph, args) -> Output:
     mode = "raw" if args.raw else "normalized"
     det = None if args.raw else graph_determinant(g)
-    result = splice.end_node_reduce(d, args.end_node, mode=mode, det=det)
+    result = splice.end_node_reduce(splice.splice_from_resolution(g), args.end_node, mode, det)
     if result.problems:
-        payload = {
-            "error": "NonIntegralWeight",
-            "problems": [
-                {"at": p.at, "toward": p.toward, "raw": p.raw, "divisor": p.divisor}
-                for p in result.problems
-            ],
-        }
-        _emit(payload, args.json, [
+        payload = {"error": "NonIntegralWeight", "problems": [p._asdict() for p in result.problems]}
+        return payload, [
             f"non-integral reduced weight at {p.at} toward {p.toward}: "
             + int_text(p.raw) + " not divisible by " + int_text(p.divisor)
             for p in result.problems
-        ])
-        return 1
+        ], 1
     assert result.diagram is not None
     weights = reporting.weights_list(result.diagram)
     payload = {
@@ -173,17 +158,12 @@ def cmd_reduce(args) -> int:
         "edges": reporting.pairs_list(result.diagram.edges),
         "weights": weights,
     }
-    lines = [f"new leaf: {result.new_leaf}", *_weight_lines(weights)]
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, [f"new leaf: {result.new_leaf}", *_weight_lines(weights)], 0
 
 
-def cmd_report(args) -> int:
-    g = _load_graph(args.file)
-    name = Path(args.file).stem
-    report = reporting.analysis_report(g, name=name)
-    sys.stdout.write(reporting.render_json(report))  # JSON with or without --json
-    return 0 if reporting.report_conditions_ok(report.get("conditions", {})) else 1
+def cmd_report(g: ResolutionGraph, args) -> Output:
+    report = reporting.analysis_report(g, name=Path(args.file).stem)  # JSON with or without --json
+    return report, None, 0 if reporting.report_conditions_ok(report.get("conditions", {})) else 1
 
 
 def cmd_emit_fixtures(args) -> int:
@@ -244,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.fn is cmd_emit_fixtures:
+            return cmd_emit_fixtures(args)
+        payload, lines, code = args.fn(_load_graph(args.file), args)
+        _emit(payload, None if args.json else lines)
+        return code
     except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,12 @@
 
 Every section takes a graph or an ``Analysis`` that a report shares, and
 reads the one splice diagram of that analysis, whose edges and weights
-come in vertex order, as do the maximal diagram's. A condition section
-carries its report's ``ok``; the semigroup and congruence sections write
-each edge with ``_edge_entry``. ``render_json`` writes with
+come in vertex order, as do the maximal and end-node reduced diagrams';
+``weights_list`` writes the weights of each. A condition section carries
+its report's ``ok``; the semigroup and congruence sections write each
+edge with ``_edge_entry``. Every other entry is written from its record's
+fields (``_asdict()``, plus ``ok`` where the record reads it), so each
+entry's keys are stated once, by the record. ``render_json`` writes with
 ``document.indented_json``, the bytes of ``json.dumps(payload, indent=2)``
 without its pure-Python encoder.
 """
@@ -29,13 +32,9 @@ from .graph import (
 
 
 def weights_list(d: splice.SpliceDiagram) -> list[list[Any]]:
-    """[at, toward, weight] for every weight of d, in vertex order."""
-    order = d.index
-    triples = sorted(
-        ((at, to, w) for (at, to), w in d.weights.items()),
-        key=lambda t: (order[t[0]], order[t[1]]),
-    )
-    return [[at, to, w] for at, to, w in triples]
+    """[at, toward, weight] for every weight of d, in the diagram's order,
+    which is vertex order for every derived diagram."""
+    return [[at, to, w] for (at, to), w in d.weights.items()]
 
 
 def splice_section(g: ResolutionGraph | Analysis) -> dict:
@@ -43,13 +42,12 @@ def splice_section(g: ResolutionGraph | Analysis) -> dict:
     return {
         "vertices": list(d.ids),
         "edges": pairs_list(d.edges),
-        "weights": [[at, to, w] for (at, to), w in d.weights.items()],
+        "weights": weights_list(d),
     }
 
 
 def maximal_section(g: ResolutionGraph | Analysis) -> dict:
-    weights = splice.maximal_splice(analysis_of(g).graph).weights
-    return {"weights": [[at, to, w] for (at, to), w in weights.items()]}
+    return {"weights": weights_list(splice.maximal_splice(analysis_of(g).graph))}
 
 
 def _residue_str(x: int, det: int, denominators: dict[int, str]) -> str:
@@ -137,49 +135,22 @@ def congruence_section(g: ResolutionGraph | Analysis) -> dict:
         entry = _edge_entry(e)
         if not e.ok:
             entry["congruences"] = [
-                {
-                    "leaf": c.leaf,
-                    "coefficients": pairs_list(c.coefficients),
-                    "target": c.target,
-                    "modulus": c.modulus,
-                }
-                for c in e.congruences
+                c._asdict() | {"coefficients": pairs_list(c.coefficients)} for c in e.congruences
             ]
             if e.solved:
-                entry["solved"] = [
-                    {"leaf": s.leaf, "residue": s.residue, "modulus": s.modulus}
-                    for s in e.solved
-                ]
+                entry["solved"] = [s._asdict() for s in e.solved]
         edges.append(entry)
     return {"ok": report.ok, "determinant": report.determinant, "edges": edges}
 
 
 def ideal_section(g: ResolutionGraph | Analysis) -> dict:
     report = splice.check_ideal_condition(splice.splice_from_resolution(g))
-    return {
-        "ok": report.ok,
-        "edges": [
-            {
-                "node": e.node,
-                "toward": e.toward,
-                "generator": e.generator,
-                "weight": e.weight,
-                "ok": e.ok,
-            }
-            for e in report.entries
-        ],
-    }
+    return {"ok": report.ok, "edges": [e._asdict() | {"ok": e.ok} for e in report.entries]}
 
 
 def okuma34_section(g: ResolutionGraph | Analysis) -> dict:
     report = cycles.check_condition_3_4(g)
-    return {
-        "ok": report.ok,
-        "failures": [
-            {"vertex": c.vertex, "attach": c.attach, "value": c.value}
-            for c in report.failures
-        ],
-    }
+    return {"ok": report.ok, "failures": [c._asdict() for c in report.failures]}
 
 
 def okuma33_section(g: ResolutionGraph | Analysis) -> dict:

@@ -472,8 +472,11 @@ def end_node_reduce(
     ``det``; a non-divisible value is recorded as a problem instead of
     raising. The edge toward the new leaf and the reduced linking number
     to the end-node, which is symmetric, are read at each node off the one
-    walk from the end-node. Reducing a single-node diagram leaves nothing
-    and returns the empty diagram.
+    walk from the end-node. The weights come in vertex order, the new leaf
+    last, and each lies on an edge of the result: the weight toward the
+    end-node at a neighbour that is not a node, as in a maximal diagram, is
+    dropped. Reducing a single-node diagram leaves nothing and returns the
+    empty diagram.
     """
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -501,7 +504,6 @@ def end_node_reduce(
         e for e in d.edges if e[0] not in removed and e[1] not in removed
     ) + ((central, w_star),)
 
-    new_weights: dict[DirectedEdge, int] = {}
     problems: list[NonIntegralWeight] = []
     surviving_nodes = [v for v in d.nodes if v != v_star]
     walk = d.walk(v_star)  # the reduced numbers are symmetric
@@ -511,12 +513,10 @@ def end_node_reduce(
         if up < 0:
             raise SpliceKitError(f"no path from {v!r} to {v_star!r}")
         toward_new[v] = d.ids[up]
-    for (at, to), wt in d.weights.items():
-        if at in removed:
-            continue
-        if at in toward_new and to == toward_new[at]:
-            continue  # replaced below
-        new_weights[(at, to)] = wt
+    new_weights = {  # those toward the new leaf are replaced below
+        (at, to): wt for (at, to), wt in d.weights.items()
+        if at not in removed and to not in removed and toward_new.get(at) != to
+    }
     for v in surviving_nodes:
         x = toward_new[v]
         d_v1 = d.weights[(v, x)]
@@ -540,11 +540,10 @@ def end_node_reduce(
     if problems:
         return ReductionResult(diagram=None, new_leaf=w_star,
                                problems=tuple(problems))
-    return ReductionResult(
-        diagram=SpliceDiagram(ids=new_ids, edges=new_edges, weights=new_weights),
-        new_leaf=w_star,
-        problems=(),
-    )
+    index = {v: i for i, v in enumerate(new_ids)}
+    ordered = sorted(new_weights, key=lambda e: (index[e[0]], index[e[1]]))
+    weights = {e: new_weights[e] for e in ordered}
+    return ReductionResult(SpliceDiagram(new_ids, new_edges, weights), w_star, ())
 
 
 def end_node_reduce_graph(

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from splicekit import (
-    conditions, corpus, discriminant, equations, fixtures, graph, reporting, splice,
+    cli, conditions, corpus, discriminant, equations, fixtures, graph, reporting, splice,
 )
 from splicekit.analysis import Analysis
 from splicekit.cli import build_parser, main
@@ -85,6 +86,7 @@ _A, _B = '{"id": "a", "weight": -2}', '{"id": "b", "weight": -2}'
         (f"[{_A}, {_B}]", '[["a", "b", "a"]]', "edges[0]: expected a pair of ids"),
         (f"[{_A}, {_B}]", '[["a", "b"], ["a", 2]]', "edges[1]: expected a pair of ids"),
         (f"[{_A}, {_B}]", '{"a": "b"}', "edges: expected a list"),
+        ('{"a": -2}', "[]", "vertices: expected a list"),
     ],
 )
 def test_parse_errors_name_the_first_bad_entry(vertices, edges, message):
@@ -92,6 +94,29 @@ def test_parse_errors_name_the_first_bad_entry(vertices, edges, message):
     with pytest.raises(ParseError) as info:
         parse_document(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v a -2\ne a b\n", "edge (a, b) references unknown vertex"),
+        ("v a -2\ne a a\n", "self-loop at a"),
+        ("v a -2\nv b -2\ne a b\ne a b\n", "duplicate edge (a, b)"),
+        ("v a -2\nv b -2\ne a b\ne b a\n", "duplicate edge (b, a)"),
+        ("v a -2\nv b x\n", "line 2: weight is not an integer"),
+        ("v a -2\n\nw b -2\n", "line 3: expected 'v <id> <weight>' or 'e <a> <b>'"),
+        (
+            '{"version": 1, "vertices": [], "edges": [], "metadata": ["a"]}',
+            "metadata: expected an object",
+        ),
+    ],
+)
+def test_cli_refuses_a_bad_graph_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["det", str(path), "--json"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_cli_validate_exit_codes(tmp_path, g1):
@@ -421,6 +446,36 @@ def test_cli_reduce_g1(tmp_path, g1, capsys):
     capsys.readouterr()
     assert main(["reduce", path, "--end-node", "zz"]) == 2  # not a vertex at all
     assert capsys.readouterr().err == "input error: not an end-node: zz\n"
+
+
+def test_cli_reduce_reports_non_integral_weights(tmp_path, g1, monkeypatch, capsys):
+    # on a graph file every normalized weight is integral, det g times the
+    # reduced weight being the raw one, so a wrong determinant stands in
+    monkeypatch.setattr(cli, "graph_determinant", lambda g: 7)
+    path = write_graph(tmp_path, g1)
+    assert main(["reduce", path, "--end-node", "nR"]) == 1
+    line = "non-integral reduced weight at nL toward nR: 17 not divisible by 7\n"
+    assert capsys.readouterr() == (line, "")
+    assert main(["reduce", path, "--end-node", "nR", "--json"]) == 1
+    out, err = capsys.readouterr()
+    problems = json.loads(out)["problems"]
+    assert err == "" and json.loads(out)["error"] == "NonIntegralWeight"
+    assert [list(p.items()) for p in problems] == [
+        [("at", "nL"), ("toward", "nR"), ("raw", 17), ("divisor", 7)]
+    ]
+    assert main(["reduce", path, "--end-node", "nR", "--raw"]) == 0  # raw divides by nothing
+
+
+def test_text_output_to_a_stream_without_bytes(tmp_path, g1, monkeypatch, capsys):
+    # a stream with no byte buffer under it, such as io.StringIO, gets the
+    # same text as str
+    path = write_graph(tmp_path, g1)
+    assert main(["splice", path]) == 0
+    written = capsys.readouterr().out
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["splice", path]) == 0
+    assert out.getvalue() == written and written.startswith("vertices: ")
 
 
 def test_cli_equations(tmp_path, g90, star, capsys):

@@ -137,6 +137,8 @@ def test_validate_graph_errors():
         validate_graph(positive)
     with pytest.raises(ValidationError):
         ResolutionGraph.build([("a", -2), ("a", -3)], [])
+    with pytest.raises(ValidationError, match="^ids and weights differ in length$"):
+        ResolutionGraph(ids=("a", "b"), weights=(-2,), edges=())
 
 
 def test_random_corpus_definite_and_offdiagonal(random_trees):

@@ -218,6 +218,28 @@ def test_modules_meet_through_public_names():
     assert crossings == set()
 
 
+def test_cli_loads_and_writes_in_main_alone():
+    # every command is a function of the loaded graph and its arguments that
+    # returns (payload, lines, code), so main alone reads the graph file and
+    # writes the output; emit-fixtures reads no graph file
+    path = Path(__file__).resolve().parents[1] / "src" / "splicekit" / "cli.py"
+    functions = [f for f in ast.parse(path.read_text()).body if isinstance(f, ast.FunctionDef)]
+    callers = {
+        (f.name, node.func.id)
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("_load_graph", "_emit")
+    }
+    assert callers == {("main", "_load_graph"), ("main", "_emit")}
+    first = {
+        f.name: (f.args.args[0].arg, ast.unparse(f.args.args[0].annotation or ast.Constant(None)))
+        for f in functions if f.name.startswith("cmd_")
+    }
+    assert first.pop("cmd_emit_fixtures") == ("args", "None")
+    assert len(first) == 9 and set(first.values()) == {("g", "ResolutionGraph")}
+
+
 REPORTS = (
     SemigroupReport, CongruenceReport, EdgeDetReport, IdealReport,
     Condition34Report, Condition33Report, LeadingFormReport,

@@ -616,6 +616,21 @@ def test_end_node_reduce_nonintegral_reported(g1):
     assert (problem.at, problem.raw, problem.divisor) == ("nL", 17, 7)
 
 
+def test_reduced_weights_lie_on_edges_in_vertex_order(fixture_map):
+    # a maximal diagram also weights the vertex next to the end-node toward
+    # it; that weight goes with the end-node, so every weight of a reduction
+    # sits on an edge of the result, in vertex order
+    for g in fixture_map.values():
+        det = graph_determinant(g)
+        for d in (splice_from_resolution(g), maximal_splice(g)):
+            for v_star in [v for v in d.nodes if is_end_node(d, v)]:
+                for mode in ("raw", "normalized"):
+                    reduced = end_node_reduce(d, v_star, mode=mode, det=det).diagram
+                    keys, index = list(reduced.weights), reduced.index
+                    assert all(to in reduced.adjacency[at] for at, to in keys), (v_star, mode)
+                    assert keys == sorted(keys, key=lambda e: (index[e[0]], index[e[1]]))
+
+
 def test_graph_and_diagram_reduction_agree(two_node_corpus):
     for g in two_node_corpus[:20]:
         d = splice_from_resolution(g)
