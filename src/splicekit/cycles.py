@@ -4,11 +4,13 @@ decided on integral cycles; rational ``QCycle`` values are formed for the API.
 
 Call a branch B reduced when every curve j of B has w_j + deg_B(j) <= 0:
 then its fundamental cycle Z_B is 1 on every curve, as on each sub-branch.
-Branches of a rational graph are reduced, and the test is O(1) per
-directed edge (``_branch_tests``). Once some branch is not reduced, one
-table per analysis holds Z_B - 1_B by directed edge (``excess_table``). 3.4
-reads Z_B at the attach; 3.3 runs the greedy monomial cycle as one
-breadth-first sweep per node over int arrays (``_sweep``).
+The test is O(1) per directed edge (``_branch_tests``). A branch of a
+rational graph need not be reduced: it may hold a (-2)-curve of valency
+three, and no verdict assumes otherwise. Once some branch is not reduced,
+one table per analysis holds Z_B - 1_B by directed edge
+(``excess_table``). 3.4 reads Z_B at the attach; 3.3 runs the greedy
+monomial cycle as one breadth-first sweep per node over int arrays
+(``_sweep``).
 """
 
 from __future__ import annotations

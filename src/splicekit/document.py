@@ -110,9 +110,12 @@ def parse_document(text: str) -> GraphDocument:
 
 
 def load_document(path: str | Path) -> GraphDocument:
-    """The document in a UTF-8 file, whatever the locale, a leading BOM
-    skipped. Raises OSError, UnicodeDecodeError and ParseError."""
-    return parse_document(Path(path).read_text(encoding="utf-8-sig"))
+    """The document in a UTF-8 file, whatever the locale: the bytes are read
+    and decoded once, a leading UTF-8 byte order mark skipped. Raises
+    OSError, UnicodeDecodeError and ParseError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    return parse_document(data.decode("utf-8-sig"))
 
 
 def document_to_graph(doc: GraphDocument) -> ResolutionGraph:

@@ -14,8 +14,8 @@ DirectedEdge = tuple[str, str]
 
 
 def vertex_index(g) -> Mapping[str, int]:
-    """Position of each vertex in ``g.ids``, for a graph or splice diagram.
-    Cached on each instance as ``index``."""
+    """Position of each vertex in ``g.ids``, for a splice diagram. Cached on
+    each instance as ``index``."""
     return {v: i for i, v in enumerate(g.ids)}
 
 
@@ -42,19 +42,24 @@ def walk_tree(nbrs, root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def int_tree(g) -> IntTree:
-    """Integer adjacency lists of a graph or splice diagram, with one
-    ``walk_tree`` from vertex 0; empty when there are no vertices. Cached on
-    each instance as ``tree``."""
-    index, nbrs = g.index, [[] for _ in g.ids]
-    for a, b in g.edges:
-        i, j = index[a], index[b]
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+def pack_tree(nbrs: list[list[int]]) -> IntTree:
+    """The integer view of the adjacency lists nbrs, each sorted in place,
+    with one ``walk_tree`` from vertex 0; empty when there are no vertices."""
     for ns in nbrs:
         ns.sort()
     order, parent = walk_tree(nbrs, 0) if nbrs else ([], [])
     return IntTree(tuple(map(tuple, nbrs)), tuple(order), tuple(parent))
+
+
+def int_tree(d) -> IntTree:
+    """The integer view of a splice diagram. Cached on each instance as
+    ``tree``."""
+    index, nbrs = d.index, [[] for _ in d.ids]
+    for a, b in d.edges:
+        i, j = index[a], index[b]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return pack_tree(nbrs)
 
 
 def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
@@ -72,21 +77,26 @@ class ResolutionGraph(Frozen):
     reproducible. Instances are immutable; all operations on them are
     pure functions. Vertex i is ids[i] in ``index`` and in the integer view
     ``tree``: int adjacency lists, one breadth-first order from vertex 0
-    and its parent array. The tree test, both passes of the subtree
-    determinants (leaves up, which gives the determinant and definiteness,
-    and root down, on a negative-definite graph only) and the linking rows
-    run on those arrays; everything else reads the passes through
-    ``branch_det``, and ``adjacency`` and ``subtree_determinants`` give
-    views by vertex id. Each is cached on first use, and nothing else is:
-    what the layers above derive from them, the splice diagram included,
-    is kept by an ``analysis.Analysis``.
+    and its parent array. Both are built on construction, not on first
+    use: the adjacency lists in the one pass over the edges that refuses an
+    edge to an unknown vertex, a self-loop or a duplicate edge, and then
+    the one walk. The tree test, both passes of
+    the subtree determinants (leaves up, which gives the determinant and
+    definiteness, and root down, on a negative-definite graph only) and the
+    linking rows run on those arrays; everything else reads the passes
+    through ``branch_det``, and ``adjacency`` and ``subtree_determinants``
+    give views by vertex id. Each of these is cached on first use, and
+    nothing else is: what the layers above derive from them, the splice
+    diagram included, is kept by an ``analysis.Analysis``.
     """
 
-    __slots__ = ("ids", "weights", "edges", "__dict__")
+    __slots__ = ("ids", "weights", "edges", "index", "tree", "__dict__")
     _fields = _compared = ("ids", "weights", "edges")
     ids: tuple[str, ...]
     weights: tuple[int, ...]
     edges: tuple[tuple[str, str], ...]
+    index: Mapping[str, int]
+    tree: IntTree
 
     def __init__(
         self,
@@ -94,22 +104,27 @@ class ResolutionGraph(Frozen):
         weights: tuple[int, ...],
         edges: tuple[tuple[str, str], ...],
     ) -> None:
-        self._init(ids=ids, weights=weights, edges=edges)
-        if len(self.ids) != len(self.weights):
+        if len(ids) != len(weights):
             raise ValidationError("ids and weights differ in length")
-        if len(self.index) != len(self.ids):
+        index = {v: i for i, v in enumerate(ids)}
+        if len(index) != len(ids):
             raise ValidationError("duplicate vertex id")
-        index, seen = self.index, set()
-        for a, b in self.edges:
-            i, j = index.get(a), index.get(b)
+        n, get = len(ids), index.get
+        nbrs: list[list[int]] = [[] for _ in ids]
+        seen: set[int] = set()
+        for a, b in edges:
+            i, j = get(a), get(b)
             if i is None or j is None:
                 raise ValidationError(f"edge ({a}, {b}) references unknown vertex")
             if i == j:
                 raise ValidationError(f"self-loop at {a}")
-            key = (i, j) if i < j else (j, i)
+            key = i * n + j if i < j else j * n + i
             if key in seen:
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(key)
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        self._init(ids=ids, weights=weights, edges=edges, index=index, tree=pack_tree(nbrs))
 
     @classmethod
     def build(
@@ -117,15 +132,9 @@ class ResolutionGraph(Frozen):
         vertices: Iterable[tuple[str, int]],
         edges: Iterable[tuple[str, str]],
     ) -> "ResolutionGraph":
-        vs = list(vertices)
-        return cls(
-            ids=tuple(v for v, _ in vs),
-            weights=tuple(w for _, w in vs),
-            edges=tuple((a, b) for a, b in edges),
-        )
+        ids, weights = tuple(zip(*vertices, strict=True)) or ((), ())
+        return cls(ids=ids, weights=weights, edges=tuple(map(tuple, edges)))
 
-    index = cached_property(vertex_index)
-    tree = cached_property(int_tree)
     adjacency = cached_property(vertex_adjacency)
 
     @cached_property

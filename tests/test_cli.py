@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,10 @@ def test_parse_errors():
 _A, _B = '{"id": "a", "weight": -2}', '{"id": "b", "weight": -2}'
 
 
+def _doc(vertices: str, edges: str) -> str:
+    return f'{{"version": 1, "vertices": {vertices}, "edges": {edges}}}'
+
+
 @pytest.mark.parametrize(
     "vertices, edges, message",
     [
@@ -90,9 +95,8 @@ _A, _B = '{"id": "a", "weight": -2}', '{"id": "b", "weight": -2}'
     ],
 )
 def test_parse_errors_name_the_first_bad_entry(vertices, edges, message):
-    text = f'{{"version": 1, "vertices": {vertices}, "edges": {edges}}}'
     with pytest.raises(ParseError) as info:
-        parse_document(text)
+        parse_document(_doc(vertices, edges))
     assert str(info.value) == message
 
 
@@ -103,6 +107,13 @@ def test_parse_errors_name_the_first_bad_entry(vertices, edges, message):
         ("v a -2\ne a a\n", "self-loop at a"),
         ("v a -2\nv b -2\ne a b\ne a b\n", "duplicate edge (a, b)"),
         ("v a -2\nv b -2\ne a b\ne b a\n", "duplicate edge (b, a)"),
+        # two faults each: the first in input order is named
+        ("v a -2\nv b -2\ne a b\ne b a\ne a z\n", "duplicate edge (b, a)"),
+        ("v a -2\nv b -2\ne a a\ne a b\ne a b\n", "self-loop at a"),
+        ("v a -2\nv a -3\ne a z\n", "duplicate vertex id"),
+        (_doc(f"[{_A}, {_B}]", '[["a", "b"], ["b", "a"], ["a", "z"]]'), "duplicate edge (b, a)"),
+        (_doc(f"[{_A}, {_B}]", '[["a", "a"], ["a", "b"], ["a", "b"]]'), "self-loop at a"),
+        (_doc(f'[{_A}, {{"id": "a", "weight": -3}}]', '[["a", "z"]]'), "duplicate vertex id"),
         ("v a -2\nv b x\n", "line 2: weight is not an integer"),
         ("v a -2\n\nw b -2\n", "line 3: expected 'v <id> <weight>' or 'e <a> <b>'"),
         (
@@ -135,8 +146,49 @@ def test_cli_unreadable_graph_file_is_input_error(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     assert main(["det", str(binary)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and "not UTF-8" in err
+    assert capsys.readouterr().err == (
+        f"input error: {binary}: not UTF-8 text (invalid start byte at byte 0)\n"
+    )
+
+
+def _graph_file(tmp_path, vertices, edges, front_end, prefix=b""):
+    """A graph file of (id, weight) and (a, b) pairs as they are, checked or
+    not, in the JSON or the text front-end, its bytes after prefix."""
+    if front_end == "json":
+        text = json.dumps({
+            "version": 1,
+            "vertices": [{"id": v, "weight": w} for v, w in vertices],
+            "edges": [list(e) for e in edges],
+        })
+    else:
+        text = "".join(f"v {v} {w}\n" for v, w in vertices)
+        text += "".join(f"e {a} {b}\n" for a, b in edges)
+    path = tmp_path / f"{len(prefix)}.{front_end}"
+    path.write_bytes(prefix + text.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("front_end", ["json", "text"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, g17, front_end):
+    vertices = tuple(zip(g17.ids, g17.weights))
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = _graph_file(tmp_path, vertices, g17.edges, front_end, prefix)
+        assert main(["det", "--json", path]) == 0
+        assert capsys.readouterr() == ('{\n  "determinant": 17\n}\n', "")
+
+
+@pytest.mark.parametrize("shape", ["star", "chain"])
+def test_cli_validates_20000_vertices_in_under_2_s(tmp_path, capsys, shape):
+    # the edge checks take O(1) per edge, also at the centre of the star
+    n = 20000
+    vertices = [(f"v{i}", -2) for i in range(n)]
+    edges = [("v0" if shape == "star" else f"v{i - 1}", f"v{i}") for i in range(1, n)]
+    path = _graph_file(tmp_path, vertices, edges, "text")
+    start = time.perf_counter()
+    assert main(["validate", path]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr() == (f"ok: {n} vertices, {n - 1} edges\n", "")
+    assert elapsed < 2
 
 
 def test_det_walks_the_tree_once(tmp_path, g17, monkeypatch, capsys):

@@ -28,9 +28,10 @@ from splicekit.graph import (
     ResolutionGraph,
     component_of,
     graph_determinant,
+    intersection_matrix,
     nodes_of,
 )
-from splicekit.splice import linking_matrix, splice_from_resolution
+from splicekit.splice import check_ideal_condition, linking_matrix, splice_from_resolution
 
 from oracles import (
     bfs_tree,
@@ -473,3 +474,28 @@ def test_condition_3_3_search_matches_cycle_oracle(monkeypatch, corpus):
                     assert decision == edge._replace(toward=u)
                 truncated += expected[1]
     assert fallbacks and truncated
+
+
+def test_a_rational_graph_may_have_a_branch_that_is_not_reduced():
+    # the smallest minimal rational tree with weights -2 to -4 that has a
+    # non-reduced branch at a node: v3 (-2, three neighbours) lies in the
+    # branch of the node v1 at v0; every condition still passes
+    weights = (-3, -2, -4, -2, -2, -2, -2)
+    g = ResolutionGraph.build(
+        [(f"v{i}", w) for i, w in enumerate(weights)],
+        [("v0", "v1"), ("v1", "v2"), ("v0", "v3"), ("v3", "v4"), ("v1", "v5"), ("v3", "v6")],
+    )
+    z = [fundamental_cycle(g, g.ids).get(v) for v in g.ids]
+    assert z == [2, 2, 1, 2, 1, 1, 1]
+    # rational (Artin): p_a(Z_min) = 1 + (Z.Z + K.Z) / 2 = 0, K.E_j = -w_j - 2
+    m = intersection_matrix(g)
+    zz = sum(z[i] * m[i][j] * z[j] for i in range(7) for j in range(7))
+    assert 2 + zz + sum((-w - 2) * c for w, c in zip(weights, z)) == 0
+    reduced, _ = Analysis(g).memo(_branch_tests)
+    assert not reduced(g.index["v0"], g.index["v1"])
+    branch = component_of(g, "v1", "v0")
+    assert fundamental_cycle(g, branch).get("v3") == 2
+    d = splice_from_resolution(g)
+    assert check_semigroup(d).ok and check_congruence(g).ok
+    assert check_ideal_condition(d).ok
+    assert check_condition_3_3(g).ok and check_condition_3_4(g).ok

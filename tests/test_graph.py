@@ -141,6 +141,16 @@ def test_validate_graph_errors():
         ResolutionGraph(ids=("a", "b"), weights=(-2,), edges=())
 
 
+def test_build_takes_generators_and_empty_iterables():
+    g = ResolutionGraph.build(((v, w) for v, w in [("a", -2), ("b", -3)]), iter([["a", "b"]]))
+    assert g == ResolutionGraph(ids=("a", "b"), weights=(-2, -3), edges=(("a", "b"),))
+    assert g.tree == (((1,), (0,)), (0, 1), (-1, 0))
+    empty = ResolutionGraph.build(iter([]), [])
+    assert (empty.ids, empty.weights, empty.edges, empty.tree) == ((), (), (), ((), (), ()))
+    with pytest.raises(ValidationError, match="^graph has no vertices$"):
+        validate_graph(empty)
+
+
 def test_random_corpus_definite_and_offdiagonal(random_trees):
     for g in random_trees:
         assert is_negative_definite(g)
