@@ -6,8 +6,20 @@ JSON is written (``report`` always, ``group``, ``splice`` and ``maximal``
 under --json). ``main`` is the one place that reads the graph file and
 writes the output. ``emit-fixtures`` reads no graph file and writes its own.
 
+``COMMANDS`` holds, in one place, the grammar of every graph command but
+``reduce``: its handler, its positionals in order (``check``'s condition
+with its choices) and its on/off flags. ``build_parser`` builds the
+argparse tree from it, and a command line takes one of two routes. When
+its first word is a table command, its positionals are that many with
+every choice good, and every other token is exactly one of that command's
+flags, ``parse_table_command`` returns the Namespace argparse would, and
+argparse is never built. Everything else goes to argparse, which alone
+prints help and usage errors and reads abbreviations (``--js``), ``--``,
+``reduce`` and ``emit-fixtures``.
+
 Exit codes: 0 all requested checks pass, 1 a checked condition fails,
-2 invalid input. Condition failures are results, not program errors.
+2 invalid input or a usage error. Condition failures are results, not
+program errors.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import equations, reporting, splice
 from .document import (
@@ -182,6 +195,29 @@ def cmd_emit_fixtures(args) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """The grammar of one graph command: its handler, its positionals in
+    order as (name, choices or None) and its on/off flags."""
+
+    fn: Callable[[ResolutionGraph, argparse.Namespace], Output]
+    positionals: tuple[tuple[str, tuple[str, ...] | None], ...] = (("file", None),)
+    flags: tuple[str, ...] = ("--json",)
+
+
+# Every graph command but reduce, whose --end-node takes a value; argparse
+# alone parses reduce and emit-fixtures.
+COMMANDS = {
+    "validate": Command(cmd_validate),
+    "det": Command(cmd_det),
+    "group": Command(cmd_group),
+    "splice": Command(cmd_splice),
+    "maximal": Command(cmd_maximal),
+    "check": Command(cmd_check, (("condition", CHECKS), ("file", None))),
+    "equations": Command(cmd_equations, flags=("--json", "--equivariant")),
+    "report": Command(cmd_report),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by all later calls. Parsing
@@ -192,37 +228,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, flags=("--json",)):
+        p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag in flags:
+            text = "machine-readable output" if flag == "--json" else None
+            p.add_argument(flag, action="store_true", help=text)
         return p
 
-    add("validate", cmd_validate).add_argument("file")
-    add("det", cmd_det).add_argument("file")
-    add("group", cmd_group).add_argument("file")
-    add("splice", cmd_splice).add_argument("file")
-    add("maximal", cmd_maximal).add_argument("file")
-    p = add("check", cmd_check)
-    p.add_argument("condition", choices=CHECKS)
-    p.add_argument("file")
-    p = add("equations", cmd_equations)
-    p.add_argument("file")
-    p.add_argument("--equivariant", action="store_true")
-    p = add("reduce", cmd_reduce)
-    p.add_argument("file")
-    p.add_argument("--end-node", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--raw", action="store_true")
-    mode.add_argument("--normalized", action="store_true")
-    add("report", cmd_report).add_argument("file")
-    p = add("emit-fixtures", cmd_emit_fixtures)
-    p.add_argument("--dir", default="fixtures")
+    for name, command in COMMANDS.items():
+        if name == "report":  # the usage lists reduce before report
+            p = add("reduce", cmd_reduce)
+            p.add_argument("file")
+            p.add_argument("--end-node", required=True)
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--raw", action="store_true")
+            mode.add_argument("--normalized", action="store_true")
+        p = add(name, command.fn, command.flags)
+        for dest, choices in command.positionals:
+            p.add_argument(dest, choices=choices)
+    add("emit-fixtures", cmd_emit_fixtures).add_argument("--dir", default="fixtures")
     return parser
 
 
+def parse_table_command(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for argv when argv is a table command,
+    its positionals in order with every choice good, and its other tokens
+    each exactly one of its flags; else None. A token that starts with "-"
+    and is not such a flag (an abbreviation, -h, --, -, -5) is argparse's."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {flag[2:].replace("-", "_"): False for flag in command.flags}
+    positionals = []
+    for token in argv[1:]:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token in command.flags:
+            values[token[2:].replace("-", "_")] = True
+        else:
+            return None
+    if len(positionals) != len(command.positionals):
+        return None
+    for (dest, choices), value in zip(command.positionals, positionals):
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(command=argv[0], **values, fn=command.fn)
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """argv (sys.argv[1:] by default) parsed from the command table where
+    it can be, else by argparse, which prints help and usage errors."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_table_command(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.fn is cmd_emit_fixtures:
             return cmd_emit_fixtures(args)

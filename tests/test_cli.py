@@ -1,4 +1,6 @@
+import contextlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -177,18 +179,31 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, g17, front_end):
         assert capsys.readouterr() == ('{\n  "determinant": 17\n}\n', "")
 
 
-@pytest.mark.parametrize("shape", ["star", "chain"])
-def test_cli_validates_20000_vertices_in_under_2_s(tmp_path, capsys, shape):
-    # the edge checks take O(1) per edge, also at the centre of the star
-    n = 20000
+def _validate_seconds(tmp_path, capsys, shape, n=20000):
+    """The best of two timed `validate` calls on a star or a chain of n
+    vertices."""
     vertices = [(f"v{i}", -2) for i in range(n)]
     edges = [("v0" if shape == "star" else f"v{i - 1}", f"v{i}") for i in range(1, n)]
     path = _graph_file(tmp_path, vertices, edges, "text")
-    start = time.perf_counter()
-    assert main(["validate", path]) == 0
-    elapsed = time.perf_counter() - start
-    assert capsys.readouterr() == (f"ok: {n} vertices, {n - 1} edges\n", "")
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        assert main(["validate", path]) == 0
+        times.append(time.perf_counter() - start)
+        assert capsys.readouterr() == (f"ok: {n} vertices, {n - 1} edges\n", "")
+    return min(times)
+
+
+@pytest.mark.parametrize("shape", ["star", "chain"])
+def test_cli_validates_20000_vertices_in_under_2_s(tmp_path, capsys, shape):
+    # the edge checks take O(1) per edge, also at the centre of the star: a
+    # check that scans the centre's neighbours makes the star some 40 times
+    # slower than the chain, yet still under 2 s, so the star is held to
+    # the chain timed beside it
+    elapsed = _validate_seconds(tmp_path, capsys, shape)
     assert elapsed < 2
+    if shape == "star":
+        assert elapsed < 4 * _validate_seconds(tmp_path, capsys, "chain")
 
 
 def test_det_walks_the_tree_once(tmp_path, g17, monkeypatch, capsys):
@@ -414,20 +429,23 @@ def test_cli_recovers_after_usage_error(tmp_path, g17, capsys):
 
 
 def test_shared_parser_under_concurrent_parsing():
-    # threads parse different command lines with the one shared parser;
-    # any state a parse left on the parser would show in another's result
+    # threads parse different command lines through main's parse, from the
+    # command table or with the one shared argparse parser; any state a
+    # parse left behind would show in another's result
     cases = [
         (["det", "a.json"], ("det", "a.json", False)),
         (["det", "e.json", "--json"], ("det", "e.json", True)),
+        (["det", "--js", "f.json"], ("det", "f.json", True)),
         (["group", "b.json", "--json"], ("group", "b.json", True)),
         (["check", "okuma33", "c.json", "--json"], ("check", "c.json", True)),
+        (["equations", "--equivariant", "g.json"], ("equations", "g.json", False)),
         (["reduce", "d.json", "--end-node", "n", "--raw"], ("reduce", "d.json", False)),
     ]
     errors = []
 
     def work(argv, expected):
         for _ in range(300):
-            args = build_parser().parse_args(argv)
+            args = cli.parse_args(argv)
             if (args.command, args.file, args.json) != expected:
                 errors.append((argv, vars(args)))
 
@@ -446,6 +464,93 @@ def test_shared_parser_under_concurrent_parsing():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert build_parser() is build_parser()
+
+
+def _run(argv):
+    """What main prints for argv, and its exit code or usage exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_table_parse_is_argparse_parse(capsys):
+    # every order of each table command's positionals, every check
+    # condition and a bad one, and 0-2 copies of each flag at every
+    # position: the table gives argparse's Namespace wherever the
+    # positionals stand in order with good choices, and else hands off
+    for name, command in cli.COMMANDS.items():
+        values = [
+            [*choices, "bad"] if choices else ["g.json"] for _, choices in command.positionals
+        ]
+        for chosen in itertools.product(*values):
+            for copies in itertools.product(range(3), repeat=len(command.flags)):
+                tokens = [*chosen, *(f for f, k in zip(command.flags, copies) for _ in range(k))]
+                for order in set(itertools.permutations(tokens)):
+                    argv = [name, *order]
+                    args = cli.parse_table_command(argv)
+                    in_order = [t for t in order if not t.startswith("-")] == list(chosen)
+                    assert (args is not None) == (in_order and "bad" not in chosen), argv
+                    if args is not None:
+                        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["nope", "g17.json"], ["-h"], ["--help"], ["det", "-h"], ["det", "--js", "g17.json"],
+        ["det", "--json=1", "g17.json"], ["det", "--", "g17.json"], ["det", "-"], ["det", "-5"],
+        ["det"], ["det", "g17.json", "g17.json"], ["check", "bad", "g17.json"],
+        ["check", "g17.json", "all"], ["det", "--equivariant", "g17.json"],
+        ["reduce", "g17.json", "--end-node", "nR", "--raw"], ["emit-fixtures", "--dir", "fx"],
+    ],
+)
+def test_other_shapes_are_argparse_alone(tmp_path, monkeypatch, g17, argv):
+    # help, usage errors, abbreviations, --, reduce and emit-fixtures go to
+    # argparse, and main prints what argparse alone makes of them
+    monkeypatch.chdir(tmp_path)
+    write_graph(tmp_path, g17, name="g17.json")
+    assert cli.parse_table_command(argv) is None
+    printed = _run(argv)
+    monkeypatch.setattr(cli, "parse_table_command", lambda argv: None)
+    assert _run(argv) == printed
+    assert printed[2] in (0, 2)
+
+
+def test_common_shapes_never_build_argparse(tmp_path, monkeypatch, g90):
+    # with build_parser refused, the table shapes print what they printed
+    # before; the rest still reach argparse
+    path = write_graph(tmp_path, g90)
+    shapes = (
+        ["det", "--json", path], ["check", "all", path], ["check", "--json", "semigroup", path],
+        ["equations", path, "--equivariant"], ["report", "--json", path],
+    )
+    printed = [_run(argv) for argv in shapes]
+    assert [code for _, _, code in printed] == [0, 1, 0, 1, 1]
+
+    def refuse():
+        raise AssertionError("argparse was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert [_run(argv) for argv in shapes] == printed
+    for argv in (["reduce", path, "--end-node", "nR"], ["-h"], ["det", "--js", path]):
+        with pytest.raises(AssertionError, match="argparse was built"):
+            main(argv)
+
+
+@pytest.mark.parametrize("argv", [["det", "--json"], ["det", "--js"]])
+def test_main_reads_sys_argv_by_default(tmp_path, monkeypatch, g17, capsys, argv):
+    # the console script calls main() with no argv; the table and argparse
+    # routes both read sys.argv[1:] and leave it as it was
+    command_line = ["splicekit", *argv, write_graph(tmp_path, g17)]
+    monkeypatch.setattr(sys, "argv", list(command_line))
+    assert main() == 0
+    assert capsys.readouterr() == ('{\n  "determinant": 17\n}\n', "")
+    assert sys.argv == command_line
 
 
 def test_cli_det_g17(tmp_path, g17, capsys):
