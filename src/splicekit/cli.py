@@ -4,7 +4,8 @@ Each ``cmd_*`` is a function of the loaded graph and the parsed arguments
 and returns ``(payload, text lines, exit code)``, the lines None where only
 JSON is written (``report`` always, ``group``, ``splice`` and ``maximal``
 under --json). ``main`` is the one place that reads the graph file and
-writes the output. ``emit-fixtures`` reads no graph file and writes its own.
+writes the output. ``emit-fixtures`` reads no graph file, takes no --json
+and writes its own.
 
 ``COMMANDS`` holds, in one place, the grammar of every graph command but
 ``reduce``: its handler, its positionals in order (``check``'s condition
@@ -18,8 +19,9 @@ prints help and usage errors and reads abbreviations (``--js``), ``--``,
 ``reduce`` and ``emit-fixtures``.
 
 Exit codes: 0 all requested checks pass, 1 a checked condition fails,
-2 invalid input or a usage error. Condition failures are results, not
-program errors.
+2 invalid input, a usage error or a library error (such as a reduced
+weight the determinant does not divide). Condition failures are results,
+not program errors.
 """
 
 from __future__ import annotations
@@ -152,20 +154,11 @@ def cmd_equations(g: ResolutionGraph, args) -> Output:
 
 
 def cmd_reduce(g: ResolutionGraph, args) -> Output:
-    mode = "raw" if args.raw else "normalized"
     det = None if args.raw else graph_determinant(g)
-    result = splice.end_node_reduce(splice.splice_from_resolution(g), args.end_node, mode, det)
-    if result.problems:
-        payload = {"error": "NonIntegralWeight", "problems": [p._asdict() for p in result.problems]}
-        return payload, [
-            f"non-integral reduced weight at {p.at} toward {p.toward}: "
-            + int_text(p.raw) + " not divisible by " + int_text(p.divisor)
-            for p in result.problems
-        ], 1
-    assert result.diagram is not None
+    result = splice.end_node_reduce(splice.splice_from_resolution(g), args.end_node, det)
     weights = reporting.weights_list(result.diagram)
     payload = {
-        "mode": mode,
+        "mode": "raw" if args.raw else "normalized",
         "new_leaf": result.new_leaf,
         "vertices": list(result.diagram.ids),
         "edges": reporting.pairs_list(result.diagram.edges),
@@ -247,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, command.fn, command.flags)
         for dest, choices in command.positionals:
             p.add_argument(dest, choices=choices)
-    add("emit-fixtures", cmd_emit_fixtures).add_argument("--dir", default="fixtures")
+    add("emit-fixtures", cmd_emit_fixtures, ()).add_argument("--dir", default="fixtures")
     return parser
 
 

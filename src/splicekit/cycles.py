@@ -47,14 +47,6 @@ class QCycle(NamedTuple):
     def support(self) -> tuple[str, ...]:
         return tuple(v for v, c in self.coefficients.items() if c)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients.values())
-
-    def as_int_dict(self) -> dict[str, int]:
-        if not self.is_integral():
-            raise ValueError("cycle is not integral")
-        return {v: int(c) for v, c in self.coefficients.items() if c}
-
 
 def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
     out = dict(a.coefficients)

@@ -46,21 +46,16 @@ def _parse_json(text: str) -> GraphDocument:
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list):
         raise ParseError("vertices: expected a list")
-    # one pass each; None marks a bad entry, and the first one is named
-    vertices = [
-        (e["id"], e["weight"])
-        if type(e) is dict and type(e.get("id")) is str and type(e.get("weight")) is int
-        else None
-        for e in raw_vertices
-    ]
-    if None in vertices:
-        i = vertices.index(None)
-        entry = raw_vertices[i]
-        if not isinstance(entry, dict):
+    vertices = []  # one pass; the first bad entry is named
+    for i, entry in enumerate(raw_vertices):
+        if type(entry) is not dict:
             raise ParseError(f"vertices[{i}]: expected an object")
-        if not isinstance(entry.get("id"), str):
+        v, w = entry.get("id"), entry.get("weight")
+        if type(v) is not str:
             raise ParseError(f"vertices[{i}].id: expected a string")
-        raise ParseError(f"vertices[{i}].weight: expected an integer")
+        if type(w) is not int:
+            raise ParseError(f"vertices[{i}].weight: expected an integer")
+        vertices.append((v, w))
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("edges: expected a list")

@@ -24,7 +24,7 @@ from .errors import (
     InvalidHigherTerm,
     SemigroupFails,
 )
-from .document import indented_json, int_text
+from .document import int_text
 from .frozen import report_ok
 from .graph import ResolutionGraph
 from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
@@ -388,12 +388,8 @@ def _render_terms(terms: Sequence[tuple[Coefficient, Monomial]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def render_equations(system: SpliceEquationSystem, format: str = "text") -> str:
-    """Deterministic text or JSON form of the system."""
-    if format == "json":
-        return indented_json(system_to_json(system))
-    if format != "text":
-        raise ValueError(f"unknown format {format!r}")
+def render_equations(system: SpliceEquationSystem) -> str:
+    """Deterministic text form of the system, one equation a line."""
     lines = []
     for block in system.blocks:
         for i, row in enumerate(block.coefficients):

@@ -41,6 +41,10 @@ class NotEndNode(SpliceKitError):
     """Reduction target must be an end-node."""
 
 
+class NonIntegralWeight(SpliceKitError):
+    """A normalized reduced weight is not divisible by the determinant."""
+
+
 class NotEndNodeEdge(SpliceKitError):
     """Criterion requires an edge whose far end is an end-node."""
 

@@ -19,8 +19,10 @@ from typing import Mapping, NamedTuple
 from . import linalg
 from .analysis import Analysis, analysis_of, linking_row
 from .cfrac import continued_fraction_of_string
+from .document import int_text
 from .errors import (
     LeafEdgeInReducedDiagram,
+    NonIntegralWeight,
     NotEndNode,
     SameVertex,
     SpliceKitError,
@@ -428,21 +430,9 @@ def leaf_knot_order(g: ResolutionGraph | Analysis, leaf: str) -> int:
 # --- end-node reduction -------------------------------------------------
 
 
-class NonIntegralWeight(NamedTuple):
-    at: str
-    toward: str
-    raw: int
-    divisor: int
-
-
 class ReductionResult(NamedTuple):
-    diagram: SpliceDiagram | None
+    diagram: SpliceDiagram
     new_leaf: str | None
-    problems: tuple[NonIntegralWeight, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def is_end_node(d: SpliceDiagram, v: str) -> bool:
@@ -454,12 +444,7 @@ def is_end_node(d: SpliceDiagram, v: str) -> bool:
     return len(non_leaf) <= 1
 
 
-def end_node_reduce(
-    d: SpliceDiagram,
-    v_star: str,
-    mode: str = "raw",
-    det: int | None = None,
-) -> ReductionResult:
+def end_node_reduce(d: SpliceDiagram, v_star: str, det: int | None = None) -> ReductionResult:
     """Collapse an end-node and its leaves into a fresh leaf.
 
     Weights pointing away from the end-node survive unchanged. For each
@@ -468,29 +453,23 @@ def end_node_reduce(
         r * d_v1 - N * (d_v / d_v1) * (reduced linking to the end-node)^2
 
     where r is the end-node's weight toward the rest and N the product of
-    its leaf weights. In ``normalized`` mode the value is divided by
-    ``det``; a non-divisible value is recorded as a problem instead of
-    raising. The edge toward the new leaf and the reduced linking number
-    to the end-node, which is symmetric, are read at each node off the one
+    its leaf weights. Given ``det``, the reduction is normalized: each value
+    is divided by it, and a value it does not divide raises
+    NonIntegralWeight, which a graph's own diagram and determinant never
+    give. The edge toward the new leaf and the reduced linking number to
+    the end-node, which is symmetric, are read at each node off the one
     walk from the end-node. The weights come in vertex order, the new leaf
     last, and each lies on an edge of the result: the weight toward the
     end-node at a neighbour that is not a node, as in a maximal diagram, is
     dropped. Reducing a single-node diagram leaves nothing and returns the
     empty diagram.
     """
-    if mode not in ("raw", "normalized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "normalized" and det is None:
-        raise ValueError("normalized mode needs the graph determinant")
     if not is_end_node(d, v_star):
         raise NotEndNode(v_star)
     non_leaf = [x for x in d.adjacency[v_star] if not d.is_leaf(x)]
     if not non_leaf:
         # Single-node diagram: nothing remains after the reduction.
-        return ReductionResult(
-            diagram=SpliceDiagram(ids=(), edges=(), weights={}), new_leaf=None,
-            problems=(),
-        )
+        return ReductionResult(SpliceDiagram(ids=(), edges=(), weights={}), None)
     central = non_leaf[0]
     leaf_nbrs = [x for x in d.adjacency[v_star] if x != central]
     r = d.weights[(v_star, central)]
@@ -504,7 +483,6 @@ def end_node_reduce(
         e for e in d.edges if e[0] not in removed and e[1] not in removed
     ) + ((central, w_star),)
 
-    problems: list[NonIntegralWeight] = []
     surviving_nodes = [v for v in d.nodes if v != v_star]
     walk = d.walk(v_star)  # the reduced numbers are symmetric
     toward_new = {}
@@ -522,28 +500,23 @@ def end_node_reduce(
         d_v1 = d.weights[(v, x)]
         d_v = d.weight_product(v)
         lp = walk.reduced[d.index[v]]
-        raw = r * d_v1 - n_product * (d_v // d_v1) * lp * lp
-        value = raw
-        if mode == "normalized":
-            assert det is not None
-            if raw % det:
-                problems.append(
-                    NonIntegralWeight(at=v, toward=x, raw=raw, divisor=det)
+        value = r * d_v1 - n_product * (d_v // d_v1) * lp * lp
+        if det is not None:
+            if value % det:
+                raise NonIntegralWeight(
+                    f"reduced weight at {v} toward {x}: {int_text(value)} "
+                    f"not divisible by {int_text(det)}"
                 )
-                continue
-            value = raw // det
+            value //= det
         if value <= 0:
             raise ValueError(f"reduced weight at {v} is not positive: {value}")
         key_to = w_star if x == v_star else x
         new_weights[(v, key_to)] = value
 
-    if problems:
-        return ReductionResult(diagram=None, new_leaf=w_star,
-                               problems=tuple(problems))
     index = {v: i for i, v in enumerate(new_ids)}
     ordered = sorted(new_weights, key=lambda e: (index[e[0]], index[e[1]]))
     weights = {e: new_weights[e] for e in ordered}
-    return ReductionResult(SpliceDiagram(new_ids, new_edges, weights), w_star, ())
+    return ReductionResult(SpliceDiagram(new_ids, new_edges, weights), w_star)
 
 
 def end_node_reduce_graph(

@@ -50,11 +50,15 @@ each vector on every curve. Congruences are checked on integers mod det;
 The congruence table is read off the leaves' linking rows alone, as integer
 rows; ``congruence_table_by_name`` reads its targets off the node's row and
 keeps every row as a name-keyed ``LeafCongruence``.
-``matmul``, ``negated_intersection_matrix``, ``cycle_pairing`` (a cycle
-met with a curve, as a Fraction) and ``element_order`` (of an element of
-(Q/Z)^t) serve the tests alone.
+``random_tree`` draws seeded trees with weights from a given list, and
+``arithmetic_genus`` is p_a of the fundamental cycle, 0 exactly on
+rational graphs. ``matmul``, ``negated_intersection_matrix``,
+``cycle_pairing`` (a cycle met with a curve, as a Fraction),
+``is_integral``, ``as_int_dict`` (an integral cycle as ints) and
+``element_order`` (of an element of (Q/Z)^t) serve the tests alone.
 """
 
+import random
 from fractions import Fraction
 from types import MappingProxyType
 from math import gcd, lcm, prod
@@ -129,6 +133,40 @@ def cycle_pairing(g: ResolutionGraph, cycle: QCycle | Mapping[str, Fraction], v:
     """Intersection number of the cycle with the curve at v."""
     coeff = cycle.coefficients if isinstance(cycle, QCycle) else cycle
     return Fraction(coeff.get(v, 0) * g.weight_of(v) + sum(coeff.get(u, 0) for u in g.adjacency[v]))
+
+
+def is_integral(cycle: QCycle) -> bool:
+    return all(c.denominator == 1 for c in cycle.coefficients.values())
+
+
+def as_int_dict(cycle: QCycle) -> dict[str, int]:
+    """The non-zero coefficients of an integral cycle as ints; raises
+    ValueError on a cycle that is not integral."""
+    if not is_integral(cycle):
+        raise ValueError("cycle is not integral")
+    return {v: int(c) for v, c in cycle.coefficients.items() if c}
+
+
+def random_tree(rng: random.Random, size: int, weights: Sequence[int]) -> ResolutionGraph:
+    """A tree on v0..v{size-1}, each vertex after v0 joined to an earlier
+    one drawn uniformly, each weight drawn from `weights`; it need not be
+    negative definite."""
+    parents = [rng.randrange(j) for j in range(1, size)]
+    vertices = [(f"v{i}", rng.choice(weights)) for i in range(size)]
+    edges = [(f"v{p}", f"v{j}") for j, p in enumerate(parents, start=1)]
+    return ResolutionGraph.build(vertices=vertices, edges=edges)
+
+
+def arithmetic_genus(g: ResolutionGraph) -> int:
+    """p_a(Z) = 1 + (Z.Z + K.Z) / 2 of the fundamental cycle Z of a
+    negative-definite graph, with K.E_j = -w_j - 2 (adjunction). The graph
+    is rational exactly when this is 0 (Artin, 1966)."""
+    z = as_int_dict(fundamental_cycle(g, g.ids))
+    zz = sum(
+        z[v] * (z[v] * w + sum(z[u] for u in g.adjacency[v])) for v, w in zip(g.ids, g.weights)
+    )
+    kz = sum((-w - 2) * z[v] for v, w in zip(g.ids, g.weights))
+    return 1 + (zz + kz) // 2
 
 
 def element_order(element: Sequence[Fraction]) -> int:
@@ -733,7 +771,7 @@ def construct_monomial_cycle_rational(
 
     diff = cycle_add(d_cycle, dual_cycle(g, v), scale=-1)
     problems = []
-    if not diff.is_integral():
+    if not is_integral(diff):
         problems.append("difference with the dual cycle is not integral")
     if any(c < 0 for c in diff.coefficients.values()):
         problems.append("difference with the dual cycle is not effective")

@@ -36,7 +36,7 @@ from splicekit.splice import (
 )
 
 from oracles import (
-    element_order, enumerated_group_check, matmul, negated_intersection_matrix,
+    as_int_dict, element_order, enumerated_group_check, matmul, negated_intersection_matrix,
 )
 
 DET_CAP = 10**4
@@ -192,7 +192,7 @@ def test_criterion_6_okuma_equivalence(small_corpus):
             for comp in branches(g, v):
                 if len(comp) > 6:
                     continue
-                z = fundamental_cycle(g, comp).as_int_dict()
+                z = as_int_dict(fundamental_cycle(g, comp))
                 if max(z.values()) > 5:
                     continue
                 best = None
@@ -217,7 +217,7 @@ def test_criterion_6_okuma_equivalence(small_corpus):
 def test_criterion_7_reduction_numerics(corpus):
     started = time.perf_counter()
     d1 = splice_from_resolution(g1())
-    reduced = end_node_reduce(d1, "nR", mode="normalized", det=1)
+    reduced = end_node_reduce(d1, "nR", det=1)
     assert sorted(reduced.diagram.weights.values()) == [2, 3, 17]
     g_tilde, d_tilde = end_node_reduce_graph(g1(), "nR")
     assert graph_determinant(g_tilde) == 11
@@ -233,7 +233,7 @@ def test_criterion_7_reduction_numerics(corpus):
                 continue
             central = [x for x in d.adjacency[v_star] if not d.is_leaf(x)][0]
             r = d.weights[(v_star, central)]
-            dt = end_node_reduce(d, v_star, mode="raw").diagram
+            dt = end_node_reduce(d, v_star).diagram
             for e in dt.edges:
                 if dt.is_node(e[0]) and dt.is_node(e[1]):
                     assert edge_determinant(dt, e) == r * edge_determinant(d, e)

@@ -362,6 +362,15 @@ def test_text_output_is_utf8_whatever_the_locale(tmp_path):
         assert ascii_run.stdout == utf8_run.stdout, command
 
 
+def test_emit_fixtures_takes_no_json(tmp_path):
+    # emit-fixtures writes files, not a payload, so --json is a usage error
+    # and nothing is written
+    target = tmp_path / "fx"
+    out, err, code = _run(["emit-fixtures", "--json", "--dir", str(target)])
+    assert (out, code) == ("", 2) and "unrecognized arguments: --json" in err
+    assert not target.exists()
+
+
 def test_emit_fixtures_into_a_file_is_input_error(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("")
@@ -607,19 +616,14 @@ def test_cli_reduce_g1(tmp_path, g1, capsys):
 
 def test_cli_reduce_reports_non_integral_weights(tmp_path, g1, monkeypatch, capsys):
     # on a graph file every normalized weight is integral, det g times the
-    # reduced weight being the raw one, so a wrong determinant stands in
+    # reduced weight being the raw one, so a wrong determinant stands in;
+    # the library raises, and main reports the error with or without --json
     monkeypatch.setattr(cli, "graph_determinant", lambda g: 7)
     path = write_graph(tmp_path, g1)
-    assert main(["reduce", path, "--end-node", "nR"]) == 1
-    line = "non-integral reduced weight at nL toward nR: 17 not divisible by 7\n"
-    assert capsys.readouterr() == (line, "")
-    assert main(["reduce", path, "--end-node", "nR", "--json"]) == 1
-    out, err = capsys.readouterr()
-    problems = json.loads(out)["problems"]
-    assert err == "" and json.loads(out)["error"] == "NonIntegralWeight"
-    assert [list(p.items()) for p in problems] == [
-        [("at", "nL"), ("toward", "nR"), ("raw", 17), ("divisor", 7)]
-    ]
+    line = "error: NonIntegralWeight: reduced weight at nL toward nR: 17 not divisible by 7\n"
+    for flags in ([], ["--json"]):
+        assert main(["reduce", path, "--end-node", "nR", *flags]) == 2
+        assert capsys.readouterr() == ("", line)
     assert main(["reduce", path, "--end-node", "nR", "--raw"]) == 0  # raw divides by nothing
 
 

@@ -22,14 +22,16 @@ from splicekit.conditions import (
 from splicekit.corpus import dominant_tree, with_determinant_cap
 from splicekit.errors import NotEndNodeEdge, NotTwoNode, ValidationError
 from splicekit.cycles import check_condition_3_3
-from splicekit.graph import blow_up_edge, graph_determinant, is_negative_definite
+from splicekit.graph import blow_up_edge, graph_determinant, is_negative_definite, nodes_of
 from splicekit.splice import linking_numbers, splice_from_resolution
 
 from oracles import (
+    arithmetic_genus,
     congruence_equalities_rational,
     congruence_table_by_name,
     full_group_character_oracle,
     iter_nonnegative_solutions_recursive,
+    random_tree,
     satisfies_by_name,
 )
 from test_discriminant import definite_trees
@@ -432,3 +434,24 @@ def test_benchmark_observers_read_the_reports():
         }
         undecided += sum(counts)
     assert undecided
+
+
+def test_rational_graphs_pass_every_condition():
+    # a rational singularity with a rational homology sphere link is a
+    # splice-quotient (the paper's conjecture, proved by Okuma), so on every
+    # rational graph, p_a(Z_min) = 0 (Artin), with a node, the semigroup,
+    # congruence and 3.3 checks pass, and none is left undecided
+    rng, graphs = random.Random(2026), []
+    while len(graphs) < 1000:
+        g = random_tree(rng, rng.randint(5, 14), (-1, -2, -2, -2, -3, -4))
+        if is_negative_definite(g) and nodes_of(g) and arithmetic_genus(g) == 0:
+            graphs.append(g)
+    for g in graphs:
+        a = Analysis(g)
+        reports = (
+            check_semigroup(splice_from_resolution(a)).edges,
+            check_congruence(a).edges,
+            check_condition_3_3(a).decisions,
+        )
+        statuses = {x.status for decisions in reports for x in decisions}
+        assert statuses == {"pass"}, g

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splicekit import document, equations, reporting
+from splicekit import document, reporting
 from splicekit.cli import main
 from splicekit.corpus import with_determinant_cap
 from splicekit.document import document_to_json, graph_to_document, indented_json, int_text
@@ -35,7 +35,7 @@ def test_writer_matches_json_dumps_on_every_json_command(
         written.append(text)
         return text
 
-    for module in (document, reporting, equations):
+    for module in (document, reporting):
         monkeypatch.setattr(module, "indented_json", checked)
     small = {id(g) for g in with_determinant_cap(corpus, 10**4)}
     for i, g in enumerate(corpus):

@@ -103,12 +103,6 @@ def test_trace_observers_read_real_results(g17):
         assert fields and all(isinstance(x, int) for x in fields.values()), name
 
 
-# Unreferenced in src/, in __all__ and under perfbench/: the backlog of
-# moving oracle-only code into the tests. as_int_dict stays in src/, as
-# scripts/verify_identities.py calls it.
-UNCALLED_BACKLOG = {"cycles.QCycle.as_int_dict"}
-
-
 def _names(node) -> Counter:
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
@@ -148,7 +142,7 @@ def test_every_function_has_a_caller():
         and not re.search(rf"\b{f.name}\b", bench)
     }
     assert len(defs) > 150
-    assert uncalled == UNCALLED_BACKLOG
+    assert uncalled == set()
 
 
 # every module of the package, lowest first; each may import only the

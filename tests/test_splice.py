@@ -13,6 +13,7 @@ from splicekit.corpus import dominant_tree
 from splicekit.discriminant import leaf_generators
 from splicekit.errors import (
     LeafEdgeInReducedDiagram,
+    NonIntegralWeight,
     NotEndNode,
     SameVertex,
     SpliceKitError,
@@ -356,8 +357,8 @@ def test_paths_and_linking_numbers_match_the_search_on_every_pair(fixture_map, t
     def reductions(d):
         for v_star in d.nodes:
             if is_end_node(d, v_star):
-                reduced = end_node_reduce(d, v_star, mode="raw").diagram
-                assert reduced is not None and reduced.strings is None
+                reduced = end_node_reduce(d, v_star).diagram
+                assert reduced.strings is None
                 yield reduced
 
     for g in [*fixture_map.values(), *trees, *paths, *two_node_corpus]:
@@ -402,7 +403,7 @@ def test_each_consumer_walks_the_diagram_once(fixture_map, monkeypatch):
         ends = [v for v in d.nodes if is_end_node(d, v)]
         assert ends
         for v_star in ends:
-            assert walks(d, lambda d: end_node_reduce(d, v_star, mode="raw")) == (1, 0)
+            assert walks(d, lambda d: end_node_reduce(d, v_star)) == (1, 0)
         for v in (d.nodes[0], d.leaves[0]):
             assert walks(d, lambda d: [linking_numbers(d, v, w) for w in d.ids if w != v]) == (1, 0)
         assert walks(d, lambda d: curve_component_count(d, d.leaves[-1])) == (1, 0)
@@ -424,7 +425,7 @@ def test_diagram_holds_one_walk(g17):
 def _diagram_routes(g):
     # reduced, maximal, end-node-reduced and user-built diagrams of g
     d = splice_from_resolution(g)
-    reduced = [end_node_reduce(d, v, mode="raw").diagram for v in d.nodes if is_end_node(d, v)]
+    reduced = [end_node_reduce(d, v).diagram for v in d.nodes if is_end_node(d, v)]
     user = SpliceDiagram(d.ids, d.edges, dict(d.weights), dict(d.strings))
     return [d, maximal_splice(g), *reduced, user]
 
@@ -477,7 +478,7 @@ def test_unknown_and_unreachable_vertices_are_library_errors(g1):
         weights={**g1d.weights, **{e: 2 for e in star}},
     )
     with pytest.raises(SpliceKitError, match="no path from 'm' to 'nR'"):
-        end_node_reduce(two, "nR", mode="raw")
+        end_node_reduce(two, "nR")
 
 
 def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
@@ -573,13 +574,12 @@ def test_ideal_generators_fill_one_table(monkeypatch):
 def test_end_node_reduce_g1(g1):
     d = splice_from_resolution(g1)
     assert is_end_node(d, "nR")
-    result = end_node_reduce(d, "nR", mode="normalized", det=1)
-    assert result.ok
+    result = end_node_reduce(d, "nR", det=1)
     reduced = result.diagram
     assert dict(reduced.weights) == {
         ("nL", "ul"): 2, ("nL", "ll"): 3, ("nL", result.new_leaf): 17,
     }
-    raw = end_node_reduce(d, "nR", mode="raw").diagram
+    raw = end_node_reduce(d, "nR").diagram
     assert dict(raw.weights) == dict(reduced.weights)
 
     g_tilde, d_tilde = end_node_reduce_graph(g1, "nR")
@@ -592,28 +592,25 @@ def test_end_node_reduce_g1(g1):
 def test_end_node_reduce_degenerate(star):
     d = splice_from_resolution(star)
     result = end_node_reduce(d, "c")
-    assert result.diagram is not None
     assert result.diagram.ids == () and result.diagram.edges == ()
+    assert result.new_leaf is None
 
 
 def test_end_node_reduce_errors(g1, star):
     d = splice_from_resolution(g1)
     with pytest.raises(NotEndNode):
         end_node_reduce(d, "ul")
-    with pytest.raises(ValueError):
-        end_node_reduce(d, "nR", mode="normalized")
     with pytest.raises(NotEndNode):
         end_node_reduce_graph(star, "c")
 
 
-def test_end_node_reduce_nonintegral_reported(g1):
-    # a divisor that does not match the diagram: the raw weight 17 is not
-    # divisible, so the problem is recorded instead of raised
+def test_end_node_reduce_nonintegral_raises(g1):
+    # a divisor that does not match the diagram: 7 does not divide the raw
+    # weight 17 at nL toward nR, and the error names all four
     d = splice_from_resolution(g1)
-    result = end_node_reduce(d, "nR", mode="normalized", det=7)
-    assert not result.ok and result.diagram is None
-    problem = result.problems[0]
-    assert (problem.at, problem.raw, problem.divisor) == ("nL", 17, 7)
+    message = "^reduced weight at nL toward nR: 17 not divisible by 7$"
+    with pytest.raises(NonIntegralWeight, match=message):
+        end_node_reduce(d, "nR", det=7)
 
 
 def test_reduced_weights_lie_on_edges_in_vertex_order(fixture_map):
@@ -624,10 +621,10 @@ def test_reduced_weights_lie_on_edges_in_vertex_order(fixture_map):
         det = graph_determinant(g)
         for d in (splice_from_resolution(g), maximal_splice(g)):
             for v_star in [v for v in d.nodes if is_end_node(d, v)]:
-                for mode in ("raw", "normalized"):
-                    reduced = end_node_reduce(d, v_star, mode=mode, det=det).diagram
+                for divisor in (None, det):
+                    reduced = end_node_reduce(d, v_star, divisor).diagram
                     keys, index = list(reduced.weights), reduced.index
-                    assert all(to in reduced.adjacency[at] for at, to in keys), (v_star, mode)
+                    assert all(to in reduced.adjacency[at] for at, to in keys), (v_star, divisor)
                     assert keys == sorted(keys, key=lambda e: (index[e[0]], index[e[1]]))
 
 
@@ -638,8 +635,7 @@ def test_graph_and_diagram_reduction_agree(two_node_corpus):
         for v_star in d.nodes:
             if not is_end_node(d, v_star):
                 continue
-            result = end_node_reduce(d, v_star, mode="normalized", det=det)
-            assert result.ok, (v_star, result.problems)
+            result = end_node_reduce(d, v_star, det=det)
             g_tilde, d_tilde = end_node_reduce_graph(g, v_star)
             got = sorted(result.diagram.weights.values())
             want = sorted(d_tilde.weights.values())
