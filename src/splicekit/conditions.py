@@ -144,10 +144,6 @@ class AdmissibleExponents(NamedTuple):
     def as_dict(self) -> dict[str, int]:
         return dict(self.exponents)
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(w for w, a in self.exponents if a)
-
 
 class ExponentSolutions(NamedTuple):
     node: str

@@ -43,10 +43,6 @@ class QCycle(NamedTuple):
     def get(self, v: str) -> Fraction:
         return self.coefficients.get(v, Fraction(0))
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(v for v, c in self.coefficients.items() if c)
-
 
 def cycle_add(a: QCycle, b: QCycle, scale: int = 1) -> QCycle:
     out = dict(a.coefficients)

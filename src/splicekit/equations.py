@@ -76,19 +76,11 @@ class NodeBlock(NamedTuple):
     coefficients: tuple[tuple[Coefficient, ...], ...]
     higher_terms: tuple[tuple[HigherTerm, ...], ...] = ()
 
-    @property
-    def equation_count(self) -> int:
-        return len(self.coefficients)
-
 
 class SpliceEquationSystem(NamedTuple):
     variables: tuple[str, ...]
     blocks: tuple[NodeBlock, ...]
     equivariant: bool = False
-
-    @property
-    def equation_count(self) -> int:
-        return sum(b.equation_count for b in self.blocks)
 
 
 def generic_coefficients(count: int, width: int) -> tuple[tuple[int, ...], ...]:

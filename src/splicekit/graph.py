@@ -13,12 +13,6 @@ VertexKind = str  # "leaf" | "string" | "node"
 DirectedEdge = tuple[str, str]
 
 
-def vertex_index(g) -> Mapping[str, int]:
-    """Position of each vertex in ``g.ids``, for a splice diagram. Cached on
-    each instance as ``index``."""
-    return {v: i for i, v in enumerate(g.ids)}
-
-
 class IntTree(NamedTuple):
     """The integer view of a graph or splice diagram: vertex i is ids[i]."""
 
@@ -51,15 +45,34 @@ def pack_tree(nbrs: list[list[int]]) -> IntTree:
     return IntTree(tuple(map(tuple, nbrs)), tuple(order), tuple(parent))
 
 
-def int_tree(d) -> IntTree:
-    """The integer view of a splice diagram. Cached on each instance as
-    ``tree``."""
-    index, nbrs = d.index, [[] for _ in d.ids]
-    for a, b in d.edges:
-        i, j = index[a], index[b]
+def int_view(
+    ids: tuple[str, ...], edges: tuple[tuple[str, str], ...]
+) -> tuple[dict[str, int], IntTree]:
+    """The position of each vertex in ids, and the integer view of the edges,
+    for a graph or splice diagram: the adjacency lists come from one pass
+    over the edges, then one ``walk_tree``. Raises ValidationError on a
+    duplicate vertex id, then at the first bad edge: one to an unknown
+    vertex, a self-loop, or a repeat of an earlier edge in either
+    orientation."""
+    index = {v: i for i, v in enumerate(ids)}
+    if len(index) != len(ids):
+        raise ValidationError("duplicate vertex id")
+    n, get = len(ids), index.get
+    nbrs: list[list[int]] = [[] for _ in ids]
+    seen: set[int] = set()
+    for a, b in edges:
+        i, j = get(a), get(b)
+        if i is None or j is None:
+            raise ValidationError(f"edge ({a}, {b}) references unknown vertex")
+        if i == j:
+            raise ValidationError(f"self-loop at {a}")
+        key = i * n + j if i < j else j * n + i
+        if key in seen:
+            raise ValidationError(f"duplicate edge ({a}, {b})")
+        seen.add(key)
         nbrs[i].append(j)
         nbrs[j].append(i)
-    return pack_tree(nbrs)
+    return index, pack_tree(nbrs)
 
 
 def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
@@ -72,15 +85,14 @@ def vertex_adjacency(g) -> Mapping[str, tuple[str, ...]]:
 class ResolutionGraph(Frozen):
     """A tree whose vertices carry self-intersection weights.
 
-    Vertex order is the insertion order of the input and fixes the row
-    order of every derived matrix, so minors and Smith transforms are
-    reproducible. Instances are immutable; all operations on them are
-    pure functions. Vertex i is ids[i] in ``index`` and in the integer view
-    ``tree``: int adjacency lists, one breadth-first order from vertex 0
-    and its parent array. Both are built on construction, not on first
-    use: the adjacency lists in the one pass over the edges that refuses an
-    edge to an unknown vertex, a self-loop or a duplicate edge, and then
-    the one walk. The tree test, both passes of
+    Vertex order is the insertion order of the input and fixes the row order
+    of every derived matrix, so minors and Smith transforms are
+    reproducible. Instances are immutable; all operations on them are pure
+    functions. Vertex i is ids[i] in ``index`` and in the integer view
+    ``tree``: int adjacency lists, one breadth-first order from vertex 0 and
+    its parent array. Both are built on construction, not on first use, by
+    ``int_view``, which refuses a duplicate id, an edge to an unknown
+    vertex, a self-loop or a duplicate edge. The tree test, both passes of
     the subtree determinants (leaves up, which gives the determinant and
     definiteness, and root down, on a negative-definite graph only) and the
     linking rows run on those arrays; everything else reads the passes
@@ -106,25 +118,8 @@ class ResolutionGraph(Frozen):
     ) -> None:
         if len(ids) != len(weights):
             raise ValidationError("ids and weights differ in length")
-        index = {v: i for i, v in enumerate(ids)}
-        if len(index) != len(ids):
-            raise ValidationError("duplicate vertex id")
-        n, get = len(ids), index.get
-        nbrs: list[list[int]] = [[] for _ in ids]
-        seen: set[int] = set()
-        for a, b in edges:
-            i, j = get(a), get(b)
-            if i is None or j is None:
-                raise ValidationError(f"edge ({a}, {b}) references unknown vertex")
-            if i == j:
-                raise ValidationError(f"self-loop at {a}")
-            key = i * n + j if i < j else j * n + i
-            if key in seen:
-                raise ValidationError(f"duplicate edge ({a}, {b})")
-            seen.add(key)
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        self._init(ids=ids, weights=weights, edges=edges, index=index, tree=pack_tree(nbrs))
+        index, tree = int_view(ids, edges)
+        self._init(ids=ids, weights=weights, edges=edges, index=index, tree=tree)
 
     @classmethod
     def build(

@@ -6,7 +6,8 @@ piece of the resolution graph cut off in that direction. The maximal
 variant keeps all vertices of the resolution graph and weights both ends
 of every edge. Both are read off the graph's integer tree and the two
 passes of its subtree determinants. Every diagram, however built, holds
-read-only copies of its weights and strings.
+read-only copies of its weights and strings, and checks its ids and edges
+on first use of its integer view.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .graph import (
     fresh_id,
     graph_determinant,
     induced_subgraph,
-    int_tree,
+    int_view,
     leaves_of,
     nodes_of,
     subtree_determinants,  # noqa: F401  re-exported as splice.subtree_determinants
     vertex_adjacency,
-    vertex_index,
     walk_tree,
 )
 
@@ -67,7 +67,9 @@ class SpliceDiagram(Frozen):
     first endpoint); equality leaves it out. Every route stores read-only
     copies of both mappings, so a diagram is not changed through them or
     through the caller's dicts; copies and pickles rebuild it from plain
-    dict copies, and it has no hash. The last walk from a vertex is cached
+    dict copies, and it has no hash. Its ids and edges are checked by the
+    graph's own routine on first use of ``index`` or ``tree``, which no
+    route reads before it needs them. The last walk from a vertex is cached
     (``walk``); the paths, linking numbers, edge equations and end-node
     reduction read it, each from one vertex at a time.
     """
@@ -96,8 +98,16 @@ class SpliceDiagram(Frozen):
         strings = None if self.strings is None else dict(self.strings)
         return type(self), (self.ids, self.edges, dict(self.weights), strings)
 
-    index = cached_property(vertex_index)
-    tree = cached_property(int_tree)
+    def _view(self, name: str):
+        """``index`` or ``tree``: both are cached together on first use of
+        either, from ``int_view``, which raises ValidationError on a duplicate
+        id, an edge to an unknown vertex, a self-loop or a duplicate edge."""
+        cache = self.__dict__
+        cache["index"], cache["tree"] = int_view(self.ids, self.edges)
+        return cache[name]
+
+    index = cached_property(lambda d: d._view("index"))
+    tree = cached_property(lambda d: d._view("tree"))
     adjacency = cached_property(vertex_adjacency)
     nodes = cached_property(nodes_of)
     leaves = cached_property(leaves_of)

@@ -50,12 +50,13 @@ each vector on every curve. Congruences are checked on integers mod det;
 The congruence table is read off the leaves' linking rows alone, as integer
 rows; ``congruence_table_by_name`` reads its targets off the node's row and
 keeps every row as a name-keyed ``LeafCongruence``.
-``random_tree`` draws seeded trees with weights from a given list, and
+``random_tree`` draws seeded trees with weights from a given list,
 ``arithmetic_genus`` is p_a of the fundamental cycle, 0 exactly on
-rational graphs. ``matmul``, ``negated_intersection_matrix``,
-``cycle_pairing`` (a cycle met with a curve, as a Fraction),
-``is_integral``, ``as_int_dict`` (an integral cycle as ints) and
-``element_order`` (of an element of (Q/Z)^t) serve the tests alone.
+rational graphs, and ``canonical_cycle`` is Z_K. ``matmul``,
+``negated_intersection_matrix``, ``cycle_pairing`` (a cycle met with a
+curve, as a Fraction), ``is_integral``, ``as_int_dict`` (an integral cycle
+as ints), ``equation_count`` (of an equation system) and ``element_order``
+(of an element of (Q/Z)^t) serve the tests alone.
 """
 
 import random
@@ -86,6 +87,7 @@ from splicekit.discriminant import (
     pairing_matrix,
     qmod1,
 )
+from splicekit.equations import SpliceEquationSystem
 from splicekit.errors import SameVertex, UnknownEdge, UnknownVertex
 from splicekit.graph import (
     ResolutionGraph,
@@ -167,6 +169,23 @@ def arithmetic_genus(g: ResolutionGraph) -> int:
     )
     kz = sum((-w - 2) * z[v] for v, w in zip(g.ids, g.weights))
     return 1 + (zz + kz) // 2
+
+
+def canonical_cycle(g: ResolutionGraph) -> QCycle:
+    """Z_K of a negative-definite graph: the rational cycle with Z_K.E_j =
+    w_j + 2 on every curve j (adjunction, K = -Z_K), that is -sum_j (w_j + 2)
+    L[j] / det over the linking rows, each row det times a dual cycle."""
+    coeff = [0] * len(g.ids)
+    for v, w in zip(g.ids, g.weights):
+        if w != -2:
+            for i, x in enumerate(g.linking_row(v)):
+                coeff[i] -= (w + 2) * x
+    return QCycle({v: Fraction(c, g.det) for v, c in zip(g.ids, coeff) if c})
+
+
+def equation_count(system: SpliceEquationSystem) -> int:
+    """The number of equations of a system, over all its node blocks."""
+    return sum(len(b.coefficients) for b in system.blocks)
 
 
 def element_order(element: Sequence[Fraction]) -> int:
@@ -775,7 +794,7 @@ def construct_monomial_cycle_rational(
         problems.append("difference with the dual cycle is not integral")
     if any(c < 0 for c in diff.coefficients.values()):
         problems.append("difference with the dual cycle is not effective")
-    if any(x not in bset for x in diff.support):
+    if any(c and x not in bset for x, c in diff.coefficients.items()):
         problems.append("difference is not supported on the branch")
     for j in g.ids:
         if j not in leaf_set and cycle_pairing(g, d_cycle, j) != 0:

@@ -21,12 +21,13 @@ from splicekit.conditions import (
 )
 from splicekit.corpus import dominant_tree, with_determinant_cap
 from splicekit.errors import NotEndNodeEdge, NotTwoNode, ValidationError
-from splicekit.cycles import check_condition_3_3
+from splicekit.cycles import check_condition_3_3, fundamental_cycle
 from splicekit.graph import blow_up_edge, graph_determinant, is_negative_definite, nodes_of
 from splicekit.splice import linking_numbers, splice_from_resolution
 
 from oracles import (
     arithmetic_genus,
+    canonical_cycle,
     congruence_equalities_rational,
     congruence_table_by_name,
     full_group_character_oracle,
@@ -446,6 +447,34 @@ def test_rational_graphs_pass_every_condition():
         g = random_tree(rng, rng.randint(5, 14), (-1, -2, -2, -2, -3, -4))
         if is_negative_definite(g) and nodes_of(g) and arithmetic_genus(g) == 0:
             graphs.append(g)
+    _assert_every_condition_passes(graphs)
+
+
+def test_genus_one_graphs_with_z_min_equal_to_z_k_pass_every_condition():
+    # kept: definite, with a node, p_a(Z_min) = 1 and Z_min = Z_K, where
+    # Z_K.E_j = w_j + 2. As Z_min.E_j <= 0, Z_min = Z_K forces every weight
+    # to be at most -2, so each graph kept is a minimal resolution graph; on
+    # a minimal resolution Laufer ("On minimally elliptic singularities",
+    # Amer. J. Math. 1977) reads Z_min = Z_K as minimal ellipticity, and a
+    # minimally elliptic singularity with a rational homology sphere link is
+    # a splice-quotient (the paper's conjecture, confirmed by Okuma)
+    rng, graphs = random.Random(11), []
+    while len(graphs) < 100:
+        g = random_tree(rng, rng.randint(4, 12), (-1, -2, -2, -2, -3, -4))
+        if (
+            is_negative_definite(g)
+            and nodes_of(g)
+            and arithmetic_genus(g) == 1
+            and fundamental_cycle(g, g.ids) == canonical_cycle(g)
+        ):
+            graphs.append(g)
+    assert all(w <= -2 for g in graphs for w in g.weights)
+    _assert_every_condition_passes(graphs)
+
+
+def _assert_every_condition_passes(graphs):
+    """Semigroup, congruence and 3.3 pass on one ``Analysis`` of each graph,
+    with no decision left undecided."""
     for g in graphs:
         a = Analysis(g)
         reports = (

@@ -112,9 +112,10 @@ def _names(node) -> Counter:
 
 
 def test_every_function_has_a_caller():
-    # each top-level function and method of the package is named in src/
-    # outside its own body, exported, or named by the benchmark; properties
-    # are read as data and dunder methods by the language, so neither counts
+    # each top-level function and method of the package, properties and
+    # cached properties included, is named in src/ outside its own body,
+    # exported, or named by the benchmark; dunder methods are called by the
+    # language, so they do not count
     root = Path(__file__).resolve().parents[1]
     bench = "\n".join(p.read_text() for p in (root / "perfbench").glob("*.py"))
     modules = {
@@ -131,7 +132,6 @@ def test_every_function_has_a_caller():
                     (f"{module}.{node.name}.{f.name}", f)
                     for f in node.body
                     if isinstance(f, ast.FunctionDef)
-                    and not any(_names(d)["property"] for d in f.decorator_list)
                 ]
     uncalled = {
         qualname

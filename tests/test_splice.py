@@ -19,6 +19,7 @@ from splicekit.errors import (
     SpliceKitError,
     UnknownEdge,
     UnknownVertex,
+    ValidationError,
 )
 from splicekit.graph import (
     ResolutionGraph,
@@ -479,6 +480,58 @@ def test_unknown_and_unreachable_vertices_are_library_errors(g1):
     )
     with pytest.raises(SpliceKitError, match="no path from 'm' to 'nR'"):
         end_node_reduce(two, "nR")
+
+
+BAD_DIAGRAMS = {
+    "unknown vertex": (("a", "b"), (("a", "zz"),)),
+    "self-loop": (("a", "b"), (("a", "b"), ("b", "b"))),
+    "duplicate edge": (("a", "b"), (("a", "b"), ("a", "b"))),
+    "reversed duplicate edge": (("a", "b"), (("a", "b"), ("b", "a"))),
+    "duplicate id": (("a", "b", "a"), (("a", "b"),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIAGRAMS))
+def test_bad_diagrams_fail_with_the_graphs_message(case):
+    # a caller-built diagram checks its ids and edges on first use of its
+    # integer view, with the routine and the messages of the graph's
+    # constructor, wherever that use comes from
+    ids, edges = BAD_DIAGRAMS[case]
+    with pytest.raises(ValidationError) as graph_error:
+        ResolutionGraph(ids=ids, weights=(-2,) * len(ids), edges=edges)
+    message = str(graph_error.value)
+    uses = (
+        lambda d: d.tree,
+        lambda d: d.index,
+        lambda d: d.degree("a"),
+        lambda d: linking_numbers(d, "a", "b"),
+        check_ideal_condition,
+        lambda d: end_node_reduce(d, "a"),
+    )
+    for use in uses:
+        d = SpliceDiagram(ids=ids, edges=edges, weights={})
+        with pytest.raises(ValidationError) as diagram_error:
+            use(d)
+        assert str(diagram_error.value) == message
+
+
+def test_cli_builds_a_diagram_view_only_where_a_section_reads_it(
+    tmp_path, capsys, monkeypatch, g1, g17, star
+):
+    # the reduced and maximal diagrams are written from their fields, and the
+    # group section reads the graph, so only report builds a diagram's view
+    built = []
+    view = splice.int_view
+    monkeypatch.setattr(splice, "int_view", lambda *args: built.append(args) or view(*args))
+    expected = {"splice": 0, "maximal": 0, "group": 0, "report": 1}
+    for name, g in (("g1", g1), ("g17", g17), ("star", star)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(document_to_json(graph_to_document(g)))
+        for command, count in expected.items():
+            built.clear()
+            assert main([command, "--json", str(path)]) in (0, 1)  # 1: a condition fails
+            assert len(built) == count, (name, command)
+    capsys.readouterr()
 
 
 def test_check_ideal_on_deep_caterpillar(tmp_path, capsys):
