@@ -214,7 +214,7 @@ def search_edge(
     aligned with ``d.edge_leaves``; only the vectors returned are wrapped.
     Raises UnknownEdge."""
     leaves, values = d.edge_leaves(v, toward)
-    target = d.weights[(v, toward)]
+    target = d.weights.get((v, toward), 1)
     budget = SearchBudget(max(cap * 16, 1 << 20))
     solutions = iter_nonnegative_solutions(values, target, budget)
     first = found = None
@@ -252,7 +252,7 @@ def admissible_exponents(
         toward=toward,
         leaves=leaves,
         values=values,
-        target=d.weights[(v, toward)],
+        target=d.weights.get((v, toward), 1),
         solutions=tuple(AdmissibleExponents(v, toward, tuple(zip(leaves, a))) for a in out),
         truncated=truncated,
     )

@@ -6,8 +6,9 @@ piece of the resolution graph cut off in that direction. The maximal
 variant keeps all vertices of the resolution graph and weights both ends
 of every edge. Both are read off the graph's integer tree and the two
 passes of its subtree determinants. Every diagram, however built, holds
-read-only copies of its weights and strings, and checks its ids and edges
-on first use of its integer view.
+read-only copies of its weights and strings, and checks its ids, edges
+and weights on first use of its integer view. Every reader takes the
+weight at a node's end as stored and counts a bare end as 1.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     SpliceKitError,
     UnknownEdge,
     UnknownVertex,
+    ValidationError,
 )
 from .frozen import Frozen, report_failures, report_ok
 from .graph import (
@@ -61,15 +63,16 @@ class Walk(NamedTuple):
 class SpliceDiagram(Frozen):
     """Weighted tree; ``weights[(v, u)]`` is the weight at v on edge {v, u}.
 
-    In a reduced diagram only nodes carry weights; leaf ends are bare.
-    ``strings`` optionally maps each directed edge back to the interior
-    vertices of the resolution string it came from (ordered from the
-    first endpoint); equality leaves it out. Every route stores read-only
-    copies of both mappings, so a diagram is not changed through them or
-    through the caller's dicts; copies and pickles rebuild it from plain
-    dict copies, and it has no hash. Its ids and edges are checked by the
-    graph's own routine on first use of ``index`` or ``tree``, which no
-    route reads before it needs them. The last walk from a vertex is cached
+    In a reduced diagram only nodes carry weights; leaf ends are bare, and
+    every reader counts a bare end as 1. ``strings`` optionally maps each
+    directed edge back to the interior vertices of the resolution string
+    it came from (ordered from the first endpoint); equality leaves it
+    out. Every route stores read-only copies of both mappings, so a
+    diagram is not changed through them or through the caller's dicts;
+    copies and pickles rebuild it from plain dict copies, and it has no
+    hash. On first use of ``index`` or ``tree``, which no route reads
+    before it needs them, its ids and edges are checked by the graph's own
+    routine, then its weights (``_view``). The last walk from a vertex is cached
     (``walk``); the paths, linking numbers, edge equations and end-node
     reduction read it, each from one vertex at a time.
     """
@@ -101,9 +104,24 @@ class SpliceDiagram(Frozen):
     def _view(self, name: str):
         """``index`` or ``tree``: both are cached together on first use of
         either, from ``int_view``, which raises ValidationError on a duplicate
-        id, an edge to an unknown vertex, a self-loop or a duplicate edge."""
+        id, an edge to an unknown vertex, a self-loop or a duplicate edge.
+        Then ValidationError names the first weight, in weight order, off
+        the ends of the edges or not a positive int, then the first end at
+        a node (valency >= 3), in vertex order, without a weight."""
+        index, tree = int_view(ids := self.ids, self.edges)
+        ends = {(ids[i], ids[j]): len(ns) > 2 for i, ns in enumerate(tree.nbrs) for j in ns}
+        for end, w in self.weights.items():
+            if end not in ends:
+                raise ValidationError(f"weight keyed {end!r} is not at an end of an edge")
+            if type(w) is not int or w < 1:
+                raise ValidationError(
+                    f"weight {w!r} at {end[0]} toward {end[1]} is not a positive int"
+                )
+        for (v, u), at_node in ends.items():
+            if at_node and (v, u) not in self.weights:
+                raise ValidationError(f"no weight at node {v} toward {u}")
         cache = self.__dict__
-        cache["index"], cache["tree"] = int_view(self.ids, self.edges)
+        cache["index"], cache["tree"] = index, tree
         return cache[name]
 
     index = cached_property(lambda d: d._view("index"))
@@ -129,15 +147,10 @@ class SpliceDiagram(Frozen):
         return self.degree(v) <= 1
 
     def weight_product(self, v: str) -> int:
-        """Product of all edge weights at v (1 for a bare vertex)."""
-        ids = self.ids
-        out = 1
-        for u in self.tree.nbrs[self._position(v)]:
-            w = self.weights.get((v, ids[u]))
-            if w is None:
-                raise UnknownVertex(f"no weight at {v} toward {ids[u]}")
-            out *= w
-        return out
+        """Product of the weights at v's ends, a bare end counting as 1: 1 at
+        a leaf of a reduced diagram."""
+        ids, get = self.ids, self.weights.get
+        return prod(get((v, ids[u]), 1) for u in self.tree.nbrs[self._position(v)])
 
     @cached_property
     def ideal_generators(self) -> Mapping[DirectedEdge, int]:
@@ -149,7 +162,7 @@ class SpliceDiagram(Frozen):
         ids, nbrs, weights, table = self.ids, self.tree.nbrs, self.weights, {}
         for u, p in edge_order(self.tree):
             a = ids[u]
-            at = {ids[x]: weights[(a, ids[x])] for x in nbrs[u] if x != p}
+            at = {ids[x]: weights.get((a, ids[x]), 1) for x in nbrs[u] if x != p}
             rest = prod(at.values())
             table[(a, ids[p])] = gcd(*(table[(x, a)] * (rest // w) for x, w in at.items())) or 1
         return MappingProxyType(table)
@@ -163,8 +176,8 @@ class SpliceDiagram(Frozen):
         it, as each holds a big integer per vertex. One ``walk_tree`` from v,
         then one product pass along its order: the reduced number at a vertex
         is the one at its parent y times the weights at y toward y's other
-        children, the weights off the path at y, and 1 next to v; a missing
-        weight counts as 1. Raises UnknownVertex."""
+        children, the weights off the path at y, and 1 next to v; a bare end
+        counts as 1. Raises UnknownVertex."""
         found = self._walks.get(v)
         if found is not None:
             return found
@@ -289,7 +302,7 @@ def linking_numbers(d: SpliceDiagram, v: str, w: str) -> tuple[int, int]:
     The reduced value omits the weights sitting at v and w themselves; it
     is 1 when v and w are adjacent. Both are read off the walk from v: the
     reduced value at w times the weights at v and at w off the path, a
-    missing weight counting as 1. Both are symmetric in v and w. Raises
+    bare end counting as 1. Both are symmetric in v and w. Raises
     SameVertex, UnknownVertex, and SpliceKitError when w is not reached.
     """
     if v == w:
@@ -329,13 +342,12 @@ def edge_determinant(d: SpliceDiagram, edge: tuple[str, str]) -> int:
     ww = d.weights.get((w, v))
     if wv is None or ww is None:
         raise LeafEdgeInReducedDiagram(f"({v}, {w})")
-    adjacent = 1
-    for end, other in ((v, w), (w, v)):
-        for x in d.adjacency[end]:
-            if x != other:
-                wt = d.weights.get((end, x))
-                if wt is not None:
-                    adjacent *= wt
+    adjacent = prod(
+        d.weights.get((end, x), 1)
+        for end, other in ((v, w), (w, v))
+        for x in d.adjacency[end]
+        if x != other
+    )
     return wv * ww - adjacent
 
 

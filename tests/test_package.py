@@ -84,6 +84,28 @@ def test_trace_targets_resolve():
     assert missing == []
 
 
+@pytest.mark.parametrize("workload", ["report_small", "invariants_scaling"])
+def test_traced_benchmark_runs_in_a_fresh_interpreter(tmp_path, workload):
+    # the tracer reads each target's module from sys.modules, so a module
+    # that importing the CLI no longer loads makes `run.py --trace 1` raise;
+    # the tests import every module themselves, and one workload's calls
+    # may load what the next one's do not, so only a fresh interpreter per
+    # workload shows it
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = "\n".join((
+        "import pathlib, sys",
+        f"sys.path.insert(0, {str(perfbench)!r})",
+        "import run",
+        "run.WORK = pathlib.Path(sys.argv[1])",
+        f"result, _ = run.run({workload!r}, 1, 0.01, True, count=1, write=False)",
+        "assert result['correct'], result",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_trace_observers_read_real_results(g17):
     # each observer reads fields of its target's return value; a field the
     # library no longer returns makes `run.py --trace` raise after the run

@@ -2,7 +2,7 @@ import copy
 import itertools
 import pickle
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -32,6 +32,7 @@ from splicekit.graph import (
 from splicekit.linalg import determinant
 from splicekit.cli import main
 from splicekit.document import document_to_json, graph_to_document
+from splicekit.conditions import admissible_exponents, check_semigroup
 from splicekit.equations import (
     build_equations_from_diagram,
     curve_component_count,
@@ -508,11 +509,94 @@ def test_bad_diagrams_fail_with_the_graphs_message(case):
         check_ideal_condition,
         lambda d: end_node_reduce(d, "a"),
     )
-    for use in uses:
-        d = SpliceDiagram(ids=ids, edges=edges, weights={})
+    # the graph's message comes first, also when the weights are bad too
+    for weights, use in itertools.product(({}, {("a", "b"): 0, ("b", "q"): True}), uses):
+        d = SpliceDiagram(ids=ids, edges=edges, weights=weights)
         with pytest.raises(ValidationError) as diagram_error:
             use(d)
         assert str(diagram_error.value) == message
+
+
+STAR_ENDS = (("c", "x", "y", "z"), (("c", "x"), ("c", "y"), ("c", "z")))
+STAR_WEIGHTS = {("c", "x"): 2, ("c", "y"): 3, ("c", "z"): 5}
+BAD_WEIGHTS = {  # weights on STAR_ENDS, and the message they raise
+    "node with no weights": ({}, "no weight at node c toward x"),
+    "node with some weights": (
+        {("c", "x"): 2, ("c", "y"): 3}, "no weight at node c toward z"
+    ),
+    "weight on a non-edge": (
+        {**STAR_WEIGHTS, ("x", "y"): 1}, "weight keyed ('x', 'y') is not at an end of an edge"
+    ),
+    "weight toward an unknown vertex": (
+        {**STAR_WEIGHTS, ("c", "q"): 1}, "weight keyed ('c', 'q') is not at an end of an edge"
+    ),
+    "zero weight": (
+        {**STAR_WEIGHTS, ("c", "z"): 0}, "weight 0 at c toward z is not a positive int"
+    ),
+    "negative weight": (
+        {**STAR_WEIGHTS, ("c", "y"): -1}, "weight -1 at c toward y is not a positive int"
+    ),
+    "bool weight": (
+        {**STAR_WEIGHTS, ("c", "x"): True}, "weight True at c toward x is not a positive int"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+def test_bad_weights_fail_with_one_message_from_every_reader(case):
+    # a caller-built diagram checks its weights against its edges with its
+    # integer view, so every reader raises the same ValidationError: none a
+    # KeyError, ValueError or ZeroDivisionError, and linking_numbers does not
+    # read a missing node weight as 1
+    weights, message = BAD_WEIGHTS[case]
+    uses = (
+        lambda d: d.tree,
+        lambda d: d.index,
+        lambda d: linking_numbers(d, "x", "y"),
+        check_ideal_condition,
+        check_semigroup,
+        lambda d: admissible_exponents(d, "c", "x"),
+        lambda d: end_node_reduce(d, "c"),
+        build_equations_from_diagram,
+    )
+    for use in uses:
+        d = SpliceDiagram(*STAR_ENDS, weights)
+        with pytest.raises(ValidationError) as error:
+            use(d)
+        assert str(error.value) == message
+    assert linking_numbers(SpliceDiagram(*STAR_ENDS, STAR_WEIGHTS), "x", "y") == (5, 5)
+
+
+def test_library_built_diagrams_pass_the_weight_check(corpus):
+    # reduced, maximal and end-node reduced diagrams meet the check by
+    # construction; each is rebuilt so the check runs on a fresh view
+    reductions = 0
+    for g in corpus:
+        d, det = splice_from_resolution(g), graph_determinant(g)
+        diagrams = [d, maximal_splice(g)]
+        for v in d.nodes:
+            if is_end_node(d, v):
+                diagrams += [end_node_reduce(d, v).diagram, end_node_reduce(d, v, det).diagram]
+                reductions += 1
+        for built in diagrams:
+            assert SpliceDiagram(built.ids, built.edges, built.weights).index == built.index
+    assert reductions == 298  # end nodes over the corpus
+
+
+def test_weight_product_counts_a_bare_end_as_1(g1, g17, star):
+    for g in (g1, g17, star):
+        d, m = splice_from_resolution(g), maximal_splice(g)
+        for v in d.ids:
+            if d.is_leaf(v):
+                assert d.weight_product(v) == 1
+            else:
+                assert d.weight_product(v) == m.weight_product(v) == prod(
+                    d.weights[(v, u)] for u in d.adjacency[v]
+                )
+    d = splice_from_resolution(g1)
+    assert d.weight_product("ul") == 1
+    # the semigroup search reads a bare end's weight by the same rule
+    assert admissible_exponents(d, "ul", "nL").target == 1
 
 
 def test_cli_builds_a_diagram_view_only_where_a_section_reads_it(
