@@ -147,12 +147,12 @@ def indented_json(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, without its
     pure-Python encoder: one recursive pass over the lists and dicts that
     appends the parts to a list, writes their str and int items in place
-    and escapes strings with the C ``encode_basestring_ascii``. Takes what
-    ``json.dumps`` takes (dicts, lists, tuples, str, int, float, bool,
-    None) with str dict keys only, as every payload of the program and
-    every parsed object has, and raises TypeError on the rest; unlike
-    ``json.dumps`` it writes integers of any length (see ``int_text``).
-    There is no check for circular references."""
+    and escapes strings with the C ``encode_basestring_ascii``. Takes
+    dicts, lists, tuples, str, int, bool and None, with str dict keys only,
+    as every payload of the program has, and raises TypeError on the rest,
+    floats included, as the package builds none; unlike ``json.dumps`` it
+    writes integers of any length (see ``int_text``). There is no check
+    for circular references."""
     parts: list[str] = []
     _write_json(value, parts, "\n")
     return "".join(parts)
@@ -221,15 +221,5 @@ def _write_json(value: Any, parts: list[str], newline: str) -> None:
         parts.append("false")
     elif isinstance(value, int):
         parts.append(int_text(value))
-    elif isinstance(value, float):
-        parts.append(_float_json(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_json(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)

@@ -2,9 +2,11 @@
 
 Each node contributes (valency - 2) equations, one admissible monomial per
 incident edge, with exact integer coefficients whose maximal minors are
-verified nonzero. Higher-order terms are caller-supplied polynomial data,
-validated against the weight (and, in equivariant mode, character)
-invariants.
+nonzero: they are generalized Vandermonde determinants on distinct positive
+nodes (``generic_coefficients``), and the test suite's
+``test_maximal_minors_nonzero`` computes them. Higher-order terms are
+caller-supplied polynomial data, validated against the weight (and, in
+equivariant mode, character) invariants.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
 from .document import int_text
 from .frozen import report_ok
 from .graph import ResolutionGraph
+from .linalg import gauss_jordan
 from .splice import SpliceDiagram, linking_numbers, splice_from_resolution
 
 Coefficient = int | Fraction
@@ -45,9 +48,6 @@ class Monomial(NamedTuple):
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.exponents)
-
-    def degree(self) -> int:
-        return sum(a for _, a in self.exponents)
 
     def render(self) -> str:
         if not self.exponents:
@@ -218,23 +218,10 @@ def normalize_coefficients(system: SpliceEquationSystem) -> SpliceEquationSystem
     for block in system.blocks:
         k = len(block.coefficients)
         width = len(block.edges)
-        if k == 0:
-            new_blocks.append(block)
-            continue
-        rows = [[Fraction(x) for x in row] for row in block.coefficients]
-        for col in range(k):
-            pivot_row = next(
-                (r for r in range(col, k) if rows[r][col] != 0), None
-            )
-            if pivot_row is None:
-                raise DegenerateMatrix(f"node {block.node}: column {col} has no pivot")
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            pivot = rows[col][col]
-            rows[col] = [x / pivot for x in rows[col]]
-            for r in range(k):
-                if r != col and rows[r][col] != 0:
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+        try:
+            rows = gauss_jordan(block.coefficients)
+        except ZeroDivisionError as exc:
+            raise DegenerateMatrix(f"node {block.node}: {exc}") from None
         a = [rows[i][width - 2] for i in range(k)]
         b = [rows[i][width - 1] for i in range(k)]
         if any(x == 0 for x in a) or any(x == 0 for x in b):

@@ -2,14 +2,17 @@
 
 Everything here works over arbitrary-precision ints or Fractions; there is
 no floating point anywhere in the package. One Smith elimination, by 2x2
-Bezout row and column steps, serves both ``smith_diagonal``, which tracks
-no transform and, taken modulo a divisor of the determinant, gives the
-discriminant group its checks and invariant factors, and ``smith_normal_form``, which
-tracks both transforms. ``determinant`` (Bareiss) and ``invert_rational``
-(Gauss-Jordan) are general-matrix reference oracles with no caller in the
-package: definiteness, determinants, linking and pairing matrices are all
-read from the subtree-determinant table in ``graph``, and the tests check
-that table against these two.
+Bezout row and column steps, serves both ``smith_diagonal``, which runs it
+on a plain copy and, taken modulo a divisor of the determinant, gives the
+discriminant group its checks and invariant factors, and
+``smith_normal_form``, which runs it on the matrix bordered by identities
+and reads both transforms off the borders. ``gauss_jordan`` is the one
+Fraction row reduction: the equation systems normalize their coefficients
+with it. ``determinant`` (Bareiss) and ``invert_rational`` (``gauss_jordan``
+on the matrix bordered by I) are general-matrix reference oracles with no
+caller in the package: definiteness, determinants, linking and pairing
+matrices are all read from the subtree-determinant table in ``graph``, and
+the tests check that table against these two.
 """
 
 from __future__ import annotations
@@ -51,26 +54,35 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def invert_rational(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse over Fractions via Gauss-Jordan elimination.
+def gauss_jordan(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
+    """A Fraction copy of a k-row matrix, k at most its width, with its
+    first k columns reduced to the identity by Gauss-Jordan elimination.
 
-    Raises ZeroDivisionError on singular input.
+    Raises ZeroDivisionError naming the first column with no pivot.
+    """
+    k = len(matrix)
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    for col in range(k):
+        pivot_row = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            raise ZeroDivisionError(f"column {col} has no pivot")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return rows
+
+
+def invert_rational(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact inverse over Fractions: ``gauss_jordan`` on the matrix with
+    the identity to its right. Raises ZeroDivisionError on singular input.
     """
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    bordered = [[*row, *unit] for row, unit in zip(matrix, identity_matrix(n))]
+    return [row[n:] for row in gauss_jordan(bordered)]
 
 
 class SmithDecomposition(NamedTuple):
@@ -95,15 +107,18 @@ def _bezout(p: int, q: int) -> tuple[int, int, int]:
     return (p, x0, y0) if p >= 0 else (-p, -x0, -y0)
 
 
-def _eliminate(
-    matrix: Sequence[Sequence[int]],
-    modulus: int | None,
-    left: IntMatrix | None,
-    right: IntMatrix,
-) -> tuple[int, ...]:
-    """The Smith diagonal of a copy of matrix, by 2x2 Bezout steps of
-    determinant 1 (Kannan and Bachem, 1979), applying each row step to
-    left as well, when given, and each column step to the rows of right.
+def _reduced(matrix: Sequence[Sequence[int]], modulus: int | None) -> IntMatrix:
+    """A copy of matrix, every entry reduced mod the modulus when given."""
+    if modulus:
+        return [[x % modulus for x in row] for row in matrix]
+    return [list(row) for row in matrix]
+
+
+def _eliminate(a: IntMatrix, n: int, m: int, modulus: int | None) -> tuple[int, ...]:
+    """The Smith diagonal of the n x m block at the top left of a, in place,
+    by 2x2 Bezout steps of determinant 1 (Kannan and Bachem, 1979). Each
+    row step acts on whole rows of a and each column step on whole columns,
+    so a border to the right of the block or below it carries the steps.
 
     At each diagonal position k, whose entry is made non-zero by a swap
     from the remaining block if need be, column k and then row k are
@@ -112,18 +127,9 @@ def _eliminate(
     that kind may refill column k, so the two clearings repeat until both
     hold; the pivot only shrinks. An entry of the block that the pivot does
     not divide is then pulled into row k, and the clearing starts again.
-    With a modulus N, the copy and every step are reduced mod N, and
-    divisibility is that of the reduced representatives.
+    With a modulus N, the block must come reduced mod N; every step is
+    reduced mod N, and divisibility is that of the reduced representatives.
     """
-    n = len(matrix)
-    m = len(matrix[0]) if n else 0
-    if modulus == 1:  # every entry is 0 mod 1, so no step is taken
-        return (0,) * min(n, m)
-    if modulus:
-        a = [[x % modulus for x in row] for row in matrix]
-    else:
-        a = [list(row) for row in matrix]
-    row_mats = (a,) if left is None else (a, left)
 
     def combine(rk: list[int], ri: list[int], x: int, y: int) -> list[int]:
         if modulus:
@@ -135,18 +141,16 @@ def _eliminate(
         # or row i -= (q/p)*row k when the pivot p divides q
         p = a[k][k]
         if q % p == 0:
-            for mat in row_mats:
-                mat[i] = combine(mat[k], mat[i], -(q // p), 1)
+            a[i] = combine(a[k], a[i], -(q // p), 1)
             return
         g, x, y = _bezout(p, q)
-        for mat in row_mats:
-            rk, ri = mat[k], mat[i]
-            mat[k], mat[i] = combine(rk, ri, x, y), combine(rk, ri, -q // g, p // g)
+        rk, ri = a[k], a[i]
+        a[k], a[i] = combine(rk, ri, x, y), combine(rk, ri, -q // g, p // g)
 
     def col_step(k: int, j: int, q: int) -> bool:
         # the row_step above on columns k and j; True when column k changed
         p = a[k][k]
-        rows = a[k:] + right  # rows of a above k are zero in both columns
+        rows = a[k:]  # rows of the block above k are zero in both columns
         if q % p == 0:
             c = q // p
             for row in rows:
@@ -167,9 +171,8 @@ def _eliminate(
             if hit is None:
                 break  # the remaining block is zero
             i, j = hit
-            for mat in row_mats:
-                mat[k], mat[i] = mat[i], mat[k]
-            for row in a + right:
+            a[k], a[i] = a[i], a[k]
+            for row in a:
                 row[k], row[j] = row[j], row[k]
         while True:
             refilled = True
@@ -183,35 +186,37 @@ def _eliminate(
                         refilled |= col_step(k, j, a[k][j])
             p = abs(a[k][k])
             offender = next(
-                (i for i in range(k + 1, n) if p != 1 and gcd(p, *a[i][k + 1:]) != p), None
+                (i for i in range(k + 1, n) if p != 1 and gcd(p, *a[i][k + 1:m]) != p), None
             )
             if offender is None:
                 break
-            for mat in row_mats:  # row k += row offender; the pivot stays
-                mat[k] = combine(mat[k], mat[offender], 1, 1)
+            a[k] = combine(a[k], a[offender], 1, 1)  # the pivot stays
         if a[k][k] < 0:
-            for mat in row_mats:
-                mat[k] = [-x for x in mat[k]]
+            a[k] = [-x for x in a[k]]
     return tuple(a[k][k] for k in range(min(n, m)))
 
 
 def smith_normal_form(
     matrix: Sequence[Sequence[int]], modulus: int | None = None
 ) -> SmithDecomposition:
-    """Smith normal form with non-negative diagonal and tracked transforms,
-    by the Bezout elimination of ``_eliminate``.
+    """Smith normal form with non-negative diagonal and both transforms, by
+    the Bezout elimination of ``_eliminate`` on the matrix with I_n to its
+    right and I_m below it: U builds up in the right border and V in the
+    lower one.
 
     With a modulus N, the input and every operation on the matrix and both
     transforms are reduced mod N, and divisibility is that of the reduced
     representatives: U * M * V = diag(d) mod N, U and V stay invertible
     mod N, and the gcd(d_i, N) are those of the integer form.
     """
-    n = len(matrix)
-    left, right = identity_matrix(n), identity_matrix(len(matrix[0]) if n else 0)
+    a = _reduced(matrix, modulus)
+    n, m = len(a), len(a[0]) if a else 0
+    unit = identity_matrix(m + n)  # unreduced: mod 1 no step is taken, and U = I, V = I
+    a = [row + e[m:] for row, e in zip(a, unit[m:])] + unit[:m]
     return SmithDecomposition(
-        diagonal=_eliminate(matrix, modulus, left, right),
-        left=tuple(tuple(row) for row in left),
-        right=tuple(tuple(row) for row in right),
+        diagonal=_eliminate(a, n, m, modulus),
+        left=tuple(tuple(row[m:]) for row in a[:n]),
+        right=tuple(tuple(row[:m]) for row in a[n:]),
     )
 
 
@@ -219,5 +224,9 @@ def smith_diagonal(
     matrix: Sequence[Sequence[int]], modulus: int | None = None
 ) -> tuple[int, ...]:
     """``smith_normal_form(matrix, modulus).diagonal``, by the same
-    elimination with neither transform tracked."""
-    return _eliminate(matrix, modulus, None, [])
+    elimination on a copy with no border."""
+    n = len(matrix)
+    m = len(matrix[0]) if n else 0
+    if modulus == 1:  # every entry is 0 mod 1, so no step is taken
+        return (0,) * min(n, m)
+    return _eliminate(_reduced(matrix, modulus), n, m, modulus)

@@ -52,6 +52,14 @@ def test_non_canonical_has_no_string():
     assert (cf.numerator, cf.denominator) == (1, 2)
     with pytest.raises(ValueError):
         string_of_cf(cf)
+    with pytest.raises(ValueError, match="^1/2 is outside the canonical range$"):
+        reverse_cf(cf)
+
+
+@pytest.mark.parametrize("weights", [[0], [-2, 0], [-3, 1, -2]])
+def test_weight_above_minus_one_rejected(weights):
+    with pytest.raises(ValueError, match="^string weights must be <= -1$"):
+        continued_fraction_of_string(weights)
 
 
 quasi_minimal_strings = st.one_of(

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,10 @@ from splicekit.conditions import (
 from splicekit.corpus import dominant_tree, with_determinant_cap
 from splicekit.errors import NotEndNodeEdge, NotTwoNode, ValidationError
 from splicekit.cycles import check_condition_3_3, fundamental_cycle
-from splicekit.graph import blow_up_edge, graph_determinant, is_negative_definite, nodes_of
-from splicekit.splice import linking_numbers, splice_from_resolution
+from splicekit.graph import (
+    blow_up_edge, component_of, graph_determinant, is_negative_definite, nodes_of,
+)
+from splicekit.splice import is_end_node, linking_numbers, splice_from_resolution
 
 from oracles import (
     arithmetic_genus,
@@ -330,8 +333,12 @@ def test_end_node_criterion_values(g1, g90):
 
 
 def test_end_node_criterion_errors(g1, star):
-    with pytest.raises(NotEndNodeEdge):
-        end_node_criterion(g1, "ul", "nL")  # leaf toward node: not a node edge
+    with pytest.raises(NotEndNodeEdge, match=r"^\(ul, nR\) is not a diagram edge$"):
+        end_node_criterion(g1, "ul", "nR")
+    with pytest.raises(NotEndNodeEdge, match="^ul is not a node$"):
+        end_node_criterion(g1, "nL", "ul")
+    with pytest.raises(NotEndNodeEdge, match="^nL is not an end-node seen from ul$"):
+        end_node_criterion(g1, "ul", "nL")
     with pytest.raises(NotTwoNode):
         two_node_criterion(star)
 
@@ -362,6 +369,46 @@ def test_end_node_criterion_matches_search(two_node_corpus, small_trees):
                 assert end_node_criterion(g, v, u) == per_edge[(v, u)]
                 checked += 1
     assert checked >= 50
+
+
+def test_seeded_draws_reach_every_route():
+    # the acceptance corpus decides nearly every node edge by the greedy
+    # sweep, so these seeded draws (n in 5-14, weights -1 to -4) stand in
+    # for the other routes: a node whose branches are all reduced (one
+    # sweep, no excess table), the greedy on a branch that is not reduced,
+    # passing ("constructive") and failing over to the search, the end-node
+    # criterion, and the 3.3 search fallback, each passing and failing
+    rng = random.Random(0)
+    seen = Counter()
+    for _ in range(300):
+        g = random_tree(rng, rng.randint(5, 14), (-1, -2, -3, -4))
+        if not (is_negative_definite(g) and nodes_of(g)):
+            continue
+        a = Analysis(g)
+        decisions = {(d.node, d.toward): d for d in check_condition_3_3(a).decisions}
+        for v in nodes_of(g):
+            reduced = []
+            for u in g.adjacency[v]:
+                # the branch B at u is reduced when w_j + deg_B(j) <= 0 on B
+                b = set(component_of(g, v, u))
+                degree = {j: len(b.intersection(g.adjacency[j])) for j in b}
+                reduced.append(all(g.weight_of(j) + degree[j] <= 0 for j in b))
+                d = decisions[(v, u)]
+                if not reduced[-1]:
+                    seen["greedy", d.method == "constructive"] += 1
+                if d.method == "search":
+                    seen["search", d.status] += 1
+            seen["reduced sweep"] += all(reduced)
+        diagram = splice_from_resolution(a)
+        for v in diagram.nodes:
+            for u in diagram.adjacency[v]:
+                if diagram.is_node(u) and is_end_node(diagram, u):
+                    seen["end-node", end_node_criterion(a, v, u)] += 1
+    assert set(seen) == {
+        "reduced sweep", ("greedy", True), ("greedy", False), ("end-node", True),
+        ("end-node", False), ("search", "pass"), ("search", "fail"),
+    }
+    assert all(seen.values())
 
 
 def test_two_node_criterion_matches_search(two_node_corpus):

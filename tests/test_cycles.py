@@ -194,6 +194,7 @@ def test_unknown_vertex_is_refused(g17):
         lambda: construct_monomial_cycle(g17, "zz", ("ul",)),
         lambda: fundamental_cycle(g17, ["ul", "zz"]),
         lambda: g17.degree("zz"),
+        lambda: g17.weight_of("zz"),
         lambda: component_of(g17, "ul", "zz"),
     ):
         with pytest.raises(UnknownVertex):
@@ -414,6 +415,8 @@ def test_construct_monomial_cycle_degenerate(star):
 def test_construct_monomial_cycle_not_a_branch(g17):
     with pytest.raises(NotABranch):
         construct_monomial_cycle(g17, "nL", ("ul", "ur"))
+    with pytest.raises(NotABranch, match="^empty vertex set$"):
+        fundamental_cycle(g17, [])
 
 
 def test_condition_3_3_fixtures(g1, g17, g90, star, fat_branch):

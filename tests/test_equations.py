@@ -125,6 +125,10 @@ def test_higher_terms_validated(g17):
     )
     target = [b for b in built.blocks if b.node == node][0]
     assert target.higher_terms == (((3, good),),)
+    with pytest.raises(InvalidHigherTerm, match=rf"^node {node}: expected 1 higher-term lists"):
+        build_equations(g17, higher_terms={node: [[(3, good)], []]})
+    with pytest.raises(InvalidHigherTerm, match=rf"^node {node} eq 0: zero coefficient$"):
+        build_equations(g17, higher_terms={node: [[(3, good), (0, good)]]})
 
     light = Monomial.from_mapping({first_leaf: 1}, system.variables)
     with pytest.raises(InvalidHigherTerm):
@@ -176,7 +180,7 @@ def test_normalize_coefficients_examples():
         coefficients=((1, 1, 1, 1), (1, 1, 2, 2)), higher_terms=((), ()),
     )
     system = SpliceEquationSystem(variables=("a", "b", "c", "d"), blocks=(degenerate,))
-    with pytest.raises(DegenerateMatrix):
+    with pytest.raises(DegenerateMatrix, match="^node n: column 1 has no pivot$"):
         normalize_coefficients(system)
 
 

@@ -109,6 +109,15 @@ def test_blow_up_rule():
     assert not g.has_edge("c0", "c1")
 
 
+def test_blow_up_takes_a_fresh_id():
+    # b* and b*2 are taken, so the new curve is b*3
+    g = ResolutionGraph.build([("b*", -2), ("b*2", -2), ("c", -2)], [("b*", "b*2"), ("b*2", "c")])
+    g2 = blow_up_edge(g, ("b*2", "c"))
+    assert g2.ids == ("b*", "b*2", "c", "b*3")
+    assert g2.weights == (-2, -3, -3, -1)
+    assert g2.has_edge("b*2", "b*3") and g2.has_edge("b*3", "c")
+
+
 def test_blow_up_preserves_det_and_splice(g17):
     g2 = blow_up_edge(g17, ("nL", "nR"))
     assert graph_determinant(g2) == 17

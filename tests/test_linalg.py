@@ -1,6 +1,7 @@
 import random
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,6 +201,25 @@ def test_leading_minors_are_prefix_determinants(g90):
     assert minors[0] == 3
     for k, value in enumerate(minors, start=1):
         assert value == determinant([row[:k] for row in m[:k]])
+
+
+@pytest.mark.parametrize(
+    "m, col",
+    [
+        ([[0]], 0),
+        ([[0, 1], [0, 3]], 0),
+        ([[1, 2], [2, 4]], 1),
+        ([[2, 1, 1], [4, 2, 2], [1, 0, 5]], 2),
+    ],
+)
+def test_invert_rational_refuses_a_singular_matrix(m, col):
+    with pytest.raises(ZeroDivisionError, match=f"^column {col} has no pivot$"):
+        invert_rational(m)
+
+
+def test_empty_matrix():
+    assert determinant([]) == 1
+    assert invert_rational([]) == []
 
 
 def test_invert_rational_roundtrip(g17):

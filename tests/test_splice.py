@@ -201,6 +201,10 @@ def test_edge_determinants(g1, g90, g17):
         assert edge_determinant(dmax, e) == 17
     with pytest.raises(LeafEdgeInReducedDiagram):
         edge_determinant(d1, ("nL", "ul"))
+    for call in (edge_determinant, lambda d, e: ideal_generator(d, *e)):
+        for edge in (("nL", "ur"), ("nL", "zz")):
+            with pytest.raises(UnknownEdge, match=rf"^\({edge[0]}, {edge[1]}\)$"):
+                call(d1, edge)
 
 
 def test_edge_det_theorem(g1, g17, g90):
@@ -684,6 +688,15 @@ def test_leaf_knot_orders(g1, g17, g90):
         ) == order
 
 
+def test_leaf_ideal_generator_and_knot_order_refuse_a_non_leaf(g1):
+    d = splice_from_resolution(g1)
+    for v in ("nL", "mid", "zz"):
+        with pytest.raises(UnknownVertex, match=f"^{v} is not a leaf of the splice diagram$"):
+            leaf_knot_order(g1, v)
+    with pytest.raises(UnknownVertex, match="^nL is not a leaf$"):
+        leaf_ideal_generator(d, "nL")
+
+
 def test_ideal_generators_fill_one_table(monkeypatch):
     # every leaf knot order, ideal generator and ideal check of a diagram
     # reads its one cached table, filled in one pass over the directed edges;
@@ -737,8 +750,29 @@ def test_end_node_reduce_errors(g1, star):
     d = splice_from_resolution(g1)
     with pytest.raises(NotEndNode):
         end_node_reduce(d, "ul")
+    with pytest.raises(NotEndNode, match="^ul$"):
+        end_node_reduce_graph(g1, "ul")
     with pytest.raises(NotEndNode):
         end_node_reduce_graph(star, "c")
+
+
+def test_end_node_reduce_takes_a_fresh_leaf_id(g1):
+    # with w* and w*2 kept, the new leaf is w*3, and the diagram is the one
+    # of g1 renamed
+    names = {"ur": "w*", "r2": "w*2"}
+    g = ResolutionGraph.build(
+        [(names.get(v, v), w) for v, w in zip(g1.ids, g1.weights)],
+        [(names.get(a, a), names.get(b, b)) for a, b in g1.edges],
+    )
+    det = graph_determinant(g1)
+    plain = end_node_reduce(splice_from_resolution(g1), "nL", det)
+    renamed = end_node_reduce(splice_from_resolution(g), "nL", det)
+    names[plain.new_leaf] = "w*3"
+    assert renamed.new_leaf == "w*3"
+    assert renamed.diagram.ids == tuple(names.get(v, v) for v in plain.diagram.ids)
+    assert renamed.diagram.weights == {
+        (names.get(a, a), names.get(b, b)): w for (a, b), w in plain.diagram.weights.items()
+    }
 
 
 def test_end_node_reduce_nonintegral_raises(g1):
